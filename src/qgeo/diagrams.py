@@ -10,17 +10,23 @@ that the alternative operand orderings of the quaternionic Moebius action
 genuinely fail to intertwine.
 
 All randomness is derived from (seed, check index, trial index), so reports
-are deterministic for a fixed seed regardless of evaluation order.
+are deterministic for a fixed seed regardless of evaluation order.  The
+suite evaluates its trials in blocks (:mod:`qgeo.batch`), with results equal
+bit for bit to the scalar evaluators below, which stay the public API and
+the reference for re-evaluating stored worst cases.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import batch
+from .batch import BlockSampler
 from .quaternion import Quaternion, ZERO_NORM_SQ, _abs2, chordal_distance
 from .states import (
     OneQubitState,
@@ -52,7 +58,6 @@ from .local_unitary import (
     apply_su2,
     quat_matrix,
     random_local_unitary,
-    random_su2,
 )
 from .moebius import (
     MoebiusC,
@@ -479,19 +484,301 @@ def find_variant_failure_witness(
     return None
 
 
-def _run_group(seed, idx, trials, entries, sample, evaluate, serialize):
-    """Run one trial loop, tracking per-entry maxima and worst-case inputs."""
-    n = len(entries)
-    max_dev = [0.0] * n
-    worst: list[dict | None] = [None] * n
-    for trial in range(trials):
-        inputs = sample(seed, idx, trial)
-        devs = evaluate(*inputs)
-        for k in range(n):
-            if worst[k] is None or devs[k] >= max_dev[k]:
-                max_dev[k] = devs[k]
-                worst[k] = serialize(*inputs)
-    return max_dev, worst
+# ---------------------------------------------------------------------------
+# Block evaluation of the check groups
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Sampled inputs of the trials from ``start`` on of one check group.
+
+    ``theta``, ``a`` and ``b`` are the transform draws (None in a group
+    without one) and ``psi`` the amplitude rows of the state draws.
+    """
+
+    start: int
+    theta: np.ndarray | None
+    a: np.ndarray | None
+    b: np.ndarray | None
+    psi: np.ndarray
+
+    def cos_sin(self):
+        return batch.libm(math.cos, self.theta), batch.libm(math.sin, self.theta)
+
+    def split_ab(self):
+        return batch.split(self.a), batch.split(self.b)
+
+
+def _quaterbit_gap_block(x, y):
+    return batch.max2(batch.qabs(batch.qsub(x[0], y[0])), batch.qabs(batch.qsub(x[1], y[1])))
+
+
+def _no_scalar(blk: _Block) -> np.ndarray:
+    return np.zeros(len(blk.psi), dtype=bool)
+
+
+def _one_qubit_block(blk: _Block):
+    a, b = blk.split_ab()
+    a1, a2 = batch.split(blk.psi[:, 0]), batch.split(blk.psi[:, 1])
+    # MoebiusC.from_su2: its determinant |a|^2 + |b|^2 = 1 passes the check.
+    z = batch.quot(a1, a2)
+    den = batch.add(batch.mul(batch.neg(batch.conj(b)), z), batch.conj(a))
+    lhs = batch.quot(batch.add(batch.mul(a, z), b), den)
+    v = batch.matvec(batch.su2_matrices(blk.a, blk.b), blk.psi)
+    v1, v2 = batch.split(v[:, 0]), batch.split(v[:, 1])
+    rhs = batch.quot(v1, v2)
+    zero = (0.0, 0.0)
+    dev = batch.chordal_distance((lhs, zero), (rhs, zero))
+    at_infinity = (
+        (batch.abs2(a2) < ZERO_NORM_SQ)
+        | (batch.abs2(den) < ZERO_NORM_SQ)
+        | (batch.abs2(v2) < ZERO_NORM_SQ)
+    )
+    return dev[:, None], at_infinity
+
+
+def _transported(blk: _Block, c, s, rotation_first: bool) -> np.ndarray:
+    """Amplitude rows of ``apply_cb(u, psi)``."""
+    return batch.matvec(batch.complex_forms(rotation_first, c, s, blk.a, blk.b), blk.psi)
+
+
+def _quadrangle_block(blk: _Block):
+    c, s = blk.cos_sin()
+    lhs = batch.quaterbits(_transported(blk, c, s, True))
+    rhs = batch.spinor_so2xsu2(c, s, *blk.split_ab(), batch.quaterbits(blk.psi))
+    return _quaterbit_gap_block(lhs, rhs)[:, None], _no_scalar(blk)
+
+
+def _quadrangle_prime_block(blk: _Block):
+    c, s = blk.cos_sin()
+    lhs = batch.quaterbits(_transported(blk, c, s, False))
+    rhs = batch.spinor_su2xso2(c, s, *blk.split_ab(), batch.quaterbits(blk.psi))
+    return _quaterbit_gap_block(lhs, rhs)[:, None], _no_scalar(blk)
+
+
+def _three_way_block(blk: _Block):
+    c, s = blk.cos_sin()
+    a, b = blk.split_ab()
+    psi2 = _transported(blk, c, s, True)
+    qb = batch.quaterbits(blk.psi)
+    v1, inf1 = batch.right_quotient(*batch.quaterbits(psi2))
+    v2, inf2 = batch.right_quotient(*batch.spinor_so2xsu2(c, s, a, b, qb))
+    x, inf3 = batch.right_quotient(*qb)
+    v3, inf4 = batch.moebius_so2xsu2(c, s, a, b, x)
+
+    gamma2, delta2 = batch.split(psi2[:, 2]), batch.split(psi2[:, 3])
+    n2_after = batch.abs2(gamma2) + batch.abs2(delta2)
+    w1 = (
+        batch.div_real(batch.schmidt_term(psi2), n2_after),
+        batch.div_real(batch.concurrence_term(psi2), n2_after),
+    )
+
+    s_term = batch.schmidt_term(blk.psi)
+    c_term = batch.concurrence_term(blk.psi)
+    alpha, beta, gamma, delta = (batch.split(blk.psi[:, j]) for j in range(4))
+    n1 = batch.abs2(alpha) + batch.abs2(beta)
+    n2 = batch.abs2(gamma) + batch.abs2(delta)
+    den = n2 * c * c + n1 * s * s - 2.0 * s * c * s_term[0]
+    num = batch.add(
+        batch.sub(batch.real_mul(c * c, s_term), batch.real_mul(s * s, batch.conj(s_term))),
+        (s * c * (n2 - n1), 0.0),
+    )
+    w2 = (batch.div_real(num, den), batch.div_real(c_term, den))
+
+    first = batch.chordal_distance(v1, v2)
+    second = batch.chordal_distance(v2, v3)
+    closed = batch.max2(
+        batch.max2(batch.chordal_distance(v1, w1), batch.chordal_distance(v1, w2)),
+        batch.chordal_distance(w1, w2),
+    )
+    at_infinity = (
+        inf1 | inf2 | inf3 | inf4 | (n2_after < ZERO_NORM_SQ) | (den < ZERO_NORM_SQ)
+    )
+    return np.stack([first, second, closed], axis=1), at_infinity
+
+
+def _inertness_block(blk: _Block):
+    # The rotation is SO2Element(0.0): cos 1.0, sin 0.0.
+    n = len(blk.psi)
+    form = batch.complex_forms(True, np.ones(n), np.zeros(n), blk.a, blk.b)
+    before, inf1 = batch.right_quotient(*batch.quaterbits(blk.psi))
+    after, inf2 = batch.right_quotient(*batch.quaterbits(batch.matvec(form, blk.psi)))
+    return batch.chordal_distance(before, after)[:, None], inf1 | inf2
+
+
+def _concurrence_block(blk: _Block):
+    after = batch.concurrence_term(_transported(blk, *blk.cos_sin(), True))
+    dev = batch.cabs(batch.sub(after, batch.concurrence_term(blk.psi)))
+    return dev[:, None], _no_scalar(blk)
+
+
+def _concurrence_prime_block(blk: _Block):
+    after = batch.cabs(batch.concurrence_term(_transported(blk, *blk.cos_sin(), False)))
+    dev = np.abs(after - batch.cabs(batch.concurrence_term(blk.psi)))
+    return dev[:, None], _no_scalar(blk)
+
+
+def _wootters_block(blk: _Block):
+    expected = batch.real_mul(2.0, batch.conj(batch.concurrence_term(blk.psi)))
+    dev = batch.cabs(batch.sub(batch.wootters_preconcurrence(blk.psi), expected))
+    return dev[:, None], _no_scalar(blk)
+
+
+_SU2 = "su2"
+
+
+@dataclass(frozen=True)
+class _Group:
+    """One seeded trial loop of the suite.
+
+    ``transform`` says what trial t draws from ``[seed, idx, t, 0]``: an
+    SU(2) element (``"su2"``), a local unitary of a variant, or nothing.
+    The state is drawn from ``[seed, idx, t, 1]``.  ``evaluate`` is the
+    scalar evaluator of one trial's inputs; ``evaluate_block`` computes the
+    same deviations for a block, with a mask of the trials it leaves to
+    ``evaluate`` (those taking a branch other than the generic one).
+    """
+
+    idx: int
+    checks: tuple[tuple[str, float], ...]
+    transform: Variant | str | None
+    evaluate: Callable
+    evaluate_block: Callable
+    one_qubit: bool = False
+
+
+_GROUPS = (
+    _Group(
+        _IDX_ONE_QUBIT,
+        (("one_qubit_intertwining", 1e-11),),
+        _SU2,
+        lambda a, psi: (check_one_qubit_diagram(a, psi),),
+        _one_qubit_block,
+        one_qubit=True,
+    ),
+    _Group(
+        _IDX_QUADRANGLE,
+        (("quaterbit_transport_so2xsu2", 1e-12),),
+        Variant.SO2_X_SU2,
+        lambda u, psi: (check_quadrangle(u, psi),),
+        _quadrangle_block,
+    ),
+    _Group(
+        _IDX_THREE_WAY,
+        (
+            ("three_way_first_equality", 1e-10),
+            ("three_way_second_equality", 1e-10),
+            ("closed_form_consistency", 1e-10),
+        ),
+        Variant.SO2_X_SU2,
+        _three_way_all,
+        _three_way_block,
+    ),
+    _Group(
+        _IDX_INERTNESS,
+        (("second_qubit_inertness", 1e-11),),
+        _SU2,
+        lambda a, psi: (check_second_qubit_inertness(a, psi),),
+        _inertness_block,
+    ),
+    _Group(
+        _IDX_QUADRANGLE_PRIME,
+        (("quaterbit_transport_su2xso2", 1e-12),),
+        Variant.SU2_X_SO2,
+        lambda u, psi: (check_quadrangle_prime(u, psi),),
+        _quadrangle_prime_block,
+    ),
+    _Group(
+        _IDX_CONCURRENCE,
+        (("concurrence_invariance_so2xsu2", 1e-12),),
+        Variant.SO2_X_SU2,
+        lambda u, psi: (concurrence_invariance_gap(u, psi),),
+        _concurrence_block,
+    ),
+    _Group(
+        _IDX_CONCURRENCE_PRIME,
+        (("concurrence_magnitude_su2xso2", 1e-12),),
+        Variant.SU2_X_SO2,
+        lambda u, psi: (concurrence_magnitude_gap(u, psi),),
+        _concurrence_prime_block,
+    ),
+    _Group(
+        _IDX_WOOTTERS,
+        (("wootters_preconcurrence_relation", 1e-12),),
+        None,
+        lambda psi: (wootters_relation_gap(psi),),
+        _wootters_block,
+    ),
+)
+
+
+def _sample_block(group: _Group, samplers, start: int, stop: int) -> _Block:
+    """Draw a block of inputs; rows the block sampler cannot finish are redrawn by
+    the scalar sampler from the same seeded generator."""
+    theta = a = b = None
+    if group.transform is not None:
+        theta, a, b, redo = batch.local_unitary_params(samplers[0], start, stop)
+        for i in np.flatnonzero(redo):
+            u = random_local_unitary(Variant.SO2_X_SU2, samplers[0].reseeded(start + i))
+            theta[i], a[i], b[i] = u.rot.theta, u.su2.a, u.su2.b
+    if group.one_qubit:
+        psi, redo = batch.haar_one_qubit_states(samplers[1], start, stop)
+        for i in np.flatnonzero(redo):
+            one = haar_random_one_qubit(samplers[1].reseeded(start + i))
+            psi[i] = (one.a1, one.a2)
+    else:
+        psi, redo = batch.haar_states(samplers[1], start, stop)
+        for i in np.flatnonzero(redo):
+            psi[i] = haar_random_state(samplers[1].reseeded(start + i)).amplitudes
+    return _Block(start, theta, a, b, psi)
+
+
+def _scalar_inputs(group: _Group, blk: _Block, i: int) -> tuple:
+    """Trial ``blk.start + i`` as the objects the scalar evaluator takes."""
+    psi = OneQubitState(*blk.psi[i]) if group.one_qubit else TwoQubitState(*blk.psi[i])
+    if group.transform is None:
+        return (psi,)
+    su2 = SU2Element(blk.a[i], blk.b[i])
+    if group.transform == _SU2:
+        return (su2, psi)
+    return (LocalUnitary(group.transform, SO2Element(blk.theta[i]), su2), psi)
+
+
+def _inputs_doc(inputs: tuple) -> dict:
+    *transform, psi = inputs
+    doc = {"state": one_qubit_doc(psi) if isinstance(psi, OneQubitState) else state_doc(psi)}
+    if not transform:
+        doc["transform"] = None
+    elif isinstance(transform[0], SU2Element):
+        doc["transform"] = su2_doc(transform[0])
+    else:
+        doc["transform"] = transform_doc(transform[0])
+    return doc
+
+
+def _evaluate_group(group: _Group, seed: int, trials: int) -> list[tuple[float, dict]]:
+    """(max deviation, worst-case inputs) of each check of the group.
+
+    The worst case is the last trial reaching the maximum.  A NaN deviation
+    makes the maximum NaN, with the first such trial as the worst case.
+    """
+    samplers = (BlockSampler(seed, group.idx, 0), BlockSampler(seed, group.idx, 1))
+    best: list[tuple[float, dict] | None] = [None] * len(group.checks)
+    for start in range(0, trials, batch.BLOCK):
+        with np.errstate(all="ignore"):
+            blk = _sample_block(group, samplers, start, min(start + batch.BLOCK, trials))
+            devs, scalar = group.evaluate_block(blk)
+        for i in np.flatnonzero(scalar):
+            devs[i] = group.evaluate(*_scalar_inputs(group, blk, i))
+        for k, col in enumerate(devs.T):
+            if best[k] is not None and math.isnan(best[k][0]):
+                continue
+            nan = np.flatnonzero(np.isnan(col))
+            i = nan[0] if len(nan) else len(col) - 1 - int(np.argmax(col[::-1]))
+            if best[k] is None or len(nan) or col[i] >= best[k][0]:
+                best[k] = (float(col[i]), _inputs_doc(_scalar_inputs(group, blk, i)))
+    return best
 
 
 def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> DiagramReport:
@@ -500,7 +787,8 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
     ``tol`` rescales each check's pass threshold relative to its contract
     value (the default leaves the contracts untouched).  Witness searches use
     min(trials, 100) attempts; the report passes overall when every check
-    meets its threshold and both searches find a witness.
+    meets its threshold and both searches find a witness.  A NaN deviation
+    fails its check.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -508,12 +796,10 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
         raise ValueError("tol must be positive")
     scale = tol / DEFAULT_SUITE_TOL
 
-    checks: list[CheckResult] = []
-
-    def add(names_tols, idx, sample, evaluate, serialize):
-        entries = list(names_tols)
-        max_dev, worst = _run_group(seed, idx, trials, entries, sample, evaluate, serialize)
-        for (name, contract), dev, wc in zip(entries, max_dev, worst):
+    checks = []
+    for group in _GROUPS:
+        results = _evaluate_group(group, seed, trials)
+        for (name, contract), (dev, worst_case) in zip(group.checks, results):
             tolerance = contract * scale
             checks.append(
                 CheckResult(
@@ -522,85 +808,9 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
                     max_deviation=dev,
                     tolerance=tolerance,
                     passed=dev <= tolerance,
-                    worst_case=wc,
+                    worst_case=worst_case,
                 )
             )
-
-    add(
-        [("one_qubit_intertwining", 1e-11)],
-        _IDX_ONE_QUBIT,
-        lambda s, i, t: (random_su2([s, i, t, 0]), haar_random_one_qubit([s, i, t, 1])),
-        lambda a, psi: (check_one_qubit_diagram(a, psi),),
-        lambda a, psi: {"state": one_qubit_doc(psi), "transform": su2_doc(a)},
-    )
-    add(
-        [("quaterbit_transport_so2xsu2", 1e-12)],
-        _IDX_QUADRANGLE,
-        lambda s, i, t: (
-            _sample_transform(Variant.SO2_X_SU2, s, i, t),
-            _sample_state(s, i, t),
-        ),
-        lambda u, psi: (check_quadrangle(u, psi),),
-        lambda u, psi: {"state": state_doc(psi), "transform": transform_doc(u)},
-    )
-    add(
-        [
-            ("three_way_first_equality", 1e-10),
-            ("three_way_second_equality", 1e-10),
-            ("closed_form_consistency", 1e-10),
-        ],
-        _IDX_THREE_WAY,
-        lambda s, i, t: (
-            _sample_transform(Variant.SO2_X_SU2, s, i, t),
-            _sample_state(s, i, t),
-        ),
-        _three_way_all,
-        lambda u, psi: {"state": state_doc(psi), "transform": transform_doc(u)},
-    )
-    add(
-        [("second_qubit_inertness", 1e-11)],
-        _IDX_INERTNESS,
-        lambda s, i, t: (random_su2([s, i, t, 0]), _sample_state(s, i, t)),
-        lambda a, psi: (check_second_qubit_inertness(a, psi),),
-        lambda a, psi: {"state": state_doc(psi), "transform": su2_doc(a)},
-    )
-    add(
-        [("quaterbit_transport_su2xso2", 1e-12)],
-        _IDX_QUADRANGLE_PRIME,
-        lambda s, i, t: (
-            _sample_transform(Variant.SU2_X_SO2, s, i, t),
-            _sample_state(s, i, t),
-        ),
-        lambda u, psi: (check_quadrangle_prime(u, psi),),
-        lambda u, psi: {"state": state_doc(psi), "transform": transform_doc(u)},
-    )
-    add(
-        [("concurrence_invariance_so2xsu2", 1e-12)],
-        _IDX_CONCURRENCE,
-        lambda s, i, t: (
-            _sample_transform(Variant.SO2_X_SU2, s, i, t),
-            _sample_state(s, i, t),
-        ),
-        lambda u, psi: (concurrence_invariance_gap(u, psi),),
-        lambda u, psi: {"state": state_doc(psi), "transform": transform_doc(u)},
-    )
-    add(
-        [("concurrence_magnitude_su2xso2", 1e-12)],
-        _IDX_CONCURRENCE_PRIME,
-        lambda s, i, t: (
-            _sample_transform(Variant.SU2_X_SO2, s, i, t),
-            _sample_state(s, i, t),
-        ),
-        lambda u, psi: (concurrence_magnitude_gap(u, psi),),
-        lambda u, psi: {"state": state_doc(psi), "transform": transform_doc(u)},
-    )
-    add(
-        [("wootters_preconcurrence_relation", 1e-12)],
-        _IDX_WOOTTERS,
-        lambda s, i, t: (_sample_state(s, i, t),),
-        lambda psi: (wootters_relation_gap(psi),),
-        lambda psi: {"state": state_doc(psi), "transform": None},
-    )
 
     search_trials = min(trials, 100)
     searches = tuple(

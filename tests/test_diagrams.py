@@ -1,11 +1,15 @@
 """Verification harness: check evaluators, witness searches, report determinism."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qgeo.states import TwoQubitState, haar_random_one_qubit, haar_random_state
+from qgeo import batch, diagrams
+from qgeo.cli import main
+from qgeo.states import OneQubitState, TwoQubitState, haar_random_one_qubit, haar_random_state
 from qgeo.local_unitary import (
     LocalUnitary,
     SO2Element,
@@ -16,6 +20,9 @@ from qgeo.local_unitary import (
 )
 from qgeo.diagrams import (
     FailureSearch,
+    _sample_state,
+    _sample_transform,
+    _sample_transform_rejected,
     check_one_qubit_diagram,
     check_quadrangle,
     check_quadrangle_prime,
@@ -26,8 +33,12 @@ from qgeo.diagrams import (
     concurrence_magnitude_gap,
     find_variant_failure_witness,
     left_coefficient_candidate_deviation,
+    one_qubit_doc,
     reevaluate_check,
     run_suite,
+    state_doc,
+    su2_doc,
+    transform_doc,
     variant_failure_deviation,
     wootters_relation_gap,
 )
@@ -226,3 +237,213 @@ def test_worst_cases_reproduce_max_deviation():
 def test_reevaluate_rejects_unknown_name():
     with pytest.raises(ValueError):
         reevaluate_check("nonsense", {})
+
+
+
+# ---------------------------------------------------------------------------
+# Block evaluation against a per-trial reference
+# ---------------------------------------------------------------------------
+
+B = batch.BLOCK
+
+# (seed index, [(check, contract)], inputs of trial t, scalar evaluator): the
+# suite's groups as a per-trial loop runs them.  ``su2`` and ``lu`` draw the
+# transforms, so that a test can replace them.
+_REFERENCE_GROUPS = [
+    (
+        0,
+        [("one_qubit_intertwining", 1e-11)],
+        lambda s, i, t, su2, lu: (su2([s, i, t, 0]), haar_random_one_qubit([s, i, t, 1])),
+        lambda a, psi: (check_one_qubit_diagram(a, psi),),
+    ),
+    (
+        1,
+        [("quaterbit_transport_so2xsu2", 1e-12)],
+        lambda s, i, t, su2, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
+        lambda u, psi: (check_quadrangle(u, psi),),
+    ),
+    (
+        2,
+        [
+            ("three_way_first_equality", 1e-10),
+            ("three_way_second_equality", 1e-10),
+            ("closed_form_consistency", 1e-10),
+        ],
+        lambda s, i, t, su2, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
+        lambda u, psi: (*check_three_way(u, psi), closed_form_gap(u, psi)),
+    ),
+    (
+        3,
+        [("second_qubit_inertness", 1e-11)],
+        lambda s, i, t, su2, lu: (su2([s, i, t, 0]), _sample_state(s, i, t)),
+        lambda a, psi: (check_second_qubit_inertness(a, psi),),
+    ),
+    (
+        4,
+        [("quaterbit_transport_su2xso2", 1e-12)],
+        lambda s, i, t, su2, lu: (lu(Variant.SU2_X_SO2, s, i, t), _sample_state(s, i, t)),
+        lambda u, psi: (check_quadrangle_prime(u, psi),),
+    ),
+    (
+        5,
+        [("concurrence_invariance_so2xsu2", 1e-12)],
+        lambda s, i, t, su2, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
+        lambda u, psi: (concurrence_invariance_gap(u, psi),),
+    ),
+    (
+        6,
+        [("concurrence_magnitude_su2xso2", 1e-12)],
+        lambda s, i, t, su2, lu: (lu(Variant.SU2_X_SO2, s, i, t), _sample_state(s, i, t)),
+        lambda u, psi: (concurrence_magnitude_gap(u, psi),),
+    ),
+    (
+        7,
+        [("wootters_preconcurrence_relation", 1e-12)],
+        lambda s, i, t, su2, lu: (_sample_state(s, i, t),),
+        lambda psi: (wootters_relation_gap(psi),),
+    ),
+]
+
+
+def _inputs_doc(inputs):
+    *transform, psi = inputs
+    state = one_qubit_doc(psi) if isinstance(psi, OneQubitState) else state_doc(psi)
+    if not transform:
+        return {"state": state, "transform": None}
+    if isinstance(transform[0], SU2Element):
+        return {"state": state, "transform": su2_doc(transform[0])}
+    return {"state": state, "transform": transform_doc(transform[0])}
+
+
+def _reference_trials(seed, trials, su2=random_su2, lu=_sample_transform):
+    """Per group, (deviations, inputs) of every trial, from the scalar evaluators."""
+    per_group = []
+    for idx, _, sample, evaluate in _REFERENCE_GROUPS:
+        inputs = [sample(seed, idx, t, su2, lu) for t in range(trials)]
+        per_group.append([(evaluate(*x), x) for x in inputs])
+    return per_group
+
+
+def _reference_report(seed, trials, per_trial):
+    """run_suite's report at the default tolerance, rebuilt from the first
+    ``trials`` per-trial deviations with the `>=` rule: the last trial
+    reaching the maximum is the worst case."""
+    checks = []
+    for (_, entries, _, _), rows in zip(_REFERENCE_GROUPS, per_trial):
+        for k, (name, contract) in enumerate(entries):
+            max_dev, worst = 0.0, None
+            for devs, inputs in rows[:trials]:
+                if worst is None or devs[k] >= max_dev:
+                    max_dev, worst = devs[k], inputs
+            checks.append(
+                {
+                    "name": name,
+                    "trials": trials,
+                    "max_deviation": max_dev,
+                    "tolerance": contract,
+                    "passed": max_dev <= contract,
+                    "worst_case": _inputs_doc(worst),
+                }
+            )
+    search_trials = min(trials, 100)
+    witnesses = []
+    for which in (FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2, FailureSearch.CANONICAL_ON_SU2XSO2):
+        w = find_variant_failure_witness(which, search_trials, seed)
+        witnesses.append(
+            {
+                "name": which.value,
+                "trials": search_trials,
+                "threshold": 0.01,
+                "found": w is not None,
+                "witness": None if w is None else w.to_dict(),
+            }
+        )
+    exp_dev = 0.0
+    for t in range(search_trials):
+        psi = _sample_state(seed, 10, t)
+        u = _sample_transform_rejected(Variant.SU2_X_SO2, seed, 10, t)
+        exp_dev = max(exp_dev, left_coefficient_candidate_deviation(psi, u))
+    exploratory = {
+        "name": "left_coefficient_variant_on_su2xso2",
+        "trials": search_trials,
+        "max_deviation": exp_dev,
+    }
+    return {
+        "seed": seed,
+        "trials": trials,
+        "tolerance": 1e-10,
+        "checks": checks,
+        "witnesses": witnesses,
+        "exploratory": [exploratory],
+        "overall_pass": all(c["passed"] for c in checks) and all(w["found"] for w in witnesses),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**33 + 1])
+def test_block_suite_matches_per_trial_reference(seed):
+    per_trial = _reference_trials(seed, B + 1)
+    for trials in (1, 2, B - 1, B, B + 1):
+        # Dictionary equality compares the floats with ==, so this is exact.
+        expected = _reference_report(seed, trials, per_trial)
+        assert run_suite(trials, seed).to_dict() == expected, trials
+
+
+def test_block_suite_keeps_the_last_of_tied_trials(monkeypatch):
+    # Identity transforms make most deviations exactly 0.0 in every trial,
+    # so the worst case of those checks must be the last trial.
+    def identity_params(sampler, start, stop):
+        n = stop - start
+        theta, a, b = np.zeros(n), np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+        return theta, a, b, np.zeros(n, dtype=bool)
+
+    monkeypatch.setattr(batch, "local_unitary_params", identity_params)
+    trials, seed = B + 1, 4
+    per_trial = _reference_trials(
+        seed,
+        trials,
+        su2=lambda entropy: SU2Element(1, 0),
+        lu=lambda variant, s, i, t: LocalUnitary(variant, SO2Element(0.0), SU2Element(1, 0)),
+    )
+    doc = run_suite(trials, seed).to_dict()
+    assert doc == _reference_report(seed, trials, per_trial)
+
+    last_inputs = {
+        name: _inputs_doc(rows[-1][1])
+        for (_, entries, _, _), rows in zip(_REFERENCE_GROUPS, per_trial)
+        for name, _ in entries
+    }
+    tied = [c for c in doc["checks"] if c["max_deviation"] == 0.0]
+    assert {c["name"] for c in tied} >= {
+        "one_qubit_intertwining",
+        "quaterbit_transport_so2xsu2",
+        "second_qubit_inertness",
+        "quaterbit_transport_su2xso2",
+    }
+    for c in tied:
+        assert c["worst_case"] == last_inputs[c["name"]]
+
+
+def test_nan_deviation_fails_its_check(monkeypatch, capsys):
+    group = diagrams._GROUPS[1]
+
+    def nan_at_trial_1(blk):
+        devs, scalar = group.evaluate_block(blk)
+        if blk.start <= 1 < blk.start + len(devs):
+            devs[1 - blk.start, 0] = math.nan
+        return devs, scalar
+
+    groups = list(diagrams._GROUPS)
+    groups[1] = dataclasses.replace(group, evaluate_block=nan_at_trial_1)
+    monkeypatch.setattr(diagrams, "_GROUPS", tuple(groups))
+
+    report = run_suite(trials=5, seed=0)
+    check = report.checks[1]
+    assert check.name == "quaterbit_transport_so2xsu2"
+    assert math.isnan(check.max_deviation) and not check.passed
+    assert check.worst_case == _inputs_doc(
+        (_sample_transform(Variant.SO2_X_SU2, 0, 1, 1), _sample_state(0, 1, 1))
+    )
+    assert all(c.passed for c in report.checks if c is not check)
+    assert not report.overall_pass
+    assert main(["verify", "--trials", "5", "--seed", "0"]) == 1
+    capsys.readouterr()
