@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,11 +32,18 @@ from .quaternion import (
     _abs2,
     right_quotient,
 )
-from .conformal import ExtendedComplex
+from .conformal import ExtendedComplex, inverse_stereographic
 from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require_variant, complexify
 
 # Invertibility threshold on the determinant of the complexified matrix.
 DET_TOL = 1e-18
+
+# Rows per block of orbit_s4_chunks; bounds the memory of a streamed orbit.
+ORBIT_CHUNK = 4096
+
+# Bits of 2*pi kept beyond the integer part of the largest 2*k*theta / (2*pi),
+# so that an angle reduced by orbit_angles is off by at most about 2**-90.
+_ANGLE_GUARD_BITS = 96
 
 
 class DegenerateMapError(ZeroDivisionError):
@@ -184,3 +192,95 @@ def moebius_from_local_unitary(u: LocalUnitary) -> MoebiusQ:
     c, s = math.cos(u.rot.theta), math.sin(u.rot.theta)
     factor = Quaternion(u.su2.a, -u.su2.b)
     return MoebiusQ(QuatMat2(c * factor, s * factor, -s * factor, c * factor))
+
+
+def _pi_fixed(bits: int) -> int:
+    """floor(pi * 2**bits) up to 2 units, by Machin's formula in integer arithmetic.
+
+    pi = 16*atan(1/5) - 4*atan(1/239); 16 guard bits absorb the truncation
+    of every series term (at most one unit each).
+    """
+    g = bits + 16
+
+    def atan_inv(x: int) -> int:
+        x2 = x * x
+        term = total = (1 << g) // x
+        n, sign = 1, 1
+        while term:
+            term //= x2
+            n += 2
+            sign = -sign
+            total += sign * (term // n)
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> 16
+
+
+def orbit_angles(theta: float, ks: Sequence[int]) -> list[float]:
+    """The angles 2*k*theta mod 2*pi, for each integer k >= 0 in ``ks``, as floats.
+
+    Computed exactly from the float ``theta`` (``theta.as_integer_ratio()``)
+    in integer arithmetic, against 2*pi carried to as many bits as the
+    largest k needs, so no rounding error grows with k or |theta|: each angle
+    is the correctly rounded value of a number within about 2**-90 of the
+    true reduced angle, in [0, 2*pi).
+    """
+    num, den = float(theta).as_integer_ratio()
+    if not ks:
+        return []
+    if min(ks) < 0:
+        raise ValueError("orbit steps must be non-negative")
+    # 2*k*theta < 2**(bits of k + bits of num - bits of den + 2); the guard
+    # bits then cover 2*pi's truncation times the number of whole turns.
+    bits = max(max(ks).bit_length() + num.bit_length() - den.bit_length() + 2, 0)
+    bits += _ANGLE_GUARD_BITS
+    den_two_pi = den * (_pi_fixed(bits) << 1)
+    den_scaled = den << bits
+    return [(((2 * k * num) << bits) % den_two_pi) / den_scaled for k in ks]
+
+
+def orbit_s4_chunks(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int) -> Iterator[np.ndarray]:
+    """The 4-sphere rows of :func:`orbit_s4`, in consecutive blocks of at most ORBIT_CHUNK rows.
+
+    A generator: memory stays flat however many steps are requested, and
+    nothing is computed (and no argument checked) until the first block is
+    drawn.
+    """
+    _require_variant(u, Variant.SO2_X_SU2, "orbit_s4")
+    if k0 < 0 or n < 0:
+        raise ValueError(f"orbit steps must be non-negative, got k0={k0}, n={n}")
+    theta = u.rot.theta
+    u0, u1, u2, u3, u4 = inverse_stereographic(point).tolist()
+    # Step k0 + c + j is a rotation by phi_c + phi_j: one exact angle per
+    # block start c, one table of in-block offsets j for the whole run.
+    offsets = np.array(orbit_angles(theta, range(min(n, ORBIT_CHUNK))))
+    cos_j, sin_j = np.cos(offsets), np.sin(offsets)
+    for start in range(k0, k0 + n, ORBIT_CHUNK):
+        m = min(ORBIT_CHUNK, k0 + n - start)
+        (phi,) = orbit_angles(theta, [start])
+        c, s = math.cos(phi), math.sin(phi)
+        cos_k = c * cos_j[:m] - s * sin_j[:m]
+        sin_k = s * cos_j[:m] + c * sin_j[:m]
+        rows = np.empty((m, 5))
+        rows[:, 0] = cos_k * u0 - sin_k * u4
+        rows[:, 1:4] = (u1, u2, u3)
+        rows[:, 4] = sin_k * u0 + cos_k * u4
+        yield rows
+
+
+def orbit_s4(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int) -> np.ndarray:
+    """4-sphere images of the iterates k0, ..., k0 + n - 1 of the map induced by ``u``.
+
+    The map of :func:`moebius_from_local_unitary` depends on theta alone and
+    its k-th iterate is the map for rotation k*theta, which on the
+    4-sphere chart rotates the (u0, u4) plane by phi_k = 2*k*theta and fixes
+    u1, u2, u3:
+
+        u0_k = cos(phi_k)*u0 - sin(phi_k)*u4,  u4_k = sin(phi_k)*u0 + cos(phi_k)*u4
+
+    Row j is therefore the image of k0 + j applications of
+    :func:`apply_moebius_q` to ``point``, with an error that does not grow
+    with k (see :func:`orbit_angles`).  Returns an (n, 5) array; raises
+    ValueError for a su2xso2 transform, as moebius_from_local_unitary does.
+    """
+    return np.concatenate([np.empty((0, 5)), *orbit_s4_chunks(u, point, k0, n)])

@@ -1,12 +1,20 @@
 """CLI end-to-end: subcommands, file formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from qgeo.cli import main
+import qgeo.cli
+from qgeo.cli import load_state, load_transform, main
+from qgeo.conformal import conformal_map, inverse_stereographic
+from qgeo.local_unitary import LocalUnitary, SO2Element
+from qgeo.moebius import ORBIT_CHUNK, apply_moebius_q, moebius_from_local_unitary, orbit_s4
+from qgeo.states import quaternionify
 
 S = math.sqrt(0.5)
 
@@ -286,6 +294,78 @@ def test_orbit_rejects_su2xso2(capsys, tmp_path, bell_state):
     )
     assert code == 2
     assert "so2xsu2" in err
+
+
+def test_orbit_unwritable_out_fails_before_computing(capsys, monkeypatch, tmp_path, bell_state):
+    def no_steps(*args):
+        raise AssertionError("orbit steps computed before the output was opened")
+
+    monkeypatch.setattr(qgeo.cli, "orbit_s4_chunks", no_steps)
+    tr = write_transform(tmp_path / "t.json", "so2xsu2", 0.3, 1 + 0j, 0j)
+    out = tmp_path / "missing" / "orbit.csv"
+    code, _, err = run_cli(capsys, "orbit", bell_state, tr, "--steps", "100000", "--out", str(out))
+    assert code == 2
+    assert "cannot write" in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
+def _orbit_inputs(tmp_path):
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal(8)
+    amps = (g[:4] + 1j * g[4:]) / np.linalg.norm(g)
+    h = rng.standard_normal(4)
+    h /= np.linalg.norm(h)
+    state = write_state(tmp_path / "s.json", list(amps))
+    tr = write_transform(tmp_path / "t.json", "so2xsu2", 2.0 * math.pi * rng.random(),
+                         complex(h[0], h[1]), complex(h[2], h[3]))
+    return state, tr
+
+
+@pytest.mark.parametrize(
+    "steps", [0, ORBIT_CHUNK - 1, ORBIT_CHUNK, ORBIT_CHUNK + 1, 2 * ORBIT_CHUNK + 1]
+)
+def test_orbit_csv_bytes_match_csv_writer(capsys, tmp_path, steps):
+    state, tr = _orbit_inputs(tmp_path)
+    out = tmp_path / "orbit.csv"
+    code, _, _ = run_cli(capsys, "orbit", state, tr, "--steps", str(steps), "--out", str(out))
+    assert code == 0
+    data = out.read_bytes()
+
+    point = conformal_map(quaternionify(load_state(state)))
+    rows = orbit_s4(load_transform(tr), point, 0, steps + 1)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["step", "u0", "u1", "u2", "u3", "u4"])
+    writer.writerows([k] + row.tolist() for k, row in enumerate(rows))
+    assert data == expected.getvalue().encode("utf-8")
+
+    lines = data.decode("utf-8").split("\r\n")
+    assert lines[-1] == ""
+    assert [int(line.split(",")[0]) for line in lines[1:-1]] == list(range(steps + 1))
+    np.testing.assert_array_equal(rows[0], inverse_stereographic(point))
+
+
+def test_orbit_long_run_has_no_drift(capsys, tmp_path):
+    steps = 100_000
+    state, tr = _orbit_inputs(tmp_path)
+    out = tmp_path / "orbit.csv"
+    code, _, _ = run_cli(capsys, "orbit", state, tr, "--steps", str(steps), "--out", str(out))
+    assert code == 0
+    last = np.array([float(v) for v in out.read_text().splitlines()[-1].split(",")[1:]])
+
+    # Reference: the single map for rotation steps*theta, its angle reduced
+    # modulo 2*pi in 50-digit decimal arithmetic.
+    u = load_transform(tr)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        two_pi = 2 * Decimal("3.14159265358979323846264338327950288419716939937510")
+        x = Decimal(u.rot.theta) * steps
+        theta_n = float(x - two_pi * (x / two_pi).to_integral_value(rounding="ROUND_FLOOR"))
+    u_n = LocalUnitary(u.variant, SO2Element(theta_n), u.su2)
+    point = conformal_map(quaternionify(load_state(state)))
+    reference = inverse_stereographic(apply_moebius_q(moebius_from_local_unitary(u_n), point))
+    assert np.linalg.norm(last - reference) <= 1e-14
 
 
 def test_sample_writes_deterministic_valid_states(capsys, tmp_path):

@@ -1,12 +1,14 @@
 """Moebius actions: conventions at infinity, variant orderings, composition law."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from qgeo.quaternion import I, INFINITY, J, K, ONE, Quaternion, chordal_distance
-from qgeo.conformal import embed_complex
+from qgeo.states import TwoQubitState, haar_random_state, quaternionify
+from qgeo.conformal import conformal_map, embed_complex, inverse_stereographic
 from qgeo.local_unitary import (
     LocalUnitary,
     QuatMat2,
@@ -16,6 +18,7 @@ from qgeo.local_unitary import (
     random_local_unitary,
 )
 from qgeo.moebius import (
+    ORBIT_CHUNK,
     DegenerateMapError,
     MoebiusC,
     MoebiusQ,
@@ -25,6 +28,8 @@ from qgeo.moebius import (
     apply_moebius_q_variant,
     compose,
     moebius_from_local_unitary,
+    orbit_angles,
+    orbit_s4,
 )
 
 ZERO = Quaternion(0j, 0j)
@@ -283,3 +288,92 @@ def test_degenerate_evaluation_raises():
         apply_moebius_q(bad, ZERO)
     # A legitimate map never triggers it.
     assert apply_moebius_q(swap, ZERO) is INFINITY
+
+
+# ---------------------------------------------------------------------------
+# Closed-form orbits: iterate k is a rotation of the 4-sphere by 2*k*theta
+# ---------------------------------------------------------------------------
+
+_ORBIT_THETAS = [
+    base + offset
+    for base in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+    for offset in (-1e-8, 0.0, 1e-8)
+]
+
+_ORBIT_STATES = {
+    "haar0": haar_random_state(0),
+    "haar1": haar_random_state(1),
+    "haar2": haar_random_state(2),
+    # q2 = 0: the conformal image is INFINITY.
+    "infinity": TwoQubitState(0.6, 0.8j, 0j, 0j),
+    # |q2|**2 = 1e-20: an image of norm about 1e10, next to infinity.
+    "near_infinity": TwoQubitState(0.6, 0.8j, 1e-10, 0j),
+}
+
+
+@pytest.mark.parametrize("theta", _ORBIT_THETAS)
+@pytest.mark.parametrize("state", sorted(_ORBIT_STATES))
+def test_orbit_s4_matches_iterated_action(state, theta):
+    su2 = random_local_unitary(Variant.SO2_X_SU2, seed=7).su2
+    u = LocalUnitary(Variant.SO2_X_SU2, SO2Element(theta), su2)
+    point = conformal_map(quaternionify(_ORBIT_STATES[state]))
+    rows = orbit_s4(u, point, 0, 64)
+    assert rows.shape == (64, 5)
+    f = moebius_from_local_unitary(u)
+    p = point
+    for k in range(64):
+        assert np.linalg.norm(rows[k] - inverse_stereographic(p)) <= 1e-13, k
+        p = apply_moebius_q(f, p)
+
+
+def test_orbit_s4_rows_do_not_depend_on_blocking():
+    u = random_local_unitary(Variant.SO2_X_SU2, seed=5)
+    point = conformal_map(quaternionify(haar_random_state(5)))
+    whole = orbit_s4(u, point, 0, 2 * ORBIT_CHUNK + 3)
+    for k0, n in [(0, 1), (1, 5), (ORBIT_CHUNK - 2, 4), (ORBIT_CHUNK + 1, ORBIT_CHUNK + 2)]:
+        part = orbit_s4(u, point, k0, n)
+        assert part.shape == (n, 5)
+        assert np.max(np.abs(part - whole[k0:k0 + n])) <= 4e-15
+        np.testing.assert_array_equal(part[:, 1:4], whole[k0:k0 + n, 1:4])
+    assert orbit_s4(u, point, 3, 0).shape == (0, 5)
+    np.testing.assert_array_equal(whole[0], inverse_stereographic(point))
+
+
+def test_orbit_s4_requires_variant():
+    u = random_local_unitary(Variant.SU2_X_SO2, seed=0)
+    with pytest.raises(ValueError, match="so2xsu2"):
+        orbit_s4(u, INFINITY, 0, 3)
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the context precision (the series recipe of the decimal module docs)."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [math.pi / 2, 2 * math.pi, 1e-300, 1e10, 1e30, -2.5]
+    + list(np.random.default_rng(3).uniform(0.0, 2 * math.pi, size=4)),
+)
+def test_orbit_angles_are_exact(theta):
+    ks = [0, 1, 2, 3, 7, ORBIT_CHUNK - 1, ORBIT_CHUNK, 12345, 10**5, 2**31 + 11, 2**52 + 1, 2**53 - 1, 2**53]
+    with localcontext() as ctx:
+        ctx.prec = 160
+        two_pi = 2 * _decimal_pi()
+        for k, phi in zip(ks, orbit_angles(theta, ks)):
+            x = 2 * k * Decimal(theta)
+            ref = x - two_pi * (x / two_pi).to_integral_value(rounding="ROUND_FLOOR")
+            gap = abs(Decimal(phi) - ref)
+            assert min(gap, two_pi - gap) <= Decimal("8.9e-16"), (k, phi, ref)
+    assert orbit_angles(theta, []) == []
+    with pytest.raises(ValueError):
+        orbit_angles(theta, [-1])
