@@ -48,11 +48,9 @@ from .local_unitary import (
     apply_B_quaterbit,
     apply_Bprime_quaterbit,
     apply_cb,
-    apply_cbprime,
     apply_local_pair,
     apply_su2,
-    cb_matrix,
-    cbprime_matrix,
+    complex_form,
     complexify,
     complexify_alt,
     is_quaternionic_complex_matrix,
@@ -81,7 +79,6 @@ from .diagrams import (
     check_quadrangle_prime,
     check_second_qubit_inertness,
     check_three_way,
-    closed_form_gap,
     find_variant_failure_witness,
     run_suite,
 )

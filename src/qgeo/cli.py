@@ -45,7 +45,7 @@ from .states import (
 from .conformal import conformal_map, inverse_stereographic, schmidt_concurrence_form
 from .local_unitary import LocalUnitary, SO2Element, SU2Element, Variant, apply_cb
 from .moebius import orbit_s4_chunks
-from .diagrams import DEFAULT_SUITE_TOL, run_suite
+from .diagrams import DEFAULT_SUITE_TOL, _pair, run_suite, state_doc
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -80,8 +80,18 @@ def _load_json(path: str) -> object:
         raise CliError(
             EXIT_USAGE, f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # e.g. bytes that are not UTF-8, or a too long integer
+        raise CliError(EXIT_USAGE, f"{path}: {exc}") from None
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc.strerror or exc}") from None
+
+
+def _as_float(value: int | float) -> float:
+    """``float(value)``, or inf for an integer too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _parse_pair(value, where: str, path: str) -> complex:
@@ -91,7 +101,7 @@ def _parse_pair(value, where: str, path: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise CliError(EXIT_USAGE, f"{path}: {where} must be a [re, im] pair of numbers")
-    re, im = float(value[0]), float(value[1])
+    re, im = _as_float(value[0]), _as_float(value[1])
     if not (math.isfinite(re) and math.isfinite(im)):
         raise CliError(EXIT_USAGE, f"{path}: {where} must be finite")
     return complex(re, im)
@@ -130,7 +140,10 @@ def load_transform(path: str) -> LocalUnitary:
             EXIT_USAGE, f"{path}: variant must be 'so2xsu2' or 'su2xso2', got {doc['variant']!r}"
         ) from None
     theta = doc["theta"]
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool) or not math.isfinite(theta):
+    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
+        raise CliError(EXIT_USAGE, f"{path}: theta must be a finite number")
+    theta = _as_float(theta)
+    if not math.isfinite(theta):
         raise CliError(EXIT_USAGE, f"{path}: theta must be a finite number")
     a = _parse_pair(doc["a"], "a", path)
     b = _parse_pair(doc["b"], "b", path)
@@ -143,15 +156,11 @@ def load_transform(path: str) -> LocalUnitary:
         _warn(f"{path}: renormalizing SU(2) parameters (deviation {abs(norm_sq - 1.0):.3e})")
         n = math.sqrt(norm_sq)
         a, b = a / n, b / n
-    return LocalUnitary(variant, SO2Element(float(theta)), SU2Element(a, b))
-
-
-def _pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
+    return LocalUnitary(variant, SO2Element(theta), SU2Element(a, b))
 
 
 def state_to_doc(psi: TwoQubitState) -> dict:
-    return {"amplitudes": [_pair(psi.alpha), _pair(psi.beta), _pair(psi.gamma), _pair(psi.delta)]}
+    return {"amplitudes": state_doc(psi)}
 
 
 def _write_json(path: str, doc: dict) -> None:

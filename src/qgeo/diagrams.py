@@ -121,8 +121,8 @@ def check_quadrangle_prime(u: LocalUnitary, psi: TwoQubitState) -> float:
     return _quaterbit_gap(lhs, rhs)
 
 
-def _three_way_all(u: LocalUnitary, psi: TwoQubitState) -> tuple[float, float, float]:
-    """Both chordal gaps of the three-way equality plus the closed-form gap.
+def check_three_way(u: LocalUnitary, psi: TwoQubitState) -> tuple[float, float, float]:
+    """Chordal gaps (first equality, second equality, closed form) among the three paths.
 
     The three primary paths to a point of the extended quaternion line are:
     conformal image of the transformed amplitudes, conformal image of the
@@ -161,17 +161,6 @@ def _three_way_all(u: LocalUnitary, psi: TwoQubitState) -> tuple[float, float, f
         chordal_distance(w1, w2),
     )
     return first, second, closed
-
-
-def check_three_way(u: LocalUnitary, psi: TwoQubitState) -> tuple[float, float]:
-    """Chordal gaps (first equality, second equality) among the three paths."""
-    first, second, _ = _three_way_all(u, psi)
-    return first, second
-
-
-def closed_form_gap(u: LocalUnitary, psi: TwoQubitState) -> float:
-    """Largest pairwise gap among the three closed-form codings of the image."""
-    return _three_way_all(u, psi)[2]
 
 
 def check_second_qubit_inertness(a: SU2Element, psi: TwoQubitState) -> float:
@@ -256,17 +245,8 @@ def state_doc(psi: TwoQubitState) -> list[list[float]]:
     return [_pair(psi.alpha), _pair(psi.beta), _pair(psi.gamma), _pair(psi.delta)]
 
 
-def state_from_doc(doc) -> TwoQubitState:
-    return TwoQubitState(*(complex(re, im) for re, im in doc))
-
-
 def one_qubit_doc(psi: OneQubitState) -> list[list[float]]:
     return [_pair(psi.a1), _pair(psi.a2)]
-
-
-def one_qubit_from_doc(doc) -> OneQubitState:
-    (r1, i1), (r2, i2) = doc
-    return OneQubitState(complex(r1, i1), complex(r2, i2))
 
 
 def transform_doc(u: LocalUnitary) -> dict:
@@ -278,20 +258,8 @@ def transform_doc(u: LocalUnitary) -> dict:
     }
 
 
-def transform_from_doc(doc) -> LocalUnitary:
-    return LocalUnitary(
-        Variant(doc["variant"]),
-        SO2Element(doc["theta"]),
-        SU2Element(complex(*doc["a"]), complex(*doc["b"])),
-    )
-
-
 def su2_doc(a: SU2Element) -> dict:
     return {"a": _pair(a.a), "b": _pair(a.b)}
-
-
-def su2_from_doc(doc) -> SU2Element:
-    return SU2Element(complex(*doc["a"]), complex(*doc["b"]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +376,13 @@ class DiagramReport:
 # Suite machinery
 # ---------------------------------------------------------------------------
 
-# Seed-space indices fixed per check group so reports are reproducible.
-_IDX_ONE_QUBIT = 0
-_IDX_QUADRANGLE = 1
-_IDX_THREE_WAY = 2
-_IDX_INERTNESS = 3
-_IDX_QUADRANGLE_PRIME = 4
-_IDX_CONCURRENCE = 5
-_IDX_CONCURRENCE_PRIME = 6
-_IDX_WOOTTERS = 7
+# Seed-space indices of the searches; the check groups hold 0-7 in _GROUPS.
+# Fixed so that reports are reproducible.
 _SEARCH_IDX = {
     FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2: 8,
     FailureSearch.CANONICAL_ON_SU2XSO2: 9,
 }
-_IDX_EXPLORATORY = 10
+_EXPLORATORY_IDX = 10
 
 
 def _sample_state(seed: int, idx: int, trial: int) -> TwoQubitState:
@@ -635,9 +596,12 @@ class _Group:
     ``transform`` says what trial t draws from ``[seed, idx, t, 0]``: an
     SU(2) element (``"su2"``), a local unitary of a variant, or nothing.
     The state is drawn from ``[seed, idx, t, 1]``.  ``evaluate`` is the
-    scalar evaluator of one trial's inputs; ``evaluate_block`` computes the
-    same deviations for a block, with a mask of the trials it leaves to
-    ``evaluate`` (those taking a branch other than the generic one).
+    scalar evaluator of one trial's inputs, returning one deviation per
+    entry of ``checks``; ``evaluate_block`` computes the same deviations
+    for a block, with a mask of the trials it leaves to ``evaluate`` (those
+    taking a branch other than the generic one).  ``_GROUPS`` is the one
+    list of checks: ``run_suite`` runs its rows and ``reevaluate_check``
+    replays a stored worst case through the row's ``evaluate``.
     """
 
     idx: int
@@ -650,7 +614,7 @@ class _Group:
 
 _GROUPS = (
     _Group(
-        _IDX_ONE_QUBIT,
+        0,
         (("one_qubit_intertwining", 1e-11),),
         _SU2,
         lambda a, psi: (check_one_qubit_diagram(a, psi),),
@@ -658,53 +622,53 @@ _GROUPS = (
         one_qubit=True,
     ),
     _Group(
-        _IDX_QUADRANGLE,
+        1,
         (("quaterbit_transport_so2xsu2", 1e-12),),
         Variant.SO2_X_SU2,
         lambda u, psi: (check_quadrangle(u, psi),),
         _quadrangle_block,
     ),
     _Group(
-        _IDX_THREE_WAY,
+        2,
         (
             ("three_way_first_equality", 1e-10),
             ("three_way_second_equality", 1e-10),
             ("closed_form_consistency", 1e-10),
         ),
         Variant.SO2_X_SU2,
-        _three_way_all,
+        check_three_way,
         _three_way_block,
     ),
     _Group(
-        _IDX_INERTNESS,
+        3,
         (("second_qubit_inertness", 1e-11),),
         _SU2,
         lambda a, psi: (check_second_qubit_inertness(a, psi),),
         _inertness_block,
     ),
     _Group(
-        _IDX_QUADRANGLE_PRIME,
+        4,
         (("quaterbit_transport_su2xso2", 1e-12),),
         Variant.SU2_X_SO2,
         lambda u, psi: (check_quadrangle_prime(u, psi),),
         _quadrangle_prime_block,
     ),
     _Group(
-        _IDX_CONCURRENCE,
+        5,
         (("concurrence_invariance_so2xsu2", 1e-12),),
         Variant.SO2_X_SU2,
         lambda u, psi: (concurrence_invariance_gap(u, psi),),
         _concurrence_block,
     ),
     _Group(
-        _IDX_CONCURRENCE_PRIME,
+        6,
         (("concurrence_magnitude_su2xso2", 1e-12),),
         Variant.SU2_X_SO2,
         lambda u, psi: (concurrence_magnitude_gap(u, psi),),
         _concurrence_prime_block,
     ),
     _Group(
-        _IDX_WOOTTERS,
+        7,
         (("wootters_preconcurrence_relation", 1e-12),),
         None,
         lambda psi: (wootters_relation_gap(psi),),
@@ -828,8 +792,8 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
 
     exp_dev = 0.0
     for trial in range(search_trials):
-        psi = _sample_state(seed, _IDX_EXPLORATORY, trial)
-        u = _sample_transform_rejected(Variant.SU2_X_SO2, seed, _IDX_EXPLORATORY, trial)
+        psi = _sample_state(seed, _EXPLORATORY_IDX, trial)
+        u = _sample_transform_rejected(Variant.SU2_X_SO2, seed, _EXPLORATORY_IDX, trial)
         exp_dev = max(exp_dev, left_coefficient_candidate_deviation(psi, u))
     exploratory = (
         ExploratoryResult(
@@ -849,46 +813,33 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
     )
 
 
-# Re-evaluation hooks: map a check name and its worst_case record back to the
-# deviation, so stored reports can be independently confirmed.
-_REEVALUATORS = {
-    "one_qubit_intertwining": lambda wc: check_one_qubit_diagram(
-        su2_from_doc(wc["transform"]), one_qubit_from_doc(wc["state"])
-    ),
-    "quaterbit_transport_so2xsu2": lambda wc: check_quadrangle(
-        transform_from_doc(wc["transform"]), state_from_doc(wc["state"])
-    ),
-    "three_way_first_equality": lambda wc: check_three_way(
-        transform_from_doc(wc["transform"]), state_from_doc(wc["state"])
-    )[0],
-    "three_way_second_equality": lambda wc: check_three_way(
-        transform_from_doc(wc["transform"]), state_from_doc(wc["state"])
-    )[1],
-    "closed_form_consistency": lambda wc: closed_form_gap(
-        transform_from_doc(wc["transform"]), state_from_doc(wc["state"])
-    ),
-    "second_qubit_inertness": lambda wc: check_second_qubit_inertness(
-        su2_from_doc(wc["transform"]), state_from_doc(wc["state"])
-    ),
-    "quaterbit_transport_su2xso2": lambda wc: check_quadrangle_prime(
-        transform_from_doc(wc["transform"]), state_from_doc(wc["state"])
-    ),
-    "concurrence_invariance_so2xsu2": lambda wc: concurrence_invariance_gap(
-        transform_from_doc(wc["transform"]), state_from_doc(wc["state"])
-    ),
-    "concurrence_magnitude_su2xso2": lambda wc: concurrence_magnitude_gap(
-        transform_from_doc(wc["transform"]), state_from_doc(wc["state"])
-    ),
-    "wootters_preconcurrence_relation": lambda wc: wootters_relation_gap(
-        state_from_doc(wc["state"])
-    ),
-}
+def _inputs_from_doc(group: _Group, doc: dict) -> tuple:
+    """The inverse of :func:`_inputs_doc` for a trial of ``group``."""
+    amplitudes = [complex(re, im) for re, im in doc["state"]]
+    psi = OneQubitState(*amplitudes) if group.one_qubit else TwoQubitState(*amplitudes)
+    if group.transform is None:
+        return (psi,)
+    transform = doc["transform"]
+    su2 = SU2Element(complex(*transform["a"]), complex(*transform["b"]))
+    if group.transform == _SU2:
+        return (su2, psi)
+    rot = SO2Element(transform["theta"])
+    return (LocalUnitary(Variant(transform["variant"]), rot, su2), psi)
 
 
 def reevaluate_check(name: str, worst_case: dict) -> float:
-    """Recompute the deviation recorded for a check's worst-case inputs."""
-    try:
-        fn = _REEVALUATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown check name {name!r}") from None
-    return fn(worst_case)
+    """Recompute the deviation recorded for a check's worst-case inputs.
+
+    The check's row of ``_GROUPS`` decodes the inputs and evaluates them
+    with the scalar evaluator that the suite also uses.
+    """
+    for group in _GROUPS:
+        for k, (check, _) in enumerate(group.checks):
+            if check != name:
+                continue
+            try:
+                inputs = _inputs_from_doc(group, worst_case)
+            except KeyError as exc:
+                raise ValueError(f"worst case of {name!r} has no field {exc.args[0]!r}") from None
+            return group.evaluate(*inputs)[k]
+    raise ValueError(f"unknown check name {name!r}")

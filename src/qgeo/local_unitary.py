@@ -102,34 +102,16 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def cb_matrix(u: LocalUnitary) -> np.ndarray:
-    """4x4 complex form R(theta) (x) SU(2) of an so2xsu2 element."""
-    _require_variant(u, Variant.SO2_X_SU2, "cb_matrix")
-    return _kron2(u.rot.matrix, u.su2.matrix)
-
-
-def cbprime_matrix(u: LocalUnitary) -> np.ndarray:
-    """4x4 complex form SU(2) (x) R(theta) of a su2xso2 element."""
-    _require_variant(u, Variant.SU2_X_SO2, "cbprime_matrix")
+def complex_form(u: LocalUnitary) -> np.ndarray:
+    """The 4x4 complex form: R(theta) (x) SU(2) for so2xsu2, SU(2) (x) R(theta) for su2xso2."""
+    if u.variant is Variant.SO2_X_SU2:
+        return _kron2(u.rot.matrix, u.su2.matrix)
     return _kron2(u.su2.matrix, u.rot.matrix)
 
 
-def complex_form(u: LocalUnitary) -> np.ndarray:
-    """The 4x4 complex form of either variant."""
-    if u.variant is Variant.SO2_X_SU2:
-        return cb_matrix(u)
-    return cbprime_matrix(u)
-
-
 def apply_cb(u: LocalUnitary, psi: TwoQubitState) -> TwoQubitState:
-    """Apply the 4x4 complex form to the amplitude vector."""
+    """Apply the 4x4 complex form of either variant to the amplitude vector."""
     return TwoQubitState.from_vector(complex_form(u) @ psi.amplitudes)
-
-
-def apply_cbprime(u: LocalUnitary, psi: TwoQubitState) -> TwoQubitState:
-    """Apply the SU(2) (x) R(theta) complex form (su2xso2 only)."""
-    _require_variant(u, Variant.SU2_X_SO2, "apply_cbprime")
-    return TwoQubitState.from_vector(cbprime_matrix(u) @ psi.amplitudes)
 
 
 def apply_su2(a: SU2Element, psi: OneQubitState) -> OneQubitState:

@@ -1,6 +1,7 @@
 """CLI end-to-end: subcommands, file formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -95,6 +96,14 @@ def test_analyze_schema_violations(capsys, tmp_path):
 
     # Norm too far from 1 without being zero.
     path.write_text(json.dumps({"amplitudes": [[0.9, 0], [0, 0], [0, 0], [0, 0]]}))
+    assert run_cli(capsys, "analyze", str(path))[0] == 2
+
+    # An integer too large for a float is an input error, not a crash; so is
+    # one longer than the interpreter converts from a JSON literal at all.
+    path.write_text(json.dumps({"amplitudes": [[1, 0], [0, 0], [0, 0], [0, int("9" * 400)]]}))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and "amplitudes[3] must be finite" in err
+    path.write_text('{"amplitudes": [[1, 0], [0, 0], [0, 0], [0, ' + "9" * 5000 + "]]}")
     assert run_cli(capsys, "analyze", str(path))[0] == 2
 
 
@@ -210,6 +219,26 @@ def test_verify_small_run_passes_and_is_deterministic(capsys, tmp_path):
     doc = json.loads(r1.read_text())
     assert doc["overall_pass"] is True
     assert doc["seed"] == 7 and doc["trials"] == 25
+
+
+# SHA-256 of `qgeo verify` report bytes, pinned across refactors (the
+# default run's is checked in test_acceptance).  The values hold for numpy's
+# PCG64 streams and this platform's libm (numpy 2.4.6, CPython 3.11.7).
+@pytest.mark.parametrize(
+    "trials, seed, digest",
+    [
+        ("513", "0", "19a56aa31af79e08c6929fcec4ef7a0580b0eb1c15eae930672ed2ba84d764c6"),
+        ("1", "7", "193fcc4b9197ef2fc3139457141b894f7abc312da9861dd8d8c42cec59e18e55"),
+    ],
+)
+def test_verify_report_bytes_are_pinned(capsys, tmp_path, trials, seed, digest):
+    report = tmp_path / "r.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--trials", trials, "--seed", seed, "--report", str(report)
+    )
+    assert code == 0
+    assert out == report.read_text()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_verify_impossible_tolerance_fails_but_writes_report(capsys, tmp_path):
@@ -391,3 +420,12 @@ def test_transform_file_validation(capsys, tmp_path, bell_state):
 
     path.write_text(json.dumps({"variant": "so2xsu2", "a": [1, 0], "b": [0, 0]}))
     assert run_cli(capsys, "transform", bell_state, str(path), str(tmp_path / "o.json"))[0] == 2
+
+    huge = int("9" * 400)
+    for doc, message in (
+        ({"variant": "so2xsu2", "theta": huge, "a": [1, 0], "b": [0, 0]}, "theta must be a finite"),
+        ({"variant": "so2xsu2", "theta": 0, "a": [huge, 0], "b": [0, 0]}, "a must be finite"),
+    ):
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "transform", bell_state, str(path), str(tmp_path / "o.json"))
+        assert code == 2 and message in err

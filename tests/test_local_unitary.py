@@ -24,10 +24,8 @@ from qgeo.local_unitary import (
     apply_B_quaterbit,
     apply_Bprime_quaterbit,
     apply_cb,
-    apply_cbprime,
     apply_local_pair,
-    cb_matrix,
-    cbprime_matrix,
+    complex_form,
     complexify,
     complexify_alt,
     is_quaternionic_complex_matrix,
@@ -71,8 +69,8 @@ def test_su2_element_validates_normalization():
 
 
 def test_cb_matrix_identity_and_rotation():
-    np.testing.assert_allclose(cb_matrix(_b(0.0, 1, 0)), np.eye(4), atol=1e-15)
-    m = cb_matrix(_b(math.pi / 2, 1, 0))
+    np.testing.assert_allclose(complex_form(_b(0.0, 1, 0)), np.eye(4), atol=1e-15)
+    m = complex_form(_b(math.pi / 2, 1, 0))
     expected = np.block(
         [[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]
     )
@@ -81,15 +79,8 @@ def test_cb_matrix_identity_and_rotation():
 
 def test_cb_matrix_is_unitary():
     for seed in range(50):
-        m = cb_matrix(_random_b(seed))
+        m = complex_form(_random_b(seed))
         np.testing.assert_allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
-
-
-def test_cb_matrix_rejects_wrong_variant():
-    with pytest.raises(ValueError):
-        cb_matrix(_bp(0.3, 1, 0))
-    with pytest.raises(ValueError):
-        cbprime_matrix(_b(0.3, 1, 0))
 
 
 def test_apply_cb_identity_and_rotation():
@@ -183,7 +174,7 @@ def test_apply_Bprime_quaterbit_matches_complex_form():
     for seed in range(300):
         u = _random_b(seed, Variant.SU2_X_SO2)
         psi = haar_random_state(seed + 17)
-        lhs = quaternionify(apply_cbprime(u, psi))
+        lhs = quaternionify(apply_cb(u, psi))
         rhs = apply_Bprime_quaterbit(u, quaternionify(psi))
         assert abs(lhs.q1 - rhs.q1) <= 1e-12
         assert abs(lhs.q2 - rhs.q2) <= 1e-12
@@ -194,14 +185,14 @@ def test_apply_cbprime_preserves_concurrence_magnitude():
         u = _random_b(seed, Variant.SU2_X_SO2)
         psi = haar_random_state(seed + 43)
         before = abs(concurrence_term(psi))
-        after = abs(concurrence_term(apply_cbprime(u, psi)))
+        after = abs(concurrence_term(apply_cb(u, psi)))
         assert abs(before - after) <= 1e-12
 
 
 def test_apply_cbprime_reduces_to_second_factor_rotation():
     u = _bp(0.7, 1, 0)
     np.testing.assert_allclose(
-        cbprime_matrix(u), np.kron(np.eye(2), SO2Element(0.7).matrix), atol=1e-15
+        complex_form(u), np.kron(np.eye(2), SO2Element(0.7).matrix), atol=1e-15
     )
 
 
@@ -263,7 +254,7 @@ def test_sp2_check_complex_examples():
     assert sp2_check_complex(np.eye(4), tol=1e-12)
     assert not sp2_check_complex(np.diag([1, 1j, 1, 1]), tol=1e-9)
     for seed in range(50):
-        assert sp2_check_complex(cb_matrix(_random_b(seed)), tol=1e-12)
+        assert sp2_check_complex(complex_form(_random_b(seed)), tol=1e-12)
 
 
 def test_complexify_identity_and_j():
@@ -354,4 +345,4 @@ def test_random_local_unitary_deterministic_and_valid():
         u = random_local_unitary(Variant.SO2_X_SU2, seed)
         assert abs(abs(u.su2.a) ** 2 + abs(u.su2.b) ** 2 - 1.0) <= 1e-14
         assert 0.0 <= u.rot.theta < 2 * math.pi
-        assert sp2_check_complex(cb_matrix(u), tol=1e-12)
+        assert sp2_check_complex(complex_form(u), tol=1e-12)
