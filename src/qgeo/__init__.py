@@ -14,6 +14,7 @@ from .quaternion import (
     Quaternion,
     chordal_distance,
     ext_isclose,
+    left_quotient,
     right_quotient,
 )
 from .states import (

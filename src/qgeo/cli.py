@@ -193,10 +193,7 @@ def _default_tol() -> float:
 def cmd_analyze(args) -> int:
     psi = load_state(args.state)
     qb = quaternionify(psi)
-    try:
-        image = conformal_map(qb)
-    except ZeroDivisionError as exc:
-        raise CliError(EXIT_DOMAIN, f"conformal image undefined: {exc}") from None
+    image = conformal_map(qb)
     _, q2_norm_sq = schmidt_concurrence_form(psi)
     out = {
         "schmidt_term": _pair(schmidt_term(psi)),
@@ -246,10 +243,7 @@ def cmd_orbit(args) -> int:
             f"{args.transform}: orbit requires variant 'so2xsu2'; no Moebius map "
             "intertwines the 'su2xso2' action",
         )
-    try:
-        point = conformal_map(quaternionify(psi))
-    except ZeroDivisionError as exc:
-        raise CliError(EXIT_DOMAIN, f"conformal image undefined: {exc}") from None
+    point = conformal_map(quaternionify(psi))
     # The file is opened before any step is computed, so an unwritable path
     # fails at once.  Lines are written as csv.writer would write them:
     # repr floats, \r\n line ends; u1..u3 are the same in every row.

@@ -12,6 +12,7 @@ from .quaternion import (
     ZERO_NORM_SQ,
     _abs2,
     _s4_coords,
+    left_quotient,
     right_quotient,
 )
 from .states import OneQubitState, Quaterbit, TwoQubitState, concurrence_term, schmidt_term
@@ -31,7 +32,7 @@ def conformal_map_one_qubit(psi: OneQubitState) -> ExtendedComplex:
 def conformal_map(qb: Quaterbit) -> ExtendedQuaternion:
     """Right quotient q1 * q2**-1 on the extended quaternion line.
 
-    q2 = 0 maps to INFINITY; the zero spinor is rejected.  The image is
+    The quotient is :func:`qgeo.quaternion.right_quotient`.  The image is
     invariant under right multiplication of both components by any nonzero
     quaternion, so it only depends on the right-quaternion line spanned by
     the spinor.
@@ -45,11 +46,7 @@ def conformal_map_dual(qb: Quaterbit) -> ExtendedQuaternion:
     Applying it to the component-wise conjugated spinor returns the
     quaternion conjugate of :func:`conformal_map` of the original.
     """
-    if qb.q2.is_zero():
-        if qb.q1.is_zero():
-            raise ZeroDivisionError("conformal image of the zero vector is indeterminate")
-        return INFINITY
-    return qb.q2.inverse() * qb.q1
+    return left_quotient(qb.q1, qb.q2)
 
 
 def schmidt_concurrence_form(psi: TwoQubitState) -> tuple[ExtendedQuaternion, float]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -277,14 +277,7 @@ class CheckResult:
     worst_case: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "worst_case": self.worst_case,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -338,11 +331,7 @@ class ExploratoryResult:
     max_deviation: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "max_deviation": self.max_deviation,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -409,17 +398,12 @@ def _sample_transform_rejected(
 
 
 def find_variant_failure_witness(
-    which: FailureSearch,
-    max_trials: int,
-    seed: int,
-    transform_sampler=None,
+    which: FailureSearch, max_trials: int, seed: int
 ) -> Witness | None:
     """Search random inputs for a failure of the designated alternative intertwining.
 
     Returns the worst witness found if its deviation exceeds the
-    ``WITNESS_THRESHOLD``, else None.  ``transform_sampler`` (trial index ->
-    LocalUnitary) overrides the default rejection sampler, e.g. to restrict
-    the search to degenerate regions where no witness exists.
+    ``WITNESS_THRESHOLD``, else None.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
@@ -433,10 +417,7 @@ def find_variant_failure_witness(
     best: Witness | None = None
     for trial in range(max_trials):
         psi = _sample_state(seed, idx, trial)
-        if transform_sampler is None:
-            u = _sample_transform_rejected(variant, seed, idx, trial)
-        else:
-            u = transform_sampler(trial)
+        u = _sample_transform_rejected(variant, seed, idx, trial)
         dev = variant_failure_deviation(which, psi, u)
         if best is None or dev > best.deviation:
             best = Witness(psi, u, which.value, dev)
@@ -841,5 +822,7 @@ def reevaluate_check(name: str, worst_case: dict) -> float:
                 inputs = _inputs_from_doc(group, worst_case)
             except KeyError as exc:
                 raise ValueError(f"worst case of {name!r} has no field {exc.args[0]!r}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"worst case of {name!r} is malformed: {exc}") from None
             return group.evaluate(*inputs)[k]
     raise ValueError(f"unknown check name {name!r}")

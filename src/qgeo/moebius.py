@@ -5,13 +5,14 @@ induces several inequivalent actions.  The canonical one used throughout,
 ``apply_moebius_q``, multiplies coefficients on the right and inverts the
 denominator on the right:
 
-    F_M(q) = (q*m11 + m12) * (q*m21 + m22)**-1
+    F_M(q) = (q*m11 + m12) * (q*m21 + m22)**-1,  F_M(INFINITY) = m11 * m21**-1
 
-with F_M(INFINITY) = m11 * m21**-1 and a zero denominator mapping to
-INFINITY.  This is the unique ordering under which a common right factor of
-the matrix entries cancels, which is what makes the rotation-type local
-unitaries act through it.  The two alternative orderings are available
-behind an explicit selector for counterexample searches.
+with each quotient taken on the extended line by
+:func:`qgeo.quaternion.right_quotient`.  This is the unique ordering under
+which a common right factor of the matrix entries cancels, which is what
+makes the rotation-type local unitaries act through it.  The two
+alternative orderings are available behind an explicit selector for
+counterexample searches.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ import numpy as np
 
 from .quaternion import (
     INFINITY,
+    DegenerateMapError,  # re-exported: raised by the actions below on 0/0
     ExtendedQuaternion,
     Quaternion,
     ZERO_NORM_SQ,
     _abs2,
+    left_quotient,
     right_quotient,
 )
 from .conformal import ExtendedComplex, inverse_stereographic
@@ -44,10 +47,6 @@ ORBIT_CHUNK = 4096
 # Bits of 2*pi kept beyond the integer part of the largest 2*k*theta / (2*pi),
 # so that an angle reduced by orbit_angles is off by at most about 2**-90.
 _ANGLE_GUARD_BITS = 96
-
-
-class DegenerateMapError(ZeroDivisionError):
-    """Numerator and denominator vanished together; the map is ill-conditioned here."""
 
 
 class VariantOrder(Enum):
@@ -109,25 +108,13 @@ class MoebiusQ:
     def identity(cls) -> MoebiusQ:
         return cls(QuatMat2.identity())
 
-    @classmethod
-    def from_entries(
-        cls, m11: Quaternion, m12: Quaternion, m21: Quaternion, m22: Quaternion
-    ) -> MoebiusQ:
-        return cls(QuatMat2(m11, m12, m21, m22))
-
 
 def apply_moebius_q(f: MoebiusQ, q: ExtendedQuaternion) -> ExtendedQuaternion:
     """Canonical action (q*m11 + m12) * (q*m21 + m22)**-1 on the extended line."""
     m = f.m
     if q is INFINITY:
         return right_quotient(m.m11, m.m21)
-    num = q * m.m11 + m.m12
-    den = q * m.m21 + m.m22
-    if den.is_zero():
-        if num.is_zero():
-            raise DegenerateMapError("numerator and denominator vanished simultaneously")
-        return INFINITY
-    return num * den.inverse()
+    return right_quotient(q * m.m11 + m.m12, q * m.m21 + m.m22)
 
 
 def apply_moebius_q_variant(
@@ -138,32 +125,18 @@ def apply_moebius_q_variant(
     LEFT_DENOMINATOR:   (q*m21 + m22)**-1 * (q*m11 + m12),  infinity -> m21**-1 * m11
     LEFT_COEFFICIENTS:  (m11*q + m12) * (m21*q + m22)**-1,  infinity -> m11 * m21**-1
 
-    The infinity conventions follow the factor order of each formula; a zero
-    denominator maps to INFINITY as in the canonical action.
+    The quotients are :func:`qgeo.quaternion.left_quotient` and
+    :func:`qgeo.quaternion.right_quotient` respectively.
     """
     m = f.m
     which = VariantOrder(which)
     if which is VariantOrder.LEFT_DENOMINATOR:
         if q is INFINITY:
-            if m.m21.is_zero():
-                return INFINITY
-            return m.m21.inverse() * m.m11
-        num = q * m.m11 + m.m12
-        den = q * m.m21 + m.m22
-        if den.is_zero():
-            if num.is_zero():
-                raise DegenerateMapError("numerator and denominator vanished simultaneously")
-            return INFINITY
-        return den.inverse() * num
+            return left_quotient(m.m11, m.m21)
+        return left_quotient(q * m.m11 + m.m12, q * m.m21 + m.m22)
     if q is INFINITY:
         return right_quotient(m.m11, m.m21)
-    num = m.m11 * q + m.m12
-    den = m.m21 * q + m.m22
-    if den.is_zero():
-        if num.is_zero():
-            raise DegenerateMapError("numerator and denominator vanished simultaneously")
-        return INFINITY
-    return num * den.inverse()
+    return right_quotient(m.m11 * q + m.m12, m.m21 * q + m.m22)
 
 
 def compose(f: MoebiusQ, g: MoebiusQ) -> MoebiusQ:

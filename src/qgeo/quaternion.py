@@ -126,8 +126,8 @@ class Quaternion:
     def __abs__(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def is_zero(self, threshold: float = ZERO_NORM_SQ) -> bool:
-        return self.norm_sq() < threshold
+    def is_zero(self) -> bool:
+        return self.norm_sq() < ZERO_NORM_SQ
 
     def inverse(self) -> Quaternion:
         """Two-sided inverse conj(q) / |q|^2; raises on (near-)zero input."""
@@ -149,17 +149,34 @@ K = Quaternion(0j, 1j)
 ExtendedQuaternion = Quaternion | AtInfinity
 
 
-def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
-    """p * q**-1 on the extended line: zero denominator maps to INFINITY.
+class DegenerateMapError(ZeroDivisionError):
+    """Numerator and denominator vanished together: the quotient is indeterminate."""
 
-    Raises ZeroDivisionError when numerator and denominator are both
-    (near-)zero, since the quotient is then indeterminate.
+
+def _is_pole(p: Quaternion, q: Quaternion) -> bool:
+    """Whether p / q is INFINITY (q counts as zero); raises DegenerateMapError on 0/0."""
+    if not q.is_zero():
+        return False
+    if p.is_zero():
+        raise DegenerateMapError("indeterminate quotient: numerator and denominator both zero")
+    return True
+
+
+def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
+    """p * q**-1 on the extended line: INFINITY where q counts as zero.
+
+    Raises DegenerateMapError (a ZeroDivisionError) when p counts as zero too.
     """
-    if q.is_zero():
-        if p.is_zero():
-            raise ZeroDivisionError("indeterminate quotient: numerator and denominator both zero")
+    if _is_pole(p, q):
         return INFINITY
     return p * q.inverse()
+
+
+def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
+    """q**-1 * p on the extended line, with the conventions of :func:`right_quotient`."""
+    if _is_pole(p, q):
+        return INFINITY
+    return q.inverse() * p
 
 
 def _s4_coords(p: ExtendedQuaternion) -> tuple[float, float, float, float, float]:

@@ -262,8 +262,9 @@ def test_c10_one_qubit_diagram():
 
 
 def _run_cli(*args):
+    # -W error: pytest's filterwarnings setting does not reach a subprocess.
     proc = subprocess.run(
-        [sys.executable, "-m", "qgeo.cli", *args], capture_output=True, text=True
+        [sys.executable, "-W", "error", "-m", "qgeo.cli", *args], capture_output=True, text=True
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -288,7 +289,10 @@ def test_c11_cli_end_to_end(tmp_path):
         and doc["overall_pass"] is True
     )
     _report_flag(
-        11, "verify-defaults", code == 0 and schema_ok, f"exit {code}, schema_ok={schema_ok}"
+        11,
+        "verify-defaults",
+        code == 0 and schema_ok and err == "",
+        f"exit {code}, schema_ok={schema_ok}, stderr {err!r}",
     )
     digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
     _report_flag(11, "verify-defaults-bytes", digest == DEFAULT_REPORT_SHA256, f"sha256 {digest}")
@@ -308,11 +312,13 @@ def test_c11_cli_end_to_end(tmp_path):
     s = math.sqrt(0.5)
     bell_path = tmp_path / "bell.json"
     bell_path.write_text(json.dumps({"amplitudes": [[s, 0], [0, 0], [0, 0], [s, 0]]}))
-    code, out, _ = _run_cli("analyze", str(bell_path))
+    code, out, err = _run_cli("analyze", str(bell_path))
     doc = json.loads(out)
     c_ok = abs(doc["concurrence_term"][0] + 0.5) <= 1e-12 and abs(doc["concurrence_term"][1]) <= 1e-12
     p_ok = max(abs(np.array(doc["conformal_image"]) - np.array([0, 0, -1, 0]))) <= 1e-12
-    _report_flag(11, "analyze-bell", code == 0 and c_ok and p_ok, "C = -0.5 and image -j")
+    _report_flag(
+        11, "analyze-bell", code == 0 and c_ok and p_ok and err == "", "C = -0.5 and image -j, no stderr"
+    )
 
     # Transform preserves |C| for a spread of transform files.
     rng = np.random.default_rng(20_240_611)
@@ -331,11 +337,11 @@ def test_c11_cli_end_to_end(tmp_path):
                 }
             )
         )
-        code, out, _ = _run_cli(
+        code, out, err = _run_cli(
             "transform", str(bell_path), str(tr_path), str(tmp_path / f"out{k}.json")
         )
         doc = json.loads(out)
         before = abs(complex(*doc["before"]["concurrence_term"]))
         after = abs(complex(*doc["after"]["concurrence_term"]))
-        ok = ok and code == 0 and abs(before - after) <= 1e-12
-    _report_flag(11, "transform-preserves-concurrence", ok, "printed |C| unchanged")
+        ok = ok and code == 0 and err == "" and abs(before - after) <= 1e-12
+    _report_flag(11, "transform-preserves-concurrence", ok, "printed |C| unchanged, no stderr")

@@ -19,7 +19,9 @@ from qgeo.local_unitary import (
     random_su2,
 )
 from qgeo.diagrams import (
+    WITNESS_THRESHOLD,
     FailureSearch,
+    _SEARCH_IDX,
     _sample_state,
     _sample_transform,
     _sample_transform_rejected,
@@ -140,16 +142,13 @@ def test_failure_witness_found_for_canonical_on_su2xso2():
 
 
 def test_degenerate_search_space_finds_no_witness():
-    # Real-entry transforms: all operand orderings coincide, so no witness.
-    def real_entries(trial):
-        return LocalUnitary(
-            Variant.SO2_X_SU2, SO2Element(0.0), SU2Element((-1.0) ** trial, 0)
-        )
-
-    w = find_variant_failure_witness(
-        FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2, 100, seed=0, transform_sampler=real_entries
-    )
-    assert w is None
+    # Real-entry transforms: all operand orderings coincide, so no input of
+    # the search's state stream is a witness (and none is NaN).
+    which = FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
+    for t in range(100):
+        u = LocalUnitary(Variant.SO2_X_SU2, SO2Element(0.0), SU2Element((-1.0) ** t, 0))
+        psi = _sample_state(0, _SEARCH_IDX[which], t)
+        assert variant_failure_deviation(which, psi, u) <= WITNESS_THRESHOLD
 
 
 def test_witness_deviation_is_reproducible():
@@ -241,6 +240,17 @@ def test_reevaluate_rejects_unknown_name():
         reevaluate_check("quaterbit_transport_so2xsu2", {"state": state_doc(BELL)})
     with pytest.raises(ValueError, match="'quaterbit_transport_so2xsu2' has no field 'state'"):
         reevaluate_check("quaterbit_transport_so2xsu2", {})
+    good = {"state": state_doc(BELL), "transform": su2_doc(SU2Element(1, 0))}
+    assert reevaluate_check("second_qubit_inertness", good) == 0.0
+    malformed = [
+        {**good, "transform": None},
+        {**good, "state": state_doc(BELL)[:3]},
+        {**good, "state": [[S, 0, 0], [0, 0], [0, 0], [S, 0]]},
+        {**good, "transform": {"a": [10**400, 0], "b": [0, 0]}},
+    ]
+    for doc in malformed:
+        with pytest.raises(ValueError, match="'second_qubit_inertness' is malformed"):
+            reevaluate_check("second_qubit_inertness", doc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from qgeo.quaternion import I, INFINITY, J, K, ONE, Quaternion, chordal_distance
-from qgeo.states import TwoQubitState, haar_random_state, quaternionify
-from qgeo.conformal import conformal_map, embed_complex, inverse_stereographic
+from qgeo.states import Quaterbit, TwoQubitState, haar_random_state, quaternionify
+from qgeo.conformal import conformal_map, conformal_map_dual, embed_complex, inverse_stereographic
 from qgeo.local_unitary import (
     LocalUnitary,
     QuatMat2,
@@ -288,6 +288,99 @@ def test_degenerate_evaluation_raises():
         apply_moebius_q(bad, ZERO)
     # A legitimate map never triggers it.
     assert apply_moebius_q(swap, ZERO) is INFINITY
+
+
+# ---------------------------------------------------------------------------
+# One extended-line quotient behind every conformal map and Moebius ordering
+# ---------------------------------------------------------------------------
+
+_BIG = (Quaternion(1e6, 0), Quaternion(0, 1e6))
+
+
+def _moebius_quotient(x, order):
+    """The action of ``order`` (None: canonical) at x, ZERO or INFINITY, as a
+    function of the two matrix entries it divides there."""
+
+    def quotient(num, den):
+        if x is INFINITY:
+            f = MoebiusQ(QuatMat2(num, _BIG[0], den, _BIG[1]))
+        else:
+            f = MoebiusQ(QuatMat2(_BIG[0], num, _BIG[1], den))
+        return apply_moebius_q(f, x) if order is None else apply_moebius_q_variant(f, x, order)
+
+    return quotient
+
+
+def _right(num, den):
+    return num * den.inverse()
+
+
+def _left(num, den):
+    return den.inverse() * num
+
+
+_QUOTIENT_PATHS = [
+    pytest.param(lambda num, den: conformal_map(Quaterbit(num, den)), _right, id="conformal_map"),
+    pytest.param(
+        lambda num, den: conformal_map_dual(Quaterbit(num, den)), _left, id="conformal_map_dual"
+    ),
+    *(
+        pytest.param(
+            _moebius_quotient(x, order),
+            _left if order is VariantOrder.LEFT_DENOMINATOR else _right,
+            id=f"{'canonical' if order is None else order.value}-at-{where}",
+        )
+        for x, where in ((ZERO, "zero"), (INFINITY, "infinity"))
+        for order in (None, VariantOrder.LEFT_DENOMINATOR, VariantOrder.LEFT_COEFFICIENTS)
+    ),
+]
+
+
+@pytest.mark.parametrize("quotient, formula", _QUOTIENT_PATHS)
+def test_every_quotient_path_shares_the_extended_line_convention(quotient, formula):
+    tiny = Quaternion(1e-13, 0)
+    assert quotient(ONE, ZERO) is INFINITY
+    assert quotient(J, tiny) is INFINITY
+    # 0/0 below the zero threshold, on maps that pass DET_TOL: at infinity
+    # the matrix is (1e-13, 1e6; -1e-13, 1e6*j).
+    with pytest.raises(DegenerateMapError) as exc:
+        quotient(tiny, -tiny)
+    assert isinstance(exc.value, ZeroDivisionError)
+    rng = np.random.default_rng(51)
+    for _ in range(1000):
+        num, den = _random_quaternion(rng), _random_quaternion(rng)
+        assert quotient(num, den) == formula(num, den)
+
+
+@pytest.mark.parametrize(
+    "apply, at_point, at_infinity",
+    [
+        pytest.param(
+            apply_moebius_q,
+            lambda x, m: (x * m.m11 + m.m12) * (x * m.m21 + m.m22).inverse(),
+            lambda m: m.m11 * m.m21.inverse(),
+            id="canonical",
+        ),
+        pytest.param(
+            lambda f, x: apply_moebius_q_variant(f, x, VariantOrder.LEFT_DENOMINATOR),
+            lambda x, m: (x * m.m21 + m.m22).inverse() * (x * m.m11 + m.m12),
+            lambda m: m.m21.inverse() * m.m11,
+            id="left_denominator",
+        ),
+        pytest.param(
+            lambda f, x: apply_moebius_q_variant(f, x, VariantOrder.LEFT_COEFFICIENTS),
+            lambda x, m: (m.m11 * x + m.m12) * (m.m21 * x + m.m22).inverse(),
+            lambda m: m.m11 * m.m21.inverse(),
+            id="left_coefficients",
+        ),
+    ],
+)
+def test_moebius_orderings_equal_their_written_formulas(apply, at_point, at_infinity):
+    rng = np.random.default_rng(52)
+    for _ in range(1000):
+        f, x = _random_moebius(rng), _random_quaternion(rng)
+        assert apply(f, x) == at_point(x, f.m)
+        assert apply(f, INFINITY) == at_infinity(f.m)
 
 
 # ---------------------------------------------------------------------------

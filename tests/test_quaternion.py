@@ -11,8 +11,10 @@ from qgeo.quaternion import (
     K,
     ONE,
     Quaternion,
+    DegenerateMapError,
     chordal_distance,
     ext_isclose,
+    left_quotient,
     right_quotient,
 )
 
@@ -153,6 +155,11 @@ def test_right_quotient_conventions():
     assert right_quotient(q, ONE) == q
     with pytest.raises(ZeroDivisionError):
         right_quotient(Quaternion(0j, 0j), Quaternion(0j, 0j))
+    # The left quotient J**-1 * I differs from the right one I * J**-1.
+    assert left_quotient(I, J) == K and right_quotient(I, J) == -K
+    assert left_quotient(J, Quaternion(0j, 0j)) is INFINITY
+    with pytest.raises(DegenerateMapError):
+        left_quotient(Quaternion(0j, 0j), Quaternion(0j, 0j))
 
 
 def test_chordal_distance_examples():
