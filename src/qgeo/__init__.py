@@ -13,6 +13,7 @@ from .quaternion import (
     ExtendedQuaternion,
     Quaternion,
     chordal_distance,
+    complex_quotient,
     ext_isclose,
     left_quotient,
     right_quotient,

@@ -1,14 +1,17 @@
 """Block evaluation of the verification suite, bit for bit equal to per-trial evaluation.
 
-The report of ``run_suite`` must not depend on how its trials are evaluated,
-so everything here reproduces the scalar code exactly, not approximately:
+The report of ``run_suite`` must not depend on how its trials are split into
+blocks, so everything here is exact, not approximate:
 
-* Sampling.  Trial ``t`` of check group ``idx`` draws from
-  ``np.random.default_rng([seed, idx, t, k])``.  :func:`pcg64_states`
-  computes numpy's SeedSequence hash for a whole block with uint32 arrays
-  and turns each hash into the state PCG64 would start from.  The draws are
-  then made trial by trial from one reused generator whose state is set to
-  each of those in turn, so they are numpy's own draws.
+* Sampling.  Seed-space index ``idx`` reads one counter-based stream,
+  ``Generator(Philox(SeedSequence([seed, idx])))``, and trial ``t`` owns its
+  ``K`` uniforms at positions ``[K t, K t + K)``.  A block of trials is one
+  ``Generator.random`` call at counter offset ``K t / 4`` (Philox yields four
+  64-bit words per counter step), so a trial's draws do not depend on which
+  block reads them.  Gaussians come from the Box-Muller transform with libm's
+  ``log1p``, ``cos`` and ``sin``; numpy's own vectorized versions round
+  differently on some inputs, depending on the instruction set it dispatches
+  to.
 * Arithmetic.  A complex array is split into a pair of float64 arrays
   ``(re, im)``.  CPython evaluates complex products and quotients with fixed
   formulas (``_Py_c_prod``, ``_Py_c_quot``); numpy's complex ufuncs use other
@@ -43,20 +46,11 @@ from .states import _SIGMA_YY
 # doubling it saves little time and adds to the peak resident set.
 BLOCK = 512
 
-# numpy.random.SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_POOL_SIZE = 4
-
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# Uniforms per trial, a multiple of Philox's four words per counter step.
+# Slots 0-7: the state's Gaussians (a one-qubit state uses 0-3); slot 8: the
+# rotation angle; slots 9-12: the SU(2) Gaussians; slots 13-15: spare.
+K = 16
+_STATE, _ANGLE, _SU2 = slice(0, 8), 8, slice(9, 13)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -66,119 +60,49 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+def uniforms(seed: int, idx: int, start: int, stop: int) -> np.ndarray:
+    """The ``(stop - start, K)`` uniforms of trials ``[start, stop)`` of stream ``idx``."""
+    bitgen = np.random.Philox(np.random.SeedSequence([seed, idx]))
+    bitgen.advance(start * (K // 4))
+    return np.random.Generator(bitgen).random((stop - start, K))
 
 
-def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
-    """The hash constant before each of ``calls`` hash calls and after the last,
-    as a column: it starts at ``init`` and each call multiplies it by ``mult``."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
+def _gaussians(u: np.ndarray) -> np.ndarray:
+    """Box-Muller: uniform columns (2i, 2i + 1) give r cos(phi) and r sin(phi)."""
+    r = np.sqrt(-2.0 * libm(math.log1p, -u[:, 0::2]))
+    phi = _TWO_PI * u[:, 1::2]
+    out = np.empty_like(u)
+    out[:, 0::2] = r * libm(math.cos, phi)
+    out[:, 1::2] = r * libm(math.sin, phi)
+    return out
 
 
-def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix, one call per row of the constants."""
-    value = (value ^ before) * after
-    return value ^ (value >> _XSHIFT)
+def _normalized(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Rows ``(re + i im) / |(re, im)|``; a zero row gives NaN."""
+    norm_sq = 0.0
+    for col in (*re.T, *im.T):
+        norm_sq = norm_sq + col * col
+    n = np.sqrt(norm_sq)[:, None]
+    return join((re / n, im / n))
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ (result >> _XSHIFT)
+def haar_states(u: np.ndarray) -> np.ndarray:
+    """Haar-random two-qubit amplitude rows from trial uniforms."""
+    g = _gaussians(u[:, _STATE])
+    return _normalized(g[:, :4], g[:, 4:])
 
 
-def _seed_sequence_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(column).generate_state(4, np.uint64)`` for each column of uint32 words.
-
-    The sequential hash calls of SeedSequence.mix_entropy are grouped where
-    their inputs do not depend on each other; each group takes the next
-    constants in call order.
-    """
-    width, n = entropy.shape
-    extra = max(width - _POOL_SIZE, 0)
-    h = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * extra)
-    words = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
-    words[: min(width, _POOL_SIZE)] = entropy[:_POOL_SIZE]
-    pool = _hashmix(words, h[:_POOL_SIZE], h[1 : _POOL_SIZE + 1])
-    call = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        hashed = _hashmix(pool[src], h[call : call + 3], h[call + 1 : call + 4])
-        pool[dst] = _mix(pool[dst], hashed)
-        call += 3
-    for src in range(_POOL_SIZE, width):
-        hashed = _hashmix(entropy[src], h[call : call + 4], h[call + 1 : call + 5])
-        pool = _mix(pool, hashed)
-        call += 4
-    hb = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    state = _hashmix(np.concatenate([pool, pool]), hb[:-1], hb[1:]).astype(np.uint64)
-    # Consecutive uint32 words form one little-endian uint64.
-    return (state[0::2] | (state[1::2] << np.uint64(32))).T
+def haar_one_qubit_states(u: np.ndarray) -> np.ndarray:
+    """Haar-random one-qubit amplitude rows from trial uniforms."""
+    g = _gaussians(u[:, :4])
+    return _normalized(g[:, :2], g[:, 2:])
 
 
-def pcg64_states(seed: int, idx: int, k: int, start: int, stop: int):
-    """(state, inc) of ``PCG64(SeedSequence([seed, idx, t, k]))`` for t in [start, stop), lazily.
-
-    The trials of one call must all be below 2**32 or all at or above it, so
-    that their entropy has one width; aligned blocks satisfy this.
-    """
-    # Let numpy reject what SeedSequence rejects, with its own message.
-    np.random.SeedSequence([seed, idx, start, k])
-    if start < 1 << 32 < stop:
-        raise ValueError("a block of trials must not straddle trial 2**32")
-    trials = np.arange(start, stop, dtype=np.uint64)
-    words = [*_uint32_words(int(seed)), *_uint32_words(idx), trials & np.uint64(_MASK32)]
-    if start >= 1 << 32:
-        words.append(trials >> np.uint64(32))
-    words.extend(_uint32_words(k))
-    entropy = np.empty((len(words), len(trials)), dtype=np.uint32)
-    for j, word in enumerate(words):
-        entropy[j] = word
-    return _pcg64_seeded(_seed_sequence_state(entropy))
-
-
-def _pcg64_seeded(seeds: np.ndarray):
-    """pcg64_set_seed on rows (s_hi, s_lo, i_hi, i_lo): with 128-bit initstate s
-    and initseq i, inc = 2 i + 1, then two LCG steps around adding s."""
-    for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        yield ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
-
-
-class BlockSampler:
-    """Draws of ``np.random.default_rng([seed, idx, t, k])`` for a block of trials t.
-
-    One PCG64 is reused: its state is set to each trial's seeded state before
-    that trial's draws.  :meth:`generators` yields it once per trial.
-    """
-
-    def __init__(self, seed: int, idx: int, k: int):
-        self.seed, self.idx, self.k = seed, idx, k
-        self.bitgen = np.random.PCG64(0)
-        self.gen = np.random.Generator(self.bitgen)
-
-    def generators(self, start: int, stop: int):
-        inner = {"state": 0, "inc": 0}
-        full = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-        bitgen, gen = self.bitgen, self.gen
-        for state, inc in pcg64_states(self.seed, self.idx, self.k, start, stop):
-            inner["state"] = state
-            inner["inc"] = inc
-            bitgen.state = full
-            yield gen
-
-    def reseeded(self, trial: int) -> np.random.Generator:
-        """The generator in the state trial ``trial`` starts from."""
-        return next(self.generators(trial, trial + 1))
+def local_unitary_params(u: np.ndarray):
+    """(theta, a, b) from trial uniforms: theta uniform on [0, 2 pi), (a, b) Haar on SU(2)."""
+    g = _gaussians(u[:, _SU2])
+    ab = _normalized(g[:, 0::2], g[:, 1::2])
+    return _TWO_PI * u[:, _ANGLE], ab[:, 0], ab[:, 1]
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -189,56 +113,6 @@ def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise ``m[i] @ v[i]``, numpy's matrix-vector kernel on each item."""
     return np.matmul(m, v[..., None])[..., 0]
-
-
-def _normals(sampler: BlockSampler, start: int, stop: int, size: int) -> np.ndarray:
-    """``standard_normal(size)`` of each trial's generator, one row per trial."""
-    out = np.empty((stop - start, size))
-    for row, gen in zip(out, sampler.generators(start, stop)):
-        row[:] = gen.standard_normal(size)
-    return out
-
-
-def haar_states(sampler: BlockSampler, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude rows of ``haar_random_state`` and a mask of rows to redo in scalar code."""
-    draws = _normals(sampler, start, stop, 8)
-    re, im = draws[:, :4], draws[:, 4:]
-    v = (re + 1j * im) / np.sqrt(dot(re, re) + dot(im, im))[:, None]
-    return v, ~np.isfinite(v).all(axis=1)
-
-
-def haar_one_qubit_states(
-    sampler: BlockSampler, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude rows of ``haar_random_one_qubit`` and a mask of rows to redo."""
-    draws = _normals(sampler, start, stop, 4)
-    v = draws[:, :2] + 1j * draws[:, 2:]
-    # np.linalg.norm: dots of the strided real and imaginary views.
-    vr, vi = v.real, v.imag
-    v = v / np.sqrt(dot(vr, vr) + dot(vi, vi))[:, None]
-    return v, ~np.isfinite(v).all(axis=1)
-
-
-def local_unitary_params(sampler: BlockSampler, start: int, stop: int):
-    """(theta, a, b) of ``random_local_unitary`` per trial, and a mask of rows to redo.
-
-    ``a`` and ``b`` are complex arrays.  The mask marks the rows whose
-    Gaussian draw the scalar sampler rejects and draws again.
-    """
-    u = np.empty(stop - start)
-    g = np.empty((stop - start, 4))
-    for i, gen in enumerate(sampler.generators(start, stop)):
-        u[i] = gen.random()
-        g[i] = gen.standard_normal(4)
-    # gen.uniform(0.0, 2 pi) returns 0.0 + 2 pi * gen.random(), at a third
-    # of the cost of the call.
-    theta = 0.0 + _TWO_PI * u
-    g0, g1, g2, g3 = (pow2(g[:, j]) for j in range(4))
-    norm_sq = g0 + g1 + g2 + g3
-    n = np.sqrt(norm_sq)
-    a = div_real((g[:, 0], g[:, 1]), n)
-    b = div_real((g[:, 2], g[:, 3]), n)
-    return theta, join(a), join(b), norm_sq < 1e-24
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +133,8 @@ def interp_sum(terms) -> np.ndarray:
 
 def libm(fn, x: np.ndarray) -> np.ndarray:
     """A ``math`` function applied element by element (numpy's own may round differently)."""
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
+    values = np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size)
+    return values.reshape(x.shape)
 
 
 def split(z: np.ndarray):

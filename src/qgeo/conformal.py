@@ -6,27 +6,23 @@ import numpy as np
 
 from .quaternion import (
     INFINITY,
-    AtInfinity,
+    ExtendedComplex,
     ExtendedQuaternion,
     Quaternion,
     ZERO_NORM_SQ,
     _abs2,
     _s4_coords,
+    complex_quotient,
     left_quotient,
     right_quotient,
 )
 from .states import OneQubitState, Quaterbit, TwoQubitState, concurrence_term, schmidt_term
 
-ExtendedComplex = complex | AtInfinity
-
 
 def conformal_map_one_qubit(psi: OneQubitState) -> ExtendedComplex:
-    """Quotient a1 / a2 on the extended complex plane; a2 = 0 maps to INFINITY."""
-    if _abs2(psi.a2) < ZERO_NORM_SQ:
-        if _abs2(psi.a1) < ZERO_NORM_SQ:
-            raise ZeroDivisionError("conformal image of the zero vector is indeterminate")
-        return INFINITY
-    return psi.a1 / psi.a2
+    """Quotient a1 / a2 on the extended complex plane, by
+    :func:`qgeo.quaternion.complex_quotient`: a2 = 0 maps to INFINITY."""
+    return complex_quotient(psi.a1, psi.a2)
 
 
 def conformal_map(qb: Quaterbit) -> ExtendedQuaternion:

@@ -9,11 +9,14 @@ laws.  Alongside the positive checks, counterexample searches demonstrate
 that the alternative operand orderings of the quaternionic Moebius action
 genuinely fail to intertwine.
 
-All randomness is derived from (seed, check index, trial index), so reports
-are deterministic for a fixed seed regardless of evaluation order.  The
-suite evaluates its trials in blocks (:mod:`qgeo.batch`), with results equal
-bit for bit to the scalar evaluators below, which stay the public API and
-the reference for re-evaluating stored worst cases.
+All randomness is derived from (seed, seed-space index, trial index): each
+index reads one counter-based stream and each trial a fixed slice of it
+(:func:`qgeo.batch.uniforms`), so reports are deterministic for a fixed seed
+regardless of evaluation order.  The check groups hold indices 0-7, the two
+failure searches 8 and 9 and the exploratory candidate 10.  The suite
+evaluates its trials in blocks (:mod:`qgeo.batch`), with results equal bit
+for bit to the scalar evaluators below, which stay the public API and the
+reference for re-evaluating stored worst cases.
 """
 
 from __future__ import annotations
@@ -26,15 +29,12 @@ from enum import Enum
 import numpy as np
 
 from . import batch
-from .batch import BlockSampler
 from .quaternion import Quaternion, ZERO_NORM_SQ, _abs2, chordal_distance
 from .states import (
     OneQubitState,
     Quaterbit,
     TwoQubitState,
     concurrence_term,
-    haar_random_one_qubit,
-    haar_random_state,
     quaternionify,
     schmidt_term,
     wootters_preconcurrence,
@@ -57,7 +57,6 @@ from .local_unitary import (
     apply_cb,
     apply_su2,
     quat_matrix,
-    random_local_unitary,
 )
 from .moebius import (
     MoebiusC,
@@ -76,8 +75,8 @@ WITNESS_THRESHOLD = 0.01
 # Suite-level tolerance whose default leaves every check at its contract value.
 DEFAULT_SUITE_TOL = 1e-10
 
-# Rejection bound keeping the rotation angle away from the degenerate values
-# where all operand orderings coincide.
+# The searches draw theta uniformly on the arcs where |sin(theta)| >= 0.1,
+# away from the degenerate values where all operand orderings coincide.
 _MIN_ABS_SIN = 0.1
 
 
@@ -375,26 +374,38 @@ _EXPLORATORY_IDX = 10
 
 
 def _sample_state(seed: int, idx: int, trial: int) -> TwoQubitState:
-    return haar_random_state([seed, idx, trial, 1])
+    """The state of one trial, read on its own."""
+    return TwoQubitState(*batch.haar_states(batch.uniforms(seed, idx, trial, trial + 1))[0])
 
 
 def _sample_transform(variant: Variant, seed: int, idx: int, trial: int) -> LocalUnitary:
-    return random_local_unitary(variant, [seed, idx, trial, 0])
+    """The transform of one trial of a check group, read on its own."""
+    theta, a, b = batch.local_unitary_params(batch.uniforms(seed, idx, trial, trial + 1))
+    return LocalUnitary(variant, SO2Element(theta[0]), SU2Element(a[0], b[0]))
 
 
-def _sample_transform_rejected(
-    variant: Variant, seed: int, idx: int, trial: int
-) -> LocalUnitary:
-    """Transform sample with |sin(theta)| bounded away from zero.
+def _search_angles(u: np.ndarray) -> np.ndarray:
+    """theta uniform on the two arcs where |sin(theta)| >= _MIN_ABS_SIN, from uniforms u.
 
     At theta in {0, pi} the induced matrices have a single nonzero diagonal
-    and all operand orderings coincide, so failure searches reject them.
+    and all operand orderings coincide, so the searches leave those out.
     """
-    rng = np.random.default_rng([seed, idx, trial, 0])
-    while True:
-        u = random_local_unitary(variant, rng)
-        if abs(math.sin(u.rot.theta)) > _MIN_ABS_SIN:
-            return u
+    low = math.asin(_MIN_ABS_SIN)
+    arc = math.pi - 2.0 * low
+    x = u * (2.0 * arc)
+    return np.where(x < arc, low + x, math.pi + low + (x - arc))
+
+
+def _search_inputs(variant: Variant, seed: int, idx: int, start: int, stop: int):
+    """(state, transform) of the search trials ``[start, stop)`` of stream ``idx``."""
+    u = batch.uniforms(seed, idx, start, stop)
+    psi = batch.haar_states(u)
+    _, a, b = batch.local_unitary_params(u)
+    theta = _search_angles(u[:, batch._ANGLE])
+    transforms = (
+        LocalUnitary(variant, SO2Element(t), SU2Element(x, y)) for t, x, y in zip(theta, a, b)
+    )
+    return [(TwoQubitState(*row), u) for row, u in zip(psi, transforms)]
 
 
 def find_variant_failure_witness(
@@ -415,9 +426,7 @@ def find_variant_failure_witness(
         else Variant.SU2_X_SO2
     )
     best: Witness | None = None
-    for trial in range(max_trials):
-        psi = _sample_state(seed, idx, trial)
-        u = _sample_transform_rejected(variant, seed, idx, trial)
+    for psi, u in _search_inputs(variant, seed, idx, 0, max_trials):
         dev = variant_failure_deviation(which, psi, u)
         if best is None or dev > best.deviation:
             best = Witness(psi, u, which.value, dev)
@@ -574,9 +583,9 @@ _SU2 = "su2"
 class _Group:
     """One seeded trial loop of the suite.
 
-    ``transform`` says what trial t draws from ``[seed, idx, t, 0]``: an
-    SU(2) element (``"su2"``), a local unitary of a variant, or nothing.
-    The state is drawn from ``[seed, idx, t, 1]``.  ``evaluate`` is the
+    Trial t reads its uniforms from the stream of ``idx``.  ``transform``
+    says what it draws besides its state: an SU(2) element (``"su2"``), a
+    local unitary of a variant, or nothing.  ``evaluate`` is the
     scalar evaluator of one trial's inputs, returning one deviation per
     entry of ``checks``; ``evaluate_block`` computes the same deviations
     for a block, with a mask of the trials it leaves to ``evaluate`` (those
@@ -658,24 +667,13 @@ _GROUPS = (
 )
 
 
-def _sample_block(group: _Group, samplers, start: int, stop: int) -> _Block:
-    """Draw a block of inputs; rows the block sampler cannot finish are redrawn by
-    the scalar sampler from the same seeded generator."""
+def _sample_block(group: _Group, seed: int, start: int, stop: int) -> _Block:
+    """Draw the inputs of trials ``[start, stop)`` of a group from one read of its stream."""
+    u = batch.uniforms(seed, group.idx, start, stop)
     theta = a = b = None
     if group.transform is not None:
-        theta, a, b, redo = batch.local_unitary_params(samplers[0], start, stop)
-        for i in np.flatnonzero(redo):
-            u = random_local_unitary(Variant.SO2_X_SU2, samplers[0].reseeded(start + i))
-            theta[i], a[i], b[i] = u.rot.theta, u.su2.a, u.su2.b
-    if group.one_qubit:
-        psi, redo = batch.haar_one_qubit_states(samplers[1], start, stop)
-        for i in np.flatnonzero(redo):
-            one = haar_random_one_qubit(samplers[1].reseeded(start + i))
-            psi[i] = (one.a1, one.a2)
-    else:
-        psi, redo = batch.haar_states(samplers[1], start, stop)
-        for i in np.flatnonzero(redo):
-            psi[i] = haar_random_state(samplers[1].reseeded(start + i)).amplitudes
+        theta, a, b = batch.local_unitary_params(u)
+    psi = batch.haar_one_qubit_states(u) if group.one_qubit else batch.haar_states(u)
     return _Block(start, theta, a, b, psi)
 
 
@@ -708,11 +706,10 @@ def _evaluate_group(group: _Group, seed: int, trials: int) -> list[tuple[float, 
     The worst case is the last trial reaching the maximum.  A NaN deviation
     makes the maximum NaN, with the first such trial as the worst case.
     """
-    samplers = (BlockSampler(seed, group.idx, 0), BlockSampler(seed, group.idx, 1))
     best: list[tuple[float, dict] | None] = [None] * len(group.checks)
     for start in range(0, trials, batch.BLOCK):
         with np.errstate(all="ignore"):
-            blk = _sample_block(group, samplers, start, min(start + batch.BLOCK, trials))
+            blk = _sample_block(group, seed, start, min(start + batch.BLOCK, trials))
             devs, scalar = group.evaluate_block(blk)
         for i in np.flatnonzero(scalar):
             devs[i] = group.evaluate(*_scalar_inputs(group, blk, i))
@@ -772,9 +769,7 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
     )
 
     exp_dev = 0.0
-    for trial in range(search_trials):
-        psi = _sample_state(seed, _EXPLORATORY_IDX, trial)
-        u = _sample_transform_rejected(Variant.SU2_X_SO2, seed, _EXPLORATORY_IDX, trial)
+    for psi, u in _search_inputs(Variant.SU2_X_SO2, seed, _EXPLORATORY_IDX, 0, search_trials):
         exp_dev = max(exp_dev, left_coefficient_candidate_deviation(psi, u))
     exploratory = (
         ExploratoryResult(

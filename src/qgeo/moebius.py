@@ -32,6 +32,7 @@ from .quaternion import (
     Quaternion,
     ZERO_NORM_SQ,
     _abs2,
+    complex_quotient,
     left_quotient,
     right_quotient,
 )
@@ -81,16 +82,12 @@ class MoebiusC:
 
 
 def apply_moebius_c(f: MoebiusC, z: ExtendedComplex) -> ExtendedComplex:
-    """Evaluate a complex Moebius map with the standard infinity conventions."""
+    """(a z + b) / (c z + d), and a / c at INFINITY, each quotient taken on the
+    extended plane by :func:`qgeo.quaternion.complex_quotient`."""
     if z is INFINITY:
-        if _abs2(f.c) < ZERO_NORM_SQ:
-            return INFINITY
-        return f.a / f.c
+        return complex_quotient(f.a, f.c)
     z = complex(z)
-    den = f.c * z + f.d
-    if _abs2(den) < ZERO_NORM_SQ:
-        return INFINITY
-    return (f.a * z + f.b) / den
+    return complex_quotient(f.a * z + f.b, f.c * z + f.d)
 
 
 @dataclass(frozen=True)

@@ -148,16 +148,23 @@ K = Quaternion(0j, 1j)
 # A point of the extended quaternion line: either a Quaternion or INFINITY.
 ExtendedQuaternion = Quaternion | AtInfinity
 
+# A point of the extended complex plane: either a complex number or INFINITY.
+ExtendedComplex = complex | AtInfinity
+
 
 class DegenerateMapError(ZeroDivisionError):
     """Numerator and denominator vanished together: the quotient is indeterminate."""
 
 
-def _is_pole(p: Quaternion, q: Quaternion) -> bool:
+def _is_zero(x: Quaternion | complex) -> bool:
+    return x.is_zero() if isinstance(x, Quaternion) else _abs2(x) < ZERO_NORM_SQ
+
+
+def _is_pole(p: Quaternion | complex, q: Quaternion | complex) -> bool:
     """Whether p / q is INFINITY (q counts as zero); raises DegenerateMapError on 0/0."""
-    if not q.is_zero():
+    if not _is_zero(q):
         return False
-    if p.is_zero():
+    if _is_zero(p):
         raise DegenerateMapError("indeterminate quotient: numerator and denominator both zero")
     return True
 
@@ -177,6 +184,13 @@ def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     if _is_pole(p, q):
         return INFINITY
     return q.inverse() * p
+
+
+def complex_quotient(p: complex, q: complex) -> ExtendedComplex:
+    """p / q on the extended complex plane, with the conventions of :func:`right_quotient`."""
+    if _is_pole(p, q):
+        return INFINITY
+    return p / q
 
 
 def _s4_coords(p: ExtendedQuaternion) -> tuple[float, float, float, float, float]:

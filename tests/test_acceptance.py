@@ -49,8 +49,8 @@ BELL = TwoQubitState(math.sqrt(0.5), 0, 0, math.sqrt(0.5))
 
 # SHA-256 of the `qgeo verify` report bytes at the defaults (--seed 42,
 # 10 000 trials), pinned across refactors.  The value holds for numpy's
-# PCG64 streams and this platform's libm (numpy 2.4.6, CPython 3.11.7).
-DEFAULT_REPORT_SHA256 = "df4f77f72ba848fcc1a60622cc2f576fda1db15f37b70eea58d43c27f6242925"
+# Philox streams and this platform's libm (numpy 2.4.6, CPython 3.11.7).
+DEFAULT_REPORT_SHA256 = "b82bdfe227510841d9189a3d942eb01893b7b0619b29534b6c244ec19f0105dd"
 
 
 def _report(num: int, name: str, max_dev: float, tol: float) -> None:

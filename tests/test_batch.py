@@ -1,15 +1,23 @@
 """Block sampler and array primitives against the scalar code they mirror, bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qgeo import batch
-from qgeo.batch import BLOCK, BlockSampler
+from qgeo.batch import BLOCK, K
 from qgeo.cli import main
-from qgeo.diagrams import run_suite
-from qgeo.local_unitary import Variant, random_local_unitary
+from qgeo.diagrams import (
+    _GROUPS,
+    _sample_block,
+    _sample_state,
+    _sample_transform,
+    _search_inputs,
+    run_suite,
+)
+from qgeo.local_unitary import Variant
 from qgeo.quaternion import Quaternion, chordal_distance
-from qgeo.states import haar_random_one_qubit, haar_random_state
 
 SEEDS = [0, 42, 2**32 + 5, 2**70]
 
@@ -20,54 +28,86 @@ def same_bits(x, y) -> bool:
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _linear(seed, idx, trials):
+    """The uniforms of the first ``trials`` trials, read from position 0 of a fresh stream."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, idx])))
+    return gen.random(K * trials).reshape(trials, K)
+
+
+def _at_counter(seed, idx, counter, trials):
+    """``trials`` rows of uniforms from a fresh stream whose Philox counter is set to ``counter``."""
+    bitgen = np.random.Philox(np.random.SeedSequence([seed, idx]))
+    state = bitgen.state
+    words = [counter >> (64 * w) & (2**64 - 1) for w in range(4)]
+    state["state"]["counter"] = np.array(words, dtype=np.uint64)
+    bitgen.state = state
+    return np.random.Generator(bitgen).random((trials, K))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_pcg64_states_match_seed_sequence(seed):
-    for start, stop in ((0, 3), (BLOCK - 2, BLOCK + 2), (2**32, 2**32 + 2)):
-        got = batch.pcg64_states(seed, 3, 1, start, stop)
-        for t, (state, inc) in zip(range(start, stop), got):
-            ref = np.random.default_rng([seed, 3, t, 1]).bit_generator.state["state"]
-            assert (state, inc) == (ref["state"], ref["inc"]), t
-
-
-def test_pcg64_states_reject_a_block_straddling_two_word_trials():
-    with pytest.raises(ValueError):
-        batch.pcg64_states(0, 0, 0, 2**32 - 1, 2**32 + 1)
+def test_block_draws_match_a_linear_philox_stream(seed):
+    # Consecutive blocks around a block boundary, as run_suite reads them.
+    trials = BLOCK + 3
+    ref = _linear(seed, 2, trials)
+    for bounds in ((0, trials), (0, BLOCK - 3, BLOCK, trials)):
+        blocks = [batch.uniforms(seed, 2, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert same_bits(np.concatenate(blocks), ref), bounds
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_block_draws_match_default_rng(seed):
-    # Two consecutive blocks around a block boundary, as run_suite draws them.
-    halves = ((BLOCK - 3, BLOCK), (BLOCK, BLOCK + 3))
-    trials = range(BLOCK - 3, BLOCK + 3)
-
-    states = BlockSampler(seed, 2, 1)
-    psi = np.concatenate([batch.haar_states(states, lo, hi)[0] for lo, hi in halves])
-    ref = np.array([haar_random_state([seed, 2, t, 1]).amplitudes for t in trials])
-    assert same_bits(psi, ref)
-
-    one = np.concatenate([batch.haar_one_qubit_states(states, lo, hi)[0] for lo, hi in halves])
-    ref = np.array([[p.a1, p.a2] for p in (haar_random_one_qubit([seed, 2, t, 1]) for t in trials)])
-    assert same_bits(one, ref)
-
-    transforms = BlockSampler(seed, 2, 0)
-    parts = [batch.local_unitary_params(transforms, lo, hi) for lo, hi in halves]
-    theta, a, b, redo = (np.concatenate(x) for x in zip(*parts))
-    refs = [random_local_unitary(Variant.SO2_X_SU2, [seed, 2, t, 0]) for t in trials]
-    assert same_bits(theta, [u.rot.theta for u in refs])
-    assert same_bits(a, [u.su2.a for u in refs])
-    assert same_bits(b, [u.su2.b for u in refs])
-    assert not redo.any()
+def test_trial_offsets_match_the_linear_stream(seed):
+    # Trial t starts at counter K t / 4: four 64-bit words per counter step.
+    # The reference sets that counter directly; it is first checked against
+    # the linear read, then used where no linear read can go.
+    assert same_bits(_at_counter(seed, 5, 3 * K // 4, 2), _linear(seed, 5, 5)[3:])
+    for t in (BLOCK - 1, 2**32 - 1, 2**40, 2**62 + 1):
+        assert same_bits(batch.uniforms(seed, 5, t, t + 2), _at_counter(seed, 5, t * K // 4, 2)), t
 
 
-def test_reseeded_generator_starts_the_trials_stream():
-    gen = BlockSampler(42, 5, 1).reseeded(BLOCK + 7)
-    ref = np.random.default_rng([42, 5, BLOCK + 7, 1])
-    assert same_bits(gen.standard_normal(6), ref.standard_normal(6))
+@pytest.mark.parametrize("split", [BLOCK - 1, BLOCK, BLOCK + 1, 300])
+def test_draws_do_not_depend_on_the_block_split(split):
+    trials, seed = 1024, 42
+    for group in _GROUPS:
+        whole = _sample_block(group, seed, 0, trials)
+        parts = _sample_block(group, seed, 0, split), _sample_block(group, seed, split, trials)
+        for field in ("theta", "a", "b", "psi"):
+            if getattr(whole, field) is None:
+                continue
+            joined = np.concatenate([getattr(part, field) for part in parts])
+            assert same_bits(joined, getattr(whole, field)), (group.idx, field)
+
+
+def test_one_trial_reads_match_the_block():
+    seed, trials = 7, BLOCK + 2
+    blk = _sample_block(_GROUPS[1], seed, 0, trials)
+    searched = _search_inputs(Variant.SU2_X_SO2, seed, 10, 0, trials)
+    for t in (0, BLOCK - 1, BLOCK, BLOCK + 1):
+        psi = _sample_state(seed, 1, t)
+        assert same_bits(psi.amplitudes, blk.psi[t])
+        u = _sample_transform(Variant.SO2_X_SU2, seed, 1, t)
+        assert same_bits([u.rot.theta, u.su2.a, u.su2.b], [blk.theta[t], blk.a[t], blk.b[t]])
+        assert _search_inputs(Variant.SU2_X_SO2, seed, 10, t, t + 1) == searched[t : t + 1]
+
+
+def test_sampled_inputs_have_their_distributions():
+    # Loose moment checks that catch a wrong Box-Muller or slot layout.
+    u = batch.uniforms(3, 0, 0, 20000)
+    g = batch._gaussians(u[:, :8])
+    assert np.abs(g.mean(axis=0)).max() < 0.05
+    assert np.abs(g.var(axis=0) - 1.0).max() < 0.05
+    assert abs(np.corrcoef(g[:, 0], g[:, 1])[0, 1]) < 0.05
+    psi = batch.haar_states(u)
+    assert np.abs(np.mean(np.abs(psi) ** 2, axis=0) - 0.25).max() < 0.01
+    theta, a, b = batch.local_unitary_params(u)
+    assert np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0).max() < 1e-15
+    assert abs(np.mean(np.abs(a) ** 2) - 0.5) < 0.01
+    assert 0.0 <= theta.min() and theta.max() < 2 * math.pi
+    assert abs(np.mean(theta) - math.pi) < 0.05
 
 
 def test_negative_seed_raises_numpys_error(capsys):
     with pytest.raises(ValueError) as ref:
-        np.random.default_rng([-1, 0, 0, 0])
+        np.random.SeedSequence([-1, 0])
     with pytest.raises(ValueError) as got:
         run_suite(1, -1)
     assert str(got.value) == str(ref.value)

@@ -5,7 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,12 +227,12 @@ def test_verify_small_run_passes_and_is_deterministic(capsys, tmp_path):
 
 # SHA-256 of `qgeo verify` report bytes, pinned across refactors (the
 # default run's is checked in test_acceptance).  The values hold for numpy's
-# PCG64 streams and this platform's libm (numpy 2.4.6, CPython 3.11.7).
+# Philox streams and this platform's libm (numpy 2.4.6, CPython 3.11.7).
 @pytest.mark.parametrize(
     "trials, seed, digest",
     [
-        ("513", "0", "19a56aa31af79e08c6929fcec4ef7a0580b0eb1c15eae930672ed2ba84d764c6"),
-        ("1", "7", "193fcc4b9197ef2fc3139457141b894f7abc312da9861dd8d8c42cec59e18e55"),
+        ("513", "0", "d3aa5996afa4b7686353aefe0a3d51e8e4fa9ae35a95b2b8cd7234e62e35a62a"),
+        ("1", "7", "37d5f0909b4ac81f097c707e7fe0290b2d41fec8830553c1aebd36c74fd50d11"),
     ],
 )
 def test_verify_report_bytes_are_pinned(capsys, tmp_path, trials, seed, digest):
@@ -408,6 +412,35 @@ def test_sample_writes_deterministic_valid_states(capsys, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         code, out, _ = run_cli(capsys, "analyze", str(out1 / name))
         assert code == 0
+
+
+# SHA-256 over the files `qgeo sample --count 10 --seed 0` writes, each as its
+# name, a NUL byte and its contents, in name order.  `qgeo sample` and the
+# public samplers behind it keep their `np.random.default_rng(seed)` draws;
+# only the verification suite reads counter-based streams.
+SAMPLE_SHA256 = "4312f55409ea7ac7a0ddeeb6f14f5dace4ed09629777dd9c686990352f1dc392"
+
+
+def test_sample_files_are_pinned(capsys, tmp_path):
+    assert run_cli(capsys, "sample", "--count", "10", "--seed", "0", "--out", str(tmp_path))[0] == 0
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == SAMPLE_SHA256
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # Importing scipy.special alone costs about twice the CLI's start-up time.
+    src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
+    code = "import sys, qgeo.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_transform_file_validation(capsys, tmp_path, bell_state):

@@ -24,7 +24,7 @@ from qgeo.diagrams import (
     _SEARCH_IDX,
     _sample_state,
     _sample_transform,
-    _sample_transform_rejected,
+    _search_inputs,
     check_one_qubit_diagram,
     check_quadrangle,
     check_quadrangle_prime,
@@ -151,6 +151,16 @@ def test_degenerate_search_space_finds_no_witness():
         assert variant_failure_deviation(which, psi, u) <= WITNESS_THRESHOLD
 
 
+def test_search_angles_cover_the_arcs_away_from_degenerate_values():
+    u = np.arange(10000) / 10000
+    theta = diagrams._search_angles(u)
+    low = math.asin(0.1)
+    assert np.all(np.abs(np.sin(theta)) >= 0.1 - 1e-15)
+    assert np.all(np.diff(theta) > 0)
+    assert theta[0] == low and theta[-1] < 2 * math.pi - low
+    assert np.count_nonzero(theta < math.pi) == 5000
+
+
 def test_witness_deviation_is_reproducible():
     w = find_variant_failure_witness(FailureSearch.CANONICAL_ON_SU2XSO2, 50, seed=7)
     assert w is not None
@@ -260,19 +270,23 @@ def test_reevaluate_rejects_unknown_name():
 B = batch.BLOCK
 
 # (seed index, [(check, contract)], inputs of trial t, scalar evaluator): the
-# suite's groups as a per-trial loop runs them.  ``su2`` and ``lu`` draw the
-# transforms, so that a test can replace them.
+# suite's groups as a per-trial loop runs them, each trial read on its own.
+# ``lu`` draws the transforms, so that a test can replace them.
+def _one_qubit_state(s, i, t):
+    return OneQubitState(*batch.haar_one_qubit_states(batch.uniforms(s, i, t, t + 1))[0])
+
+
 _REFERENCE_GROUPS = [
     (
         0,
         [("one_qubit_intertwining", 1e-11)],
-        lambda s, i, t, su2, lu: (su2([s, i, t, 0]), haar_random_one_qubit([s, i, t, 1])),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t).su2, _one_qubit_state(s, i, t)),
         lambda a, psi: (check_one_qubit_diagram(a, psi),),
     ),
     (
         1,
         [("quaterbit_transport_so2xsu2", 1e-12)],
-        lambda s, i, t, su2, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
         lambda u, psi: (check_quadrangle(u, psi),),
     ),
     (
@@ -282,37 +296,37 @@ _REFERENCE_GROUPS = [
             ("three_way_second_equality", 1e-10),
             ("closed_form_consistency", 1e-10),
         ],
-        lambda s, i, t, su2, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
         check_three_way,
     ),
     (
         3,
         [("second_qubit_inertness", 1e-11)],
-        lambda s, i, t, su2, lu: (su2([s, i, t, 0]), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t).su2, _sample_state(s, i, t)),
         lambda a, psi: (check_second_qubit_inertness(a, psi),),
     ),
     (
         4,
         [("quaterbit_transport_su2xso2", 1e-12)],
-        lambda s, i, t, su2, lu: (lu(Variant.SU2_X_SO2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SU2_X_SO2, s, i, t), _sample_state(s, i, t)),
         lambda u, psi: (check_quadrangle_prime(u, psi),),
     ),
     (
         5,
         [("concurrence_invariance_so2xsu2", 1e-12)],
-        lambda s, i, t, su2, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
         lambda u, psi: (concurrence_invariance_gap(u, psi),),
     ),
     (
         6,
         [("concurrence_magnitude_su2xso2", 1e-12)],
-        lambda s, i, t, su2, lu: (lu(Variant.SU2_X_SO2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SU2_X_SO2, s, i, t), _sample_state(s, i, t)),
         lambda u, psi: (concurrence_magnitude_gap(u, psi),),
     ),
     (
         7,
         [("wootters_preconcurrence_relation", 1e-12)],
-        lambda s, i, t, su2, lu: (_sample_state(s, i, t),),
+        lambda s, i, t, lu: (_sample_state(s, i, t),),
         lambda psi: (wootters_relation_gap(psi),),
     ),
 ]
@@ -328,11 +342,11 @@ def _inputs_doc(inputs):
     return {"state": state, "transform": transform_doc(transform[0])}
 
 
-def _reference_trials(seed, trials, su2=random_su2, lu=_sample_transform):
+def _reference_trials(seed, trials, lu=_sample_transform):
     """Per group, (deviations, inputs) of every trial, from the scalar evaluators."""
     per_group = []
     for idx, _, sample, evaluate in _REFERENCE_GROUPS:
-        inputs = [sample(seed, idx, t, su2, lu) for t in range(trials)]
+        inputs = [sample(seed, idx, t, lu) for t in range(trials)]
         per_group.append([(evaluate(*x), x) for x in inputs])
     return per_group
 
@@ -373,8 +387,7 @@ def _reference_report(seed, trials, per_trial):
         )
     exp_dev = 0.0
     for t in range(search_trials):
-        psi = _sample_state(seed, 10, t)
-        u = _sample_transform_rejected(Variant.SU2_X_SO2, seed, 10, t)
+        [(psi, u)] = _search_inputs(Variant.SU2_X_SO2, seed, 10, t, t + 1)
         exp_dev = max(exp_dev, left_coefficient_candidate_deviation(psi, u))
     exploratory = {
         "name": "left_coefficient_variant_on_su2xso2",
@@ -404,17 +417,15 @@ def test_block_suite_matches_per_trial_reference(seed):
 def test_block_suite_keeps_the_last_of_tied_trials(monkeypatch):
     # Identity transforms make most deviations exactly 0.0 in every trial,
     # so the worst case of those checks must be the last trial.
-    def identity_params(sampler, start, stop):
-        n = stop - start
-        theta, a, b = np.zeros(n), np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
-        return theta, a, b, np.zeros(n, dtype=bool)
+    def identity_params(u):
+        n = len(u)
+        return np.zeros(n), np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
 
     monkeypatch.setattr(batch, "local_unitary_params", identity_params)
     trials, seed = B + 1, 4
     per_trial = _reference_trials(
         seed,
         trials,
-        su2=lambda entropy: SU2Element(1, 0),
         lu=lambda variant, s, i, t: LocalUnitary(variant, SO2Element(0.0), SU2Element(1, 0)),
     )
     doc = run_suite(trials, seed).to_dict()

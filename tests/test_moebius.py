@@ -1,14 +1,21 @@
 """Moebius actions: conventions at infinity, variant orderings, composition law."""
 
 import math
+import operator
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from qgeo.quaternion import I, INFINITY, J, K, ONE, Quaternion, chordal_distance
-from qgeo.states import Quaterbit, TwoQubitState, haar_random_state, quaternionify
-from qgeo.conformal import conformal_map, conformal_map_dual, embed_complex, inverse_stereographic
+from qgeo.states import OneQubitState, Quaterbit, TwoQubitState, haar_random_state, quaternionify
+from qgeo.conformal import (
+    conformal_map,
+    conformal_map_dual,
+    conformal_map_one_qubit,
+    embed_complex,
+    inverse_stereographic,
+)
 from qgeo.local_unitary import (
     LocalUnitary,
     QuatMat2,
@@ -319,8 +326,29 @@ def _left(num, den):
     return den.inverse() * num
 
 
+def _on_plane(path):
+    """A path of the extended complex plane, fed each quaternion x0 + x1 i + x2 j + x3 k
+    as the complex number x0 + x2 i: J becomes i, and zero and tiny values stay so."""
+    return lambda num, den: path(complex(num.x0, num.x2), complex(den.x0, den.x2))
+
+
 _QUOTIENT_PATHS = [
     pytest.param(lambda num, den: conformal_map(Quaterbit(num, den)), _right, id="conformal_map"),
+    pytest.param(
+        _on_plane(lambda a1, a2: conformal_map_one_qubit(OneQubitState(a1, a2))),
+        _on_plane(operator.truediv),
+        id="conformal_map_one_qubit",
+    ),
+    pytest.param(
+        _on_plane(lambda b, d: apply_moebius_c(MoebiusC(1e6, b, 1e6j, d), 0j)),
+        _on_plane(operator.truediv),
+        id="complex-at-zero",
+    ),
+    pytest.param(
+        _on_plane(lambda a, c: apply_moebius_c(MoebiusC(a, 1e6, c, 1e6j), INFINITY)),
+        _on_plane(operator.truediv),
+        id="complex-at-infinity",
+    ),
     pytest.param(
         lambda num, den: conformal_map_dual(Quaterbit(num, den)), _left, id="conformal_map_dual"
     ),
@@ -342,7 +370,7 @@ def test_every_quotient_path_shares_the_extended_line_convention(quotient, formu
     assert quotient(ONE, ZERO) is INFINITY
     assert quotient(J, tiny) is INFINITY
     # 0/0 below the zero threshold, on maps that pass DET_TOL: at infinity
-    # the matrix is (1e-13, 1e6; -1e-13, 1e6*j).
+    # the matrix is (1e-13, 1e6; -1e-13, 1e6*j) (1e6*i on the complex plane).
     with pytest.raises(DegenerateMapError) as exc:
         quotient(tiny, -tiny)
     assert isinstance(exc.value, ZeroDivisionError)
