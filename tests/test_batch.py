@@ -29,8 +29,12 @@ def same_bits(x, y) -> bool:
 
 
 def _linear(seed, idx, trials):
-    """The uniforms of the first ``trials`` trials, read from position 0 of a fresh stream."""
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, idx])))
+    """The uniforms of the first ``trials`` trials, read from position 0 of a fresh stream.
+
+    The stream is what ``np.random.default_rng`` gives for the Philox bit
+    generator, so anyone can reproduce the suite's draws with numpy's own API.
+    """
+    gen = np.random.default_rng(np.random.Philox(np.random.SeedSequence([seed, idx])))
     return gen.random(K * trials).reshape(trials, K)
 
 
@@ -45,7 +49,7 @@ def _at_counter(seed, idx, counter, trials):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_block_draws_match_a_linear_philox_stream(seed):
+def test_block_draws_match_default_rng(seed):
     # Consecutive blocks around a block boundary, as run_suite reads them.
     trials = BLOCK + 3
     ref = _linear(seed, 2, trials)
@@ -77,7 +81,9 @@ def test_draws_do_not_depend_on_the_block_split(split):
             assert same_bits(joined, getattr(whole, field)), (group.idx, field)
 
 
-def test_one_trial_reads_match_the_block():
+def test_reseeded_generator_starts_the_trials_stream():
+    # Each one-trial read reseeds a fresh generator at the trial's counter; its
+    # draws must start where the trial's row of a block read from 0 does.
     seed, trials = 7, BLOCK + 2
     blk = _sample_block(_GROUPS[1], seed, 0, trials)
     searched = _search_inputs(Variant.SU2_X_SO2, seed, 10, 0, trials)
