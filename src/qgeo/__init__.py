@@ -13,7 +13,6 @@ from .quaternion import (
     ExtendedQuaternion,
     Quaternion,
     chordal_distance,
-    complex_quotient,
     ext_isclose,
     left_quotient,
     right_quotient,
@@ -33,7 +32,6 @@ from .states import (
     wootters_preconcurrence,
 )
 from .conformal import (
-    ExtendedComplex,
     conformal_map,
     conformal_map_dual,
     conformal_map_one_qubit,
@@ -48,9 +46,7 @@ from .local_unitary import (
     SU2Element,
     Variant,
     apply_B_quaterbit,
-    apply_Bprime_quaterbit,
     apply_cb,
-    apply_local_pair,
     apply_su2,
     complex_form,
     complexify,
@@ -63,10 +59,8 @@ from .local_unitary import (
     sp2_check_quaternionic,
 )
 from .moebius import (
-    MoebiusC,
     MoebiusQ,
     VariantOrder,
-    apply_moebius_c,
     apply_moebius_q,
     apply_moebius_q_variant,
     compose,
@@ -78,7 +72,6 @@ from .diagrams import (
     Witness,
     check_one_qubit_diagram,
     check_quadrangle,
-    check_quadrangle_prime,
     check_second_qubit_inertness,
     check_three_way,
     find_variant_failure_witness,

@@ -17,10 +17,11 @@ blocks, so everything here is exact, not approximate:
   formulas (``_Py_c_prod``, ``_Py_c_quot``); numpy's complex ufuncs use other
   ones (fused multiply-adds, another division), so the formulas are written
   out here with float64 operations, which round exactly as the interpreter
-  does.  ``abs`` of a complex is ``hypot`` in both.  A float ``x ** 2`` is
-  libm's ``pow``, which differs from ``x * x`` in the last bit on about one
-  input in a thousand, and ``sum`` is the interpreter's, so both are left to
-  the interpreter, element by element.  Where the scalar code calls numpy
+  does.  Every quotient is by a real number (:func:`div_real`), as in
+  ``Quaternion.inverse``.  ``abs`` of a complex is ``hypot`` in both.  A
+  float ``x ** 2`` is libm's ``pow``, which differs from ``x * x`` in the
+  last bit on about one input in a thousand, and ``sum`` is the
+  interpreter's, so both are left to the interpreter, element by element.  Where the scalar code calls numpy
   itself (matrix products, dot products, the division by a norm), the block
   calls the same numpy routine on a stack of operands, which runs the same
   kernel on each item.
@@ -185,19 +186,6 @@ def cabs(a):
     return np.hypot(a[0], a[1])
 
 
-def quot(a, b):
-    """Complex quotient, ``_Py_c_quot``; a zero divisor gives NaN, not an exception."""
-    ar, ai = a
-    br, bi = b
-    by_real = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
-        ratio = np.where(by_real, bi / br, br / bi)
-        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
-
-
 def div_real(a, x):
     """``a / x`` for a real ``x``: CPython divides by ``complex(x, 0.0)``."""
     ratio = 0.0 / x
@@ -294,33 +282,17 @@ def su2_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m
 
 
-def complex_forms(rotation_first: bool, c, s, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``complex_form``: R (x) SU(2) when ``rotation_first``, else SU(2) (x) R, via ``_kron2``."""
-    rot = np.empty((len(c), 2, 2))
-    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, s, -s, c
-    su2 = su2_matrices(a, b)
-    left, right = (rot, su2) if rotation_first else (su2, rot)
-    out = np.empty((len(c), 4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            block = out[:, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            np.multiply(left[:, i, j, None, None], right, out=block)
-    return out
+def complex_forms(first, second) -> np.ndarray:
+    """``complex_form`` of factor arrays ``(a, b)``: the first factor (x) the second, via ``_kron2``."""
+    left, right = su2_matrices(*first), su2_matrices(*second)
+    return (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(-1, 4, 4)
 
 
-def spinor_so2xsu2(c, s, a, b, qb):
-    """``apply_B_quaterbit``: rotate (q1, q2), then right-multiply by a - conj(b) j."""
+def spinor(first, second, qb):
+    """``apply_B_quaterbit``: the first factor from the left, then a2 - conj(b2) j on the right."""
+    (a, b), (a2, b2) = (map(split, f) for f in (first, second))
     q1, q2 = qb
-    right = (a, neg(conj(b)))
-    top = qadd(qscale((c, 0.0), q1), qscale((s, 0.0), q2))
-    bottom = qadd(qscale((-s, 0.0), q1), qscale((c, 0.0), q2))
-    return qmul(top, right), qmul(bottom, right)
-
-
-def spinor_su2xso2(c, s, a, b, qb):
-    """``apply_Bprime_quaterbit``: complex left action, then right factor cos - sin j."""
-    q1, q2 = qb
-    right = ((c, 0.0), (-s, 0.0))
+    right = (a2, neg(conj(b2)))
     top = qadd(qscale(a, q1), qscale(b, q2))
     bottom = qadd(qscale(neg(conj(b)), q1), qscale(conj(a), q2))
     return qmul(top, right), qmul(bottom, right)

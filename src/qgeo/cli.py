@@ -240,8 +240,8 @@ def cmd_orbit(args) -> int:
     if u.variant is not Variant.SO2_X_SU2:
         raise CliError(
             EXIT_USAGE,
-            f"{args.transform}: orbit requires variant 'so2xsu2'; no Moebius map "
-            "intertwines the 'su2xso2' action",
+            f"{args.transform}: orbit requires variant 'so2xsu2': its closed form "
+            "covers the canonical Moebius map of so2xsu2 only",
         )
     point = conformal_map(quaternionify(psi))
     # The file is opened before any step is computed, so an unwritable path

@@ -1,4 +1,9 @@
-"""Conformal maps from qubit states to the extended complex plane and quaternion line."""
+"""Conformal maps from qubit states to the extended quaternion line.
+
+A one-qubit state lands on the complex line, the quaternions z + 0*j
+(:func:`embed_complex`): it is the extended complex plane of Lee et al., with
+the quaternion line's point at infinity and quotient rule.
+"""
 
 from __future__ import annotations
 
@@ -6,23 +11,24 @@ import numpy as np
 
 from .quaternion import (
     INFINITY,
-    ExtendedComplex,
     ExtendedQuaternion,
     Quaternion,
     ZERO_NORM_SQ,
     _abs2,
     _s4_coords,
-    complex_quotient,
     left_quotient,
     right_quotient,
 )
 from .states import OneQubitState, Quaterbit, TwoQubitState, concurrence_term, schmidt_term
 
 
-def conformal_map_one_qubit(psi: OneQubitState) -> ExtendedComplex:
-    """Quotient a1 / a2 on the extended complex plane, by
-    :func:`qgeo.quaternion.complex_quotient`: a2 = 0 maps to INFINITY."""
-    return complex_quotient(psi.a1, psi.a2)
+def conformal_map_one_qubit(psi: OneQubitState) -> ExtendedQuaternion:
+    """Quotient a1 / a2 on the complex line of the extended quaternion line.
+
+    The quotient is :func:`qgeo.quaternion.right_quotient` of the embedded
+    amplitudes: a2 = 0 maps to INFINITY.
+    """
+    return right_quotient(embed_complex(psi.a1), embed_complex(psi.a2))
 
 
 def conformal_map(qb: Quaterbit) -> ExtendedQuaternion:
@@ -72,8 +78,6 @@ def inverse_stereographic(p: ExtendedQuaternion) -> np.ndarray:
     return np.array(_s4_coords(p))
 
 
-def embed_complex(z: ExtendedComplex) -> ExtendedQuaternion:
-    """Embed the extended complex plane in the extended quaternion line."""
-    if z is INFINITY:
-        return INFINITY
+def embed_complex(z: complex) -> Quaternion:
+    """The complex number z as the quaternion z + 0*j."""
     return Quaternion(complex(z), 0j)

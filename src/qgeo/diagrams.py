@@ -1,11 +1,11 @@
 """Randomized verification of the intertwining diagrams and invariance laws.
 
 Every identity the library is built around is checked here on seeded random
-inputs: the one-qubit Moebius intertwining, the two-qubit encoding squares
-for both local unitary variants, the three-way equality of conformal images
-along independent computation paths, the closed-form expressions for the
-transformed Schmidt and concurrence data, and the concurrence invariance
-laws.  Alongside the positive checks, counterexample searches demonstrate
+inputs: the one-qubit Moebius intertwining on the complex line, the
+two-qubit encoding square for both local unitary variants, the three-way
+equality of conformal images along independent computation paths, the
+closed-form expressions for the transformed Schmidt and concurrence data,
+and the concurrence invariance laws.  Alongside the positive checks, counterexample searches demonstrate
 that the alternative operand orderings of the quaternionic Moebius action
 genuinely fail to intertwine.
 
@@ -43,26 +43,21 @@ from .conformal import (
     INFINITY,
     conformal_map,
     conformal_map_one_qubit,
-    embed_complex,
     schmidt_concurrence_form,
 )
 from .local_unitary import (
     LocalUnitary,
-    QuatMat2,
     SO2Element,
     SU2Element,
     Variant,
     apply_B_quaterbit,
-    apply_Bprime_quaterbit,
     apply_cb,
     apply_su2,
     quat_matrix,
 )
 from .moebius import (
-    MoebiusC,
     MoebiusQ,
     VariantOrder,
-    apply_moebius_c,
     apply_moebius_q,
     apply_moebius_q_variant,
     moebius_from_local_unitary,
@@ -94,11 +89,15 @@ class FailureSearch(Enum):
 
 def check_one_qubit_diagram(a: SU2Element, psi: OneQubitState) -> float:
     """Chordal gap between the Moebius image of the conformal point and the
-    conformal image of the transformed state."""
-    f = MoebiusC.from_su2(a)
-    lhs = apply_moebius_c(f, conformal_map_one_qubit(psi))
+    conformal image of the transformed state.
+
+    The Moebius map is the left-coefficient action of the SU(2) matrix on
+    the complex line, Lee et al.'s complex map.
+    """
+    x = conformal_map_one_qubit(psi)
+    lhs = apply_moebius_q_variant(MoebiusQ.from_su2(a), x, VariantOrder.LEFT_COEFFICIENTS)
     rhs = conformal_map_one_qubit(apply_su2(a, psi))
-    return chordal_distance(embed_complex(lhs), embed_complex(rhs))
+    return chordal_distance(lhs, rhs)
 
 
 def _quaterbit_gap(x: Quaterbit, y: Quaterbit) -> float:
@@ -106,17 +105,9 @@ def _quaterbit_gap(x: Quaterbit, y: Quaterbit) -> float:
 
 
 def check_quadrangle(u: LocalUnitary, psi: TwoQubitState) -> float:
-    """Component gap between encode-then-transform and transform-then-encode
-    for an so2xsu2 element."""
+    """Component gap between encode-then-transform and transform-then-encode."""
     lhs = quaternionify(apply_cb(u, psi))
     rhs = apply_B_quaterbit(u, quaternionify(psi))
-    return _quaterbit_gap(lhs, rhs)
-
-
-def check_quadrangle_prime(u: LocalUnitary, psi: TwoQubitState) -> float:
-    """Same encoding square for a su2xso2 element."""
-    lhs = quaternionify(apply_cb(u, psi))
-    rhs = apply_Bprime_quaterbit(u, quaternionify(psi))
     return _quaterbit_gap(lhs, rhs)
 
 
@@ -202,12 +193,9 @@ def variant_failure_deviation(
     if which is FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2:
         f = moebius_from_local_unitary(u)
         lhs = apply_moebius_q_variant(f, x, VariantOrder.LEFT_DENOMINATOR)
-        rhs = conformal_map(apply_B_quaterbit(u, qb))
     else:
-        f = MoebiusQ(quat_matrix(u))
-        lhs = apply_moebius_q(f, x)
-        rhs = conformal_map(apply_Bprime_quaterbit(u, qb))
-    return chordal_distance(lhs, rhs)
+        lhs = apply_moebius_q(MoebiusQ(quat_matrix(u)), x)
+    return chordal_distance(lhs, conformal_map(apply_B_quaterbit(u, qb)))
 
 
 def left_coefficient_candidate_deviation(psi: TwoQubitState, u: LocalUnitary) -> float:
@@ -218,16 +206,10 @@ def left_coefficient_candidate_deviation(psi: TwoQubitState, u: LocalUnitary) ->
     rotation's right factor cancels inside the conformal image, so the
     candidate matrix carries the SU(2) entries alone.)
     """
-    a, b = u.su2.a, u.su2.b
-    m = QuatMat2(
-        Quaternion(a, 0j),
-        Quaternion(b, 0j),
-        Quaternion(-b.conjugate(), 0j),
-        Quaternion(a.conjugate(), 0j),
-    )
     qb = quaternionify(psi)
-    lhs = apply_moebius_q_variant(MoebiusQ(m), conformal_map(qb), VariantOrder.LEFT_COEFFICIENTS)
-    rhs = conformal_map(apply_Bprime_quaterbit(u, qb))
+    f = MoebiusQ.from_su2(u.su2)
+    lhs = apply_moebius_q_variant(f, conformal_map(qb), VariantOrder.LEFT_COEFFICIENTS)
+    rhs = conformal_map(apply_B_quaterbit(u, qb))
     return chordal_distance(lhs, rhs)
 
 
@@ -445,7 +427,9 @@ class _Block:
     """Sampled inputs of the trials from ``start`` on of one check group.
 
     ``theta``, ``a`` and ``b`` are the transform draws (None in a group
-    without one) and ``psi`` the amplitude rows of the state draws.
+    without one) and ``psi`` the amplitude rows of the state draws.  In a
+    group of local unitaries, ``factors`` holds the (first-qubit,
+    second-qubit) factor arrays ``(a, b)`` of :meth:`LocalUnitary.factors`.
     """
 
     start: int
@@ -453,12 +437,11 @@ class _Block:
     a: np.ndarray | None
     b: np.ndarray | None
     psi: np.ndarray
+    factors: tuple | None
 
-    def cos_sin(self):
-        return batch.libm(math.cos, self.theta), batch.libm(math.sin, self.theta)
-
-    def split_ab(self):
-        return batch.split(self.a), batch.split(self.b)
+    def transported(self) -> np.ndarray:
+        """Amplitude rows of ``apply_cb(u, psi)``."""
+        return batch.matvec(batch.complex_forms(*self.factors), self.psi)
 
 
 def _quaterbit_gap_block(x, y):
@@ -469,54 +452,40 @@ def _no_scalar(blk: _Block) -> np.ndarray:
     return np.zeros(len(blk.psi), dtype=bool)
 
 
+def _embedded(z: np.ndarray):
+    """Complex rows as quaternions z + 0 j (``embed_complex``)."""
+    return batch.split(z), (0.0, 0.0)
+
+
 def _one_qubit_block(blk: _Block):
-    a, b = blk.split_ab()
-    a1, a2 = batch.split(blk.psi[:, 0]), batch.split(blk.psi[:, 1])
-    # MoebiusC.from_su2: its determinant |a|^2 + |b|^2 = 1 passes the check.
-    z = batch.quot(a1, a2)
-    den = batch.add(batch.mul(batch.neg(batch.conj(b)), z), batch.conj(a))
-    lhs = batch.quot(batch.add(batch.mul(a, z), b), den)
-    v = batch.matvec(batch.su2_matrices(blk.a, blk.b), blk.psi)
-    v1, v2 = batch.split(v[:, 0]), batch.split(v[:, 1])
-    rhs = batch.quot(v1, v2)
-    zero = (0.0, 0.0)
-    dev = batch.chordal_distance((lhs, zero), (rhs, zero))
-    at_infinity = (
-        (batch.abs2(a2) < ZERO_NORM_SQ)
-        | (batch.abs2(den) < ZERO_NORM_SQ)
-        | (batch.abs2(v2) < ZERO_NORM_SQ)
+    x, inf1 = batch.right_quotient(_embedded(blk.psi[:, 0]), _embedded(blk.psi[:, 1]))
+    # The left-coefficient action of MoebiusQ.from_su2, whose invertibility
+    # check cannot fire: the matrix is unitary.
+    entries = (blk.a, blk.b, -np.conj(blk.b), np.conj(blk.a))
+    m11, m12, m21, m22 = map(_embedded, entries)
+    lhs, inf2 = batch.right_quotient(
+        batch.qadd(batch.qmul(m11, x), m12), batch.qadd(batch.qmul(m21, x), m22)
     )
-    return dev[:, None], at_infinity
-
-
-def _transported(blk: _Block, c, s, rotation_first: bool) -> np.ndarray:
-    """Amplitude rows of ``apply_cb(u, psi)``."""
-    return batch.matvec(batch.complex_forms(rotation_first, c, s, blk.a, blk.b), blk.psi)
+    v = batch.matvec(batch.su2_matrices(blk.a, blk.b), blk.psi)
+    rhs, inf3 = batch.right_quotient(_embedded(v[:, 0]), _embedded(v[:, 1]))
+    return batch.chordal_distance(lhs, rhs)[:, None], inf1 | inf2 | inf3
 
 
 def _quadrangle_block(blk: _Block):
-    c, s = blk.cos_sin()
-    lhs = batch.quaterbits(_transported(blk, c, s, True))
-    rhs = batch.spinor_so2xsu2(c, s, *blk.split_ab(), batch.quaterbits(blk.psi))
-    return _quaterbit_gap_block(lhs, rhs)[:, None], _no_scalar(blk)
-
-
-def _quadrangle_prime_block(blk: _Block):
-    c, s = blk.cos_sin()
-    lhs = batch.quaterbits(_transported(blk, c, s, False))
-    rhs = batch.spinor_su2xso2(c, s, *blk.split_ab(), batch.quaterbits(blk.psi))
+    lhs = batch.quaterbits(blk.transported())
+    rhs = batch.spinor(*blk.factors, batch.quaterbits(blk.psi))
     return _quaterbit_gap_block(lhs, rhs)[:, None], _no_scalar(blk)
 
 
 def _three_way_block(blk: _Block):
-    c, s = blk.cos_sin()
-    a, b = blk.split_ab()
-    psi2 = _transported(blk, c, s, True)
+    (c, s), (a, b) = blk.factors
+    c, s = c.real, s.real
+    psi2 = blk.transported()
     qb = batch.quaterbits(blk.psi)
     v1, inf1 = batch.right_quotient(*batch.quaterbits(psi2))
-    v2, inf2 = batch.right_quotient(*batch.spinor_so2xsu2(c, s, a, b, qb))
+    v2, inf2 = batch.right_quotient(*batch.spinor(*blk.factors, qb))
     x, inf3 = batch.right_quotient(*qb)
-    v3, inf4 = batch.moebius_so2xsu2(c, s, a, b, x)
+    v3, inf4 = batch.moebius_so2xsu2(c, s, batch.split(a), batch.split(b), x)
 
     gamma2, delta2 = batch.split(psi2[:, 2]), batch.split(psi2[:, 3])
     n2_after = batch.abs2(gamma2) + batch.abs2(delta2)
@@ -550,22 +519,23 @@ def _three_way_block(blk: _Block):
 
 
 def _inertness_block(blk: _Block):
-    # The rotation is SO2Element(0.0): cos 1.0, sin 0.0.
+    # The so2xsu2 element with SO2Element(0.0): the identity on the first qubit.
     n = len(blk.psi)
-    form = batch.complex_forms(True, np.ones(n), np.zeros(n), blk.a, blk.b)
+    identity = (np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
+    form = batch.complex_forms(identity, (blk.a, blk.b))
     before, inf1 = batch.right_quotient(*batch.quaterbits(blk.psi))
     after, inf2 = batch.right_quotient(*batch.quaterbits(batch.matvec(form, blk.psi)))
     return batch.chordal_distance(before, after)[:, None], inf1 | inf2
 
 
 def _concurrence_block(blk: _Block):
-    after = batch.concurrence_term(_transported(blk, *blk.cos_sin(), True))
+    after = batch.concurrence_term(blk.transported())
     dev = batch.cabs(batch.sub(after, batch.concurrence_term(blk.psi)))
     return dev[:, None], _no_scalar(blk)
 
 
 def _concurrence_prime_block(blk: _Block):
-    after = batch.cabs(batch.concurrence_term(_transported(blk, *blk.cos_sin(), False)))
+    after = batch.cabs(batch.concurrence_term(blk.transported()))
     dev = np.abs(after - batch.cabs(batch.concurrence_term(blk.psi)))
     return dev[:, None], _no_scalar(blk)
 
@@ -640,8 +610,8 @@ _GROUPS = (
         4,
         (("quaterbit_transport_su2xso2", 1e-12),),
         Variant.SU2_X_SO2,
-        lambda u, psi: (check_quadrangle_prime(u, psi),),
-        _quadrangle_prime_block,
+        lambda u, psi: (check_quadrangle(u, psi),),
+        _quadrangle_block,
     ),
     _Group(
         5,
@@ -670,11 +640,14 @@ _GROUPS = (
 def _sample_block(group: _Group, seed: int, start: int, stop: int) -> _Block:
     """Draw the inputs of trials ``[start, stop)`` of a group from one read of its stream."""
     u = batch.uniforms(seed, group.idx, start, stop)
-    theta = a = b = None
+    theta = a = b = factors = None
     if group.transform is not None:
         theta, a, b = batch.local_unitary_params(u)
+    if isinstance(group.transform, Variant):
+        rot = tuple(batch.libm(f, theta).astype(complex) for f in (math.cos, math.sin))
+        factors = group.transform.order(rot, (a, b))
     psi = batch.haar_one_qubit_states(u) if group.one_qubit else batch.haar_states(u)
-    return _Block(start, theta, a, b, psi)
+    return _Block(start, theta, a, b, psi, factors)
 
 
 def _scalar_inputs(group: _Group, blk: _Block, i: int) -> tuple:
@@ -734,8 +707,8 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     scale = tol / DEFAULT_SUITE_TOL
 
     checks = []

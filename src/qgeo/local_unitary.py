@@ -2,10 +2,11 @@
 
 Two one-parameter families are covered: rotation-on-first-qubit with SU(2) on
 the second ("so2xsu2"), and SU(2)-on-first with rotation on the second
-("su2xso2").  Each has a 4x4 complex form acting on amplitudes and an
-equivalent quaternionic spinor action; the module also provides the
-membership tests that characterize Sp(2) in both the quaternionic and the
-complexified pictures.
+("su2xso2").  Both are a pair of SU(2) factors, one per qubit
+(:meth:`LocalUnitary.factors`), which give one 4x4 complex form acting on
+amplitudes and one equivalent quaternionic spinor action; the module also
+provides the membership tests that characterize Sp(2) in both the
+quaternionic and the complexified pictures.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ class Variant(str, Enum):
 
     SO2_X_SU2 = "so2xsu2"
     SU2_X_SO2 = "su2xso2"
+
+    def order(self, rot, su2):
+        """The rotation and SU(2) factors in (first-qubit, second-qubit) order.
+
+        The one place that decides which factor acts on which qubit, for
+        single factors and for arrays of them alike.
+        """
+        return (rot, su2) if self is Variant.SO2_X_SU2 else (su2, rot)
 
 
 @dataclass(frozen=True)
@@ -54,7 +63,7 @@ class SU2Element:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [-self.b.conjugate(), self.a.conjugate()]])
+        return _factor_matrix(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,21 @@ class LocalUnitary:
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
 
+    def factors(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+        """The (first-qubit, second-qubit) SU(2) factors, each as the pair (a, b)
+        of its matrix rows (a, b), (-conj(b), conj(a)).
+
+        The rotation by theta is the pair (cos(theta), sin(theta)); the
+        variant says which qubit it acts on (:meth:`Variant.order`).
+        """
+        theta = self.rot.theta
+        rot = (complex(math.cos(theta)), complex(math.sin(theta)))
+        return self.variant.order(rot, (self.su2.a, self.su2.b))
+
+
+def _factor_matrix(a: complex, b: complex) -> np.ndarray:
+    return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+
 
 def _require_variant(u: LocalUnitary, variant: Variant, op: str) -> None:
     if u.variant is not variant:
@@ -94,23 +118,17 @@ def _require_variant(u: LocalUnitary, variant: Variant, op: str) -> None:
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 2x2 matrices (np.kron, minus its overhead)."""
-    out = np.empty((4, 4), dtype=complex)
-    out[0:2, 0:2] = a[0, 0] * b
-    out[0:2, 2:4] = a[0, 1] * b
-    out[2:4, 0:2] = a[1, 0] * b
-    out[2:4, 2:4] = a[1, 1] * b
-    return out
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def complex_form(u: LocalUnitary) -> np.ndarray:
-    """The 4x4 complex form: R(theta) (x) SU(2) for so2xsu2, SU(2) (x) R(theta) for su2xso2."""
-    if u.variant is Variant.SO2_X_SU2:
-        return _kron2(u.rot.matrix, u.su2.matrix)
-    return _kron2(u.su2.matrix, u.rot.matrix)
+    """The 4x4 complex form, the Kronecker product of the first and second factor."""
+    first, second = u.factors()
+    return _kron2(_factor_matrix(*first), _factor_matrix(*second))
 
 
 def apply_cb(u: LocalUnitary, psi: TwoQubitState) -> TwoQubitState:
-    """Apply the 4x4 complex form of either variant to the amplitude vector."""
+    """Apply the 4x4 complex form to the amplitude vector."""
     return TwoQubitState.from_vector(complex_form(u) @ psi.amplitudes)
 
 
@@ -120,39 +138,15 @@ def apply_su2(a: SU2Element, psi: OneQubitState) -> OneQubitState:
     return OneQubitState(v[0], v[1])
 
 
-def apply_local_pair(a_prime: np.ndarray, a: SU2Element, psi: TwoQubitState) -> TwoQubitState:
-    """Apply A' (x) A via the matrix sandwich A' Psi A^T on the amplitude matrix."""
-    m = np.asarray(a_prime, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"a_prime must be a 2x2 matrix, got shape {m.shape}")
-    psi_mat = np.array([[psi.alpha, psi.beta], [psi.gamma, psi.delta]])
-    out = m @ psi_mat @ a.matrix.T
-    return TwoQubitState(out[0, 0], out[0, 1], out[1, 0], out[1, 1])
-
-
 def apply_B_quaterbit(u: LocalUnitary, qb: Quaterbit) -> Quaterbit:
-    """Spinor action of an so2xsu2 element: rotate, then right-multiply.
+    """Spinor action: the first factor acts from the left, the second from the right.
 
-    The rotation acts real-linearly on (q1, q2) from the left and the unit
-    quaternion (a - conj(b)*j) multiplies each component from the right.
+    The entries of the first factor multiply (q1, q2) from the left as
+    complex scalars, and the unit quaternion a2 - conj(b2)*j of the second
+    factor (a2, b2) multiplies each component from the right.
     """
-    _require_variant(u, Variant.SO2_X_SU2, "apply_B_quaterbit")
-    c, s = math.cos(u.rot.theta), math.sin(u.rot.theta)
-    right = Quaternion(u.su2.a, -u.su2.b.conjugate())
-    return Quaterbit((c * qb.q1 + s * qb.q2) * right, (-s * qb.q1 + c * qb.q2) * right)
-
-
-def apply_Bprime_quaterbit(u: LocalUnitary, qb: Quaterbit) -> Quaterbit:
-    """Spinor action of a su2xso2 element: complex left action, then right factor.
-
-    The SU(2) entries multiply the quaternion components from the left as
-    complex scalars, then both components are right-multiplied by the unit
-    quaternion (cos(theta) - sin(theta)*j).
-    """
-    _require_variant(u, Variant.SU2_X_SO2, "apply_Bprime_quaterbit")
-    a, b = u.su2.a, u.su2.b
-    c, s = math.cos(u.rot.theta), math.sin(u.rot.theta)
-    right = Quaternion(complex(c), complex(-s))
+    (a, b), (a2, b2) = u.factors()
+    right = Quaternion(a2, -b2.conjugate())
     return Quaterbit(
         (a * qb.q1 + b * qb.q2) * right,
         ((-b.conjugate()) * qb.q1 + a.conjugate() * qb.q2) * right,
@@ -207,16 +201,11 @@ class QuatMat2:
 def quat_matrix(u: LocalUnitary) -> QuatMat2:
     """Quaternionic 2x2 matrix of a local unitary.
 
-    so2xsu2 elements have entries R(theta)_ij * (a - conj(b)*j); su2xso2
-    elements have entries A_ij * (cos(theta) - sin(theta)*j) with A the SU(2)
-    matrix and the complex entry acting as a left factor.
+    The entries are F_ij * (a2 - conj(b2)*j): F is the first factor's matrix,
+    whose complex entries act as left factors, and (a2, b2) the second factor.
     """
-    c, s = math.cos(u.rot.theta), math.sin(u.rot.theta)
-    a, b = u.su2.a, u.su2.b
-    if u.variant is Variant.SO2_X_SU2:
-        f = Quaternion(a, -b.conjugate())
-        return QuatMat2(c * f, s * f, -s * f, c * f)
-    f = Quaternion(complex(c), complex(-s))
+    (a, b), (a2, b2) = u.factors()
+    f = Quaternion(a2, -b2.conjugate())
     return QuatMat2(a * f, b * f, (-b.conjugate()) * f, a.conjugate() * f)
 
 
@@ -227,8 +216,8 @@ J_PRIME = np.kron(_EPSILON, np.eye(2))
 
 def sp2_check_quaternionic(m: QuatMat2, tol: float) -> bool:
     """Membership test M^dagger M = I, entry-wise within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     d = m.dagger() @ m
     ident = QuatMat2.identity()
     return all(abs(x - y) < tol for x, y in zip(d.entries(), ident.entries()))
@@ -236,8 +225,8 @@ def sp2_check_quaternionic(m: QuatMat2, tol: float) -> bool:
 
 def sp2_check_complex(u: np.ndarray, tol: float) -> bool:
     """Membership test in the 4x4 picture: unitarity plus U J U^T = J."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     u = np.asarray(u, dtype=complex)
     unitary = np.max(np.abs(u.conjugate().T @ u - np.eye(4))) < tol
     preserves = np.max(np.abs(u @ J_METRIC @ u.T - J_METRIC)) < tol
@@ -277,8 +266,8 @@ def complexify_alt(m: QuatMat2) -> np.ndarray:
 
 def is_quaternionic_complex_matrix(u: np.ndarray, tol: float) -> bool:
     """True when J U J^-1 = conj(U) within tol, i.e. U complexifies a quaternion matrix."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     u = np.asarray(u, dtype=complex)
     # J^2 = -I, so J^-1 = -J.
     return bool(np.max(np.abs(J_METRIC @ u @ (-J_METRIC) - u.conjugate())) < tol)

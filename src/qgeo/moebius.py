@@ -1,4 +1,4 @@
-"""Fractional-linear (Moebius) actions on the extended complex plane and quaternion line.
+"""Fractional-linear (Moebius) actions on the extended quaternion line.
 
 Over the quaternions the order of every product matters, so one matrix
 induces several inequivalent actions.  The canonical one used throughout,
@@ -11,13 +11,14 @@ with each quotient taken on the extended line by
 :func:`qgeo.quaternion.right_quotient`.  This is the unique ordering under
 which a common right factor of the matrix entries cancels, which is what
 makes the rotation-type local unitaries act through it.  The two
-alternative orderings are available behind an explicit selector for
-counterexample searches.
+alternative orderings are available behind an explicit selector.  On the
+complex line all orderings agree with the complex Moebius map
+z -> (a z + b) / (c z + d); the one-qubit checks use the left-coefficient
+ordering (:meth:`MoebiusQ.from_su2`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -30,13 +31,10 @@ from .quaternion import (
     DegenerateMapError,  # re-exported: raised by the actions below on 0/0
     ExtendedQuaternion,
     Quaternion,
-    ZERO_NORM_SQ,
-    _abs2,
-    complex_quotient,
     left_quotient,
     right_quotient,
 )
-from .conformal import ExtendedComplex, inverse_stereographic
+from .conformal import embed_complex, inverse_stereographic
 from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require_variant, complexify
 
 # Invertibility threshold on the determinant of the complexified matrix.
@@ -58,39 +56,6 @@ class VariantOrder(Enum):
 
 
 @dataclass(frozen=True)
-class MoebiusC:
-    """Complex Moebius map z -> (a z + b) / (c z + d) with ad - bc != 0."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self):
-        vals = [complex(v) for v in (self.a, self.b, self.c, self.d)]
-        if not all(cmath.isfinite(v) for v in vals):
-            raise ValueError("Moebius coefficients must be finite")
-        det = vals[0] * vals[3] - vals[1] * vals[2]
-        if _abs2(det) < ZERO_NORM_SQ:
-            raise ValueError(f"degenerate Moebius matrix: ad - bc = {det!r}")
-        for name, v in zip("abcd", vals):
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def from_su2(cls, u: SU2Element) -> MoebiusC:
-        return cls(u.a, u.b, -u.b.conjugate(), u.a.conjugate())
-
-
-def apply_moebius_c(f: MoebiusC, z: ExtendedComplex) -> ExtendedComplex:
-    """(a z + b) / (c z + d), and a / c at INFINITY, each quotient taken on the
-    extended plane by :func:`qgeo.quaternion.complex_quotient`."""
-    if z is INFINITY:
-        return complex_quotient(f.a, f.c)
-    z = complex(z)
-    return complex_quotient(f.a * z + f.b, f.c * z + f.d)
-
-
-@dataclass(frozen=True)
 class MoebiusQ:
     """Quaternionic Moebius map, backed by an invertible 2x2 quaternion matrix."""
 
@@ -104,6 +69,16 @@ class MoebiusQ:
     @classmethod
     def identity(cls) -> MoebiusQ:
         return cls(QuatMat2.identity())
+
+    @classmethod
+    def from_su2(cls, u: SU2Element) -> MoebiusQ:
+        """The SU(2) matrix, rows (a, b) and (-conj(b), conj(a)), on the complex line.
+
+        Under the left-coefficient ordering it maps the complex line to
+        itself by the complex Moebius map z -> (a z + b) / (-conj(b) z + conj(a)).
+        """
+        entries = (u.a, u.b, -u.b.conjugate(), u.a.conjugate())
+        return cls(QuatMat2(*map(embed_complex, entries)))
 
 
 def apply_moebius_q(f: MoebiusQ, q: ExtendedQuaternion) -> ExtendedQuaternion:

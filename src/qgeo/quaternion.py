@@ -18,10 +18,7 @@ def _abs2(z: complex) -> float:
 
 
 class AtInfinity:
-    """The single point at infinity compactifying the quaternions.
-
-    Also reused for the extended complex plane; there is exactly one instance.
-    """
+    """The single point at infinity compactifying the quaternions; there is exactly one instance."""
 
     _singleton = None
 
@@ -148,23 +145,16 @@ K = Quaternion(0j, 1j)
 # A point of the extended quaternion line: either a Quaternion or INFINITY.
 ExtendedQuaternion = Quaternion | AtInfinity
 
-# A point of the extended complex plane: either a complex number or INFINITY.
-ExtendedComplex = complex | AtInfinity
-
 
 class DegenerateMapError(ZeroDivisionError):
     """Numerator and denominator vanished together: the quotient is indeterminate."""
 
 
-def _is_zero(x: Quaternion | complex) -> bool:
-    return x.is_zero() if isinstance(x, Quaternion) else _abs2(x) < ZERO_NORM_SQ
-
-
-def _is_pole(p: Quaternion | complex, q: Quaternion | complex) -> bool:
+def _is_pole(p: Quaternion, q: Quaternion) -> bool:
     """Whether p / q is INFINITY (q counts as zero); raises DegenerateMapError on 0/0."""
-    if not _is_zero(q):
+    if not q.is_zero():
         return False
-    if _is_zero(p):
+    if p.is_zero():
         raise DegenerateMapError("indeterminate quotient: numerator and denominator both zero")
     return True
 
@@ -184,13 +174,6 @@ def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     if _is_pole(p, q):
         return INFINITY
     return q.inverse() * p
-
-
-def complex_quotient(p: complex, q: complex) -> ExtendedComplex:
-    """p / q on the extended complex plane, with the conventions of :func:`right_quotient`."""
-    if _is_pole(p, q):
-        return INFINITY
-    return p / q
 
 
 def _s4_coords(p: ExtendedQuaternion) -> tuple[float, float, float, float, float]:

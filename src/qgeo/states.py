@@ -152,8 +152,8 @@ def wootters_preconcurrence(psi: TwoQubitState) -> complex:
 
 def is_separable(psi: TwoQubitState, tol: float = 1e-10) -> bool:
     """True when the concurrence term vanishes within tol (product state)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     return abs(concurrence_term(psi)) < tol
 
 

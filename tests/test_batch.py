@@ -152,10 +152,6 @@ def test_complex_arithmetic_matches_the_interpreter():
     assert same_bits(batch.mul(a, b), _split([x * y for x, y in zip(pa, pb)]))
     assert same_bits(batch.add(a, b), _split([x + y for x, y in zip(pa, pb)]))
     assert same_bits(batch.sub(a, b), _split([x - y for x, y in zip(pa, pb)]))
-    nonzero = (b[0] != 0) | (b[1] != 0)
-    a_nz, b_nz = (a[0][nonzero], a[1][nonzero]), (b[0][nonzero], b[1][nonzero])
-    quotients = [x / y for x, y in zip(_pyc(a_nz), _pyc(b_nz))]
-    assert same_bits(batch.quot(a_nz, b_nz), _split(quotients))
     assert same_bits(batch.cabs(a), [abs(x) for x in pa])
     x = b[0][b[0] != 0]
     some = (a[0][: len(x)], a[1][: len(x)])

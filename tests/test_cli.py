@@ -231,8 +231,12 @@ def test_verify_small_run_passes_and_is_deterministic(capsys, tmp_path):
 @pytest.mark.parametrize(
     "trials, seed, digest",
     [
-        ("513", "0", "d3aa5996afa4b7686353aefe0a3d51e8e4fa9ae35a95b2b8cd7234e62e35a62a"),
-        ("1", "7", "37d5f0909b4ac81f097c707e7fe0290b2d41fec8830553c1aebd36c74fd50d11"),
+        pytest.param(
+            "513", "0", "c78f6ed9ed37f210b7af6cf29ba86644111d33de3d35ea171518783a6da01967", id="513-0"
+        ),
+        pytest.param(
+            "1", "7", "5a62ab727a5500df9c15bf60ffb2cf6f5fd259452db7d1af9601665e1db93f57", id="1-7"
+        ),
     ],
 )
 def test_verify_report_bytes_are_pinned(capsys, tmp_path, trials, seed, digest):
@@ -327,6 +331,8 @@ def test_orbit_rejects_su2xso2(capsys, tmp_path, bell_state):
     )
     assert code == 2
     assert "so2xsu2" in err
+    assert "covers the canonical Moebius map of so2xsu2 only" in err
+    assert "no Moebius map intertwines" not in err
 
 
 def test_orbit_unwritable_out_fails_before_computing(capsys, monkeypatch, tmp_path, bell_state):

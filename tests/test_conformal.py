@@ -27,8 +27,10 @@ quaternions = st.builds(Quaternion.from_reals, components, components, component
 
 def test_one_qubit_map_conventions():
     assert conformal_map_one_qubit(OneQubitState(1, 0)) is INFINITY
-    assert conformal_map_one_qubit(OneQubitState(0, 1)) == 0
-    assert conformal_map_one_qubit(OneQubitState(S, S)) == pytest.approx(1.0)
+    assert conformal_map_one_qubit(OneQubitState(0, 1)) == Quaternion(0j, 0j)
+    assert conformal_map_one_qubit(OneQubitState(S, S)).isclose(Quaternion(1 + 0j, 0j), tol=1e-15)
+    # The image lies on the complex line: its j-part is zero.
+    assert conformal_map_one_qubit(OneQubitState(0.6, 0.8j)).z2 == 0
     with pytest.raises(ZeroDivisionError):
         conformal_map_one_qubit(OneQubitState(0, 0))
 
@@ -110,7 +112,8 @@ def test_one_qubit_map_agrees_with_embedded_quaternionic_map():
         psi = TwoQubitState(one.a1, 0, one.a2, 0)
         z = conformal_map_one_qubit(one)
         q = conformal_map(quaternionify(psi))
-        assert chordal_distance(embed_complex(z), q) <= 1e-12
+        assert chordal_distance(z, q) <= 1e-12
+        assert z == conformal_map(Quaterbit(embed_complex(one.a1), embed_complex(one.a2)))
 
 
 def test_inverse_stereographic_poles_and_equator():

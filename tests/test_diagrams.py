@@ -9,14 +9,24 @@ import pytest
 
 from qgeo import batch, diagrams
 from qgeo.cli import main
-from qgeo.states import OneQubitState, TwoQubitState, haar_random_one_qubit, haar_random_state
+from qgeo.states import (
+    OneQubitState,
+    TwoQubitState,
+    haar_random_one_qubit,
+    haar_random_state,
+    is_separable,
+)
 from qgeo.local_unitary import (
     LocalUnitary,
+    QuatMat2,
     SO2Element,
     SU2Element,
     Variant,
+    is_quaternionic_complex_matrix,
     random_local_unitary,
     random_su2,
+    sp2_check_complex,
+    sp2_check_quaternionic,
 )
 from qgeo.diagrams import (
     WITNESS_THRESHOLD,
@@ -27,7 +37,6 @@ from qgeo.diagrams import (
     _search_inputs,
     check_one_qubit_diagram,
     check_quadrangle,
-    check_quadrangle_prime,
     check_second_qubit_inertness,
     check_three_way,
     concurrence_invariance_gap,
@@ -110,11 +119,11 @@ def test_second_qubit_inertness():
 
 
 def test_quadrangle_prime_random_gaps_small():
-    assert check_quadrangle_prime(IDENTITY_BP, haar_random_state(3)) == 0.0
+    assert check_quadrangle(IDENTITY_BP, haar_random_state(3)) == 0.0
     for seed in range(500):
         u = random_local_unitary(Variant.SU2_X_SO2, [seed, 0])
         psi = haar_random_state([seed, 1])
-        assert check_quadrangle_prime(u, psi) <= 1e-12
+        assert check_quadrangle(u, psi) <= 1e-12
 
 
 def test_invariance_gaps_small():
@@ -235,6 +244,29 @@ def test_run_suite_impossible_tolerance_fails():
     assert any(not c.passed for c in report.checks)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda tol: run_suite(3, 0, tol=tol), id="run_suite"),
+        pytest.param(lambda tol: is_separable(BELL, tol=tol), id="is_separable"),
+        pytest.param(
+            lambda tol: sp2_check_quaternionic(QuatMat2.identity(), tol), id="sp2_check_quaternionic"
+        ),
+        pytest.param(lambda tol: sp2_check_complex(np.eye(4), tol), id="sp2_check_complex"),
+        pytest.param(
+            lambda tol: is_quaternionic_complex_matrix(np.eye(4), tol),
+            id="is_quaternionic_complex_matrix",
+        ),
+    ],
+)
+def test_tolerance_must_be_positive_and_finite(check, tol):
+    # A NaN tolerance would fail every comparison, an infinite one pass every
+    # comparison: both are rejected like a non-positive one.
+    with pytest.raises(ValueError, match="tol must be positive"):
+        check(tol)
+
+
 def test_worst_cases_reproduce_max_deviation():
     # The block suite's scalar fallback and the re-evaluation are the same
     # evaluator, and the block evaluators match it bit for bit: exact.
@@ -309,7 +341,7 @@ _REFERENCE_GROUPS = [
         4,
         [("quaterbit_transport_su2xso2", 1e-12)],
         lambda s, i, t, lu: (lu(Variant.SU2_X_SO2, s, i, t), _sample_state(s, i, t)),
-        lambda u, psi: (check_quadrangle_prime(u, psi),),
+        lambda u, psi: (check_quadrangle(u, psi),),
     ),
     (
         5,

@@ -12,6 +12,7 @@ from qgeo.states import (
     haar_random_state,
     quaternionify,
     schmidt_term,
+    state_matrix,
 )
 from qgeo.local_unitary import (
     J_METRIC,
@@ -22,9 +23,7 @@ from qgeo.local_unitary import (
     SU2Element,
     Variant,
     apply_B_quaterbit,
-    apply_Bprime_quaterbit,
     apply_cb,
-    apply_local_pair,
     complex_form,
     complexify,
     complexify_alt,
@@ -120,23 +119,35 @@ def test_apply_cb_preserves_bell_concurrence():
         assert abs(abs(concurrence_term(out)) - 0.5) <= 1e-13
 
 
+# The local pair A' (x) A acts on the amplitude matrix Psi (rows indexed by
+# the first qubit) as the sandwich A' Psi A^T: an oracle for apply_cb that
+# shares no code with it.
+
+
 def test_apply_local_pair_identity_and_rotation():
     psi = haar_random_state(3)
-    out = apply_local_pair(np.eye(2), SU2Element(1, 0), psi)
-    assert max(abs(out.amplitudes - psi.amplitudes)) <= 1e-15
+    sandwich = (np.eye(2) @ state_matrix(psi) @ np.eye(2).T).reshape(4)
+    assert max(abs(sandwich - psi.amplitudes)) <= 1e-15
+    assert max(abs(apply_cb(_b(0.0, 1, 0), psi).amplitudes - sandwich)) <= 1e-15
 
-    out = apply_local_pair(SO2Element(math.pi).matrix, SU2Element(1, 0), TwoQubitState(1, 0, 0, 0))
-    np.testing.assert_allclose(out.amplitudes, [-1, 0, 0, 0], atol=1e-12)
+    basis = TwoQubitState(1, 0, 0, 0)
+    sandwich = (SO2Element(math.pi).matrix @ state_matrix(basis) @ np.eye(2).T).reshape(4)
+    np.testing.assert_allclose(sandwich, [-1, 0, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(apply_cb(_b(math.pi, 1, 0), basis).amplitudes, sandwich, atol=1e-12)
 
 
 def test_apply_local_pair_matches_kronecker_and_cb():
-    for seed in range(100):
-        u = _random_b(seed)
+    for seed in range(200):
+        variant = list(Variant)[seed % 2]
+        u = _random_b(seed, variant)
         psi = haar_random_state(seed + 900)
-        sandwich = apply_local_pair(u.rot.matrix, u.su2, psi)
-        kron = np.kron(u.rot.matrix, u.su2.matrix) @ psi.amplitudes
-        assert max(abs(sandwich.amplitudes - kron)) <= 1e-13
-        assert max(abs(sandwich.amplitudes - apply_cb(u, psi).amplitudes)) <= 1e-13
+        first, second = u.rot.matrix, u.su2.matrix
+        if variant is Variant.SU2_X_SO2:
+            first, second = second, first
+        sandwich = (first @ state_matrix(psi) @ second.T).reshape(4)
+        kron = np.kron(first, second) @ psi.amplitudes
+        assert max(abs(sandwich - kron)) <= 1e-13
+        assert max(abs(sandwich - apply_cb(u, psi).amplitudes)) <= 1e-13
 
 
 def test_apply_B_quaterbit_pure_right_action_at_theta_zero():
@@ -165,7 +176,7 @@ def test_apply_Bprime_quaterbit_right_factor_only():
         u = _bp(theta, 1, 0)
         qb = quaternionify(haar_random_state(11))
         right = Quaternion(complex(math.cos(theta)), complex(-math.sin(theta)))
-        out = apply_Bprime_quaterbit(u, qb)
+        out = apply_B_quaterbit(u, qb)
         assert abs(out.q1 - qb.q1 * right) <= 1e-15
         assert abs(out.q2 - qb.q2 * right) <= 1e-15
 
@@ -175,7 +186,7 @@ def test_apply_Bprime_quaterbit_matches_complex_form():
         u = _random_b(seed, Variant.SU2_X_SO2)
         psi = haar_random_state(seed + 17)
         lhs = quaternionify(apply_cb(u, psi))
-        rhs = apply_Bprime_quaterbit(u, quaternionify(psi))
+        rhs = apply_B_quaterbit(u, quaternionify(psi))
         assert abs(lhs.q1 - rhs.q1) <= 1e-12
         assert abs(lhs.q2 - rhs.q2) <= 1e-12
 

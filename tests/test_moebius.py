@@ -1,7 +1,6 @@
 """Moebius actions: conventions at infinity, variant orderings, composition law."""
 
 import math
-import operator
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -27,10 +26,8 @@ from qgeo.local_unitary import (
 from qgeo.moebius import (
     ORBIT_CHUNK,
     DegenerateMapError,
-    MoebiusC,
     MoebiusQ,
     VariantOrder,
-    apply_moebius_c,
     apply_moebius_q,
     apply_moebius_q_variant,
     compose,
@@ -58,25 +55,38 @@ def _random_moebius(rng) -> MoebiusQ:
             continue
 
 
+# Complex Moebius maps (Lee et al.'s one-qubit maps) are the quaternionic
+# action restricted to the complex line: complex entries, complex points.
+
+
+def _complex_moebius(a, b, c, d) -> MoebiusQ:
+    return MoebiusQ(QuatMat2(*map(embed_complex, (a, b, c, d))))
+
+
+def _apply_c(f: MoebiusQ, z):
+    """The left-coefficient ordering, which the one-qubit check uses."""
+    return apply_moebius_q_variant(f, z, VariantOrder.LEFT_COEFFICIENTS)
+
+
 def test_moebius_c_rejects_degenerate():
     with pytest.raises(ValueError):
-        MoebiusC(1, 1, 1, 1)
+        _complex_moebius(1, 1, 1, 1)
 
 
 def test_moebius_c_conventions():
-    ident = MoebiusC(1, 0, 0, 1)
-    for z in (0j, 2 + 1j, INFINITY):
-        assert apply_moebius_c(ident, z) == z or (z is INFINITY and apply_moebius_c(ident, z) is INFINITY)
+    ident = _complex_moebius(1, 0, 0, 1)
+    for z in (ZERO, embed_complex(2 + 1j), INFINITY):
+        assert _apply_c(ident, z) == z
 
-    inv = MoebiusC(0, 1, 1, 0)
-    assert apply_moebius_c(inv, 2 + 0j) == pytest.approx(0.5)
-    assert apply_moebius_c(inv, 0j) is INFINITY
-    assert apply_moebius_c(inv, INFINITY) == 0
+    inv = _complex_moebius(0, 1, 1, 0)
+    assert _apply_c(inv, embed_complex(2)).isclose(embed_complex(0.5), tol=1e-15)
+    assert _apply_c(inv, ZERO) is INFINITY
+    assert _apply_c(inv, INFINITY) == ZERO
 
-    f = MoebiusC(2, 1, 1 + 1j, 3)
-    assert apply_moebius_c(f, INFINITY) == pytest.approx(2 / (1 + 1j))
-    translation = MoebiusC(1, 5, 0, 1)
-    assert apply_moebius_c(translation, INFINITY) is INFINITY
+    f = _complex_moebius(2, 1, 1 + 1j, 3)
+    assert _apply_c(f, INFINITY).isclose(embed_complex(2 / (1 + 1j)), tol=1e-15)
+    translation = _complex_moebius(1, 5, 0, 1)
+    assert _apply_c(translation, INFINITY) is INFINITY
 
 
 def test_moebius_q_identity():
@@ -241,19 +251,30 @@ def test_right_common_factor_cancellation():
 
 
 def test_complex_restriction_matches_complex_moebius():
+    # The reference is (a z + b) / (c z + d) in Python complex arithmetic.
     rng = np.random.default_rng(55)
     for _ in range(100):
         a, b, c, d = (complex(*rng.uniform(-1, 1, size=2)) for _ in range(4))
         if abs(a * d - b * c) < 1e-3:
             continue
-        fq = MoebiusQ(
-            QuatMat2(Quaternion(a, 0j), Quaternion(b, 0j), Quaternion(c, 0j), Quaternion(d, 0j))
-        )
-        fc = MoebiusC(a, b, c, d)
+        fq = _complex_moebius(a, b, c, d)
         z = complex(*rng.uniform(-1, 1, size=2))
-        lhs = apply_moebius_q(fq, Quaternion(z, 0j))
-        rhs = embed_complex(apply_moebius_c(fc, z))
-        assert chordal_distance(lhs, rhs) <= 1e-12
+        expected = embed_complex((a * z + b) / (c * z + d))
+        assert chordal_distance(apply_moebius_q(fq, embed_complex(z)), expected) <= 1e-12
+        for which in VariantOrder:
+            lhs = apply_moebius_q_variant(fq, embed_complex(z), which)
+            assert chordal_distance(lhs, expected) <= 1e-12
+        assert chordal_distance(_apply_c(fq, INFINITY), embed_complex(a / c)) <= 1e-12
+        one_qubit = conformal_map_one_qubit(OneQubitState(a, c))
+        assert chordal_distance(one_qubit, embed_complex(a / c)) <= 1e-12
+
+    # The one-qubit check's map: the SU(2) matrix (a, b; -conj(b), conj(a)).
+    for seed in range(100):
+        u = random_local_unitary(Variant.SO2_X_SU2, seed).su2
+        a, b, c, d = u.a, u.b, -u.b.conjugate(), u.a.conjugate()
+        z = complex(*np.random.default_rng(seed + 100).uniform(-2, 2, size=2))
+        expected = embed_complex((a * z + b) / (c * z + d))
+        assert chordal_distance(_apply_c(MoebiusQ.from_su2(u), embed_complex(z)), expected) <= 1e-12
 
 
 def test_moebius_from_local_unitary_requires_variant():
@@ -327,26 +348,29 @@ def _left(num, den):
 
 
 def _on_plane(path):
-    """A path of the extended complex plane, fed each quaternion x0 + x1 i + x2 j + x3 k
+    """A path of the complex line, fed each quaternion x0 + x1 i + x2 j + x3 k
     as the complex number x0 + x2 i: J becomes i, and zero and tiny values stay so."""
     return lambda num, den: path(complex(num.x0, num.x2), complex(den.x0, den.x2))
+
+
+_right_on_plane = _on_plane(lambda p, q: _right(embed_complex(p), embed_complex(q)))
 
 
 _QUOTIENT_PATHS = [
     pytest.param(lambda num, den: conformal_map(Quaterbit(num, den)), _right, id="conformal_map"),
     pytest.param(
         _on_plane(lambda a1, a2: conformal_map_one_qubit(OneQubitState(a1, a2))),
-        _on_plane(operator.truediv),
+        _right_on_plane,
         id="conformal_map_one_qubit",
     ),
     pytest.param(
-        _on_plane(lambda b, d: apply_moebius_c(MoebiusC(1e6, b, 1e6j, d), 0j)),
-        _on_plane(operator.truediv),
+        _on_plane(lambda b, d: _apply_c(_complex_moebius(1e6, b, 1e6j, d), ZERO)),
+        _right_on_plane,
         id="complex-at-zero",
     ),
     pytest.param(
-        _on_plane(lambda a, c: apply_moebius_c(MoebiusC(a, 1e6, c, 1e6j), INFINITY)),
-        _on_plane(operator.truediv),
+        _on_plane(lambda a, c: _apply_c(_complex_moebius(a, 1e6, c, 1e6j), INFINITY)),
+        _right_on_plane,
         id="complex-at-infinity",
     ),
     pytest.param(

@@ -1,0 +1,22 @@
+"""The README's code examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _python_block(section: str) -> str:
+    """The first ```python block under the README heading ``## <section>``."""
+    text = README.read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(r"```python\n(.*?)```", body, re.DOTALL)
+    assert match, f"no python block under '## {section}'"
+    return match.group(1)
+
+
+def test_library_example_runs_as_written():
+    namespace = {}
+    exec(compile(_python_block("Library example"), "README.md", "exec"), namespace)
+    # The example's own asserts checked the identities; it reached its end.
+    assert {"psi", "x", "u", "lhs", "rhs"} <= namespace.keys()
