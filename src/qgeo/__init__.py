@@ -50,7 +50,6 @@ from .local_unitary import (
     apply_su2,
     complex_form,
     complexify,
-    complexify_alt,
     is_quaternionic_complex_matrix,
     quat_matrix,
     random_local_unitary,

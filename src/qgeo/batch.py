@@ -18,13 +18,11 @@ blocks, so everything here is exact, not approximate:
   ones (fused multiply-adds, another division), so the formulas are written
   out here with float64 operations, which round exactly as the interpreter
   does.  Every quotient is by a real number (:func:`div_real`), as in
-  ``Quaternion.inverse``.  ``abs`` of a complex is ``hypot`` in both.  A
-  float ``x ** 2`` is libm's ``pow``, which differs from ``x * x`` in the
-  last bit on about one input in a thousand, and ``sum`` is the
-  interpreter's, so both are left to the interpreter, element by element.  Where the scalar code calls numpy
-  itself (matrix products, dot products, the division by a norm), the block
-  calls the same numpy routine on a stack of operands, which runs the same
-  kernel on each item.
+  ``Quaternion.inverse``.  ``abs`` of a complex is ``hypot`` in both, and
+  the chordal metric is one function of floats or arrays for both.  Where
+  the scalar code calls numpy itself (matrix products, dot products, the
+  division by a norm), the block calls the same numpy routine on a stack of
+  operands, which runs the same kernel on each item.
 
 A quaternion is a pair of split complex values ``(z1, z2)``.  Block
 functions compute the generic branch of the scalar code only; branch
@@ -35,11 +33,10 @@ boolean masks so that the caller can hand those trials to the scalar code.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
-from .quaternion import ZERO_NORM_SQ
+from .quaternion import ZERO_NORM_SQ, _chord_sq
 from .states import _SIGMA_YY
 
 # Trials per block.  A block amortizes numpy's per-call cost over its trials,
@@ -119,17 +116,6 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Interpreter arithmetic on float64 arrays
 # ---------------------------------------------------------------------------
-
-
-def pow2(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` as the interpreter computes it for each float (libm pow)."""
-    return np.fromiter(map(pow, x.tolist(), repeat(2)), dtype=float, count=len(x))
-
-
-def interp_sum(terms) -> np.ndarray:
-    """Python's ``sum`` over the terms, trial by trial (its order and compensation)."""
-    rows = zip(*(t.tolist() for t in terms))
-    return np.fromiter(map(sum, rows), dtype=float, count=len(terms[0]))
 
 
 def libm(fn, x: np.ndarray) -> np.ndarray:
@@ -250,8 +236,7 @@ def _s4_coords(p):
 
 def chordal_distance(p, q):
     """``chordal_distance`` of two finite quaternion rows."""
-    terms = [pow2(a - b) for a, b in zip(_s4_coords(p), _s4_coords(q))]
-    return np.sqrt(interp_sum(terms))
+    return np.sqrt(_chord_sq(_s4_coords(p), _s4_coords(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ All randomness is derived from (seed, seed-space index, trial index): each
 index reads one counter-based stream and each trial a fixed slice of it
 (:func:`qgeo.batch.uniforms`), so reports are deterministic for a fixed seed
 regardless of evaluation order.  The check groups hold indices 0-7, the two
-failure searches 8 and 9 and the exploratory candidate 10.  The suite
-evaluates its trials in blocks (:mod:`qgeo.batch`), with results equal bit
-for bit to the scalar evaluators below, which stay the public API and the
-reference for re-evaluating stored worst cases.
+failure searches 8 and 9 and the exploratory candidate 10, all rows of one
+trial loop that evaluates in blocks (:mod:`qgeo.batch`), with results equal
+bit for bit to the scalar evaluators below, which stay the public API and
+the reference for re-evaluating stored worst cases and witnesses.
 """
 
 from __future__ import annotations
@@ -271,17 +271,11 @@ class Witness:
     deviation: float
 
     def to_dict(self) -> dict:
-        return {
-            "state": state_doc(self.state),
-            "transform": transform_doc(self.transform),
-            "variant_tag": self.variant_tag,
-            "deviation": self.deviation,
-        }
+        doc = _inputs_doc((self.transform, self.state))
+        return {**doc, "variant_tag": self.variant_tag, "deviation": self.deviation}
 
     def reevaluate(self) -> float:
-        return variant_failure_deviation(
-            FailureSearch(self.variant_tag), self.state, self.transform
-        )
+        return reevaluate_check(self.variant_tag, self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -346,15 +340,6 @@ class DiagramReport:
 # Suite machinery
 # ---------------------------------------------------------------------------
 
-# Seed-space indices of the searches; the check groups hold 0-7 in _GROUPS.
-# Fixed so that reports are reproducible.
-_SEARCH_IDX = {
-    FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2: 8,
-    FailureSearch.CANONICAL_ON_SU2XSO2: 9,
-}
-_EXPLORATORY_IDX = 10
-
-
 def _sample_state(seed: int, idx: int, trial: int) -> TwoQubitState:
     """The state of one trial, read on its own."""
     return TwoQubitState(*batch.haar_states(batch.uniforms(seed, idx, trial, trial + 1))[0])
@@ -376,45 +361,6 @@ def _search_angles(u: np.ndarray) -> np.ndarray:
     arc = math.pi - 2.0 * low
     x = u * (2.0 * arc)
     return np.where(x < arc, low + x, math.pi + low + (x - arc))
-
-
-def _search_inputs(variant: Variant, seed: int, idx: int, start: int, stop: int):
-    """(state, transform) of the search trials ``[start, stop)`` of stream ``idx``."""
-    u = batch.uniforms(seed, idx, start, stop)
-    psi = batch.haar_states(u)
-    _, a, b = batch.local_unitary_params(u)
-    theta = _search_angles(u[:, batch._ANGLE])
-    transforms = (
-        LocalUnitary(variant, SO2Element(t), SU2Element(x, y)) for t, x, y in zip(theta, a, b)
-    )
-    return [(TwoQubitState(*row), u) for row, u in zip(psi, transforms)]
-
-
-def find_variant_failure_witness(
-    which: FailureSearch, max_trials: int, seed: int
-) -> Witness | None:
-    """Search random inputs for a failure of the designated alternative intertwining.
-
-    Returns the worst witness found if its deviation exceeds the
-    ``WITNESS_THRESHOLD``, else None.
-    """
-    if max_trials < 1:
-        raise ValueError("max_trials must be at least 1")
-    which = FailureSearch(which)
-    idx = _SEARCH_IDX[which]
-    variant = (
-        Variant.SO2_X_SU2
-        if which is FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
-        else Variant.SU2_X_SO2
-    )
-    best: Witness | None = None
-    for psi, u in _search_inputs(variant, seed, idx, 0, max_trials):
-        dev = variant_failure_deviation(which, psi, u)
-        if best is None or dev > best.deviation:
-            best = Witness(psi, u, which.value, dev)
-    if best is not None and best.deviation > WITNESS_THRESHOLD:
-        return best
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +396,11 @@ def _quaterbit_gap_block(x, y):
 
 def _no_scalar(blk: _Block) -> np.ndarray:
     return np.zeros(len(blk.psi), dtype=bool)
+
+
+def _scalar_only(blk: _Block):
+    """The block evaluator of a row that hands every trial to its scalar evaluator."""
+    return np.empty((len(blk.psi), 1)), ~_no_scalar(blk)
 
 
 def _embedded(z: np.ndarray):
@@ -555,21 +506,24 @@ class _Group:
 
     Trial t reads its uniforms from the stream of ``idx``.  ``transform``
     says what it draws besides its state: an SU(2) element (``"su2"``), a
-    local unitary of a variant, or nothing.  ``evaluate`` is the
-    scalar evaluator of one trial's inputs, returning one deviation per
-    entry of ``checks``; ``evaluate_block`` computes the same deviations
-    for a block, with a mask of the trials it leaves to ``evaluate`` (those
-    taking a branch other than the generic one).  ``_GROUPS`` is the one
-    list of checks: ``run_suite`` runs its rows and ``reevaluate_check``
-    replays a stored worst case through the row's ``evaluate``.
+    local unitary of a variant, or nothing; a ``search`` row draws theta
+    with :func:`_search_angles`.  ``evaluate`` is the scalar evaluator of
+    one trial's inputs, returning one deviation per ``checks`` entry (a
+    name and its contract, or None); ``evaluate_block`` computes the same
+    deviations for a block, with a mask of the trials it leaves to
+    ``evaluate`` (those taking a branch other than the generic one).
+    ``run_suite`` runs the checks of ``_GROUPS``, the ``_SEARCHES`` and
+    ``_EXPLORATORY``; ``reevaluate_check`` replays a stored worst case
+    through the row's ``evaluate``.
     """
 
     idx: int
-    checks: tuple[tuple[str, float], ...]
+    checks: tuple[tuple[str, float | None], ...]
     transform: Variant | str | None
     evaluate: Callable
     evaluate_block: Callable
     one_qubit: bool = False
+    search: bool = False
 
 
 _GROUPS = (
@@ -637,12 +591,43 @@ _GROUPS = (
 )
 
 
+def _search_row(idx: int, which: FailureSearch, variant: Variant) -> _Group:
+    return _Group(
+        idx,
+        ((which.value, None),),
+        variant,
+        lambda u, psi: (variant_failure_deviation(which, psi, u),),
+        _scalar_only,
+        search=True,
+    )
+
+
+_SEARCHES = {
+    which: _search_row(idx, which, variant)
+    for idx, which, variant in (
+        (8, FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2, Variant.SO2_X_SU2),
+        (9, FailureSearch.CANONICAL_ON_SU2XSO2, Variant.SU2_X_SO2),
+    )
+}
+
+_EXPLORATORY = _Group(
+    10,
+    (("left_coefficient_variant_on_su2xso2", None),),
+    Variant.SU2_X_SO2,
+    lambda u, psi: (left_coefficient_candidate_deviation(psi, u),),
+    _scalar_only,
+    search=True,
+)
+
+
 def _sample_block(group: _Group, seed: int, start: int, stop: int) -> _Block:
     """Draw the inputs of trials ``[start, stop)`` of a group from one read of its stream."""
     u = batch.uniforms(seed, group.idx, start, stop)
     theta = a = b = factors = None
     if group.transform is not None:
         theta, a, b = batch.local_unitary_params(u)
+    if group.search:
+        theta = _search_angles(u[:, batch._ANGLE])
     if isinstance(group.transform, Variant):
         rot = tuple(batch.libm(f, theta).astype(complex) for f in (math.cos, math.sin))
         factors = group.transform.order(rot, (a, b))
@@ -673,13 +658,13 @@ def _inputs_doc(inputs: tuple) -> dict:
     return doc
 
 
-def _evaluate_group(group: _Group, seed: int, trials: int) -> list[tuple[float, dict]]:
-    """(max deviation, worst-case inputs) of each check of the group.
+def _evaluate_group(group: _Group, seed: int, trials: int) -> list[tuple[float, tuple]]:
+    """(max deviation, worst-case :func:`_scalar_inputs`) of each check of the group.
 
     The worst case is the last trial reaching the maximum.  A NaN deviation
     makes the maximum NaN, with the first such trial as the worst case.
     """
-    best: list[tuple[float, dict] | None] = [None] * len(group.checks)
+    best: list[tuple[float, tuple] | None] = [None] * len(group.checks)
     for start in range(0, trials, batch.BLOCK):
         with np.errstate(all="ignore"):
             blk = _sample_block(group, seed, start, min(start + batch.BLOCK, trials))
@@ -692,8 +677,24 @@ def _evaluate_group(group: _Group, seed: int, trials: int) -> list[tuple[float, 
             nan = np.flatnonzero(np.isnan(col))
             i = nan[0] if len(nan) else len(col) - 1 - int(np.argmax(col[::-1]))
             if best[k] is None or len(nan) or col[i] >= best[k][0]:
-                best[k] = (float(col[i]), _inputs_doc(_scalar_inputs(group, blk, i)))
+                best[k] = (float(col[i]), _scalar_inputs(group, blk, i))
     return best
+
+
+def find_variant_failure_witness(which: FailureSearch, max_trials: int, seed: int) -> Witness | None:
+    """Search random inputs for a failure of the designated alternative intertwining.
+
+    Returns the worst witness found, the last trial reaching the maximum
+    deviation, if that deviation exceeds ``WITNESS_THRESHOLD``, else None.
+    A NaN deviation in any trial finds none.
+    """
+    if max_trials < 1:
+        raise ValueError("max_trials must be at least 1")
+    which = FailureSearch(which)
+    [(dev, (u, psi))] = _evaluate_group(_SEARCHES[which], seed, max_trials)
+    if dev > WITNESS_THRESHOLD:
+        return Witness(psi, u, which.value, dev)
+    return None
 
 
 def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> DiagramReport:
@@ -701,9 +702,9 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
 
     ``tol`` rescales each check's pass threshold relative to its contract
     value (the default leaves the contracts untouched).  Witness searches use
-    min(trials, 100) attempts; the report passes overall when every check
-    meets its threshold and both searches find a witness.  A NaN deviation
-    fails its check.
+    min(trials, 100) attempts, as does the exploratory candidate; the report
+    passes overall when every check meets its threshold and both searches
+    find a witness.  A NaN deviation fails its check or its search.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -714,7 +715,7 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
     checks = []
     for group in _GROUPS:
         results = _evaluate_group(group, seed, trials)
-        for (name, contract), (dev, worst_case) in zip(group.checks, results):
+        for (name, contract), (dev, inputs) in zip(group.checks, results):
             tolerance = contract * scale
             checks.append(
                 CheckResult(
@@ -723,7 +724,7 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
                     max_deviation=dev,
                     tolerance=tolerance,
                     passed=dev <= tolerance,
-                    worst_case=worst_case,
+                    worst_case=_inputs_doc(inputs),
                 )
             )
 
@@ -735,22 +736,12 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
             threshold=WITNESS_THRESHOLD,
             witness=find_variant_failure_witness(which, search_trials, seed),
         )
-        for which in (
-            FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2,
-            FailureSearch.CANONICAL_ON_SU2XSO2,
-        )
+        for which in _SEARCHES
     )
 
-    exp_dev = 0.0
-    for psi, u in _search_inputs(Variant.SU2_X_SO2, seed, _EXPLORATORY_IDX, 0, search_trials):
-        exp_dev = max(exp_dev, left_coefficient_candidate_deviation(psi, u))
-    exploratory = (
-        ExploratoryResult(
-            name="left_coefficient_variant_on_su2xso2",
-            trials=search_trials,
-            max_deviation=exp_dev,
-        ),
-    )
+    [(name, _)] = _EXPLORATORY.checks
+    [(exp_dev, _)] = _evaluate_group(_EXPLORATORY, seed, search_trials)
+    exploratory = (ExploratoryResult(name=name, trials=search_trials, max_deviation=exp_dev),)
 
     return DiagramReport(
         seed=seed,
@@ -772,17 +763,18 @@ def _inputs_from_doc(group: _Group, doc: dict) -> tuple:
     su2 = SU2Element(complex(*transform["a"]), complex(*transform["b"]))
     if group.transform == _SU2:
         return (su2, psi)
-    rot = SO2Element(transform["theta"])
-    return (LocalUnitary(Variant(transform["variant"]), rot, su2), psi)
+    if Variant(transform["variant"]) is not group.transform:
+        raise ValueError(f"variant {transform['variant']!r} is not {group.transform.value!r}")
+    return (LocalUnitary(group.transform, SO2Element(transform["theta"]), su2), psi)
 
 
 def reevaluate_check(name: str, worst_case: dict) -> float:
-    """Recompute the deviation recorded for a check's worst-case inputs.
+    """Recompute the deviation recorded for a check's worst case or a search's witness.
 
-    The check's row of ``_GROUPS`` decodes the inputs and evaluates them
-    with the scalar evaluator that the suite also uses.
+    The row of ``name`` decodes the inputs and evaluates them with the
+    scalar evaluator that the suite also uses.
     """
-    for group in _GROUPS:
+    for group in (*_GROUPS, *_SEARCHES.values()):
         for k, (check, _) in enumerate(group.checks):
             if check != name:
                 continue

@@ -209,9 +209,7 @@ def quat_matrix(u: LocalUnitary) -> QuatMat2:
     return QuatMat2(a * f, b * f, (-b.conjugate()) * f, a.conjugate() * f)
 
 
-_EPSILON = np.array([[0.0, -1.0], [1.0, 0.0]])
-J_METRIC = np.kron(np.eye(2), _EPSILON)
-J_PRIME = np.kron(_EPSILON, np.eye(2))
+J_METRIC = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
 
 
 def sp2_check_quaternionic(m: QuatMat2, tol: float) -> bool:
@@ -249,19 +247,6 @@ def complexify(m: QuatMat2) -> np.ndarray:
             out[2 * i + 1, 2 * j] = q.z2.conjugate()
             out[2 * i + 1, 2 * j + 1] = q.z1.conjugate()
     return out
-
-
-def complexify_alt(m: QuatMat2) -> np.ndarray:
-    """Alternative complexification with the z1 and z2 parts gathered in 2x2 blocks.
-
-    The 4x4 result is ((Z1, -conj(Z2)), (Z2, conj(Z1))) where (Z1)_ij and
-    (Z2)_ij collect the complex parts of the entries.  It sends diag(j, j)
-    to J' = epsilon (x) I, and images of su2xso2 elements satisfy the
-    congruence U^T J' U = J'.
-    """
-    z1 = np.array([[m.m11.z1, m.m12.z1], [m.m21.z1, m.m22.z1]])
-    z2 = np.array([[m.m11.z2, m.m12.z2], [m.m21.z2, m.m22.z2]])
-    return np.block([[z1, -z2.conjugate()], [z2, z1.conjugate()]])
 
 
 def is_quaternionic_complex_matrix(u: np.ndarray, tol: float) -> bool:

@@ -193,9 +193,19 @@ def chordal_distance(p: ExtendedQuaternion, q: ExtendedQuaternion) -> float:
 
     Symmetric, non-negative, zero only for equal points, and bounded by 2.
     """
-    u = _s4_coords(p)
-    v = _s4_coords(q)
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
+    return math.sqrt(_chord_sq(_s4_coords(p), _s4_coords(q)))
+
+
+def _chord_sq(u, v):
+    """Squared distance of two 4-sphere points, as floats or as float64 arrays.
+
+    ``d * d`` added left to right rounds alike under every Python and numpy;
+    ``d ** 2`` (libm ``pow``) and ``sum`` (compensated since 3.12) do not.
+    """
+    u0, u1, u2, u3, u4 = u
+    v0, v1, v2, v3, v4 = v
+    d0, d1, d2, d3, d4 = u0 - v0, u1 - v1, u2 - v2, u3 - v3, u4 - v4
+    return d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
 
 
 def ext_isclose(p: ExtendedQuaternion, q: ExtendedQuaternion, tol: float = COMPARE_TOL) -> bool:

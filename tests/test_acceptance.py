@@ -49,6 +49,8 @@ BELL = TwoQubitState(math.sqrt(0.5), 0, 0, math.sqrt(0.5))
 # SHA-256 of the `qgeo verify` report bytes at the defaults (--seed 42,
 # 10 000 trials), pinned across refactors.  The value holds for numpy's
 # Philox streams and this platform's libm (numpy 2.4.6, CPython 3.11.7).
+# The chordal metric uses neither `**` nor `sum`, whose float rounding
+# differs between CPython versions, so the metric does not tie it to 3.11.
 DEFAULT_REPORT_SHA256 = "50cfc6b788ce2ceaeedafd97d06141be2a4bf1227d0e947bf4f2edbbd3305222"
 
 

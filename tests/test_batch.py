@@ -9,15 +9,16 @@ from qgeo import batch
 from qgeo.batch import BLOCK, K
 from qgeo.cli import main
 from qgeo.diagrams import (
+    _EXPLORATORY,
     _GROUPS,
+    _SEARCHES,
     _sample_block,
     _sample_state,
     _sample_transform,
-    _search_inputs,
     run_suite,
 )
 from qgeo.local_unitary import Variant
-from qgeo.quaternion import Quaternion, chordal_distance
+from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance
 
 SEEDS = [0, 42, 2**32 + 5, 2**70]
 
@@ -71,7 +72,7 @@ def test_trial_offsets_match_the_linear_stream(seed):
 @pytest.mark.parametrize("split", [BLOCK - 1, BLOCK, BLOCK + 1, 300])
 def test_draws_do_not_depend_on_the_block_split(split):
     trials, seed = 1024, 42
-    for group in _GROUPS:
+    for group in (*_GROUPS, *_SEARCHES.values(), _EXPLORATORY):
         whole = _sample_block(group, seed, 0, trials)
         parts = _sample_block(group, seed, 0, split), _sample_block(group, seed, split, trials)
         for field in ("theta", "a", "b", "psi"):
@@ -86,13 +87,15 @@ def test_reseeded_generator_starts_the_trials_stream():
     # draws must start where the trial's row of a block read from 0 does.
     seed, trials = 7, BLOCK + 2
     blk = _sample_block(_GROUPS[1], seed, 0, trials)
-    searched = _search_inputs(Variant.SU2_X_SO2, seed, 10, 0, trials)
+    searched = _sample_block(_EXPLORATORY, seed, 0, trials)
     for t in (0, BLOCK - 1, BLOCK, BLOCK + 1):
         psi = _sample_state(seed, 1, t)
         assert same_bits(psi.amplitudes, blk.psi[t])
         u = _sample_transform(Variant.SO2_X_SU2, seed, 1, t)
         assert same_bits([u.rot.theta, u.su2.a, u.su2.b], [blk.theta[t], blk.a[t], blk.b[t]])
-        assert _search_inputs(Variant.SU2_X_SO2, seed, 10, t, t + 1) == searched[t : t + 1]
+        one = _sample_block(_EXPLORATORY, seed, t, t + 1)
+        for field in ("theta", "a", "b", "psi"):
+            assert same_bits(getattr(one, field), getattr(searched, field)[t : t + 1]), (t, field)
 
 
 def test_sampled_inputs_have_their_distributions():
@@ -160,16 +163,18 @@ def test_complex_arithmetic_matches_the_interpreter():
     assert same_bits(batch.real_mul(x, some), _split([r * z for z, r in pairs]))
 
 
-def test_pow_and_sum_are_the_interpreters():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(20000)
-    squares = batch.pow2(x)
-    assert same_bits(squares, [v**2 for v in x.tolist()])
-    # libm pow and x * x disagree on some inputs; the block follows pow.
-    assert not same_bits(squares, x * x)
-    terms = [rng.standard_normal(500) * 10.0**k for k in range(-3, 3)]
-    rows = zip(*(t.tolist() for t in terms))
-    assert same_bits(batch.interp_sum(terms), [sum(row) for row in rows])
+def test_chordal_metric_squares_by_multiplication():
+    # On this pair libm's pow squares the first coordinate difference one
+    # bit away from d * d.  Both layers take d * d, added left to right, so
+    # the metric does not depend on the interpreter's ``**`` or ``sum``.
+    p, q = Quaternion(0.438, 0), Quaternion(0, 0)
+    d = [a - b for a, b in zip(_s4_coords(p), _s4_coords(q))]
+    assert d[0] ** 2 != d[0] * d[0]
+    expected = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3] + d[4] * d[4])
+    assert chordal_distance(p, q) == expected
+    zero = (np.zeros(1), np.zeros(1))
+    p_row, q_row = ((np.array([0.438]), np.zeros(1)), zero), (zero, zero)
+    assert same_bits(batch.chordal_distance(p_row, q_row), [expected])
 
 
 def test_quaternion_operations_match_the_scalar_class():

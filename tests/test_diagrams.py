@@ -31,10 +31,8 @@ from qgeo.local_unitary import (
 from qgeo.diagrams import (
     WITNESS_THRESHOLD,
     FailureSearch,
-    _SEARCH_IDX,
     _sample_state,
     _sample_transform,
-    _search_inputs,
     check_one_qubit_diagram,
     check_quadrangle,
     check_second_qubit_inertness,
@@ -156,7 +154,7 @@ def test_degenerate_search_space_finds_no_witness():
     which = FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
     for t in range(100):
         u = LocalUnitary(Variant.SO2_X_SU2, SO2Element(0.0), SU2Element((-1.0) ** t, 0))
-        psi = _sample_state(0, _SEARCH_IDX[which], t)
+        psi = _sample_state(0, diagrams._SEARCHES[which].idx, t)
         assert variant_failure_deviation(which, psi, u) <= WITNESS_THRESHOLD
 
 
@@ -273,6 +271,10 @@ def test_worst_cases_reproduce_max_deviation():
     report = run_suite(trials=batch.BLOCK + 1, seed=21)
     for check in report.checks:
         assert reevaluate_check(check.name, check.worst_case) == check.max_deviation, check.name
+    # A search's witness replays by the search's name, as the report stores it.
+    for search in report.to_dict()["witnesses"]:
+        witness = search["witness"]
+        assert reevaluate_check(search["name"], witness) == witness["deviation"], search["name"]
 
 
 def test_reevaluate_rejects_unknown_name():
@@ -293,6 +295,11 @@ def test_reevaluate_rejects_unknown_name():
     for doc in malformed:
         with pytest.raises(ValueError, match="'second_qubit_inertness' is malformed"):
             reevaluate_check("second_qubit_inertness", doc)
+    # A transform of the other variant belongs to another identity.
+    for name in ("quaterbit_transport_so2xsu2", FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2.value):
+        other = {"state": state_doc(BELL), "transform": transform_doc(IDENTITY_BP)}
+        with pytest.raises(ValueError, match=f"'{name}' is malformed: variant 'su2xso2'"):
+            reevaluate_check(name, other)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +371,42 @@ _REFERENCE_GROUPS = [
 ]
 
 
+def _search_transform(variant, s, i, t):
+    """The transform of search trial t, read on its own: theta on the arcs |sin| >= 0.1."""
+    u = batch.uniforms(s, i, t, t + 1)
+    _, a, b = batch.local_unitary_params(u)
+    theta = diagrams._search_angles(u[:, batch._ANGLE])[0]
+    return LocalUnitary(variant, SO2Element(theta), SU2Element(a[0], b[0]))
+
+
+# (seed index, variant, deviation of (psi, u)): the two failure searches and
+# the exploratory candidate, as a per-trial loop runs them.
+_REFERENCE_SEARCHES = [
+    (
+        8,
+        Variant.SO2_X_SU2,
+        lambda psi, u: variant_failure_deviation(FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2, psi, u),
+    ),
+    (
+        9,
+        Variant.SU2_X_SO2,
+        lambda psi, u: variant_failure_deviation(FailureSearch.CANONICAL_ON_SU2XSO2, psi, u),
+    ),
+    (10, Variant.SU2_X_SO2, left_coefficient_candidate_deviation),
+]
+
+
+def _reference_search(seed, trials, idx, variant, deviation):
+    """(max deviation, (u, psi)) of a search row: the last trial reaching the maximum."""
+    best = None
+    for t in range(trials):
+        psi, u = _sample_state(seed, idx, t), _search_transform(variant, seed, idx, t)
+        dev = deviation(psi, u)
+        if best is None or dev >= best[0]:
+            best = (dev, (u, psi))
+    return best
+
+
 def _inputs_doc(inputs):
     *transform, psi = inputs
     state = one_qubit_doc(psi) if isinstance(psi, OneQubitState) else state_doc(psi)
@@ -405,22 +448,21 @@ def _reference_report(seed, trials, per_trial):
                 }
             )
     search_trials = min(trials, 100)
+    *searches, (exp_dev, _) = (
+        _reference_search(seed, search_trials, *row) for row in _REFERENCE_SEARCHES
+    )
     witnesses = []
-    for which in (FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2, FailureSearch.CANONICAL_ON_SU2XSO2):
-        w = find_variant_failure_witness(which, search_trials, seed)
+    for which, (dev, inputs) in zip(FailureSearch, searches):
+        witness = {**_inputs_doc(inputs), "variant_tag": which.value, "deviation": dev}
         witnesses.append(
             {
                 "name": which.value,
                 "trials": search_trials,
                 "threshold": 0.01,
-                "found": w is not None,
-                "witness": None if w is None else w.to_dict(),
+                "found": dev > 0.01,
+                "witness": witness if dev > 0.01 else None,
             }
         )
-    exp_dev = 0.0
-    for t in range(search_trials):
-        [(psi, u)] = _search_inputs(Variant.SU2_X_SO2, seed, 10, t, t + 1)
-        exp_dev = max(exp_dev, left_coefficient_candidate_deviation(psi, u))
     exploratory = {
         "name": "left_coefficient_variant_on_su2xso2",
         "trials": search_trials,
@@ -500,6 +542,36 @@ def test_nan_deviation_fails_its_check(monkeypatch, capsys):
         (_sample_transform(Variant.SO2_X_SU2, 0, 1, 1), _sample_state(0, 1, 1))
     )
     assert all(c.passed for c in report.checks if c is not check)
+    assert not report.overall_pass
+    assert main(["verify", "--trials", "5", "--seed", "0"]) == 1
+    capsys.readouterr()
+
+
+def test_nan_deviation_fails_its_search_and_shows_in_the_exploratory_row(monkeypatch, capsys):
+    # Trial 1 of the left-denominator search and of the exploratory candidate
+    # deviate by NaN: the search finds no witness, whatever its other trials
+    # read, and the candidate reports the NaN instead of dropping it.
+    which = FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
+    bad_search = _sample_state(0, diagrams._SEARCHES[which].idx, 1)
+    bad_candidate = _sample_state(0, diagrams._EXPLORATORY.idx, 1)
+    search, candidate = variant_failure_deviation, left_coefficient_candidate_deviation
+    monkeypatch.setattr(
+        diagrams,
+        "variant_failure_deviation",
+        lambda w, psi, u: math.nan if psi == bad_search else search(w, psi, u),
+    )
+    monkeypatch.setattr(
+        diagrams,
+        "left_coefficient_candidate_deviation",
+        lambda psi, u: math.nan if psi == bad_candidate else candidate(psi, u),
+    )
+
+    assert find_variant_failure_witness(which, 5, seed=0) is None
+    report = run_suite(trials=5, seed=0)
+    left, canonical = report.witness_searches
+    assert not left.found and canonical.found
+    assert math.isnan(report.exploratory[0].max_deviation)
+    assert all(c.passed for c in report.checks)
     assert not report.overall_pass
     assert main(["verify", "--trials", "5", "--seed", "0"]) == 1
     capsys.readouterr()

@@ -16,7 +16,6 @@ from qgeo.states import (
 )
 from qgeo.local_unitary import (
     J_METRIC,
-    J_PRIME,
     LocalUnitary,
     QuatMat2,
     SO2Element,
@@ -26,7 +25,6 @@ from qgeo.local_unitary import (
     apply_cb,
     complex_form,
     complexify,
-    complexify_alt,
     is_quaternionic_complex_matrix,
     quat_matrix,
     random_local_unitary,
@@ -318,34 +316,6 @@ def test_sp2_definitions_agree_through_complexify():
         assert sp2_check_quaternionic(m, tol=1e-10) == sp2_check_complex(
             complexify(m), tol=1e-10
         )
-
-
-def test_complexify_alt_identity_and_jprime():
-    np.testing.assert_allclose(complexify_alt(QuatMat2.identity()), np.eye(4), atol=0)
-    jj = QuatMat2(J, Quaternion(0j, 0j), Quaternion(0j, 0j), J)
-    expected = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
-    assert np.array_equal(complexify_alt(jj), expected.astype(complex))
-    assert np.array_equal(J_PRIME, expected)
-
-
-def test_complexify_alt_congruence_membership():
-    for seed in range(200):
-        u = complexify_alt(quat_matrix(_random_b(seed, Variant.SU2_X_SO2)))
-        assert np.max(np.abs(u.T @ J_PRIME @ u - J_PRIME)) <= 1e-12
-    # Generic unitaries fail the congruence.
-    bad = np.diag([1, 1j, 1, 1])
-    assert np.max(np.abs(bad.T @ J_PRIME @ bad - J_PRIME)) > 0.5
-
-
-def test_complexify_alt_is_linear_and_injective():
-    rng = np.random.default_rng(5)
-    m1 = _random_quat_mat(rng)
-    m2 = _random_quat_mat(rng)
-    summed = QuatMat2(*(x + y for x, y in zip(m1.entries(), m2.entries())))
-    np.testing.assert_allclose(
-        complexify_alt(summed), complexify_alt(m1) + complexify_alt(m2), atol=1e-13
-    )
-    assert np.max(np.abs(complexify_alt(m1) - complexify_alt(m2))) > 1e-6
 
 
 def test_random_local_unitary_deterministic_and_valid():
