@@ -287,7 +287,7 @@ def moebius_so2xsu2(c, s, a, b, q):
     """``apply_moebius_q(moebius_from_local_unitary(u), q)`` and its zero-denominator mask.
 
     ``MoebiusQ``'s invertibility check cannot fire here: the matrix is
-    unitary, so its complexified determinant has modulus 1 up to rounding.
+    unitary, so its Study determinant is 1 up to rounding.
     """
     factor = (a, neg(b))
     m11, m12 = qscale((c, 0.0), factor), qscale((s, 0.0), factor)

@@ -32,7 +32,7 @@ import os
 import sys
 from pathlib import Path
 
-from .quaternion import INFINITY
+from .quaternion import INFINITY, _abs2
 from .states import (
     TwoQubitState,
     concurrence_term,
@@ -115,7 +115,8 @@ def load_state(path: str) -> TwoQubitState:
     if not isinstance(amps, list) or len(amps) != 4:
         raise CliError(EXIT_USAGE, f"{path}: amplitudes must list exactly 4 [re, im] pairs")
     values = [_parse_pair(v, f"amplitudes[{k}]", path) for k, v in enumerate(amps)]
-    norm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in values))
+    n0, n1, n2, n3 = map(_abs2, values)
+    norm = math.sqrt(n0 + n1 + n2 + n3)  # left to right: sum() compensates since Python 3.12
     if norm < 1e-9:
         raise CliError(EXIT_DOMAIN, f"{path}: state vector is zero")
     if abs(norm - 1.0) > FILE_NORM_TOL:

@@ -129,7 +129,7 @@ def complex_form(u: LocalUnitary) -> np.ndarray:
 
 def apply_cb(u: LocalUnitary, psi: TwoQubitState) -> TwoQubitState:
     """Apply the 4x4 complex form to the amplitude vector."""
-    return TwoQubitState.from_vector(complex_form(u) @ psi.amplitudes)
+    return TwoQubitState(*(complex_form(u) @ psi.amplitudes).tolist())
 
 
 def apply_su2(a: SU2Element, psi: OneQubitState) -> OneQubitState:

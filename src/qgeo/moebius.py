@@ -31,13 +31,14 @@ from .quaternion import (
     DegenerateMapError,  # re-exported: raised by the actions below on 0/0
     ExtendedQuaternion,
     Quaternion,
+    _abs2,
     left_quotient,
     right_quotient,
 )
 from .conformal import embed_complex, inverse_stereographic
-from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require_variant, complexify
+from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require_variant
 
-# Invertibility threshold on the determinant of the complexified matrix.
+# MoebiusQ's invertibility threshold on |study_determinant(m)|, the determinant of m in C^4x4.
 DET_TOL = 1e-18
 
 # Rows per block of orbit_s4_chunks; bounds the memory of a streamed orbit.
@@ -55,16 +56,35 @@ class VariantOrder(Enum):
     LEFT_COEFFICIENTS = "left_coefficients"
 
 
+def study_determinant(m: QuatMat2) -> float:
+    """det of m = (a b; c d) as a 4x4 complex matrix: |a|^2|d|^2 + |b|^2|c|^2 - 2 Re(conj(a) b conj(d) c).
+
+    Evaluated as |w|^2 / |a|^2 with w = |a|^2 d - c conj(a) b, after a row swap if |c| > |a|:
+    a singular matrix cancels in w, so its value is rounding squared (Aslaksen, "Quaternionic
+    determinants", Math. Intelligencer 18 (1996) 57-65).
+    """
+    a, b, c, d = m.entries()
+    na, nc = a.norm_sq(), c.norm_sq()
+    if na < nc:
+        a, b, c, d, na = c, d, a, b, nc
+    a1, a2, b1, b2, c1, c2 = a.z1, a.z2, b.z1, b.z2, c.z1, c.z2
+    # conj(a) b, then w, as complex pairs by the product rule of Quaternion.
+    x1, x2 = a1.conjugate() * b1 + a2 * b2.conjugate(), a1.conjugate() * b2 - a2 * b1.conjugate()
+    w1 = na * d.z1 - (c1 * x1 - c2 * x2.conjugate())
+    w2 = na * d.z2 - (c1 * x2 + c2 * x1.conjugate())
+    return (_abs2(w1) + _abs2(w2)) / na if na else 0.0
+
+
 @dataclass(frozen=True)
 class MoebiusQ:
-    """Quaternionic Moebius map, backed by an invertible 2x2 quaternion matrix."""
+    """Quaternionic Moebius map: a 2x2 quaternion matrix whose Study determinant is >= DET_TOL."""
 
     m: QuatMat2
 
     def __post_init__(self):
-        det = np.linalg.det(complexify(self.m))
+        det = study_determinant(self.m)
         if abs(det) < DET_TOL:
-            raise ValueError(f"matrix is not invertible: complexified determinant {det!r}")
+            raise ValueError(f"matrix is not invertible: Study determinant {det!r}")
 
     @classmethod
     def identity(cls) -> MoebiusQ:

@@ -34,7 +34,7 @@ class AtInfinity:
 INFINITY = AtInfinity()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Quaternion:
     """Quaternion q = z1 + z2*j stored as a pair of complex numbers.
 
@@ -51,9 +51,8 @@ class Quaternion:
     z1: complex
     z2: complex
 
-    def __post_init__(self):
-        z1 = complex(self.z1)
-        z2 = complex(self.z2)
+    def __init__(self, z1: complex, z2: complex):
+        z1, z2 = complex(z1), complex(z2)
         if not (cmath.isfinite(z1) and cmath.isfinite(z2)):
             raise ValueError(f"quaternion components must be finite, got ({z1!r}, {z2!r})")
         object.__setattr__(self, "z1", z1)

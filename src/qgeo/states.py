@@ -42,7 +42,7 @@ class OneQubitState:
         return abs(self.norm_sq() - 1.0) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoQubitState:
     """Amplitudes of |00>, |01>, |10>, |11>, in that basis order.
 
@@ -57,11 +57,11 @@ class TwoQubitState:
     gamma: complex
     delta: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _finite_complex(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _finite_complex(self.beta, "beta"))
-        object.__setattr__(self, "gamma", _finite_complex(self.gamma, "gamma"))
-        object.__setattr__(self, "delta", _finite_complex(self.delta, "delta"))
+    def __init__(self, alpha: complex, beta: complex, gamma: complex, delta: complex):
+        object.__setattr__(self, "alpha", _finite_complex(alpha, "alpha"))
+        object.__setattr__(self, "beta", _finite_complex(beta, "beta"))
+        object.__setattr__(self, "gamma", _finite_complex(gamma, "gamma"))
+        object.__setattr__(self, "delta", _finite_complex(delta, "delta"))
 
     @classmethod
     def from_vector(cls, vec, renormalize: bool = False) -> TwoQubitState:

@@ -125,6 +125,27 @@ def test_analyze_renormalizes_with_warning(capsys, tmp_path):
     assert "renormalizing" in err
 
 
+def test_load_state_norm_adds_left_to_right(tmp_path):
+    """A renormalized file is divided by sqrt(((n0 + n1) + n2) + n3), n_k = |z_k|^2.
+
+    For these amplitudes, Python 3.12's compensated sum() gives another norm
+    (1.0000000000029998), so a sum() there would make the loaded state
+    depend on the interpreter.
+    """
+    values = [
+        0.17752652182351897 + 0.5953780629863595j,
+        0.38886761923247015 - 0.2602514656664513j,
+        -0.13767362916925963 + 0.20349128521947585j,
+        -0.5766592800729953 - 0.046495041429969255j,
+    ]
+    n0, n1, n2, n3 = (z.real * z.real + z.imag * z.imag for z in values)
+    norm = math.sqrt(((n0 + n1) + n2) + n3)
+    assert norm == 1.000000000003
+    assert qgeo.cli._SILENT_NORM_TOL < norm - 1.0 < qgeo.cli.FILE_NORM_TOL
+    psi = load_state(write_state(tmp_path / "near.json", values))
+    assert [psi.alpha, psi.beta, psi.gamma, psi.delta] == [z / norm for z in values]
+
+
 def test_transform_identity(capsys, tmp_path, bell_state):
     tr = write_transform(tmp_path / "id.json", "so2xsu2", 0.0, 1 + 0j, 0j)
     out_path = tmp_path / "out.json"

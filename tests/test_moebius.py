@@ -21,9 +21,12 @@ from qgeo.local_unitary import (
     SO2Element,
     SU2Element,
     Variant,
+    complexify,
     random_local_unitary,
+    random_su2,
 )
 from qgeo.moebius import (
+    DET_TOL,
     ORBIT_CHUNK,
     DegenerateMapError,
     MoebiusQ,
@@ -34,6 +37,7 @@ from qgeo.moebius import (
     moebius_from_local_unitary,
     orbit_angles,
     orbit_s4,
+    study_determinant,
 )
 
 ZERO = Quaternion(0j, 0j)
@@ -97,10 +101,71 @@ def test_moebius_q_identity():
 
 
 def test_moebius_q_rejects_non_invertible():
+    for singular in ((ONE, ONE, ONE, ONE), (ZERO, ZERO, ZERO, ZERO), (I, J, I, J)):
+        assert study_determinant(QuatMat2(*singular)) == 0.0
+        with pytest.raises(ValueError, match="Study determinant"):
+            MoebiusQ(QuatMat2(*singular))
+    # diag(1, t) has determinant t**2: the threshold DET_TOL = 1e-18 is pinned from both sides.
+    assert DET_TOL == 1e-18
+    MoebiusQ(QuatMat2(ONE, ZERO, ZERO, math.sqrt(1.01e-18) * ONE))
+    with pytest.raises(ValueError, match="Study determinant"):
+        MoebiusQ(QuatMat2(ONE, ZERO, ZERO, math.sqrt(0.99e-18) * ONE))
+
+
+def _scale(m: QuatMat2) -> float:
+    a, b, c, d = (x.norm_sq() for x in m.entries())
+    return a * d + b * c
+
+
+def test_study_determinant_is_the_complexified_determinant():
+    """numpy's det(complexify(m)) for entry scales 1e-6 to 1e6, and 1 on the local unitaries."""
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        scales = 10.0 ** rng.uniform(-6.0, 6.0, size=4)
+        m = QuatMat2(*(Quaternion.from_reals(*(s * rng.standard_normal(4))) for s in scales))
+        reference = np.linalg.det(complexify(m)).real
+        assert abs(study_determinant(m) - reference) <= 1e-13 * _scale(m)
+    for seed in range(200):
+        for f in (
+            moebius_from_local_unitary(random_local_unitary(Variant.SO2_X_SU2, seed)),
+            MoebiusQ.from_su2(random_su2(seed)),
+        ):
+            reference = np.linalg.det(complexify(f.m)).real
+            assert abs(study_determinant(f.m) - reference) <= 1e-13 * _scale(f.m)
+            assert abs(study_determinant(f.m) - 1.0) <= 1e-13
+
+
+def test_numerically_singular_matrices_are_rejected():
+    """Rows (a, b) and lam*(a, b) of unit-scale random quaternions: singular up to rounding.
+
+    Both numpy's LU determinant and study_determinant decide these matrices on
+    rounding noise, of order (1e-16)**2 and so far below DET_TOL: both reject
+    every one.  A verdict turns on rounding only where the exact determinant is
+    within rounding of DET_TOL itself; no test pins a matrix there.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        a, b, lam = (_random_quaternion(rng) for _ in range(3))
+        m = QuatMat2(a, b, lam * a, lam * b)
+        assert abs(np.linalg.det(complexify(m))) < DET_TOL
+        with pytest.raises(ValueError):
+            MoebiusQ(m)
+
+
+def test_moebius_q_needs_no_numpy_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    f = moebius_from_local_unitary(random_local_unitary(Variant.SO2_X_SU2, 3))
+    g = MoebiusQ.from_su2(random_su2(4))
+    h = compose(f, f)
+    q = _q(0.3, -1, 0.5, 2)
+    twice = apply_moebius_q(f, apply_moebius_q(f, q))
+    assert chordal_distance(apply_moebius_q(h, q), twice) <= 1e-12
+    assert g.m.m11 == embed_complex(random_su2(4).a)
     with pytest.raises(ValueError):
         MoebiusQ(QuatMat2(ONE, ONE, ONE, ONE))
-    with pytest.raises(ValueError):
-        MoebiusQ(QuatMat2(ZERO, ZERO, ZERO, ZERO))
 
 
 def test_moebius_q_inversion_matrix():

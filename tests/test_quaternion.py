@@ -1,5 +1,8 @@
 """Quaternion algebra: unit table, conjugation, norms, inverses, extended line."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -38,6 +41,19 @@ def test_rejects_non_finite_components():
         Quaternion(0j, complex(0, float("inf")))
     with pytest.raises(ValueError):
         Quaternion.from_reals(0, 0, float("inf"), 0)
+    with pytest.raises(ValueError):
+        Quaternion(1e308, 0) * Quaternion(10, 0)
+    # The value-type contract of the hand-written __init__.
+    q = Quaternion(1, 2.5)
+    assert type(q.z1) is complex and type(q.z2) is complex
+    assert (q.z1, q.z2) == (1 + 0j, 2.5 + 0j)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.z1 = 0j
+    assert not hasattr(q, "__dict__")
+    assert q == Quaternion(1 + 0j, 2.5 + 0j) and hash(q) == hash(Quaternion(1 + 0j, 2.5 + 0j))
+    assert pickle.loads(pickle.dumps(q)) == q
+    assert dataclasses.replace(q, z2=-1) == Quaternion(1, -1)
+    assert repr(q) == "Quaternion(z1=(1+0j), z2=(2.5+0j))"
 
 
 def test_unit_multiplication_table():

@@ -1,6 +1,8 @@
 """State model: quaternion encoding, Schmidt/concurrence scalars, Haar sampling."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -32,8 +34,23 @@ states = st.builds(TwoQubitState, amplitude, amplitude, amplitude, amplitude)
 def test_rejects_non_finite_amplitudes():
     with pytest.raises(ValueError):
         TwoQubitState(float("nan"), 0, 0, 1)
+    with pytest.raises(ValueError, match="gamma"):
+        TwoQubitState(0, 0, complex(float("inf"), 0), 1)
     with pytest.raises(ValueError):
         OneQubitState(complex(0, float("inf")), 1)
+    # The value-type contract of the hand-written __init__.
+    psi = TwoQubitState(1, 0.5, 0, 2j)
+    assert all(type(z) is complex for z in (psi.alpha, psi.beta, psi.gamma, psi.delta))
+    assert (psi.alpha, psi.beta) == (1 + 0j, 0.5 + 0j)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi.delta = 0j
+    same = TwoQubitState(1 + 0j, 0.5 + 0j, 0j, 2j)
+    assert psi == same and hash(psi) == hash(same)
+    assert pickle.loads(pickle.dumps(psi)) == psi
+    assert dataclasses.replace(psi, gamma=3) == TwoQubitState(1, 0.5, 3, 2j)
+    with pytest.raises(ValueError, match="beta"):
+        dataclasses.replace(psi, beta=float("nan"))
+    assert repr(psi) == "TwoQubitState(alpha=(1+0j), beta=(0.5+0j), gamma=0j, delta=2j)"
 
 
 def test_quaternionify_basis_states():
