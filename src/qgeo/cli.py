@@ -42,7 +42,7 @@ from .states import (
     schmidt_term,
     wootters_preconcurrence,
 )
-from .conformal import conformal_map, inverse_stereographic, schmidt_concurrence_form
+from .conformal import conformal_map, inverse_stereographic
 from .local_unitary import LocalUnitary, SO2Element, SU2Element, Variant, apply_cb
 from .moebius import orbit_s4_chunks
 from .diagrams import DEFAULT_SUITE_TOL, _pair, run_suite, state_doc
@@ -195,13 +195,12 @@ def cmd_analyze(args) -> int:
     psi = load_state(args.state)
     qb = quaternionify(psi)
     image = conformal_map(qb)
-    _, q2_norm_sq = schmidt_concurrence_form(psi)
     out = {
         "schmidt_term": _pair(schmidt_term(psi)),
         "concurrence_term": _pair(concurrence_term(psi)),
         "wootters_preconcurrence": _pair(wootters_preconcurrence(psi)),
         "q1_norm_sq": qb.q1.norm_sq(),
-        "q2_norm_sq": q2_norm_sq,
+        "q2_norm_sq": qb.q2.norm_sq(),
         "conformal_image": "inf" if image is INFINITY else list(image.as_reals()),
         "separable": is_separable(psi, tol=_default_tol()),
         "s4_point": [float(v) for v in inverse_stereographic(image)],

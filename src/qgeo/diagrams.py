@@ -12,11 +12,11 @@ genuinely fail to intertwine.
 All randomness is derived from (seed, seed-space index, trial index): each
 index reads one counter-based stream and each trial a fixed slice of it
 (:func:`qgeo.batch.uniforms`), so reports are deterministic for a fixed seed
-regardless of evaluation order.  The check groups hold indices 0-7, the two
-failure searches 8 and 9 and the exploratory candidate 10, all rows of one
-trial loop that evaluates in blocks (:mod:`qgeo.batch`), with results equal
-bit for bit to the scalar evaluators below, which stay the public API and
-the reference for re-evaluating stored worst cases and witnesses.
+regardless of evaluation order.  One table, ``_GROUPS``, holds every seeded
+row with its report section: the checks at indices 0-7, the two failure
+searches at 8 and 9 and the exploratory candidate at 10.  One trial loop runs
+them in blocks (:mod:`qgeo.batch`), bit for bit equal to the scalar
+evaluators below, which stay the public API and replay stored inputs by name.
 """
 
 from __future__ import annotations
@@ -502,28 +502,27 @@ _SU2 = "su2"
 
 @dataclass(frozen=True)
 class _Group:
-    """One seeded trial loop of the suite.
+    """One seeded trial loop of the suite: one row of ``_GROUPS``.
 
     Trial t reads its uniforms from the stream of ``idx``.  ``transform``
     says what it draws besides its state: an SU(2) element (``"su2"``), a
-    local unitary of a variant, or nothing; a ``search`` row draws theta
-    with :func:`_search_angles`.  ``evaluate`` is the scalar evaluator of
-    one trial's inputs, returning one deviation per ``checks`` entry (a
-    name and its contract, or None); ``evaluate_block`` computes the same
-    deviations for a block, with a mask of the trials it leaves to
+    local unitary of a variant, or nothing.  ``evaluate`` is the scalar
+    evaluator of one trial's inputs, returning one deviation per ``checks``
+    entry (a name and its contract, or None); ``evaluate_block`` computes
+    the same deviations for a block, with a mask of the trials it leaves to
     ``evaluate`` (those taking a branch other than the generic one).
-    ``run_suite`` runs the checks of ``_GROUPS``, the ``_SEARCHES`` and
-    ``_EXPLORATORY``; ``reevaluate_check`` replays a stored worst case
-    through the row's ``evaluate``.
+    ``section`` is the report section of the row's results, ``checks``,
+    ``witnesses`` or ``exploratory``; rows outside ``checks`` draw theta
+    with :func:`_search_angles` and run min(trials, 100) trials.
     """
 
     idx: int
     checks: tuple[tuple[str, float | None], ...]
     transform: Variant | str | None
     evaluate: Callable
-    evaluate_block: Callable
+    evaluate_block: Callable = _scalar_only
     one_qubit: bool = False
-    search: bool = False
+    section: str = "checks"
 
 
 _GROUPS = (
@@ -588,35 +587,27 @@ _GROUPS = (
         lambda psi: (wootters_relation_gap(psi),),
         _wootters_block,
     ),
-)
-
-
-def _search_row(idx: int, which: FailureSearch, variant: Variant) -> _Group:
-    return _Group(
-        idx,
-        ((which.value, None),),
-        variant,
-        lambda u, psi: (variant_failure_deviation(which, psi, u),),
-        _scalar_only,
-        search=True,
-    )
-
-
-_SEARCHES = {
-    which: _search_row(idx, which, variant)
-    for idx, which, variant in (
-        (8, FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2, Variant.SO2_X_SU2),
-        (9, FailureSearch.CANONICAL_ON_SU2XSO2, Variant.SU2_X_SO2),
-    )
-}
-
-_EXPLORATORY = _Group(
-    10,
-    (("left_coefficient_variant_on_su2xso2", None),),
-    Variant.SU2_X_SO2,
-    lambda u, psi: (left_coefficient_candidate_deviation(psi, u),),
-    _scalar_only,
-    search=True,
+    _Group(
+        8,
+        ((FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2.value, None),),
+        Variant.SO2_X_SU2,
+        lambda u, psi: (variant_failure_deviation(FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2, psi, u),),
+        section="witnesses",
+    ),
+    _Group(
+        9,
+        ((FailureSearch.CANONICAL_ON_SU2XSO2.value, None),),
+        Variant.SU2_X_SO2,
+        lambda u, psi: (variant_failure_deviation(FailureSearch.CANONICAL_ON_SU2XSO2, psi, u),),
+        section="witnesses",
+    ),
+    _Group(
+        10,
+        (("left_coefficient_variant_on_su2xso2", None),),
+        Variant.SU2_X_SO2,
+        lambda u, psi: (left_coefficient_candidate_deviation(psi, u),),
+        section="exploratory",
+    ),
 )
 
 
@@ -626,7 +617,7 @@ def _sample_block(group: _Group, seed: int, start: int, stop: int) -> _Block:
     theta = a = b = factors = None
     if group.transform is not None:
         theta, a, b = batch.local_unitary_params(u)
-    if group.search:
+    if group.section != "checks":
         theta = _search_angles(u[:, batch._ANGLE])
     if isinstance(group.transform, Variant):
         rot = tuple(batch.libm(f, theta).astype(complex) for f in (math.cos, math.sin))
@@ -635,15 +626,38 @@ def _sample_block(group: _Group, seed: int, start: int, stop: int) -> _Block:
     return _Block(start, theta, a, b, psi, factors)
 
 
-def _scalar_inputs(group: _Group, blk: _Block, i: int) -> tuple:
-    """Trial ``blk.start + i`` as the objects the scalar evaluator takes."""
-    psi = OneQubitState(*blk.psi[i]) if group.one_qubit else TwoQubitState(*blk.psi[i])
+def _inputs(group: _Group, amplitudes, field: Callable) -> tuple:
+    """The objects the row's scalar evaluator takes: its transform, if it draws one, and the state.
+
+    ``field(name)`` reads the transform's ``"a"``, ``"b"`` and, for a local
+    unitary only, ``"theta"``.
+    """
+    psi = OneQubitState(*amplitudes) if group.one_qubit else TwoQubitState(*amplitudes)
     if group.transform is None:
         return (psi,)
-    su2 = SU2Element(blk.a[i], blk.b[i])
+    su2 = SU2Element(field("a"), field("b"))
     if group.transform == _SU2:
         return (su2, psi)
-    return (LocalUnitary(group.transform, SO2Element(blk.theta[i]), su2), psi)
+    return (LocalUnitary(group.transform, SO2Element(field("theta")), su2), psi)
+
+
+def _scalar_inputs(group: _Group, blk: _Block, i: int) -> tuple:
+    """Trial ``blk.start + i`` as the objects the scalar evaluator takes."""
+    return _inputs(group, blk.psi[i], lambda name: getattr(blk, name)[i])
+
+
+def _inputs_from_doc(group: _Group, doc: dict) -> tuple:
+    """The inverse of :func:`_inputs_doc` for a trial of ``group``."""
+
+    def field(name):
+        transform = doc["transform"]
+        if name != "theta":
+            return complex(*transform[name])
+        if Variant(transform["variant"]) is not group.transform:
+            raise ValueError(f"variant {transform['variant']!r} is not {group.transform.value!r}")
+        return transform["theta"]
+
+    return _inputs(group, [complex(re, im) for re, im in doc["state"]], field)
 
 
 def _inputs_doc(inputs: tuple) -> dict:
@@ -681,6 +695,21 @@ def _evaluate_group(group: _Group, seed: int, trials: int) -> list[tuple[float, 
     return best
 
 
+def _row(name: str) -> tuple[_Group, int]:
+    """The row of ``_GROUPS`` reporting ``name``, and the column of ``name`` in its deviations."""
+    for group in _GROUPS:
+        for k, (check, _) in enumerate(group.checks):
+            if check == name:
+                return group, k
+    raise ValueError(f"unknown check name {name!r}")
+
+
+def _witness(name: str, dev: float, inputs: tuple) -> Witness | None:
+    """A search's witness: its worst trial, if that deviates by more than WITNESS_THRESHOLD."""
+    u, psi = inputs
+    return Witness(psi, u, name, dev) if dev > WITNESS_THRESHOLD else None
+
+
 def find_variant_failure_witness(which: FailureSearch, max_trials: int, seed: int) -> Witness | None:
     """Search random inputs for a failure of the designated alternative intertwining.
 
@@ -690,15 +719,14 @@ def find_variant_failure_witness(which: FailureSearch, max_trials: int, seed: in
     """
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
-    which = FailureSearch(which)
-    [(dev, (u, psi))] = _evaluate_group(_SEARCHES[which], seed, max_trials)
-    if dev > WITNESS_THRESHOLD:
-        return Witness(psi, u, which.value, dev)
-    return None
+    name = FailureSearch(which).value
+    group, _ = _row(name)
+    [(dev, inputs)] = _evaluate_group(group, seed, max_trials)
+    return _witness(name, dev, inputs)
 
 
 def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> DiagramReport:
-    """Run every check, both failure searches, and the exploratory candidate.
+    """Run every row of ``_GROUPS``: the checks, both failure searches, and the exploratory candidate.
 
     ``tol`` rescales each check's pass threshold relative to its contract
     value (the default leaves the contracts untouched).  Witness searches use
@@ -712,77 +740,41 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
         raise ValueError("tol must be positive and finite")
     scale = tol / DEFAULT_SUITE_TOL
 
-    checks = []
+    sections = {"checks": [], "witnesses": [], "exploratory": []}
     for group in _GROUPS:
-        results = _evaluate_group(group, seed, trials)
-        for (name, contract), (dev, inputs) in zip(group.checks, results):
-            tolerance = contract * scale
-            checks.append(
-                CheckResult(
-                    name=name,
-                    trials=trials,
-                    max_deviation=dev,
-                    tolerance=tolerance,
-                    passed=dev <= tolerance,
-                    worst_case=_inputs_doc(inputs),
-                )
-            )
-
-    search_trials = min(trials, 100)
-    searches = tuple(
-        WitnessSearchResult(
-            name=which.value,
-            trials=search_trials,
-            threshold=WITNESS_THRESHOLD,
-            witness=find_variant_failure_witness(which, search_trials, seed),
-        )
-        for which in _SEARCHES
-    )
-
-    [(name, _)] = _EXPLORATORY.checks
-    [(exp_dev, _)] = _evaluate_group(_EXPLORATORY, seed, search_trials)
-    exploratory = (ExploratoryResult(name=name, trials=search_trials, max_deviation=exp_dev),)
+        n = trials if group.section == "checks" else min(trials, 100)
+        for (name, contract), (dev, inputs) in zip(group.checks, _evaluate_group(group, seed, n)):
+            if group.section == "checks":
+                tolerance = contract * scale
+                result = CheckResult(name, n, dev, tolerance, dev <= tolerance, _inputs_doc(inputs))
+            elif group.section == "witnesses":
+                result = WitnessSearchResult(name, n, WITNESS_THRESHOLD, _witness(name, dev, inputs))
+            else:
+                result = ExploratoryResult(name, n, dev)
+            sections[group.section].append(result)
 
     return DiagramReport(
         seed=seed,
         trials=trials,
         tolerance=tol,
-        checks=tuple(checks),
-        witness_searches=searches,
-        exploratory=exploratory,
+        checks=tuple(sections["checks"]),
+        witness_searches=tuple(sections["witnesses"]),
+        exploratory=tuple(sections["exploratory"]),
     )
 
 
-def _inputs_from_doc(group: _Group, doc: dict) -> tuple:
-    """The inverse of :func:`_inputs_doc` for a trial of ``group``."""
-    amplitudes = [complex(re, im) for re, im in doc["state"]]
-    psi = OneQubitState(*amplitudes) if group.one_qubit else TwoQubitState(*amplitudes)
-    if group.transform is None:
-        return (psi,)
-    transform = doc["transform"]
-    su2 = SU2Element(complex(*transform["a"]), complex(*transform["b"]))
-    if group.transform == _SU2:
-        return (su2, psi)
-    if Variant(transform["variant"]) is not group.transform:
-        raise ValueError(f"variant {transform['variant']!r} is not {group.transform.value!r}")
-    return (LocalUnitary(group.transform, SO2Element(transform["theta"]), su2), psi)
-
-
 def reevaluate_check(name: str, worst_case: dict) -> float:
-    """Recompute the deviation recorded for a check's worst case or a search's witness.
+    """Recompute the deviation of a check's worst case, a search's witness, or any inputs of a row.
 
-    The row of ``name`` decodes the inputs and evaluates them with the
-    scalar evaluator that the suite also uses.
+    The row of ``name`` in ``_GROUPS``, the exploratory candidate's
+    included, decodes the inputs and evaluates them with the scalar
+    evaluator that the suite also uses.
     """
-    for group in (*_GROUPS, *_SEARCHES.values()):
-        for k, (check, _) in enumerate(group.checks):
-            if check != name:
-                continue
-            try:
-                inputs = _inputs_from_doc(group, worst_case)
-            except KeyError as exc:
-                raise ValueError(f"worst case of {name!r} has no field {exc.args[0]!r}") from None
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"worst case of {name!r} is malformed: {exc}") from None
-            return group.evaluate(*inputs)[k]
-    raise ValueError(f"unknown check name {name!r}")
+    group, k = _row(name)
+    try:
+        inputs = _inputs_from_doc(group, worst_case)
+    except KeyError as exc:
+        raise ValueError(f"worst case of {name!r} has no field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"worst case of {name!r} is malformed: {exc}") from None
+    return group.evaluate(*inputs)[k]

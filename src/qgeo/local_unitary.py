@@ -201,11 +201,13 @@ class QuatMat2:
 def quat_matrix(u: LocalUnitary) -> QuatMat2:
     """Quaternionic 2x2 matrix of a local unitary.
 
-    The entries are F_ij * (a2 - conj(b2)*j): F is the first factor's matrix,
-    whose complex entries act as left factors, and (a2, b2) the second factor.
+    The entries are F_ij * (a2 - b2*j): F is the first factor's matrix,
+    whose complex entries act as left factors, and (a2, b2) the second
+    factor.  For so2xsu2, where F is real, :func:`complexify` of it is
+    exactly :func:`complex_form`.
     """
     (a, b), (a2, b2) = u.factors()
-    f = Quaternion(a2, -b2.conjugate())
+    f = Quaternion(a2, -b2)
     return QuatMat2(a * f, b * f, (-b.conjugate()) * f, a.conjugate() * f)
 
 

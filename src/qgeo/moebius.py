@@ -30,13 +30,12 @@ from .quaternion import (
     INFINITY,
     DegenerateMapError,  # re-exported: raised by the actions below on 0/0
     ExtendedQuaternion,
-    Quaternion,
     _abs2,
     left_quotient,
     right_quotient,
 )
 from .conformal import embed_complex, inverse_stereographic
-from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require_variant
+from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require_variant, quat_matrix
 
 # MoebiusQ's invertibility threshold on |study_determinant(m)|, the determinant of m in C^4x4.
 DET_TOL = 1e-18
@@ -149,14 +148,12 @@ def compose(f: MoebiusQ, g: MoebiusQ) -> MoebiusQ:
 def moebius_from_local_unitary(u: LocalUnitary) -> MoebiusQ:
     """The Moebius map intertwined with an so2xsu2 local unitary by the conformal map.
 
-    The matrix entries are R(theta)_ij * (a - b*j).  Under the canonical
-    action the right factor (a - b*j) cancels, so the induced map on the
-    extended quaternion line depends on theta alone.
+    Its matrix is :func:`quat_matrix`, with entries R(theta)_ij * (a - b*j).
+    Under the canonical action the right factor (a - b*j) cancels, so the
+    induced map on the extended quaternion line depends on theta alone.
     """
     _require_variant(u, Variant.SO2_X_SU2, "moebius_from_local_unitary")
-    c, s = math.cos(u.rot.theta), math.sin(u.rot.theta)
-    factor = Quaternion(u.su2.a, -u.su2.b)
-    return MoebiusQ(QuatMat2(c * factor, s * factor, -s * factor, c * factor))
+    return MoebiusQ(quat_matrix(u))
 
 
 def _pi_fixed(bits: int) -> int:

@@ -149,13 +149,14 @@ class DegenerateMapError(ZeroDivisionError):
     """Numerator and denominator vanished together: the quotient is indeterminate."""
 
 
-def _is_pole(p: Quaternion, q: Quaternion) -> bool:
-    """Whether p / q is INFINITY (q counts as zero); raises DegenerateMapError on 0/0."""
-    if not q.is_zero():
-        return False
-    if p.is_zero():
-        raise DegenerateMapError("indeterminate quotient: numerator and denominator both zero")
-    return True
+def _denominator_inverse(p: Quaternion, q: Quaternion) -> Quaternion | None:
+    """q**-1, or None where q counts as zero; DegenerateMapError where p counts as zero too."""
+    try:
+        return q.inverse()
+    except ZeroDivisionError:
+        if p.is_zero():
+            raise DegenerateMapError("indeterminate quotient: numerator and denominator both zero") from None
+        return None
 
 
 def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
@@ -163,16 +164,14 @@ def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
 
     Raises DegenerateMapError (a ZeroDivisionError) when p counts as zero too.
     """
-    if _is_pole(p, q):
-        return INFINITY
-    return p * q.inverse()
+    inv = _denominator_inverse(p, q)
+    return INFINITY if inv is None else p * inv
 
 
 def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     """q**-1 * p on the extended line, with the conventions of :func:`right_quotient`."""
-    if _is_pole(p, q):
-        return INFINITY
-    return q.inverse() * p
+    inv = _denominator_inverse(p, q)
+    return INFINITY if inv is None else inv * p
 
 
 def _s4_coords(p: ExtendedQuaternion) -> tuple[float, float, float, float, float]:

@@ -38,9 +38,6 @@ class OneQubitState:
     def norm_sq(self) -> float:
         return _abs2(self.a1) + _abs2(self.a2)
 
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
 
 @dataclass(frozen=True, init=False)
 class TwoQubitState:
@@ -48,8 +45,8 @@ class TwoQubitState:
 
     Normalization is a boundary contract: constructors only require finite
     components, so intermediate unnormalized vectors (as needed by linear
-    maps) are representable.  Use :meth:`is_normalized` or :meth:`normalized`
-    at input boundaries.
+    maps) are representable.  Inputs are normalized where they are read:
+    ``from_vector(v, renormalize=True)`` and the CLI's state-file loader.
     """
 
     alpha: complex
@@ -83,12 +80,6 @@ class TwoQubitState:
         # Grouped to match Quaterbit.norm_sq bit for bit.
         return (_abs2(self.alpha) + _abs2(self.beta)) + (_abs2(self.gamma) + _abs2(self.delta))
 
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-    def normalized(self) -> TwoQubitState:
-        return self.from_vector(self.amplitudes, renormalize=True)
-
 
 @dataclass(frozen=True)
 class Quaterbit:
@@ -99,9 +90,6 @@ class Quaterbit:
 
     def norm_sq(self) -> float:
         return self.q1.norm_sq() + self.q2.norm_sq()
-
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
 
 
 def quaternionify(psi: TwoQubitState) -> Quaterbit:

@@ -9,9 +9,7 @@ from qgeo import batch
 from qgeo.batch import BLOCK, K
 from qgeo.cli import main
 from qgeo.diagrams import (
-    _EXPLORATORY,
     _GROUPS,
-    _SEARCHES,
     _sample_block,
     _sample_state,
     _sample_transform,
@@ -72,7 +70,7 @@ def test_trial_offsets_match_the_linear_stream(seed):
 @pytest.mark.parametrize("split", [BLOCK - 1, BLOCK, BLOCK + 1, 300])
 def test_draws_do_not_depend_on_the_block_split(split):
     trials, seed = 1024, 42
-    for group in (*_GROUPS, *_SEARCHES.values(), _EXPLORATORY):
+    for group in _GROUPS:
         whole = _sample_block(group, seed, 0, trials)
         parts = _sample_block(group, seed, 0, split), _sample_block(group, seed, split, trials)
         for field in ("theta", "a", "b", "psi"):
@@ -87,13 +85,13 @@ def test_reseeded_generator_starts_the_trials_stream():
     # draws must start where the trial's row of a block read from 0 does.
     seed, trials = 7, BLOCK + 2
     blk = _sample_block(_GROUPS[1], seed, 0, trials)
-    searched = _sample_block(_EXPLORATORY, seed, 0, trials)
+    searched = _sample_block(_GROUPS[10], seed, 0, trials)
     for t in (0, BLOCK - 1, BLOCK, BLOCK + 1):
         psi = _sample_state(seed, 1, t)
         assert same_bits(psi.amplitudes, blk.psi[t])
         u = _sample_transform(Variant.SO2_X_SU2, seed, 1, t)
         assert same_bits([u.rot.theta, u.su2.a, u.su2.b], [blk.theta[t], blk.a[t], blk.b[t]])
-        one = _sample_block(_EXPLORATORY, seed, t, t + 1)
+        one = _sample_block(_GROUPS[10], seed, t, t + 1)
         for field in ("theta", "a", "b", "psi"):
             assert same_bits(getattr(one, field), getattr(searched, field)[t : t + 1]), (t, field)
 

@@ -16,10 +16,10 @@ import pytest
 
 import qgeo.cli
 from qgeo.cli import load_state, load_transform, main
-from qgeo.conformal import conformal_map, inverse_stereographic
+from qgeo.conformal import conformal_map, inverse_stereographic, schmidt_concurrence_form
 from qgeo.local_unitary import LocalUnitary, SO2Element
 from qgeo.moebius import ORBIT_CHUNK, apply_moebius_q, moebius_from_local_unitary, orbit_s4
-from qgeo.states import quaternionify
+from qgeo.states import haar_random_state, quaternionify
 
 S = math.sqrt(0.5)
 
@@ -62,6 +62,16 @@ def test_analyze_bell(capsys, bell_state):
     assert abs(doc["wootters_preconcurrence"][0] + 1.0) <= 1e-12
     assert doc["q1_norm_sq"] == pytest.approx(0.5)
     assert doc["q2_norm_sq"] == pytest.approx(0.5)
+
+
+def test_analyze_component_norms_match_the_library_exactly(capsys, tmp_path):
+    path = write_state(tmp_path / "s.json", haar_random_state(5).amplitudes.tolist())
+    psi = load_state(path)
+    code, out, _ = run_cli(capsys, "analyze", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["q1_norm_sq"] == quaternionify(psi).q1.norm_sq()
+    assert doc["q2_norm_sq"] == schmidt_concurrence_form(psi)[1]
 
 
 def test_analyze_basis_state_hits_infinity(capsys, tmp_path):

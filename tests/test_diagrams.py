@@ -154,7 +154,7 @@ def test_degenerate_search_space_finds_no_witness():
     which = FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
     for t in range(100):
         u = LocalUnitary(Variant.SO2_X_SU2, SO2Element(0.0), SU2Element((-1.0) ** t, 0))
-        psi = _sample_state(0, diagrams._SEARCHES[which].idx, t)
+        psi = _sample_state(0, diagrams._row(which.value)[0].idx, t)
         assert variant_failure_deviation(which, psi, u) <= WITNESS_THRESHOLD
 
 
@@ -302,6 +302,23 @@ def test_reevaluate_rejects_unknown_name():
             reevaluate_check(name, other)
 
 
+def test_one_table_holds_every_seeded_row():
+    groups = diagrams._GROUPS
+    assert [g.idx for g in groups] == list(range(11))
+    names = [name for g in groups for name, _ in g.checks]
+    assert len(names) == len(set(names))
+    # Each report section lists its rows in table order.
+    doc = run_suite(trials=3, seed=0).to_dict()
+    for section in ("checks", "witnesses", "exploratory"):
+        rows = [name for g in groups if g.section == section for name, _ in g.checks]
+        assert [r["name"] for r in doc[section]] == rows, section
+    # The exploratory candidate replays by its name like any other row.
+    name = "left_coefficient_variant_on_su2xso2"
+    u, psi = _sample_transform(Variant.SU2_X_SO2, 0, 10, 2), _sample_state(0, 10, 2)
+    doc = {"state": state_doc(psi), "transform": transform_doc(u)}
+    assert reevaluate_check(name, doc) == left_coefficient_candidate_deviation(psi, u)
+
+
 # ---------------------------------------------------------------------------
 # Block evaluation against a per-trial reference
 # ---------------------------------------------------------------------------
@@ -381,7 +398,7 @@ def _search_transform(variant, s, i, t):
 
 # (seed index, variant, deviation of (psi, u)): the two failure searches and
 # the exploratory candidate, as a per-trial loop runs them.
-_REFERENCE_SEARCHES = [
+_REFERENCE_SEARCH_ROWS = [
     (
         8,
         Variant.SO2_X_SU2,
@@ -449,7 +466,7 @@ def _reference_report(seed, trials, per_trial):
             )
     search_trials = min(trials, 100)
     *searches, (exp_dev, _) = (
-        _reference_search(seed, search_trials, *row) for row in _REFERENCE_SEARCHES
+        _reference_search(seed, search_trials, *row) for row in _REFERENCE_SEARCH_ROWS
     )
     witnesses = []
     for which, (dev, inputs) in zip(FailureSearch, searches):
@@ -552,8 +569,8 @@ def test_nan_deviation_fails_its_search_and_shows_in_the_exploratory_row(monkeyp
     # deviate by NaN: the search finds no witness, whatever its other trials
     # read, and the candidate reports the NaN instead of dropping it.
     which = FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
-    bad_search = _sample_state(0, diagrams._SEARCHES[which].idx, 1)
-    bad_candidate = _sample_state(0, diagrams._EXPLORATORY.idx, 1)
+    bad_search = _sample_state(0, diagrams._row(which.value)[0].idx, 1)
+    bad_candidate = _sample_state(0, diagrams._row("left_coefficient_variant_on_su2xso2")[0].idx, 1)
     search, candidate = variant_failure_deviation, left_coefficient_candidate_deviation
     monkeypatch.setattr(
         diagrams,

@@ -266,6 +266,14 @@ def test_sp2_check_complex_examples():
         assert sp2_check_complex(complex_form(_random_b(seed)), tol=1e-12)
 
 
+def test_quat_matrix_complexifies_to_complex_form():
+    # One quaternionic matrix per so2xsu2 element: its complexification is
+    # the 4x4 complex form, entry for entry.
+    for seed in range(50):
+        u = _random_b(seed)
+        assert np.array_equal(complexify(quat_matrix(u)), complex_form(u)), seed
+
+
 def test_complexify_identity_and_j():
     np.testing.assert_allclose(complexify(QuatMat2.identity()), np.eye(4), atol=0)
     jj = QuatMat2(J, Quaternion(0j, 0j), Quaternion(0j, 0j), J)

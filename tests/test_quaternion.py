@@ -178,6 +178,16 @@ def test_right_quotient_conventions():
         left_quotient(Quaternion(0j, 0j), Quaternion(0j, 0j))
 
 
+@pytest.mark.parametrize("quotient", [right_quotient, left_quotient])
+def test_finite_quotient_computes_the_denominator_norm_once(quotient, monkeypatch):
+    calls = []
+    norm_sq = Quaternion.norm_sq
+    monkeypatch.setattr(Quaternion, "norm_sq", lambda q: calls.append(q) or norm_sq(q))
+    p, q = Quaternion.from_reals(0.3, -1, 2, 0.7), Quaternion.from_reals(1, 0.5, -0.2, 0.1)
+    quotient(p, q)
+    assert calls == [q]
+
+
 def test_chordal_distance_examples():
     zero = Quaternion(0j, 0j)
     assert chordal_distance(INFINITY, INFINITY) == 0.0
