@@ -2,14 +2,13 @@
 
 File formats
 ------------
-State file (JSON), amplitudes ordered |00>, |01>, |10>, |11>:
-
-    {"amplitudes": [[re, im], [re, im], [re, im], [re, im]]}
-
-Transform file (JSON):
-
-    {"variant": "so2xsu2" | "su2xso2", "theta": number,
-     "a": [re, im], "b": [re, im]}
+A state file is ``{"amplitudes": [[re, im], [re, im], [re, im], [re, im]]}``,
+amplitudes ordered |00>, |01>, |10>, |11>; a transform file is
+``{"variant": "so2xsu2" | "su2xso2", "theta": number, "a": [re, im],
+"b": [re, im]}``.  The codec of :mod:`qgeo.states` and
+:mod:`qgeo.local_unitary` reads and writes both, as it does a report's worst
+cases; this module adds the file I/O, the norm repair (an error beyond 1e-6
+of 1, renormalized with a warning beyond 1e-12) and the exit codes.
 
 Report file (JSON): the dictionary form of a DiagramReport.  Orbit output is
 CSV with header ``step,u0,u1,u2,u3,u4``: row k is the 4-sphere image of the
@@ -30,12 +29,16 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .quaternion import INFINITY, _abs2
 from .states import (
     TwoQubitState,
     concurrence_term,
+    decode_amplitudes,
+    encode_amplitudes,
+    encode_pair,
     haar_random_state,
     is_separable,
     quaternionify,
@@ -43,9 +46,9 @@ from .states import (
     wootters_preconcurrence,
 )
 from .conformal import conformal_map, inverse_stereographic
-from .local_unitary import LocalUnitary, SO2Element, SU2Element, Variant, apply_cb
+from .local_unitary import LocalUnitary, SO2Element, SU2Element, Variant, apply_cb, decode_transform
 from .moebius import orbit_s4_chunks
-from .diagrams import DEFAULT_SUITE_TOL, _pair, run_suite, state_doc
+from .diagrams import DEFAULT_SUITE_TOL, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -70,51 +73,33 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_json(path: str) -> object:
+def _load_json(path: str, decode: Callable):
+    """``decode`` of the JSON content of ``path``; each failure is an input error naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return decode(json.load(fh))
     except FileNotFoundError:
         raise CliError(EXIT_USAGE, f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise CliError(
             EXIT_USAGE, f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # e.g. bytes that are not UTF-8, or a too long integer
+    except KeyError as exc:  # a field the codec reads
+        raise CliError(EXIT_USAGE, f"{path}: missing field {exc.args[0]!r}") from None
+    except ValueError as exc:  # the codec's, bytes that are not UTF-8, or a too long integer
         raise CliError(EXIT_USAGE, f"{path}: {exc}") from None
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc.strerror or exc}") from None
 
 
-def _as_float(value: int | float) -> float:
-    """``float(value)``, or inf for an integer too large for a float."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
-def _parse_pair(value, where: str, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise CliError(EXIT_USAGE, f"{path}: {where} must be a [re, im] pair of numbers")
-    re, im = _as_float(value[0]), _as_float(value[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise CliError(EXIT_USAGE, f"{path}: {where} must be finite")
-    return complex(re, im)
+def _state_amplitudes(doc) -> list[complex]:
+    if not isinstance(doc, dict) or "amplitudes" not in doc:
+        raise ValueError("expected an object with an 'amplitudes' field")
+    return decode_amplitudes(doc["amplitudes"], 4)
 
 
 def load_state(path: str) -> TwoQubitState:
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "amplitudes" not in doc:
-        raise CliError(EXIT_USAGE, f"{path}: expected an object with an 'amplitudes' field")
-    amps = doc["amplitudes"]
-    if not isinstance(amps, list) or len(amps) != 4:
-        raise CliError(EXIT_USAGE, f"{path}: amplitudes must list exactly 4 [re, im] pairs")
-    values = [_parse_pair(v, f"amplitudes[{k}]", path) for k, v in enumerate(amps)]
+    values = _load_json(path, _state_amplitudes)
     n0, n1, n2, n3 = map(_abs2, values)
     norm = math.sqrt(n0 + n1 + n2 + n3)  # left to right: sum() compensates since Python 3.12
     if norm < 1e-9:
@@ -128,31 +113,10 @@ def load_state(path: str) -> TwoQubitState:
 
 
 def load_transform(path: str) -> LocalUnitary:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise CliError(EXIT_USAGE, f"{path}: expected a JSON object")
-    for field in ("variant", "theta", "a", "b"):
-        if field not in doc:
-            raise CliError(EXIT_USAGE, f"{path}: missing field '{field}'")
-    try:
-        variant = Variant(doc["variant"])
-    except ValueError:
-        raise CliError(
-            EXIT_USAGE, f"{path}: variant must be 'so2xsu2' or 'su2xso2', got {doc['variant']!r}"
-        ) from None
-    theta = doc["theta"]
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
-        raise CliError(EXIT_USAGE, f"{path}: theta must be a finite number")
-    theta = _as_float(theta)
-    if not math.isfinite(theta):
-        raise CliError(EXIT_USAGE, f"{path}: theta must be a finite number")
-    a = _parse_pair(doc["a"], "a", path)
-    b = _parse_pair(doc["b"], "b", path)
-    norm_sq = abs(a) ** 2 + abs(b) ** 2
+    variant, theta, a, b = _load_json(path, decode_transform)
+    norm_sq = _abs2(a) + _abs2(b)  # the rule of SU2Element
     if abs(norm_sq - 1.0) > FILE_NORM_TOL:
-        raise CliError(
-            EXIT_USAGE, f"{path}: |a|^2 + |b|^2 = {norm_sq!r} is not within 1e-06 of 1"
-        )
+        raise CliError(EXIT_USAGE, f"{path}: |a|^2 + |b|^2 = {norm_sq!r} is not within 1e-06 of 1")
     if abs(norm_sq - 1.0) > _SILENT_NORM_TOL:
         _warn(f"{path}: renormalizing SU(2) parameters (deviation {abs(norm_sq - 1.0):.3e})")
         n = math.sqrt(norm_sq)
@@ -161,7 +125,7 @@ def load_transform(path: str) -> LocalUnitary:
 
 
 def state_to_doc(psi: TwoQubitState) -> dict:
-    return {"amplitudes": state_doc(psi)}
+    return {"amplitudes": encode_amplitudes(psi)}
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -173,8 +137,8 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _sc_doc(psi: TwoQubitState) -> dict:
     return {
-        "schmidt_term": _pair(schmidt_term(psi)),
-        "concurrence_term": _pair(concurrence_term(psi)),
+        "schmidt_term": encode_pair(schmidt_term(psi)),
+        "concurrence_term": encode_pair(concurrence_term(psi)),
     }
 
 
@@ -196,9 +160,8 @@ def cmd_analyze(args) -> int:
     qb = quaternionify(psi)
     image = conformal_map(qb)
     out = {
-        "schmidt_term": _pair(schmidt_term(psi)),
-        "concurrence_term": _pair(concurrence_term(psi)),
-        "wootters_preconcurrence": _pair(wootters_preconcurrence(psi)),
+        **_sc_doc(psi),
+        "wootters_preconcurrence": encode_pair(wootters_preconcurrence(psi)),
         "q1_norm_sq": qb.q1.norm_sq(),
         "q2_norm_sq": qb.q2.norm_sq(),
         "conformal_image": "inf" if image is INFINITY else list(image.as_reals()),

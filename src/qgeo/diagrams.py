@@ -35,6 +35,8 @@ from .states import (
     Quaterbit,
     TwoQubitState,
     concurrence_term,
+    decode_amplitudes,
+    encode_amplitudes,
     quaternionify,
     schmidt_term,
     wootters_preconcurrence,
@@ -50,9 +52,13 @@ from .local_unitary import (
     SO2Element,
     SU2Element,
     Variant,
+    _require_variant,
     apply_B_quaterbit,
     apply_cb,
     apply_su2,
+    decode_su2,
+    decode_transform,
+    encode_transform,
     quat_matrix,
 )
 from .moebius import (
@@ -185,16 +191,16 @@ def variant_failure_deviation(
     rotation-induced matrix against the conformal image of the transformed
     spinor.  CANONICAL_ON_SU2XSO2 plays the canonical right-coefficient
     action of the matrix built from su2xso2 parameters against the conformal
-    image of that variant's spinor action.
+    image of that variant's spinor action.  Both reject a ``u`` of the
+    other variant with a ValueError.
     """
     which = FailureSearch(which)
+    left = which is FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
+    _require_variant(u, Variant.SO2_X_SU2 if left else Variant.SU2_X_SO2, which.value)
     qb = quaternionify(psi)
     x = conformal_map(qb)
-    if which is FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2:
-        f = moebius_from_local_unitary(u)
-        lhs = apply_moebius_q_variant(f, x, VariantOrder.LEFT_DENOMINATOR)
-    else:
-        lhs = apply_moebius_q(MoebiusQ(quat_matrix(u)), x)
+    f = MoebiusQ(quat_matrix(u))
+    lhs = apply_moebius_q_variant(f, x, VariantOrder.LEFT_DENOMINATOR) if left else apply_moebius_q(f, x)
     return chordal_distance(lhs, conformal_map(apply_B_quaterbit(u, qb)))
 
 
@@ -204,43 +210,15 @@ def left_coefficient_candidate_deviation(psi: TwoQubitState, u: LocalUnitary) ->
     This is the one natural candidate not covered by the failure searches;
     the suite reports its deviation without asserting a contract.  (The
     rotation's right factor cancels inside the conformal image, so the
-    candidate matrix carries the SU(2) entries alone.)
+    candidate matrix carries the SU(2) entries alone.)  A ``u`` of another
+    variant than su2xso2 is rejected with a ValueError.
     """
+    _require_variant(u, Variant.SU2_X_SO2, "left_coefficient_candidate_deviation")
     qb = quaternionify(psi)
     f = MoebiusQ.from_su2(u.su2)
     lhs = apply_moebius_q_variant(f, conformal_map(qb), VariantOrder.LEFT_COEFFICIENTS)
     rhs = conformal_map(apply_B_quaterbit(u, qb))
     return chordal_distance(lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# Serialization of inputs (for reports and re-evaluation)
-# ---------------------------------------------------------------------------
-
-
-def _pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
-def state_doc(psi: TwoQubitState) -> list[list[float]]:
-    return [_pair(psi.alpha), _pair(psi.beta), _pair(psi.gamma), _pair(psi.delta)]
-
-
-def one_qubit_doc(psi: OneQubitState) -> list[list[float]]:
-    return [_pair(psi.a1), _pair(psi.a2)]
-
-
-def transform_doc(u: LocalUnitary) -> dict:
-    return {
-        "variant": u.variant.value,
-        "theta": u.rot.theta,
-        "a": _pair(u.su2.a),
-        "b": _pair(u.su2.b),
-    }
-
-
-def su2_doc(a: SU2Element) -> dict:
-    return {"a": _pair(a.a), "b": _pair(a.b)}
 
 
 # ---------------------------------------------------------------------------
@@ -626,50 +604,39 @@ def _sample_block(group: _Group, seed: int, start: int, stop: int) -> _Block:
     return _Block(start, theta, a, b, psi, factors)
 
 
-def _inputs(group: _Group, amplitudes, field: Callable) -> tuple:
-    """The objects the row's scalar evaluator takes: its transform, if it draws one, and the state.
-
-    ``field(name)`` reads the transform's ``"a"``, ``"b"`` and, for a local
-    unitary only, ``"theta"``.
-    """
+def _inputs(group: _Group, amplitudes, theta=None, a=None, b=None) -> tuple:
+    """The objects the row's scalar evaluator takes: its transform, if it draws one, and the state."""
     psi = OneQubitState(*amplitudes) if group.one_qubit else TwoQubitState(*amplitudes)
     if group.transform is None:
         return (psi,)
-    su2 = SU2Element(field("a"), field("b"))
+    su2 = SU2Element(a, b)
     if group.transform == _SU2:
         return (su2, psi)
-    return (LocalUnitary(group.transform, SO2Element(field("theta")), su2), psi)
+    return (LocalUnitary(group.transform, SO2Element(theta), su2), psi)
 
 
 def _scalar_inputs(group: _Group, blk: _Block, i: int) -> tuple:
     """Trial ``blk.start + i`` as the objects the scalar evaluator takes."""
-    return _inputs(group, blk.psi[i], lambda name: getattr(blk, name)[i])
+    return _inputs(group, blk.psi[i], *(x if x is None else x[i] for x in (blk.theta, blk.a, blk.b)))
 
 
 def _inputs_from_doc(group: _Group, doc: dict) -> tuple:
-    """The inverse of :func:`_inputs_doc` for a trial of ``group``."""
-
-    def field(name):
-        transform = doc["transform"]
-        if name != "theta":
-            return complex(*transform[name])
-        if Variant(transform["variant"]) is not group.transform:
-            raise ValueError(f"variant {transform['variant']!r} is not {group.transform.value!r}")
-        return transform["theta"]
-
-    return _inputs(group, [complex(re, im) for re, im in doc["state"]], field)
+    """The inverse of :func:`_inputs_doc`: the codec decodes, the row picks the form and variant."""
+    amplitudes = decode_amplitudes(doc["state"], 2 if group.one_qubit else 4)
+    if group.transform is None:
+        return _inputs(group, amplitudes)
+    if group.transform == _SU2:
+        return _inputs(group, amplitudes, None, *decode_su2(doc["transform"]))
+    variant, theta, a, b = decode_transform(doc["transform"])
+    if variant is not group.transform:
+        raise ValueError(f"variant {variant.value!r} is not {group.transform.value!r}")
+    return _inputs(group, amplitudes, theta, a, b)
 
 
 def _inputs_doc(inputs: tuple) -> dict:
     *transform, psi = inputs
-    doc = {"state": one_qubit_doc(psi) if isinstance(psi, OneQubitState) else state_doc(psi)}
-    if not transform:
-        doc["transform"] = None
-    elif isinstance(transform[0], SU2Element):
-        doc["transform"] = su2_doc(transform[0])
-    else:
-        doc["transform"] = transform_doc(transform[0])
-    return doc
+    transform_doc = encode_transform(*transform) if transform else None
+    return {"state": encode_amplitudes(psi), "transform": transform_doc}
 
 
 def _evaluate_group(group: _Group, seed: int, trials: int) -> list[tuple[float, tuple]]:
@@ -775,6 +742,6 @@ def reevaluate_check(name: str, worst_case: dict) -> float:
         inputs = _inputs_from_doc(group, worst_case)
     except KeyError as exc:
         raise ValueError(f"worst case of {name!r} has no field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"worst case of {name!r} is malformed: {exc}") from None
     return group.evaluate(*inputs)[k]

@@ -6,7 +6,8 @@ the second ("so2xsu2"), and SU(2)-on-first with rotation on the second
 (:meth:`LocalUnitary.factors`), which give one 4x4 complex form acting on
 amplitudes and one equivalent quaternionic spinor action; the module also
 provides the membership tests that characterize Sp(2) in both the
-quaternionic and the complexified pictures.
+quaternionic and the complexified pictures, and the one codec of the JSON
+forms of local unitaries and SU(2) elements (transform files, worst cases).
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from enum import Enum
 import numpy as np
 
 from .quaternion import Quaternion
-from .states import NORMALIZATION_TOL, TwoQubitState, OneQubitState, Quaterbit, _abs2
+from .states import (
+    NORMALIZATION_TOL, OneQubitState, Quaterbit, TwoQubitState, _abs2,
+    decode_number, decode_pair, encode_pair,
+)
 
 
 class Variant(str, Enum):
@@ -105,6 +109,34 @@ class LocalUnitary:
         theta = self.rot.theta
         rot = (complex(math.cos(theta)), complex(math.sin(theta)))
         return self.variant.order(rot, (self.su2.a, self.su2.b))
+
+
+def _fields(doc, names: tuple[str, ...]) -> list:
+    """The values of ``names`` in a JSON object; a KeyError names the first missing one."""
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    return [doc[name] for name in names]
+
+
+def decode_su2(doc) -> tuple[complex, complex]:
+    """(a, b) of the JSON form of an SU(2) element, as they are: not normalized."""
+    a, b = _fields(doc, ("a", "b"))
+    return decode_pair(a, "a"), decode_pair(b, "b")
+
+
+def decode_transform(doc) -> tuple[Variant, float, complex, complex]:
+    """(variant, theta, a, b) of the JSON form of a local unitary, as they are: not normalized."""
+    variant, theta, _, _ = _fields(doc, ("variant", "theta", "a", "b"))
+    if variant not in [v.value for v in Variant]:
+        raise ValueError(f"variant must be 'so2xsu2' or 'su2xso2', got {variant!r}")
+    return (Variant(variant), decode_number(theta, "theta"), *decode_su2(doc))
+
+
+def encode_transform(t: LocalUnitary | SU2Element) -> dict:
+    """The JSON form of a local unitary or of an SU(2) element."""
+    if isinstance(t, SU2Element):
+        return {"a": encode_pair(t.a), "b": encode_pair(t.b)}
+    return {"variant": t.variant.value, "theta": t.rot.theta, **encode_transform(t.su2)}
 
 
 def _factor_matrix(a: complex, b: complex) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""One- and two-qubit pure states, their quaternion encoding, and entanglement scalars."""
+"""One- and two-qubit pure states, their quaternion encoding, entanglement scalars and JSON form."""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -166,3 +166,46 @@ def haar_random_one_qubit(seed) -> OneQubitState:
     v = re + 1j * im
     v = v / np.linalg.norm(v)
     return OneQubitState(v[0], v[1])
+
+
+def _json_number(value) -> float | None:
+    """A JSON number (not a boolean) as a float, inf if too large; None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def decode_number(value, where: str) -> float:
+    """A finite real from its JSON form, a number but not a boolean; ``where`` names it in an error."""
+    x = _json_number(value)
+    if x is None or not math.isfinite(x):
+        raise ValueError(f"{where} must be a finite number")
+    return x
+
+
+def decode_pair(value, where: str) -> complex:
+    """A complex number from its JSON form ``[re, im]``; ``where`` names it in an error."""
+    parts = [_json_number(v) for v in value] if isinstance(value, (list, tuple)) else []
+    if len(parts) != 2 or None in parts:
+        raise ValueError(f"{where} must be a [re, im] pair of numbers")
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"{where} must be finite")
+    return complex(*parts)
+
+
+def encode_pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def decode_amplitudes(value, count: int) -> list[complex]:
+    """The ``count`` amplitudes of a JSON amplitude list, as they are: not normalized."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ValueError(f"amplitudes must list exactly {count} [re, im] pairs")
+    return [decode_pair(v, f"amplitudes[{k}]") for k, v in enumerate(value)]
+
+
+def encode_amplitudes(psi: OneQubitState | TwoQubitState) -> list[list[float]]:
+    return [encode_pair(getattr(psi, f.name)) for f in fields(psi)]

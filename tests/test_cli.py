@@ -156,6 +156,22 @@ def test_load_state_norm_adds_left_to_right(tmp_path):
     assert [psi.alpha, psi.beta, psi.gamma, psi.delta] == [z / norm for z in values]
 
 
+def test_load_transform_norm_is_the_su2_element_rule(tmp_path):
+    """A renormalized transform file is divided by sqrt(_abs2(a) + _abs2(b)), as SU2Element measures it.
+
+    For this pair, abs(a) ** 2 + abs(b) ** 2 (libm hypot and pow) gives
+    1.0000000061373848, so dividing by its root would give other bits.
+    """
+    a = -0.05647399313660132 - 0.3124426606501606j
+    b = 0.8927412831139024 - 0.3196924763997169j
+    norm_sq = (a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag)
+    assert norm_sq == 1.0000000061373846
+    assert qgeo.cli._SILENT_NORM_TOL < norm_sq - 1.0 < qgeo.cli.FILE_NORM_TOL
+    u = load_transform(write_transform(tmp_path / "near.json", "su2xso2", 0.3, a, b))
+    n = math.sqrt(norm_sq)
+    assert (u.su2.a, u.su2.b) == (a / n, b / n)
+
+
 def test_transform_identity(capsys, tmp_path, bell_state):
     tr = write_transform(tmp_path / "id.json", "so2xsu2", 0.0, 1 + 0j, 0j)
     out_path = tmp_path / "out.json"

@@ -3,15 +3,17 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qgeo import batch, diagrams
-from qgeo.cli import main
+from qgeo.cli import load_state, load_transform, main
 from qgeo.states import (
     OneQubitState,
     TwoQubitState,
+    encode_amplitudes,
     haar_random_one_qubit,
     haar_random_state,
     is_separable,
@@ -22,6 +24,7 @@ from qgeo.local_unitary import (
     SO2Element,
     SU2Element,
     Variant,
+    encode_transform,
     is_quaternionic_complex_matrix,
     random_local_unitary,
     random_su2,
@@ -41,12 +44,8 @@ from qgeo.diagrams import (
     concurrence_magnitude_gap,
     find_variant_failure_witness,
     left_coefficient_candidate_deviation,
-    one_qubit_doc,
     reevaluate_check,
     run_suite,
-    state_doc,
-    su2_doc,
-    transform_doc,
     variant_failure_deviation,
     wootters_relation_gap,
 )
@@ -281,14 +280,14 @@ def test_reevaluate_rejects_unknown_name():
     with pytest.raises(ValueError):
         reevaluate_check("nonsense", {})
     with pytest.raises(ValueError, match="'quaterbit_transport_so2xsu2' has no field 'transform'"):
-        reevaluate_check("quaterbit_transport_so2xsu2", {"state": state_doc(BELL)})
+        reevaluate_check("quaterbit_transport_so2xsu2", {"state": encode_amplitudes(BELL)})
     with pytest.raises(ValueError, match="'quaterbit_transport_so2xsu2' has no field 'state'"):
         reevaluate_check("quaterbit_transport_so2xsu2", {})
-    good = {"state": state_doc(BELL), "transform": su2_doc(SU2Element(1, 0))}
+    good = {"state": encode_amplitudes(BELL), "transform": encode_transform(SU2Element(1, 0))}
     assert reevaluate_check("second_qubit_inertness", good) == 0.0
     malformed = [
         {**good, "transform": None},
-        {**good, "state": state_doc(BELL)[:3]},
+        {**good, "state": encode_amplitudes(BELL)[:3]},
         {**good, "state": [[S, 0, 0], [0, 0], [0, 0], [S, 0]]},
         {**good, "transform": {"a": [10**400, 0], "b": [0, 0]}},
     ]
@@ -297,9 +296,62 @@ def test_reevaluate_rejects_unknown_name():
             reevaluate_check("second_qubit_inertness", doc)
     # A transform of the other variant belongs to another identity.
     for name in ("quaterbit_transport_so2xsu2", FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2.value):
-        other = {"state": state_doc(BELL), "transform": transform_doc(IDENTITY_BP)}
+        other = {"state": encode_amplitudes(BELL), "transform": encode_transform(IDENTITY_BP)}
         with pytest.raises(ValueError, match=f"'{name}' is malformed: variant 'su2xso2'"):
             reevaluate_check(name, other)
+
+
+def test_replay_decodes_as_strictly_as_the_files():
+    # The report's inputs go through the codec that reads state and transform
+    # files: no string or boolean passes for a number, and a wrong count of
+    # amplitudes is named as such.
+    name = "quaterbit_transport_so2xsu2"
+    wc = next(c.worst_case for c in run_suite(trials=3, seed=0).checks if c.name == name)
+    cases = [
+        ({**wc, "transform": {**wc["transform"], "theta": "0.5"}}, "theta must be a finite number"),
+        ({**wc, "transform": {**wc["transform"], "theta": True}}, "theta must be a finite number"),
+        ({**wc, "state": [[True, 0], *wc["state"][1:]]}, "amplitudes[0] must be a [re, im] pair of numbers"),
+        ({**wc, "state": wc["state"][:3]}, "amplitudes must list exactly 4 [re, im] pairs"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(ValueError, match=re.escape(f"'{name}' is malformed: {message}")):
+            reevaluate_check(name, doc)
+
+
+def test_report_inputs_are_state_and_transform_files(tmp_path):
+    # One schema: every worst case and witness decodes and re-encodes to
+    # itself, and a local-unitary row's state and transform load as files to
+    # the very inputs that replay decodes.
+    doc = run_suite(trials=3, seed=0).to_dict()
+    cases = [(c["name"], c["worst_case"]) for c in doc["checks"]]
+    cases += [(w["name"], w["witness"]) for w in doc["witnesses"]]
+    assert all(wc is not None for _, wc in cases)
+    for name, wc in cases:
+        group, _ = diagrams._row(name)
+        inputs = diagrams._inputs_from_doc(group, wc)
+        assert diagrams._inputs_doc(inputs) == {"state": wc["state"], "transform": wc["transform"]}, name
+        if isinstance(group.transform, Variant):
+            state, transform = tmp_path / "state.json", tmp_path / "transform.json"
+            state.write_text(json.dumps({"amplitudes": wc["state"]}))
+            transform.write_text(json.dumps(wc["transform"]))
+            assert (load_transform(str(transform)), load_state(str(state))) == inputs, name
+
+
+def test_every_variant_evaluator_rejects_the_other_variant():
+    psi = haar_random_state(1)
+    so2xsu2 = random_local_unitary(Variant.SO2_X_SU2, 2)
+    su2xso2 = random_local_unitary(Variant.SU2_X_SO2, 2)
+    left, canonical = FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2, FailureSearch.CANONICAL_ON_SU2XSO2
+    evaluators = [
+        (lambda u: variant_failure_deviation(left, psi, u), so2xsu2),
+        (lambda u: variant_failure_deviation(canonical, psi, u), su2xso2),
+        (lambda u: left_coefficient_candidate_deviation(psi, u), su2xso2),
+    ]
+    for evaluate, right in evaluators:
+        assert math.isfinite(evaluate(right))
+        wrong = so2xsu2 if right is su2xso2 else su2xso2
+        with pytest.raises(ValueError, match=f"requires variant {right.variant.value!r}"):
+            evaluate(wrong)
 
 
 def test_one_table_holds_every_seeded_row():
@@ -315,7 +367,7 @@ def test_one_table_holds_every_seeded_row():
     # The exploratory candidate replays by its name like any other row.
     name = "left_coefficient_variant_on_su2xso2"
     u, psi = _sample_transform(Variant.SU2_X_SO2, 0, 10, 2), _sample_state(0, 10, 2)
-    doc = {"state": state_doc(psi), "transform": transform_doc(u)}
+    doc = {"state": encode_amplitudes(psi), "transform": encode_transform(u)}
     assert reevaluate_check(name, doc) == left_coefficient_candidate_deviation(psi, u)
 
 
@@ -426,12 +478,8 @@ def _reference_search(seed, trials, idx, variant, deviation):
 
 def _inputs_doc(inputs):
     *transform, psi = inputs
-    state = one_qubit_doc(psi) if isinstance(psi, OneQubitState) else state_doc(psi)
-    if not transform:
-        return {"state": state, "transform": None}
-    if isinstance(transform[0], SU2Element):
-        return {"state": state, "transform": su2_doc(transform[0])}
-    return {"state": state, "transform": transform_doc(transform[0])}
+    transform_doc = encode_transform(*transform) if transform else None
+    return {"state": encode_amplitudes(psi), "transform": transform_doc}
 
 
 def _reference_trials(seed, trials, lu=_sample_transform):
