@@ -19,10 +19,11 @@ blocks, so everything here is exact, not approximate:
   out here with float64 operations, which round exactly as the interpreter
   does.  Every quotient is by a real number (:func:`div_real`), as in
   ``Quaternion.inverse``.  ``abs`` of a complex is ``hypot`` in both, and
-  the chordal metric is one function of floats or arrays for both.  Where
-  the scalar code calls numpy itself (matrix products, dot products, the
-  division by a norm), the block calls the same numpy routine on a stack of
-  operands, which runs the same kernel on each item.
+  the chordal metric is one function of floats or arrays for both.  The
+  scalar code calls no numpy routine on a trial's inputs: matrix actions and
+  the Wootters form are written out in complex ``*`` and ``+`` in one fixed
+  order, and so are their mirrors here.  Neither layer calls BLAS, whose
+  kernels (and hence roundings) depend on the CPU.
 
 A quaternion is a pair of split complex values ``(z1, z2)``.  Block
 functions compute the generic branch of the scalar code only; branch
@@ -33,11 +34,12 @@ boolean masks so that the caller can hand those trials to the scalar code.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
 from .quaternion import ZERO_NORM_SQ, _chord_sq
-from .states import _SIGMA_YY
+from .states import _SIGMA_YY_ENTRIES
 
 # Trials per block.  A block amortizes numpy's per-call cost over its trials,
 # and its arrays bound the memory the suite needs whatever the trial count;
@@ -101,16 +103,6 @@ def local_unitary_params(u: np.ndarray):
     g = _gaussians(u[:, _SU2])
     ab = _normalized(g[:, 0::2], g[:, 1::2])
     return _TWO_PI * u[:, _ANGLE], ab[:, 0], ab[:, 1]
-
-
-def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise ``x[i] @ y[i]``: numpy's dot kernel on each row, as a 1-D ``@`` runs it."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise ``m[i] @ v[i]``, numpy's matrix-vector kernel on each item."""
-    return np.matmul(m, v[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +252,20 @@ def concurrence_term(psi: np.ndarray):
     return sub(mul(beta, gamma), mul(alpha, delta))
 
 
-def su2_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``SU2Element.matrix`` rows (a, b), (-conj(b), conj(a)) for complex arrays a, b."""
-    m = np.empty((len(a), 2, 2), dtype=complex)
-    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = a, b, -np.conj(b), np.conj(a)
-    return m
+def su2_action(a, b, x, y):
+    """``local_unitary._su2_action``: rows (a, b), (-conj(b), conj(a)) on the column (x, y)."""
+    return add(mul(a, x), mul(b, y)), add(mul(neg(conj(b)), x), mul(conj(a), y))
 
 
-def complex_forms(first, second) -> np.ndarray:
-    """``complex_form`` of factor arrays ``(a, b)``: the first factor (x) the second, via ``_kron2``."""
-    left, right = su2_matrices(*first), su2_matrices(*second)
-    return (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(-1, 4, 4)
+def apply_cb(first, second, psi: np.ndarray) -> np.ndarray:
+    """Amplitude rows of ``apply_cb``: factor arrays ``(a, b)``, the second acting first."""
+    (a, b), (a2, b2) = (map(split, f) for f in (first, second))
+    alpha, beta, gamma, delta = (split(psi[:, j]) for j in range(4))
+    alpha, beta = su2_action(a2, b2, alpha, beta)
+    gamma, delta = su2_action(a2, b2, gamma, delta)
+    alpha, gamma = su2_action(a, b, alpha, gamma)
+    beta, delta = su2_action(a, b, beta, delta)
+    return np.stack([join(z) for z in (alpha, beta, gamma, delta)], axis=1)
 
 
 def spinor(first, second, qb):
@@ -298,6 +293,7 @@ def moebius_so2xsu2(c, s, a, b, q):
 
 
 def wootters_preconcurrence(psi: np.ndarray):
-    """``conj(v) @ (sigma_y (x) sigma_y @ conj(v))`` per amplitude row."""
-    vbar = psi.conjugate()
-    return split(dot(vbar, matvec(_SIGMA_YY, vbar)))
+    """``states.wootters_preconcurrence`` per amplitude row, term for term."""
+    vbar = [conj(split(psi[:, j])) for j in range(4)]
+    terms = (mul(vbar[j], mul((s.real, s.imag), vbar[k])) for j, k, s in _SIGMA_YY_ENTRIES)
+    return reduce(add, terms)

@@ -52,6 +52,7 @@ from .local_unitary import (
     SO2Element,
     SU2Element,
     Variant,
+    _fields,
     _require_variant,
     apply_B_quaterbit,
     apply_cb,
@@ -365,7 +366,7 @@ class _Block:
 
     def transported(self) -> np.ndarray:
         """Amplitude rows of ``apply_cb(u, psi)``."""
-        return batch.matvec(batch.complex_forms(*self.factors), self.psi)
+        return batch.apply_cb(*self.factors, self.psi)
 
 
 def _quaterbit_gap_block(x, y):
@@ -395,8 +396,8 @@ def _one_qubit_block(blk: _Block):
     lhs, inf2 = batch.right_quotient(
         batch.qadd(batch.qmul(m11, x), m12), batch.qadd(batch.qmul(m21, x), m22)
     )
-    v = batch.matvec(batch.su2_matrices(blk.a, blk.b), blk.psi)
-    rhs, inf3 = batch.right_quotient(_embedded(v[:, 0]), _embedded(v[:, 1]))
+    v1, v2 = batch.su2_action(*map(batch.split, (blk.a, blk.b, blk.psi[:, 0], blk.psi[:, 1])))
+    rhs, inf3 = batch.right_quotient((v1, (0.0, 0.0)), (v2, (0.0, 0.0)))
     return batch.chordal_distance(lhs, rhs)[:, None], inf1 | inf2 | inf3
 
 
@@ -451,9 +452,9 @@ def _inertness_block(blk: _Block):
     # The so2xsu2 element with SO2Element(0.0): the identity on the first qubit.
     n = len(blk.psi)
     identity = (np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
-    form = batch.complex_forms(identity, (blk.a, blk.b))
+    psi2 = batch.apply_cb(identity, (blk.a, blk.b), blk.psi)
     before, inf1 = batch.right_quotient(*batch.quaterbits(blk.psi))
-    after, inf2 = batch.right_quotient(*batch.quaterbits(batch.matvec(form, blk.psi)))
+    after, inf2 = batch.right_quotient(*batch.quaterbits(psi2))
     return batch.chordal_distance(before, after)[:, None], inf1 | inf2
 
 
@@ -622,7 +623,8 @@ def _scalar_inputs(group: _Group, blk: _Block, i: int) -> tuple:
 
 def _inputs_from_doc(group: _Group, doc: dict) -> tuple:
     """The inverse of :func:`_inputs_doc`: the codec decodes, the row picks the form and variant."""
-    amplitudes = decode_amplitudes(doc["state"], 2 if group.one_qubit else 4)
+    [state] = _fields(doc, ("state",))
+    amplitudes = decode_amplitudes(state, 2 if group.one_qubit else 4)
     if group.transform is None:
         return _inputs(group, amplitudes)
     if group.transform == _SU2:

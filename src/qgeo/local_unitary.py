@@ -3,8 +3,9 @@
 Two one-parameter families are covered: rotation-on-first-qubit with SU(2) on
 the second ("so2xsu2"), and SU(2)-on-first with rotation on the second
 ("su2xso2").  Both are a pair of SU(2) factors, one per qubit
-(:meth:`LocalUnitary.factors`), which give one 4x4 complex form acting on
-amplitudes and one equivalent quaternionic spinor action; the module also
+(:meth:`LocalUnitary.factors`), which give one complex action on amplitudes
+(:func:`apply_cb`, written out in interpreter arithmetic; :func:`complex_form`
+is its 4x4 matrix) and one equivalent quaternionic spinor action; the module also
 provides the membership tests that characterize Sp(2) in both the
 quaternionic and the complexified pictures, and the one codec of the JSON
 forms of local unitaries and SU(2) elements (transform files, worst cases).
@@ -159,15 +160,32 @@ def complex_form(u: LocalUnitary) -> np.ndarray:
     return _kron2(_factor_matrix(*first), _factor_matrix(*second))
 
 
+def _su2_action(a: complex, b: complex, x: complex, y: complex) -> tuple[complex, complex]:
+    """The matrix with rows (a, b), (-conj(b), conj(a)) on the column (x, y)."""
+    return a * x + b * y, -b.conjugate() * x + a.conjugate() * y
+
+
 def apply_cb(u: LocalUnitary, psi: TwoQubitState) -> TwoQubitState:
-    """Apply the 4x4 complex form to the amplitude vector."""
-    return TwoQubitState(*(complex_form(u) @ psi.amplitudes).tolist())
+    """The complex form F (x) G on the amplitudes, in interpreter arithmetic.
+
+    With the amplitude matrix Psi = ((alpha, beta), (gamma, delta)), whose
+    rows are indexed by the first qubit, the result is F Psi G^T: the second
+    factor G acts on each row first, then the first factor F on each column.
+    That is 16 complex products and 8 sums in one fixed order, so the result
+    does not depend on BLAS or the CPU, and it rounds otherwise than
+    :func:`apply_B_quaterbit`, which applies F first.
+    """
+    (a, b), (a2, b2) = u.factors()
+    alpha, beta = _su2_action(a2, b2, psi.alpha, psi.beta)
+    gamma, delta = _su2_action(a2, b2, psi.gamma, psi.delta)
+    alpha, gamma = _su2_action(a, b, alpha, gamma)
+    beta, delta = _su2_action(a, b, beta, delta)
+    return TwoQubitState(alpha, beta, gamma, delta)
 
 
 def apply_su2(a: SU2Element, psi: OneQubitState) -> OneQubitState:
     """One-qubit action of an SU(2) element on the amplitude pair."""
-    v = a.matrix @ np.array([psi.a1, psi.a2])
-    return OneQubitState(v[0], v[1])
+    return OneQubitState(*_su2_action(a.a, a.b, psi.a1, psi.a2))
 
 
 def apply_B_quaterbit(u: LocalUnitary, qb: Quaterbit) -> Quaterbit:

@@ -53,10 +53,10 @@ class Quaternion:
 
     def __init__(self, z1: complex, z2: complex):
         z1, z2 = complex(z1), complex(z2)
-        if not (cmath.isfinite(z1) and cmath.isfinite(z2)):
-            raise ValueError(f"quaternion components must be finite, got ({z1!r}, {z2!r})")
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", z2)
+        if not (_isfinite(z1) and _isfinite(z2)):
+            raise _not_finite(z1, z2)
+        _set_z1(self, z1)
+        _set_z2(self, z2)
 
     @classmethod
     def from_reals(cls, x0: float, x1: float, x2: float, x3: float) -> Quaternion:
@@ -85,15 +85,15 @@ class Quaternion:
     def __add__(self, other: Quaternion) -> Quaternion:
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(self.z1 + other.z1, self.z2 + other.z2)
+        return _quaternion(self.z1 + other.z1, self.z2 + other.z2)
 
     def __sub__(self, other: Quaternion) -> Quaternion:
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(self.z1 - other.z1, self.z2 - other.z2)
+        return _quaternion(self.z1 - other.z1, self.z2 - other.z2)
 
     def __neg__(self) -> Quaternion:
-        return Quaternion(-self.z1, -self.z2)
+        return _quaternion(-self.z1, -self.z2)
 
     def __mul__(self, other) -> Quaternion:
         # (p1 + p2 j)(q1 + q2 j) = (p1 q1 - p2 conj(q2)) + (p1 q2 + p2 conj(q1)) j
@@ -104,17 +104,17 @@ class Quaternion:
         else:
             return NotImplemented
         p1, p2 = self.z1, self.z2
-        return Quaternion(p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate())
+        return _quaternion(p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate())
 
     def __rmul__(self, other) -> Quaternion:
         # Scalar written on the left multiplies on the left.
         if isinstance(other, (int, float, complex)):
             c = complex(other)
-            return Quaternion(c * self.z1, c * self.z2)
+            return _quaternion(c * self.z1, c * self.z2)
         return NotImplemented
 
     def conjugate(self) -> Quaternion:
-        return Quaternion(self.z1.conjugate(), -self.z2)
+        return _quaternion(self.z1.conjugate(), -self.z2)
 
     def norm_sq(self) -> float:
         return _abs2(self.z1) + _abs2(self.z2)
@@ -130,10 +130,35 @@ class Quaternion:
         n = self.norm_sq()
         if n < ZERO_NORM_SQ:
             raise ZeroDivisionError("inverse of a zero (or sub-threshold) quaternion")
-        return Quaternion(self.z1.conjugate() / n, -self.z2 / n)
+        return _quaternion(self.z1.conjugate() / n, -self.z2 / n)
 
     def isclose(self, other: Quaternion, tol: float = COMPARE_TOL) -> bool:
         return abs(self.z1 - other.z1) <= tol and abs(self.z2 - other.z2) <= tol
+
+
+_isfinite = cmath.isfinite
+_new = object.__new__
+_set_z1 = Quaternion.z1.__set__
+_set_z2 = Quaternion.z2.__set__
+
+
+def _not_finite(z1: complex, z2: complex) -> ValueError:
+    return ValueError(f"quaternion components must be finite, got ({z1!r}, {z2!r})")
+
+
+def _quaternion(z1: complex, z2: complex) -> Quaternion:
+    """The Quaternion (z1, z2) of two complex numbers: the constructor of the class's own results.
+
+    It checks finiteness as ``__init__`` does, with the same error, and skips
+    only the ``complex()`` coercion and the ``__init__`` call, since the
+    operands are complex already.
+    """
+    if not (_isfinite(z1) and _isfinite(z2)):
+        raise _not_finite(z1, z2)
+    q = _new(Quaternion)
+    _set_z1(q, z1)
+    _set_z2(q, z2)
+    return q
 
 
 ONE = Quaternion(1 + 0j, 0j)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -14,7 +16,10 @@ from .quaternion import Quaternion, _abs2
 NORMALIZATION_TOL = 1e-9
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# The nonzero entries (j, k, s) of sigma_y (x) sigma_y, in row-major order.
+_SIGMA_YY_ENTRIES = tuple(
+    (j, k, complex(s)) for (j, k), s in np.ndenumerate(np.kron(_SIGMA_Y, _SIGMA_Y)) if s
+)
 
 
 def _finite_complex(value, name: str) -> complex:
@@ -131,11 +136,12 @@ def wootters_preconcurrence(psi: TwoQubitState) -> complex:
     """Sesquilinear form <psi| sigma_y (x) sigma_y |conj(psi)>.
 
     Equals twice the conjugate of :func:`concurrence_term`; its magnitude is
-    the standard concurrence of the pure state.
+    the standard concurrence of the pure state.  The form is summed over the
+    nonzero entries s_jk of sigma_y (x) sigma_y in row-major order, term
+    conj(v_j) * (s_jk * conj(v_k)), so it does not depend on BLAS or the CPU.
     """
-    v = psi.amplitudes
-    vbar = v.conjugate()
-    return complex(vbar @ (_SIGMA_YY @ vbar))
+    vbar = [z.conjugate() for z in (psi.alpha, psi.beta, psi.gamma, psi.delta)]
+    return reduce(operator.add, (vbar[j] * (s * vbar[k]) for j, k, s in _SIGMA_YY_ENTRIES))
 
 
 def is_separable(psi: TwoQubitState, tol: float = 1e-10) -> bool:
@@ -151,21 +157,28 @@ def haar_random_state(seed) -> TwoQubitState:
     Four complex amplitudes are drawn as standard Gaussians and the vector is
     normalized, which makes the distribution unitarily invariant.
     """
-    rng = np.random.default_rng(seed)
-    re = rng.standard_normal(4)
-    im = rng.standard_normal(4)
-    v = re + 1j * im
-    return TwoQubitState.from_vector(v / math.sqrt(float(re @ re + im @ im)))
+    return TwoQubitState(*_haar_amplitudes(seed, 4))
 
 
 def haar_random_one_qubit(seed) -> OneQubitState:
     """Uniform random normalized one-qubit state, deterministic in seed."""
+    return OneQubitState(*_haar_amplitudes(seed, 2))
+
+
+def _haar_amplitudes(seed, n: int) -> list[complex]:
+    """n standard complex Gaussians from ``default_rng(seed)`` (real parts drawn first), normalized.
+
+    The squared norm adds the squares of the real parts, then of the
+    imaginary parts, left to right, so it does not depend on BLAS or the CPU.
+    """
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal(2)
-    im = rng.standard_normal(2)
-    v = re + 1j * im
-    v = v / np.linalg.norm(v)
-    return OneQubitState(v[0], v[1])
+    re = rng.standard_normal(n).tolist()
+    im = rng.standard_normal(n).tolist()
+    norm_sq = 0.0
+    for x in re + im:
+        norm_sq = norm_sq + x * x
+    norm = math.sqrt(norm_sq)
+    return [complex(x / norm, y / norm) for x, y in zip(re, im)]
 
 
 def _json_number(value) -> float | None:

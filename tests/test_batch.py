@@ -15,8 +15,9 @@ from qgeo.diagrams import (
     _sample_transform,
     run_suite,
 )
-from qgeo.local_unitary import Variant
+from qgeo.local_unitary import Variant, _su2_action, apply_cb
 from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance
+from qgeo.states import TwoQubitState, wootters_preconcurrence
 
 SEEDS = [0, 42, 2**32 + 5, 2**70]
 
@@ -191,3 +192,36 @@ def test_quaternion_operations_match_the_scalar_class():
     assert same_bits([[part[invertible] for part in z] for z in inv], ref)
     assert same_bits(batch.chordal_distance(p, q), [chordal_distance(x, y) for x, y in zip(ps, qs)])
     assert same_bits(batch.qabs(p), [abs(x) for x in ps])
+
+
+class _Factors:
+    """A stand-in local unitary: ``apply_cb`` reads nothing of it but its factors."""
+
+    def __init__(self, first, second):
+        self._factors = (first, second)
+
+    def factors(self):
+        return self._factors
+
+
+def test_local_actions_match_the_scalar_code():
+    # Factors and amplitudes with exact zeros and wide scales, so signed
+    # zeros and every rounding of the fixed order must agree.
+    a, b, c, d, alpha, beta, gamma, delta = (z for seed in range(4, 8) for z in _complex_samples(seed=seed))
+    py = [_pyc(z) for z in (a, b, c, d, alpha, beta, gamma, delta)]
+
+    got = batch.su2_action(a, b, alpha, beta)
+    want = [_su2_action(*z) for z in zip(py[0], py[1], py[4], py[5])]
+    assert same_bits(got, [_split([w[0] for w in want]), _split([w[1] for w in want])])
+
+    psi = np.stack([batch.join(z) for z in (alpha, beta, gamma, delta)], axis=1)
+    first, second = (batch.join(a), batch.join(b)), (batch.join(c), batch.join(d))
+    states = [TwoQubitState(*row) for row in zip(*py[4:])]
+    want = [
+        apply_cb(_Factors((fa, fb), (sa, sb)), s)
+        for fa, fb, sa, sb, s in zip(*py[:4], states)
+    ]
+    assert same_bits(batch.apply_cb(first, second, psi), [[w.alpha, w.beta, w.gamma, w.delta] for w in want])
+
+    want = [wootters_preconcurrence(s) for s in states]
+    assert same_bits(batch.wootters_preconcurrence(psi), _split(want))

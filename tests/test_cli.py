@@ -275,16 +275,15 @@ def test_verify_small_run_passes_and_is_deterministic(capsys, tmp_path):
 # SHA-256 of `qgeo verify` report bytes, pinned across refactors (the
 # default run's is checked in test_acceptance).  The values hold for numpy's
 # Philox streams and this platform's libm (numpy 2.4.6, CPython 3.11.7).
+REPORT_SHA256 = {
+    ("513", "0"): "a45f299ae68c38e88376223200fa0e336f184947e736b4bf85e6aa1d62fe2b99",
+    ("1", "7"): "696e61d13cbb0146ed5b6bfa8f0cd69415fdc314de840f353992f878302174c8",
+}
+
+
 @pytest.mark.parametrize(
     "trials, seed, digest",
-    [
-        pytest.param(
-            "513", "0", "c78f6ed9ed37f210b7af6cf29ba86644111d33de3d35ea171518783a6da01967", id="513-0"
-        ),
-        pytest.param(
-            "1", "7", "5a62ab727a5500df9c15bf60ffb2cf6f5fd259452db7d1af9601665e1db93f57", id="1-7"
-        ),
-    ],
+    [pytest.param(t, s, d, id=f"{t}-{s}") for (t, s), d in REPORT_SHA256.items()],
 )
 def test_verify_report_bytes_are_pinned(capsys, tmp_path, trials, seed, digest):
     report = tmp_path / "r.json"
@@ -471,15 +470,42 @@ def test_sample_writes_deterministic_valid_states(capsys, tmp_path):
 # name, a NUL byte and its contents, in name order.  `qgeo sample` and the
 # public samplers behind it keep their `np.random.default_rng(seed)` draws;
 # only the verification suite reads counter-based streams.
-SAMPLE_SHA256 = "4312f55409ea7ac7a0ddeeb6f14f5dace4ed09629777dd9c686990352f1dc392"
+SAMPLE_SHA256 = "97c53bf753f29dcc58065cae07334f65938e2cfde9de135361d2c58da1e5c444"
+
+
+def _files_digest(directory: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def test_sample_files_are_pinned(capsys, tmp_path):
     assert run_cli(capsys, "sample", "--count", "10", "--seed", "0", "--out", str(tmp_path))[0] == 0
-    digest = hashlib.sha256()
-    for path in sorted(tmp_path.iterdir()):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == SAMPLE_SHA256
+    assert _files_digest(tmp_path) == SAMPLE_SHA256
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, coretype):
+    # OPENBLAS_CORETYPE makes numpy's OpenBLAS run the kernels of another
+    # CPU (AVX2, or SSE3 only), which round dot and matrix products
+    # otherwise.  The verify report and the sample files use none of them.
+    src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": coretype,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+
+    def qgeo_cli(*args):
+        subprocess.run([sys.executable, "-W", "error", "-m", "qgeo.cli", *args], env=env,
+                       capture_output=True, check=True)
+
+    report, samples = tmp_path / "r.json", tmp_path / "samples"
+    qgeo_cli("verify", "--trials", "513", "--seed", "0", "--report", str(report))
+    qgeo_cli("sample", "--count", "10", "--seed", "0", "--out", str(samples))
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256["513", "0"]
+    assert _files_digest(samples) == SAMPLE_SHA256
 
 
 def test_importing_the_cli_loads_no_scipy():

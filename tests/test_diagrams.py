@@ -301,6 +301,14 @@ def test_reevaluate_rejects_unknown_name():
             reevaluate_check(name, other)
 
 
+@pytest.mark.parametrize("doc", [[1, 2], None, "state"])
+@pytest.mark.parametrize("name", ["quaterbit_transport_so2xsu2", "wootters_preconcurrence_relation"])
+def test_reevaluate_names_a_worst_case_that_is_no_object(name, doc):
+    message = f"worst case of '{name}' is malformed: expected a JSON object"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        reevaluate_check(name, doc)
+
+
 def test_replay_decodes_as_strictly_as_the_files():
     # The report's inputs go through the codec that reads state and transform
     # files: no string or boolean passes for a number, and a wrong count of

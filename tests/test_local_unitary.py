@@ -148,6 +148,38 @@ def test_apply_local_pair_matches_kronecker_and_cb():
         assert max(abs(sandwich - apply_cb(u, psi).amplitudes)) <= 1e-13
 
 
+def _local_cases():
+    return [
+        (_random_b(seed, variant), haar_random_state(seed + 300))
+        for seed in range(40)
+        for variant in Variant
+    ]
+
+
+def test_apply_cb_builds_no_amplitude_vector(monkeypatch):
+    # apply_cb is interpreter arithmetic on the four amplitudes: no numpy
+    # vector, so no BLAS kernel, whose rounding depends on the CPU.
+    cases = _local_cases()
+    expected = [apply_cb(u, psi) for u, psi in cases]
+
+    def no_vector(self):
+        raise AssertionError("apply_cb read TwoQubitState.amplitudes")
+
+    monkeypatch.setattr(TwoQubitState, "amplitudes", property(no_vector))
+    assert [apply_cb(u, psi) for u, psi in cases] == expected
+
+
+def test_apply_cb_rounds_independently_of_the_spinor_action():
+    # The first factor applied first would repeat apply_B_quaterbit's
+    # roundings operation for operation; then the quaterbit transport checks
+    # would compare a path with itself and read exactly 0 on every input.
+    differ = [
+        quaternionify(apply_cb(u, psi)) != apply_B_quaterbit(u, quaternionify(psi))
+        for u, psi in _local_cases()
+    ]
+    assert sum(differ) >= len(differ) // 2
+
+
 def test_apply_B_quaterbit_pure_right_action_at_theta_zero():
     for seed in range(30):
         u = _random_b(seed)

@@ -1,6 +1,7 @@
 """Quaternion algebra: unit table, conjugation, norms, inverses, extended line."""
 
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -41,8 +42,6 @@ def test_rejects_non_finite_components():
         Quaternion(0j, complex(0, float("inf")))
     with pytest.raises(ValueError):
         Quaternion.from_reals(0, 0, float("inf"), 0)
-    with pytest.raises(ValueError):
-        Quaternion(1e308, 0) * Quaternion(10, 0)
     # The value-type contract of the hand-written __init__.
     q = Quaternion(1, 2.5)
     assert type(q.z1) is complex and type(q.z2) is complex
@@ -54,6 +53,52 @@ def test_rejects_non_finite_components():
     assert pickle.loads(pickle.dumps(q)) == q
     assert dataclasses.replace(q, z2=-1) == Quaternion(1, -1)
     assert repr(q) == "Quaternion(z1=(1+0j), z2=(2.5+0j))"
+
+
+# A finite result that overflows: each operation raises the public
+# constructor's error, which names the components.
+_BIG = Quaternion(1e308, 0)
+_OVERFLOWS = {
+    "mul": lambda: _BIG * Quaternion(10, 0),
+    "add": lambda: _BIG + _BIG,
+    "sub": lambda: _BIG - (-_BIG),
+    "rmul": lambda: 10 * _BIG,
+    "rmul_complex": lambda: 10j * _BIG,
+}
+
+
+@pytest.mark.parametrize("op", list(_OVERFLOWS))
+def test_overflowing_operations_raise_the_constructors_error(op):
+    with pytest.raises(ValueError) as got:
+        _OVERFLOWS[op]()
+    z1 = complex(0, float("inf")) if op == "rmul_complex" else complex(float("inf"), 0)
+    with pytest.raises(ValueError) as ref:
+        Quaternion(z1, 0j)
+    assert str(got.value) == str(ref.value)
+    assert str(ref.value) == f"quaternion components must be finite, got ({z1!r}, 0j)"
+
+
+def test_inverse_cannot_overflow():
+    # |z|^2 <= n and n >= ZERO_NORM_SQ bound each component of conj(q) / n by
+    # n ** -0.5 <= 1e12, and a norm that overflows to inf gives zeros, so
+    # inverse has no overflow to raise on.
+    for q in (_BIG, Quaternion(1e308 + 1e308j, -1e308 - 1e308j), Quaternion(1e-12, 0)):
+        inv = q.inverse()
+        assert all(map(math.isfinite, inv.as_reals()))
+    assert _BIG.inverse() == Quaternion(0, 0)
+    assert Quaternion(1e-12, 0).inverse() == Quaternion(1e12, 0)
+
+
+def test_operations_return_plain_quaternions():
+    # The operations build their results without __init__; the results are
+    # the same values, types and hashes as the public constructor's.
+    p, q = Quaternion(1 + 2j, 3 - 4j), Quaternion(-0.5j, 2)
+    results = [p + q, p - q, -p, p * q, p * 2, 2 * p, 1j * p, p.conjugate(), p.inverse()]
+    for r in results:
+        assert type(r) is Quaternion and type(r.z1) is complex and type(r.z2) is complex
+        assert r == Quaternion(r.z1, r.z2) and hash(r) == hash(Quaternion(r.z1, r.z2))
+        assert not hasattr(r, "__dict__")
+        assert pickle.loads(pickle.dumps(r)) == r
 
 
 def test_unit_multiplication_table():
