@@ -11,7 +11,8 @@ blocks, so everything here is exact, not approximate:
   block reads them.  Gaussians come from the Box-Muller transform with libm's
   ``log1p``, ``cos`` and ``sin``; numpy's own vectorized versions round
   differently on some inputs, depending on the instruction set it dispatches
-  to.
+  to.  Rows are normalized as the scalar samplers normalize: the columns'
+  :func:`qgeo.quaternion.squared_norm`, then each part divided by its root.
 * Arithmetic.  A complex array is split into a pair of float64 arrays
   ``(re, im)``.  CPython evaluates complex products and quotients with fixed
   formulas (``_Py_c_prod``, ``_Py_c_quot``); numpy's complex ufuncs use other
@@ -38,7 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .quaternion import ZERO_NORM_SQ, _chord_sq
+from .quaternion import ZERO_NORM_SQ, _chord_sq, squared_norm
 from .states import _SIGMA_YY_ENTRIES
 
 # Trials per block.  A block amortizes numpy's per-call cost over its trials,
@@ -79,10 +80,7 @@ def _gaussians(u: np.ndarray) -> np.ndarray:
 
 def _normalized(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Rows ``(re + i im) / |(re, im)|``; a zero row gives NaN."""
-    norm_sq = 0.0
-    for col in (*re.T, *im.T):
-        norm_sq = norm_sq + col * col
-    n = np.sqrt(norm_sq)[:, None]
+    n = np.sqrt(squared_norm(join((re, im)).T))[:, None]
     return join((re / n, im / n))
 
 

@@ -7,8 +7,9 @@ amplitudes ordered |00>, |01>, |10>, |11>; a transform file is
 ``{"variant": "so2xsu2" | "su2xso2", "theta": number, "a": [re, im],
 "b": [re, im]}``.  The codec of :mod:`qgeo.states` and
 :mod:`qgeo.local_unitary` reads and writes both, as it does a report's worst
-cases; this module adds the file I/O, the norm repair (an error beyond 1e-6
-of 1, renormalized with a warning beyond 1e-12) and the exit codes.
+cases; this module adds the file I/O, the norm repair (by the rule of
+:func:`qgeo.quaternion.squared_norm`: an error beyond 1e-6 of 1, renormalized
+with a warning beyond 1e-12) and the exit codes.
 
 Report file (JSON): the dictionary form of a DiagramReport.  Orbit output is
 CSV with header ``step,u0,u1,u2,u3,u4``: row k is the 4-sphere image of the
@@ -18,8 +19,8 @@ closed form and streamed in blocks, so neither the error nor the memory
 grows with ``--steps``.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
-or input error, 3 mathematical domain error.  The environment variable
-``QGEO_TOL`` overrides the default verification tolerance.
+or input error, 3 mathematical domain error.  ``--tol`` alone sets
+``verify``'s tolerance; ``analyze`` uses :func:`qgeo.states.is_separable`'s.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
 
-from .quaternion import INFINITY, _abs2
+from .quaternion import INFINITY, divided, squared_norm
 from .states import (
     TwoQubitState,
     concurrence_term,
@@ -84,6 +84,8 @@ def _load_json(path: str, decode: Callable):
         raise CliError(
             EXIT_USAGE, f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise CliError(EXIT_USAGE, f"{path}: invalid JSON: nested too deeply") from None
     except KeyError as exc:  # a field the codec reads
         raise CliError(EXIT_USAGE, f"{path}: missing field {exc.args[0]!r}") from None
     except ValueError as exc:  # the codec's, bytes that are not UTF-8, or a too long integer
@@ -100,27 +102,25 @@ def _state_amplitudes(doc) -> list[complex]:
 
 def load_state(path: str) -> TwoQubitState:
     values = _load_json(path, _state_amplitudes)
-    n0, n1, n2, n3 = map(_abs2, values)
-    norm = math.sqrt(n0 + n1 + n2 + n3)  # left to right: sum() compensates since Python 3.12
+    norm = math.sqrt(squared_norm(values))
     if norm < 1e-9:
         raise CliError(EXIT_DOMAIN, f"{path}: state vector is zero")
     if abs(norm - 1.0) > FILE_NORM_TOL:
         raise CliError(EXIT_USAGE, f"{path}: amplitudes norm {norm!r} is not within 1e-06 of 1")
     if abs(norm - 1.0) > _SILENT_NORM_TOL:
         _warn(f"{path}: renormalizing amplitudes (norm deviation {abs(norm - 1.0):.3e})")
-        values = [z / norm for z in values]
+        values = divided(values, norm)
     return TwoQubitState(*values)
 
 
 def load_transform(path: str) -> LocalUnitary:
     variant, theta, a, b = _load_json(path, decode_transform)
-    norm_sq = _abs2(a) + _abs2(b)  # the rule of SU2Element
+    norm_sq = squared_norm((a, b))  # the rule of SU2Element
     if abs(norm_sq - 1.0) > FILE_NORM_TOL:
         raise CliError(EXIT_USAGE, f"{path}: |a|^2 + |b|^2 = {norm_sq!r} is not within 1e-06 of 1")
     if abs(norm_sq - 1.0) > _SILENT_NORM_TOL:
         _warn(f"{path}: renormalizing SU(2) parameters (deviation {abs(norm_sq - 1.0):.3e})")
-        n = math.sqrt(norm_sq)
-        a, b = a / n, b / n
+        return LocalUnitary(variant, SO2Element(theta), SU2Element.normalized(a, b))
     return LocalUnitary(variant, SO2Element(theta), SU2Element(a, b))
 
 
@@ -142,19 +142,6 @@ def _sc_doc(psi: TwoQubitState) -> dict:
     }
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("QGEO_TOL")
-    if raw is None:
-        return DEFAULT_SUITE_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise CliError(EXIT_USAGE, f"QGEO_TOL={raw!r} is not a number") from None
-    if not math.isfinite(tol) or tol <= 0:
-        raise CliError(EXIT_USAGE, f"QGEO_TOL={raw!r} must be a positive number")
-    return tol
-
-
 def cmd_analyze(args) -> int:
     psi = load_state(args.state)
     qb = quaternionify(psi)
@@ -165,7 +152,7 @@ def cmd_analyze(args) -> int:
         "q1_norm_sq": qb.q1.norm_sq(),
         "q2_norm_sq": qb.q2.norm_sq(),
         "conformal_image": "inf" if image is INFINITY else list(image.as_reals()),
-        "separable": is_separable(psi, tol=_default_tol()),
+        "separable": is_separable(psi),
         "s4_point": [float(v) for v in inverse_stereographic(image)],
     }
     print(json.dumps(out, indent=2))
@@ -184,10 +171,9 @@ def cmd_transform(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise CliError(EXIT_USAGE, "--trials must be at least 1")
-    tol = args.tol if args.tol is not None else _default_tol()
-    if not math.isfinite(tol) or tol <= 0:
+    if not math.isfinite(args.tol) or args.tol <= 0:
         raise CliError(EXIT_USAGE, "--tol must be a positive number")
-    report = run_suite(args.trials, args.seed, tol)
+    report = run_suite(args.trials, args.seed, args.tol)
     doc = report.to_dict()
     if args.report is not None:
         _write_json(args.report, doc)
@@ -266,7 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomized verification suite")
     p.add_argument("--trials", type=int, default=10000, help="trials per check (default 10000)")
     p.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
-    p.add_argument("--tol", type=float, default=None, help="suite tolerance (default 1e-10 or QGEO_TOL)")
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_SUITE_TOL,
+        help=f"suite tolerance (default {DEFAULT_SUITE_TOL:g})",
+    )
     p.add_argument("--report", default=None, help="also write the JSON report to this path")
     p.set_defaults(func=cmd_verify)
 

@@ -20,9 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .quaternion import Quaternion
+from .quaternion import Quaternion, divided, squared_norm
 from .states import (
-    NORMALIZATION_TOL, OneQubitState, Quaterbit, TwoQubitState, _abs2,
+    NORMALIZATION_TOL, OneQubitState, Quaterbit, TwoQubitState, _haar_amplitudes,
     decode_number, decode_pair, encode_pair,
 )
 
@@ -50,21 +50,22 @@ class SU2Element:
     b: complex
 
     def __post_init__(self):
-        a = complex(self.a)
-        b = complex(self.b)
+        a, b = complex(self.a), complex(self.b)
         if not (cmath.isfinite(a) and cmath.isfinite(b)):
             raise ValueError("SU(2) parameters must be finite")
-        if abs(_abs2(a) + _abs2(b) - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"|a|^2 + |b|^2 must be 1, got {_abs2(a) + _abs2(b)!r}")
+        norm_sq = squared_norm((a, b))
+        if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"|a|^2 + |b|^2 must be 1, got {norm_sq!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
     @classmethod
     def normalized(cls, a: complex, b: complex) -> SU2Element:
-        n = math.sqrt(_abs2(complex(a)) + _abs2(complex(b)))
+        a, b = complex(a), complex(b)
+        n = math.sqrt(squared_norm((a, b)))
         if n < 1e-12:
             raise ZeroDivisionError("cannot normalize zero SU(2) parameters")
-        return cls(a / n, b / n)
+        return cls(*divided((a, b), n))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -311,18 +312,10 @@ def is_quaternionic_complex_matrix(u: np.ndarray, tol: float) -> bool:
 
 
 def random_local_unitary(variant: Variant, seed) -> LocalUnitary:
-    """Random element with theta uniform on [0, 2*pi) and (a, b) Haar on SU(2)."""
+    """theta uniform on [0, 2*pi), then (a, b) Haar on SU(2), as the one-qubit sampler draws."""
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * math.pi)
-    g = rng.standard_normal(4)
-    while g[0] ** 2 + g[1] ** 2 + g[2] ** 2 + g[3] ** 2 < 1e-24:
-        g = rng.standard_normal(4)
-    n = math.sqrt(g[0] ** 2 + g[1] ** 2 + g[2] ** 2 + g[3] ** 2)
-    return LocalUnitary(
-        Variant(variant),
-        SO2Element(theta),
-        SU2Element(complex(g[0], g[1]) / n, complex(g[2], g[3]) / n),
-    )
+    return LocalUnitary(Variant(variant), SO2Element(theta), SU2Element(*_haar_amplitudes(rng, 2)))
 
 
 def random_su2(seed) -> SU2Element:

@@ -231,6 +231,21 @@ def _chord_sq(u, v):
     return d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
 
 
+def squared_norm(values):
+    """|v|^2 of complex numbers, or row by row of complex column arrays, by the library's
+    one rule: the squares of the real parts, then of the imaginary parts, left to right.
+    """
+    total = 0.0
+    for x in [z.real for z in values] + [z.imag for z in values]:
+        total = total + x * x
+    return total
+
+
+def divided(values, n: float) -> list[complex]:
+    """Each value divided by n, part by part: before Python 3.14, ``z / n`` turns -0.0 into 0.0."""
+    return [complex(z.real / n, z.imag / n) for z in values]
+
+
 def ext_isclose(p: ExtendedQuaternion, q: ExtendedQuaternion, tol: float = COMPARE_TOL) -> bool:
     """Tolerance comparison on the extended line, via the chordal metric."""
     return chordal_distance(p, q) <= tol

@@ -10,7 +10,7 @@ from functools import reduce
 
 import numpy as np
 
-from .quaternion import Quaternion, _abs2
+from .quaternion import Quaternion, _abs2, divided, squared_norm
 
 # Norm deviation accepted at the construction boundary.
 NORMALIZATION_TOL = 1e-9
@@ -70,12 +70,15 @@ class TwoQubitState:
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.shape != (4,):
             raise ValueError(f"expected 4 amplitudes, got shape {v.shape}")
+        values = v.tolist()
         if renormalize:
-            n = np.linalg.norm(v)
+            n = math.sqrt(squared_norm(values))
             if n < 1e-12:
                 raise ZeroDivisionError("cannot normalize a zero state vector")
-            v = v / n
-        return cls(v[0], v[1], v[2], v[3])
+            if n == math.inf:
+                raise ValueError("cannot normalize: the squared norm overflows")
+            values = divided(values, n)
+        return cls(*values)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -168,17 +171,14 @@ def haar_random_one_qubit(seed) -> OneQubitState:
 def _haar_amplitudes(seed, n: int) -> list[complex]:
     """n standard complex Gaussians from ``default_rng(seed)`` (real parts drawn first), normalized.
 
-    The squared norm adds the squares of the real parts, then of the
-    imaginary parts, left to right, so it does not depend on BLAS or the CPU.
+    ``seed`` may be a Generator, which is read on.  The vector is normalized
+    by the one rule of :func:`qgeo.quaternion.squared_norm`, so it does not
+    depend on BLAS, the CPU or the Python version.
     """
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal(n).tolist()
-    im = rng.standard_normal(n).tolist()
-    norm_sq = 0.0
-    for x in re + im:
-        norm_sq = norm_sq + x * x
-    norm = math.sqrt(norm_sq)
-    return [complex(x / norm, y / norm) for x, y in zip(re, im)]
+    re, im = rng.standard_normal(n).tolist(), rng.standard_normal(n).tolist()
+    values = [complex(x, y) for x, y in zip(re, im)]
+    return divided(values, math.sqrt(squared_norm(values)))
 
 
 def _json_number(value) -> float | None:

@@ -16,7 +16,7 @@ from qgeo.diagrams import (
     run_suite,
 )
 from qgeo.local_unitary import Variant, _su2_action, apply_cb
-from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance
+from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance, divided, squared_norm
 from qgeo.states import TwoQubitState, wootters_preconcurrence
 
 SEEDS = [0, 42, 2**32 + 5, 2**70]
@@ -111,6 +111,21 @@ def test_sampled_inputs_have_their_distributions():
     assert abs(np.mean(np.abs(a) ** 2) - 0.5) < 0.01
     assert 0.0 <= theta.min() and theta.max() < 2 * math.pi
     assert abs(np.mean(theta) - math.pi) < 0.05
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_normalized_rows_follow_the_scalar_rule(width):
+    # batch._normalized and the scalar samplers' squared_norm and divided.
+    rng = np.random.default_rng(width)
+    scales = [1e-100, 1e-12, 1.0, 1e12, 1e100]
+    re, im = rng.standard_normal((2, 3000, width)) * rng.choice(scales, size=(2, 3000, width))
+    re[rng.random(re.shape) < 0.25] = 0.0  # exact zeros
+    im[rng.random(im.shape) < 0.25] = -0.0
+    re[:, 0] = np.where(re[:, 0] == 0.0, 1e-100, re[:, 0])  # no zero row
+    rows = batch._normalized(re, im)
+    for r, i, row in zip(re.tolist(), im.tolist(), rows):
+        values = [complex(x, y) for x, y in zip(r, i)]
+        assert same_bits(row, divided(values, math.sqrt(squared_norm(values))))
 
 
 def test_negative_seed_raises_numpys_error(capsys):

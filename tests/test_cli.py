@@ -1,11 +1,14 @@
 """CLI end-to-end: subcommands, file formats, exit codes, determinism."""
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -17,7 +20,7 @@ import pytest
 import qgeo.cli
 from qgeo.cli import load_state, load_transform, main
 from qgeo.conformal import conformal_map, inverse_stereographic, schmidt_concurrence_form
-from qgeo.local_unitary import LocalUnitary, SO2Element
+from qgeo.local_unitary import LocalUnitary, SO2Element, SU2Element
 from qgeo.moebius import ORBIT_CHUNK, apply_moebius_q, moebius_from_local_unitary, orbit_s4
 from qgeo.states import haar_random_state, quaternionify
 
@@ -98,6 +101,21 @@ def test_analyze_malformed_json(capsys, tmp_path):
     assert "line" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "transform", "orbit"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, bell_state, command):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    tr = write_transform(tmp_path / "t.json", "so2xsu2", 0.3, 1 + 0j, 0j)
+    args = {
+        "analyze": [str(nested)],
+        "transform": [bell_state, str(nested), str(tmp_path / "o.json")],
+        "orbit": [str(nested), tr, "--out", str(tmp_path / "o.csv")],
+    }[command]
+    code, _, err = run_cli(capsys, command, *args)
+    assert code == 2
+    assert err == f"error: {nested}: invalid JSON: nested too deeply\n"
+
+
 def test_analyze_schema_violations(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"amplitudes": [[1, 0], [0, 0], [0, 0]]}))
@@ -135,41 +153,89 @@ def test_analyze_renormalizes_with_warning(capsys, tmp_path):
     assert "renormalizing" in err
 
 
-def test_load_state_norm_adds_left_to_right(tmp_path):
-    """A renormalized file is divided by sqrt(((n0 + n1) + n2) + n3), n_k = |z_k|^2.
+def _compensated_sum(terms):
+    """sum() of floats from Python 3.12 on: Neumaier's compensated summation."""
+    total, c = 0.0, 0.0
+    for x in terms:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c else total
 
-    For these amplitudes, Python 3.12's compensated sum() gives another norm
-    (1.0000000000029998), so a sum() there would make the loaded state
-    depend on the interpreter.
+
+def _other_norm_sqs(values):
+    """|v|^2 by the rules the one rule replaced, each added in its own order."""
+    parts = [z.real for z in values] + [z.imag for z in values]
+    per_amplitude = [z.real * z.real + z.imag * z.imag for z in values]
+    return {
+        "compensated sum()": _compensated_sum(x * x for x in parts),
+        "compensated sum() per amplitude": _compensated_sum(per_amplitude),
+        "per amplitude": functools.reduce(operator.add, per_amplitude),
+        "abs(z) ** 2": functools.reduce(operator.add, (abs(z) ** 2 for z in values)),
+    }
+
+
+def test_load_state_norm_adds_left_to_right(tmp_path):
+    """A renormalized file is divided part by part by the root of the squares of
+    its real parts, then of its imaginary parts, added left to right.
+
+    For these amplitudes each other rule gives another norm, so it would
+    give another loaded state.
     """
-    values = [
-        0.17752652182351897 + 0.5953780629863595j,
-        0.38886761923247015 - 0.2602514656664513j,
-        -0.13767362916925963 + 0.20349128521947585j,
-        -0.5766592800729953 - 0.046495041429969255j,
+    a, b, c, d = values = [
+        0.6892597144557875 + 0.06966016123299716j,
+        -0.07670346880631662 - 0.2659130537814524j,
+        0.23183552531333976 + 0.019350256600067683j,
+        -0.43639554119443347 - 0.44599565252459217j,
     ]
-    n0, n1, n2, n3 = (z.real * z.real + z.imag * z.imag for z in values)
-    norm = math.sqrt(((n0 + n1) + n2) + n3)
+    norm = math.sqrt(
+        a.real * a.real + b.real * b.real + c.real * c.real + d.real * d.real
+        + a.imag * a.imag + b.imag * b.imag + c.imag * c.imag + d.imag * d.imag
+    )
     assert norm == 1.000000000003
+    for rule, norm_sq in _other_norm_sqs(values).items():
+        assert math.sqrt(norm_sq) != norm, rule
     assert qgeo.cli._SILENT_NORM_TOL < norm - 1.0 < qgeo.cli.FILE_NORM_TOL
     psi = load_state(write_state(tmp_path / "near.json", values))
-    assert [psi.alpha, psi.beta, psi.gamma, psi.delta] == [z / norm for z in values]
+    assert [psi.alpha, psi.beta, psi.gamma, psi.delta] == [
+        complex(z.real / norm, z.imag / norm) for z in values
+    ]
+
+
+def test_load_state_keeps_a_negative_zero_real_part(tmp_path):
+    # z / norm divides by complex(norm, 0.0), which before Python 3.14 adds
+    # 0.0 * z.imag to the real part and so turns -0.0 into 0.0.
+    psi = load_state(write_state(tmp_path / "near.json", [complex(-0.0, 0.6), 0j, 0j, 0.8 + 1e-9]))
+    assert math.copysign(1.0, psi.alpha.real) == -1.0
 
 
 def test_load_transform_norm_is_the_su2_element_rule(tmp_path):
-    """A renormalized transform file is divided by sqrt(_abs2(a) + _abs2(b)), as SU2Element measures it.
+    """A transform file is measured as SU2Element measures (a, b), and divided
+    part by part by the root of that squared norm.
 
-    For this pair, abs(a) ** 2 + abs(b) ** 2 (libm hypot and pow) gives
-    1.0000000061373848, so dividing by its root would give other bits.
+    For this pair each other rule gives another squared norm and another root.
     """
-    a = -0.05647399313660132 - 0.3124426606501606j
-    b = 0.8927412831139024 - 0.3196924763997169j
-    norm_sq = (a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag)
-    assert norm_sq == 1.0000000061373846
+    a = 0.35428649273551643 + 0.8533612525481027j
+    b = 0.3655762364980943 - 0.11229280930936565j
+    norm_sq = a.real * a.real + b.real * b.real + a.imag * a.imag + b.imag * b.imag
+    assert norm_sq == 1.0000000059999998
+    for rule, other in _other_norm_sqs([a, b]).items():
+        assert math.sqrt(other) != math.sqrt(norm_sq), rule
+    with pytest.raises(ValueError, match=re.escape(f"must be 1, got {norm_sq!r}")):
+        SU2Element(a, b)
     assert qgeo.cli._SILENT_NORM_TOL < norm_sq - 1.0 < qgeo.cli.FILE_NORM_TOL
     u = load_transform(write_transform(tmp_path / "near.json", "su2xso2", 0.3, a, b))
     n = math.sqrt(norm_sq)
-    assert (u.su2.a, u.su2.b) == (a / n, b / n)
+    assert (u.su2.a, u.su2.b) == (complex(a.real / n, a.imag / n), complex(b.real / n, b.imag / n))
+
+    # Beyond FILE_NORM_TOL, the file's error names the value SU2Element's does.
+    far = write_transform(tmp_path / "far.json", "su2xso2", 0.3, 1.001 * a, b)
+    with pytest.raises(ValueError) as su2_error:
+        SU2Element(1.001 * a, b)
+    with pytest.raises(qgeo.cli.CliError) as file_error:
+        load_transform(far)
+    assert file_error.value.code == qgeo.cli.EXIT_USAGE
+    assert f"= {str(su2_error.value).split('got ')[1]} is not within" in str(file_error.value)
 
 
 def test_transform_identity(capsys, tmp_path, bell_state):
@@ -318,15 +384,6 @@ def test_verify_unwritable_report_path(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--trials", "2", "--report", "/nonexistent/dir/report.json"
     )
-    assert code == 2
-
-
-def test_verify_env_tolerance_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("QGEO_TOL", "1e-30")
-    code, _, _ = run_cli(capsys, "verify", "--trials", "5", "--seed", "2")
-    assert code == 1
-    monkeypatch.setenv("QGEO_TOL", "junk")
-    code, _, err = run_cli(capsys, "verify", "--trials", "5")
     assert code == 2
 
 
@@ -485,11 +542,24 @@ def test_sample_files_are_pinned(capsys, tmp_path):
     assert _files_digest(tmp_path) == SAMPLE_SHA256
 
 
+# SHA-256 of the reprs of `TwoQubitState.from_vector(v, renormalize=True)`
+# for 2 000 complex Gaussian vectors v, the way perfbench's `api` items are built.
+FROM_VECTOR_SHA256 = "4cb87f73ac893110e195bbcba590be6afcabc45ddcb861994ebb5507dd6aa427"
+_FROM_VECTOR_DIGEST = """
+import hashlib, numpy as np
+from qgeo import TwoQubitState
+g = np.random.default_rng(0).standard_normal((2000, 8))
+states = [TwoQubitState.from_vector(r[:4] + 1j * r[4:], renormalize=True) for r in g]
+print(hashlib.sha256(repr(states).encode()).hexdigest())
+"""
+
+
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, coretype):
     # OPENBLAS_CORETYPE makes numpy's OpenBLAS run the kernels of another
     # CPU (AVX2, or SSE3 only), which round dot and matrix products
-    # otherwise.  The verify report and the sample files use none of them.
+    # otherwise.  The verify report, the sample files and renormalized
+    # state vectors use none of them.
     src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
     env = {
         **os.environ,
@@ -497,15 +567,19 @@ def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, coretype):
         "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
     }
 
+    def python(*args):
+        return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                              capture_output=True, check=True, text=True).stdout
+
     def qgeo_cli(*args):
-        subprocess.run([sys.executable, "-W", "error", "-m", "qgeo.cli", *args], env=env,
-                       capture_output=True, check=True)
+        python("-m", "qgeo.cli", *args)
 
     report, samples = tmp_path / "r.json", tmp_path / "samples"
     qgeo_cli("verify", "--trials", "513", "--seed", "0", "--report", str(report))
     qgeo_cli("sample", "--count", "10", "--seed", "0", "--out", str(samples))
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256["513", "0"]
     assert _files_digest(samples) == SAMPLE_SHA256
+    assert python("-c", _FROM_VECTOR_DIGEST).strip() == FROM_VECTOR_SHA256
 
 
 def test_importing_the_cli_loads_no_scipy():

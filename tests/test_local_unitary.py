@@ -28,6 +28,7 @@ from qgeo.local_unitary import (
     is_quaternionic_complex_matrix,
     quat_matrix,
     random_local_unitary,
+    random_su2,
     sp2_check_complex,
     sp2_check_quaternionic,
 )
@@ -359,11 +360,20 @@ def test_sp2_definitions_agree_through_complexify():
 
 
 def test_random_local_unitary_deterministic_and_valid():
-    u1 = random_local_unitary(Variant.SO2_X_SU2, 5)
-    u2 = random_local_unitary(Variant.SO2_X_SU2, 5)
-    assert u1 == u2
+    # Loose moment checks, as for the suite's block sampler: |a|^2 is uniform
+    # on [0, 1] for Haar (a, b), and theta is uniform on [0, 2 pi).
+    u = random_local_unitary(Variant.SO2_X_SU2, 5)
+    assert u == random_local_unitary(Variant.SO2_X_SU2, 5)
+    assert random_su2([3, 4]) == random_su2([3, 4]) != random_su2([3, 5])
     for seed in range(100):
         u = random_local_unitary(Variant.SO2_X_SU2, seed)
-        assert abs(abs(u.su2.a) ** 2 + abs(u.su2.b) ** 2 - 1.0) <= 1e-14
-        assert 0.0 <= u.rot.theta < 2 * math.pi
         assert sp2_check_complex(complex_form(u), tol=1e-12)
+    us = [random_local_unitary(Variant.SO2_X_SU2, [7, k]) for k in range(20_000)]
+    a, b = (np.array([getattr(u.su2, f) for u in us]) for f in "ab")
+    theta = np.array([u.rot.theta for u in us])
+    assert np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0).max() < 1e-15
+    assert abs(np.mean(np.abs(a) ** 2) - 0.5) < 0.01
+    assert abs(np.mean(np.abs(a) ** 4) - 1.0 / 3.0) < 0.01
+    assert 0.0 <= theta.min() and theta.max() < 2 * math.pi
+    assert abs(np.mean(theta) - math.pi) < 0.05
+    assert abs(np.mean(theta < math.pi / 2) - 0.25) < 0.01

@@ -182,3 +182,43 @@ def test_haar_sampler_normalized_any_seed(seed):
 def test_haar_mean_amplitude_weight():
     mean = np.mean([abs(haar_random_state(k).alpha) ** 2 for k in range(10_000)])
     assert abs(mean - 0.25) <= 0.02
+
+
+def _parts_bits(values) -> str:
+    """The reprs of the parts: they tell -0.0 from 0.0."""
+    return repr([(z.real, z.imag) for z in values])
+
+
+def test_from_vector_checks_the_shape():
+    with pytest.raises(ValueError, match=r"expected 4 amplitudes, got shape \(3,\)"):
+        TwoQubitState.from_vector([1, 0, 0], renormalize=True)
+    assert TwoQubitState.from_vector([[0.6, 0], [0, 0.8j]]) == TwoQubitState(0.6, 0, 0, 0.8j)
+
+
+def test_from_vector_rejects_vectors_it_cannot_normalize():
+    with pytest.raises(ZeroDivisionError, match="cannot normalize a zero state vector"):
+        TwoQubitState.from_vector(np.zeros(4), renormalize=True)
+    with pytest.raises(ValueError, match="the squared norm overflows"):
+        TwoQubitState.from_vector([1e200, 0, 0, 0], renormalize=True)
+    assert TwoQubitState.from_vector(np.zeros(4)) == TwoQubitState(0, 0, 0, 0)
+
+
+def test_from_vector_renormalizes_by_the_one_rule():
+    # The squares of the real parts, then of the imaginary parts, added left
+    # to right; each part divided by the root on its own.
+    rng = np.random.default_rng(8)
+    for scale in (1e-6, 1.0, 1e6, 1e100):
+        for _ in range(100):
+            g = rng.standard_normal(8) * scale
+            g[rng.random(8) < 0.25] = 0.0
+            g[0] = g[0] or -scale
+            g[7] = -0.0 if g[7] == 0.0 else g[7]
+            norm_sq = 0.0
+            for x in g.tolist():
+                norm_sq = norm_sq + x * x
+            n = math.sqrt(norm_sq)
+            values = [complex(x, y) for x, y in zip(g[:4].tolist(), g[4:].tolist())]
+            expected = [complex(z.real / n, z.imag / n) for z in values]
+            psi = TwoQubitState.from_vector(values, renormalize=True)
+            got = [psi.alpha, psi.beta, psi.gamma, psi.delta]
+            assert _parts_bits(got) == _parts_bits(expected)
