@@ -8,11 +8,15 @@ blocks, so everything here is exact, not approximate:
   ``K`` uniforms at positions ``[K t, K t + K)``.  A block of trials is one
   ``Generator.random`` call at counter offset ``K t / 4`` (Philox yields four
   64-bit words per counter step), so a trial's draws do not depend on which
-  block reads them.  Gaussians come from the Box-Muller transform with libm's
-  ``log1p``, ``cos`` and ``sin``; numpy's own vectorized versions round
-  differently on some inputs, depending on the instruction set it dispatches
-  to.  Rows are normalized as the scalar samplers normalize: the columns'
-  :func:`qgeo.quaternion.squared_norm`, then each part divided by its root.
+  block reads them.  Gaussians come from the Box-Muller transform, with
+  ``-log(1 - u)`` and ``(cos, sin)(2 pi u)`` computed by fdlibm's polynomial
+  kernels written out in array operations that are each correctly rounded
+  or exact (``+ - * /``, ``sqrt``, ``rint``, ``frexp`` and selections).  So
+  they round alike under every libc and every instruction set numpy
+  dispatches to, whose own ``log1p``, ``cos`` and ``sin`` round differently
+  on some inputs.  Rows are normalized as the scalar samplers normalize: the
+  columns' :func:`qgeo.quaternion.squared_norm`, then each part divided by
+  its root.
 * Arithmetic.  A complex array is split into a pair of float64 arrays
   ``(re, im)``.  CPython evaluates complex products and quotients with fixed
   formulas (``_Py_c_prod``, ``_Py_c_quot``); numpy's complex ufuncs use other
@@ -68,13 +72,130 @@ def uniforms(seed: int, idx: int, start: int, stop: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((stop - start, K))
 
 
+# fdlibm's coefficients (e_log.c, k_sin.c, k_cos.c); each decimal is exact as a double.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = (
+    6.666666666666735130e-01,
+    3.999999999940941908e-01,
+    2.857142874366239149e-01,
+    2.222219843214978396e-01,
+    1.818357216161805012e-01,
+    1.531383769920937332e-01,
+    1.479819860511658591e-01,
+)
+_S1, _S2, _S3, _S4, _S5, _S6 = (
+    -1.66666666666666324348e-01,
+    8.33333333332248946124e-03,
+    -1.98412698298579493134e-04,
+    2.75573137070700676789e-06,
+    -2.50507602534068634195e-08,
+    1.58969099521155010221e-10,
+)
+_C1, _C2, _C3, _C4, _C5, _C6 = (
+    4.16666666666666019037e-02,
+    -1.38888888888741095749e-03,
+    2.48015872894767294178e-05,
+    -2.75573143513906633035e-07,
+    2.08757232129817482790e-09,
+    -1.13596475577881948265e-11,
+)
+_SQRT_HALF = math.sqrt(0.5)
+# pi/2 = _PIO2_HI + _PIO2_LO to about 2**-106 relative.
+_PIO2_HI, _PIO2_LO = math.pi / 2, 6.123233995736766e-17
+
+
+def _veltkamp(a):
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_PIO2_H, _PIO2_L = _veltkamp(_PIO2_HI)
+# Quadrant n mod 4 of 2 pi u: (cos, sin) = (c, s), (-s, c), (-c, -s), (s, -c).
+_ODD = np.array([False, True, False, True])
+_COS_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+_SIN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _k_log1p(f):
+    """s (hfsq + R) in log(1 + f) = f - hfsq + s (hfsq + R): fdlibm's ``e_log.c`` kernel.
+
+    ``hfsq = f**2 / 2``, ``s = f / (2 + f)`` and R is fdlibm's fit in s**2,
+    for f in [sqrt(1/2) - 1, sqrt(2) - 1] (FreeBSD msun's ``k_log1p``).
+    """
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
+    return s * (0.5 * f * f + r)
+
+
+def _neg_log1m(u: np.ndarray) -> np.ndarray:
+    """-log(1 - u) for uniforms on the 2**-53 grid, within 1 ulp.
+
+    ``1 - u`` is exact and is ``m 2**k`` with m in [sqrt(1/2), sqrt(2)), so
+    ``f = m - 1`` is exact too.  The sum is fdlibm's for k != 0, negated; at
+    k = 0 its ``k * ln2`` terms are exact zeros, so no branch is needed.
+    """
+    m, k = np.frexp(1.0 - u)
+    low = m < _SQRT_HALF
+    f = np.where(low, m + m, m) - 1.0
+    k = k - low
+    hfsq = 0.5 * f * f
+    return ((hfsq - (_k_log1p(f) + k * _LN2_LO)) - f) - k * _LN2_HI
+
+
+def _times_pio2(r):
+    """r pi/2 as ``hi + lo``: Dekker's exact product with _PIO2_HI, plus r _PIO2_LO."""
+    hi = r * _PIO2_HI
+    rh, rl = _veltkamp(r)
+    return hi, (((rh * _PIO2_H - hi) + rh * _PIO2_L) + rl * _PIO2_H) + rl * _PIO2_L + r * _PIO2_LO
+
+
+def _kernel_sin(x, y):
+    """sin(x + y) for |x| <= pi/4 and y the tail of x: fdlibm's ``__kernel_sin``."""
+    z = x * x
+    w = z * z
+    zx = z * x
+    poly = _S2 + z * (_S3 + z * _S4) + z * w * (_S5 + z * _S6)
+    return x - ((z * (0.5 * y - zx * poly) - y) - zx * _S1)
+
+
+def _kernel_cos(x, y):
+    """cos(x + y) for |x| <= pi/4 and y the tail of x: fdlibm's ``__kernel_cos``."""
+    z = x * x
+    w = z * z
+    poly = z * (_C1 + z * (_C2 + z * _C3)) + w * w * (_C4 + z * (_C5 + z * _C6))
+    hz = 0.5 * z
+    one_hz = 1.0 - hz
+    return one_hz + (((1.0 - one_hz) - hz) + (z * poly - x * y))
+
+
+def _cos_sin_2pi(u: np.ndarray):
+    """(cos, sin) of 2 pi u, within 1 ulp.
+
+    The reduction is made on u itself: with n = rint(4u), ``r = 4u - n`` is
+    exact and lies in [-1/2, 1/2], and x = r pi/2 is formed as a pair
+    ``hi + lo``.  The kernels are fdlibm's in the branch-free form of
+    FreeBSD's msun.  Quadrant n mod 4 then swaps and negates them, so
+    quadrant points are exact: u = 1/4 gives (-0.0, 1.0).
+    """
+    n = np.rint(4.0 * u)
+    x, y = _times_pio2(4.0 * u - n)
+    sin, cos = _kernel_sin(x, y), _kernel_cos(x, y)
+    q = n.astype(np.intp) & 3
+    odd = _ODD[q]
+    return np.where(odd, sin, cos) * _COS_SIGN[q], np.where(odd, cos, sin) * _SIN_SIGN[q]
+
+
 def _gaussians(u: np.ndarray) -> np.ndarray:
     """Box-Muller: uniform columns (2i, 2i + 1) give r cos(phi) and r sin(phi)."""
-    r = np.sqrt(-2.0 * libm(math.log1p, -u[:, 0::2]))
-    phi = _TWO_PI * u[:, 1::2]
+    r = np.sqrt(2.0 * _neg_log1m(u[:, 0::2]))
+    cos, sin = _cos_sin_2pi(u[:, 1::2])
     out = np.empty_like(u)
-    out[:, 0::2] = r * libm(math.cos, phi)
-    out[:, 1::2] = r * libm(math.sin, phi)
+    out[:, 0::2] = r * cos
+    out[:, 1::2] = r * sin
     return out
 
 
@@ -109,7 +230,7 @@ def local_unitary_params(u: np.ndarray):
 
 
 def libm(fn, x: np.ndarray) -> np.ndarray:
-    """A ``math`` function applied element by element (numpy's own may round differently)."""
+    """A ``math`` function applied element by element, bit for bit what the scalar code gets."""
     values = np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size)
     return values.reshape(x.shape)
 

@@ -113,6 +113,51 @@ def test_sampled_inputs_have_their_distributions():
     assert abs(np.mean(theta) - math.pi) < 0.05
 
 
+def test_box_muller_has_its_distributions():
+    # Deterministic (one fixed stream), so the p-value bound cannot flake;
+    # the moment bounds are about six standard errors of 200 000 draws.
+    stats = pytest.importorskip("scipy.stats")
+    u = batch.uniforms(11, 0, 0, 200_000)
+    for col in batch._gaussians(u).T:
+        assert stats.kstest(col, "norm").pvalue > 1e-3
+    psi = batch.haar_states(u)
+    # Haar on C^d: E|psi_i|^4 = 2 / (d (d + 1)) = 1/10 for d = 4.
+    assert np.abs(np.mean(np.abs(psi) ** 4, axis=0) - 0.1).max() < 0.002
+    # Haar on SU(2): |a|^2 is uniform on [0, 1], so E|a|^4 = 1/3.
+    _, a, _ = batch.local_unitary_params(u)
+    assert abs(np.mean(np.abs(a) ** 4) - 1.0 / 3.0) < 0.004
+
+
+def _worst_ulps(got, exact) -> float:
+    """max |got - exact| in units in the last place of the doubles nearest ``exact``."""
+    worst = 0.0
+    for g, e in zip(got.tolist(), exact):
+        nearest = float(e)
+        if nearest == 0.0:
+            assert g == 0.0, (g, e)
+            continue
+        worst = max(worst, float(abs(e - g)) / math.ulp(nearest))
+    return worst
+
+
+def test_box_muller_kernels_are_within_one_ulp():
+    # Generator.random returns multiples of 2**-53 in [0, 1); the kernels are
+    # exact at the quadrant points and within 1 ulp elsewhere on that grid.
+    mpmath = pytest.importorskip("mpmath")
+    edges = [0.0, 2.0**-53, 1.0 - 2.0**-53, 0.125, 0.25, 0.5, 0.75]
+    u = np.concatenate([edges, batch.uniforms(1, 0, 0, 1250).ravel()])
+    neg_log = batch._neg_log1m(u)
+    cos, sin = batch._cos_sin_2pi(u)
+    assert (neg_log[0], cos[0], sin[0]) == (0.0, 1.0, 0.0)
+    assert cos[3] == sin[3] == math.sqrt(0.5)
+    assert [(cos[i], sin[i]) for i in (4, 5, 6)] == [(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    with mpmath.workprec(160):
+        x = [mpmath.mpf(v) for v in u.tolist()]
+        assert _worst_ulps(neg_log, [-mpmath.log(1 - t) for t in x]) <= 1.0
+        assert _worst_ulps(cos, [mpmath.cospi(2 * t) for t in x]) <= 1.0
+        assert _worst_ulps(sin, [mpmath.sinpi(2 * t) for t in x]) <= 1.0
+
+
 @pytest.mark.parametrize("width", [2, 4])
 def test_normalized_rows_follow_the_scalar_rule(width):
     # batch._normalized and the scalar samplers' squared_norm and divided.

@@ -17,6 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__
+
 import qgeo.cli
 from qgeo.cli import load_state, load_transform, main
 from qgeo.conformal import conformal_map, inverse_stereographic, schmidt_concurrence_form
@@ -339,11 +344,12 @@ def test_verify_small_run_passes_and_is_deterministic(capsys, tmp_path):
 
 
 # SHA-256 of `qgeo verify` report bytes, pinned across refactors (the
-# default run's is checked in test_acceptance).  The values hold for numpy's
-# Philox streams and this platform's libm (numpy 2.4.6, CPython 3.11.7).
+# default run's is checked in test_acceptance).  The values depend on numpy's
+# Philox streams and on libm's cos and sin of the rotation angles theta only;
+# the Gaussians use no libm or numpy transcendental function.
 REPORT_SHA256 = {
-    ("513", "0"): "a45f299ae68c38e88376223200fa0e336f184947e736b4bf85e6aa1d62fe2b99",
-    ("1", "7"): "696e61d13cbb0146ed5b6bfa8f0cd69415fdc314de840f353992f878302174c8",
+    ("513", "0"): "000344ce8cf27300b06de31ef9a690b37aad4554d52231c6d9fdfa4320c8bdf6",
+    ("1", "7"): "fe8cefa0e5ffc08b7a6e1890cd3ae3eb803aaa3360946fe4e7a0c9bdfa01c587",
 }
 
 
@@ -554,16 +560,31 @@ print(hashlib.sha256(repr(states).encode()).hexdigest())
 """
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, coretype):
+# Every SIMD target numpy dispatches to on this machine beyond its baseline
+# (X86_V3, X86_V4, ... on x86-64).  The names depend on numpy's version and
+# numpy rejects unknown ones, so they are read from numpy itself.
+_SIMD_TARGETS = " ".join(__cpu_dispatch__)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="Haswell"),
+        pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="Prescott"),
+        pytest.param({"NPY_DISABLE_CPU_FEATURES": _SIMD_TARGETS}, id="baseline-simd"),
+    ],
+)
+def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, setting):
     # OPENBLAS_CORETYPE makes numpy's OpenBLAS run the kernels of another
     # CPU (AVX2, or SSE3 only), which round dot and matrix products
-    # otherwise.  The verify report, the sample files and renormalized
-    # state vectors use none of them.
+    # otherwise.  NPY_DISABLE_CPU_FEATURES makes numpy's ufuncs run their
+    # baseline loops, whose log1p, cos and sin round otherwise on some
+    # inputs.  The verify report, the sample files and renormalized state
+    # vectors use none of them.
     src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
     env = {
         **os.environ,
-        "OPENBLAS_CORETYPE": coretype,
+        **setting,
         "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
     }
 
