@@ -8,15 +8,17 @@ blocks, so everything here is exact, not approximate:
   ``K`` uniforms at positions ``[K t, K t + K)``.  A block of trials is one
   ``Generator.random`` call at counter offset ``K t / 4`` (Philox yields four
   64-bit words per counter step), so a trial's draws do not depend on which
-  block reads them.  Gaussians come from the Box-Muller transform, with
-  ``-log(1 - u)`` and ``(cos, sin)(2 pi u)`` computed by fdlibm's polynomial
-  kernels written out in array operations that are each correctly rounded
-  or exact (``+ - * /``, ``sqrt``, ``rint``, ``frexp`` and selections).  So
-  they round alike under every libc and every instruction set numpy
-  dispatches to, whose own ``log1p``, ``cos`` and ``sin`` round differently
-  on some inputs.  Rows are normalized as the scalar samplers normalize: the
-  columns' :func:`qgeo.quaternion.squared_norm`, then each part divided by
-  its root.
+  block reads them.  A Haar-random unit vector of C^n takes 2n - 1
+  uniforms: its squared moduli are the spacings of n - 1 of them, sorted,
+  and its phases are ``2 pi u`` of the other n (Devroye, *Non-Uniform Random
+  Variate Generation*, 1986, ch. V).  On the ``2**-53`` grid of
+  ``Generator.random`` the spacings are exact and add up to exactly 1, and
+  ``sqrt`` is correctly rounded; ``(cos, sin)(2 pi u)`` are fdlibm's
+  polynomial kernels written out in array operations that are each
+  correctly rounded or exact (``+ - *``, ``rint`` and selections).  So the
+  rows are unit vectors to about 1e-15 with no normalization, and they
+  round alike under every libc and every instruction set numpy dispatches
+  to, whose own ``cos`` and ``sin`` round differently on some inputs.
 * Arithmetic.  A complex array is split into a pair of float64 arrays
   ``(re, im)``.  CPython evaluates complex products and quotients with fixed
   formulas (``_Py_c_prod``, ``_Py_c_quot``); numpy's complex ufuncs use other
@@ -43,7 +45,7 @@ from functools import reduce
 
 import numpy as np
 
-from .quaternion import ZERO_NORM_SQ, _chord_sq, squared_norm
+from .quaternion import ZERO_NORM_SQ, _chord_sq
 from .states import _SIGMA_YY_ENTRIES
 
 # Trials per block.  A block amortizes numpy's per-call cost over its trials,
@@ -52,10 +54,11 @@ from .states import _SIGMA_YY_ENTRIES
 BLOCK = 512
 
 # Uniforms per trial, a multiple of Philox's four words per counter step.
-# Slots 0-7: the state's Gaussians (a one-qubit state uses 0-3); slot 8: the
-# rotation angle; slots 9-12: the SU(2) Gaussians; slots 13-15: spare.
+# Slots 0-6: the state's 3 spacing and 4 phase uniforms (a one-qubit state
+# uses 0-2); slot 8: the rotation angle; slots 9-11: the SU(2) pair's spacing
+# and 2 phases; slots 7 and 12-15: spare.
 K = 16
-_STATE, _ANGLE, _SU2 = slice(0, 8), 8, slice(9, 13)
+_ANGLE, _SU2 = 8, 9
 
 _TWO_PI = 2.0 * math.pi
 
@@ -72,17 +75,7 @@ def uniforms(seed: int, idx: int, start: int, stop: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((stop - start, K))
 
 
-# fdlibm's coefficients (e_log.c, k_sin.c, k_cos.c); each decimal is exact as a double.
-_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
-_LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = (
-    6.666666666666735130e-01,
-    3.999999999940941908e-01,
-    2.857142874366239149e-01,
-    2.222219843214978396e-01,
-    1.818357216161805012e-01,
-    1.531383769920937332e-01,
-    1.479819860511658591e-01,
-)
+# fdlibm's coefficients (k_sin.c, k_cos.c); each decimal is exact as a double.
 _S1, _S2, _S3, _S4, _S5, _S6 = (
     -1.66666666666666324348e-01,
     8.33333333332248946124e-03,
@@ -99,7 +92,6 @@ _C1, _C2, _C3, _C4, _C5, _C6 = (
     2.08757232129817482790e-09,
     -1.13596475577881948265e-11,
 )
-_SQRT_HALF = math.sqrt(0.5)
 # pi/2 = _PIO2_HI + _PIO2_LO to about 2**-106 relative.
 _PIO2_HI, _PIO2_LO = math.pi / 2, 6.123233995736766e-17
 
@@ -116,34 +108,6 @@ _PIO2_H, _PIO2_L = _veltkamp(_PIO2_HI)
 _ODD = np.array([False, True, False, True])
 _COS_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 _SIN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
-
-
-def _k_log1p(f):
-    """s (hfsq + R) in log(1 + f) = f - hfsq + s (hfsq + R): fdlibm's ``e_log.c`` kernel.
-
-    ``hfsq = f**2 / 2``, ``s = f / (2 + f)`` and R is fdlibm's fit in s**2,
-    for f in [sqrt(1/2) - 1, sqrt(2) - 1] (FreeBSD msun's ``k_log1p``).
-    """
-    s = f / (2.0 + f)
-    z = s * s
-    w = z * z
-    r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
-    return s * (0.5 * f * f + r)
-
-
-def _neg_log1m(u: np.ndarray) -> np.ndarray:
-    """-log(1 - u) for uniforms on the 2**-53 grid, within 1 ulp.
-
-    ``1 - u`` is exact and is ``m 2**k`` with m in [sqrt(1/2), sqrt(2)), so
-    ``f = m - 1`` is exact too.  The sum is fdlibm's for k != 0, negated; at
-    k = 0 its ``k * ln2`` terms are exact zeros, so no branch is needed.
-    """
-    m, k = np.frexp(1.0 - u)
-    low = m < _SQRT_HALF
-    f = np.where(low, m + m, m) - 1.0
-    k = k - low
-    hfsq = 0.5 * f * f
-    return ((hfsq - (_k_log1p(f) + k * _LN2_LO)) - f) - k * _LN2_HI
 
 
 def _times_pio2(r):
@@ -189,38 +153,30 @@ def _cos_sin_2pi(u: np.ndarray):
     return np.where(odd, sin, cos) * _COS_SIGN[q], np.where(odd, cos, sin) * _SIN_SIGN[q]
 
 
-def _gaussians(u: np.ndarray) -> np.ndarray:
-    """Box-Muller: uniform columns (2i, 2i + 1) give r cos(phi) and r sin(phi)."""
-    r = np.sqrt(2.0 * _neg_log1m(u[:, 0::2]))
-    cos, sin = _cos_sin_2pi(u[:, 1::2])
-    out = np.empty_like(u)
-    out[:, 0::2] = r * cos
-    out[:, 1::2] = r * sin
-    return out
+def _haar_rows(u: np.ndarray, n: int) -> np.ndarray:
+    """Haar-random unit rows of C^n from the first 2n - 1 uniform columns.
 
-
-def _normalized(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Rows ``(re + i im) / |(re, im)|``; a zero row gives NaN."""
-    n = np.sqrt(squared_norm(join((re, im)).T))[:, None]
-    return join((re / n, im / n))
+    The squared moduli are the spacings of columns 0 to n - 2, sorted,
+    against 0 and 1; the phases are 2 pi times the next n columns.
+    """
+    cos, sin = _cos_sin_2pi(u[:, n - 1 : 2 * n - 1])  # first: its temporaries are the peak
+    moduli = np.sqrt(np.diff(np.sort(u[:, : n - 1], axis=1), prepend=0.0, append=1.0, axis=1))
+    return join((moduli * cos, moduli * sin))
 
 
 def haar_states(u: np.ndarray) -> np.ndarray:
     """Haar-random two-qubit amplitude rows from trial uniforms."""
-    g = _gaussians(u[:, _STATE])
-    return _normalized(g[:, :4], g[:, 4:])
+    return _haar_rows(u, 4)
 
 
 def haar_one_qubit_states(u: np.ndarray) -> np.ndarray:
     """Haar-random one-qubit amplitude rows from trial uniforms."""
-    g = _gaussians(u[:, :4])
-    return _normalized(g[:, :2], g[:, 2:])
+    return _haar_rows(u, 2)
 
 
 def local_unitary_params(u: np.ndarray):
     """(theta, a, b) from trial uniforms: theta uniform on [0, 2 pi), (a, b) Haar on SU(2)."""
-    g = _gaussians(u[:, _SU2])
-    ab = _normalized(g[:, 0::2], g[:, 1::2])
+    ab = _haar_rows(u[:, _SU2:], 2)
     return _TWO_PI * u[:, _ANGLE], ab[:, 0], ab[:, 1]
 
 

@@ -232,8 +232,8 @@ def _chord_sq(u, v):
 
 
 def squared_norm(values):
-    """|v|^2 of complex numbers, or row by row of complex column arrays, by the library's
-    one rule: the squares of the real parts, then of the imaginary parts, left to right.
+    """|v|^2 of complex numbers by the library's one rule: the squares of the
+    real parts, then of the imaginary parts, left to right.
     """
     total = 0.0
     for x in [z.real for z in values] + [z.imag for z in values]:

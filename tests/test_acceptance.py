@@ -49,12 +49,13 @@ BELL = TwoQubitState(math.sqrt(0.5), 0, 0, math.sqrt(0.5))
 # SHA-256 of the `qgeo verify` report bytes at the defaults (--seed 42,
 # 10 000 trials), pinned across refactors.  The value depends on numpy's
 # Philox streams and on libm's cos and sin of each rotation angle theta,
-# nothing else of libm or numpy's SIMD code: the Box-Muller Gaussians are
-# fixed sequences of correctly rounded float64 operations (qgeo.batch).
+# nothing else of libm or numpy's SIMD code: the Haar inputs are sorted
+# uniforms (sorting is exact), their spacings, sqrt and a cos/sin kernel
+# of correctly rounded float64 operations (qgeo.batch).
 # The chordal metric uses neither `**` nor `sum`, whose float rounding
 # differs between CPython versions, so the metric does not tie it to 3.11.
 # No BLAS routine computes any of it, so the OpenBLAS kernel does not either.
-DEFAULT_REPORT_SHA256 = "cc5d0c4ae808ad0abfdf6dc12e8042f54c1295ee0b9d7ecec8ca8fcb00f10702"
+DEFAULT_REPORT_SHA256 = "50c905ef36645397b40269dc3b2962da831af25d8a7dc0b39bab3b3919f5efc0"
 
 
 def _report(num: int, name: str, max_dev: float, tol: float) -> None:

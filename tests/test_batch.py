@@ -1,6 +1,7 @@
 """Block sampler and array primitives against the scalar code they mirror, bit for bit."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qgeo.diagrams import (
     run_suite,
 )
 from qgeo.local_unitary import Variant, _su2_action, apply_cb
-from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance, divided, squared_norm
+from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance
 from qgeo.states import TwoQubitState, wootters_preconcurrence
 
 SEEDS = [0, 42, 2**32 + 5, 2**70]
@@ -98,34 +99,65 @@ def test_reseeded_generator_starts_the_trials_stream():
 
 
 def test_sampled_inputs_have_their_distributions():
-    # Loose moment checks that catch a wrong Box-Muller or slot layout.
+    # Loose moment checks, with no scipy, that catch a wrong slot layout.
     u = batch.uniforms(3, 0, 0, 20000)
-    g = batch._gaussians(u[:, :8])
-    assert np.abs(g.mean(axis=0)).max() < 0.05
-    assert np.abs(g.var(axis=0) - 1.0).max() < 0.05
-    assert abs(np.corrcoef(g[:, 0], g[:, 1])[0, 1]) < 0.05
-    psi = batch.haar_states(u)
-    assert np.abs(np.mean(np.abs(psi) ** 2, axis=0) - 0.25).max() < 0.01
     theta, a, b = batch.local_unitary_params(u)
-    assert np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0).max() < 1e-15
-    assert abs(np.mean(np.abs(a) ** 2) - 0.5) < 0.01
+    for rows in (batch.haar_states(u), batch.haar_one_qubit_states(u), np.stack([a, b], axis=1)):
+        assert np.abs(np.sum(rows.real**2 + rows.imag**2, axis=1) - 1.0).max() < 1e-15
+        assert np.abs(np.mean(np.abs(rows) ** 2, axis=0) - 1.0 / rows.shape[1]).max() < 0.01
+        assert np.abs(np.mean(rows, axis=0)).max() < 0.02  # uniform phases
     assert 0.0 <= theta.min() and theta.max() < 2 * math.pi
     assert abs(np.mean(theta) - math.pi) < 0.05
 
 
-def test_box_muller_has_its_distributions():
-    # Deterministic (one fixed stream), so the p-value bound cannot flake;
+def test_haar_rows_have_their_distributions():
+    # Deterministic (one fixed stream), so the p-value bounds cannot flake;
     # the moment bounds are about six standard errors of 200 000 draws.
     stats = pytest.importorskip("scipy.stats")
     u = batch.uniforms(11, 0, 0, 200_000)
-    for col in batch._gaussians(u).T:
-        assert stats.kstest(col, "norm").pvalue > 1e-3
     psi = batch.haar_states(u)
-    # Haar on C^d: E|psi_i|^4 = 2 / (d (d + 1)) = 1/10 for d = 4.
+    one = batch.haar_one_qubit_states(u)
+    theta, a, b = batch.local_unitary_params(u)
+    # Haar on C^d: |psi_i|^2 is Beta(1, d - 1), uniform on [0, 1] for d = 2.
+    for col in psi.T:
+        assert stats.kstest(np.abs(col) ** 2, "beta", args=(1, 3)).pvalue > 1e-3
+    for col in (a, one[:, 0]):
+        assert stats.kstest(np.abs(col) ** 2, "uniform").pvalue > 1e-3
+    # Phases and the rotation angle, as fractions of a turn, are uniform.
+    for col in (*psi.T, *one.T, a, b):
+        assert stats.kstest(np.angle(col) / (2 * math.pi) % 1.0, "uniform").pvalue > 1e-3
+    assert 0.0 <= theta.min() and theta.max() < 2 * math.pi
+    assert stats.kstest(theta / (2 * math.pi), "uniform").pvalue > 1e-3
+    # E|psi_i|^4 = 2 / (d (d + 1)) = 1/10 for d = 4, and E|a|^4 = 1/3.
     assert np.abs(np.mean(np.abs(psi) ** 4, axis=0) - 0.1).max() < 0.002
-    # Haar on SU(2): |a|^2 is uniform on [0, 1], so E|a|^4 = 1/3.
-    _, a, _ = batch.local_unitary_params(u)
     assert abs(np.mean(np.abs(a) ** 4) - 1.0 / 3.0) < 0.004
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_haar_moduli_are_roots_of_exact_spacings(n):
+    # With the phase columns at 0, (cos, sin) is exactly (1, 0) and a row is
+    # its moduli.  On the 2**-53 grid the spacings of the sorted uniforms are
+    # doubles that add up to exactly 1, and each modulus is their sqrt.
+    u = batch.uniforms(5, 0, 0, 3000)[:, : 2 * n - 1]
+    edges = 2.0**-53 * np.array([0, 1, 2**52, 2**53 - 1])
+    u[:1000, : n - 1] = np.random.default_rng(n).choice(edges, size=(1000, n - 1))
+    u[1000:2000, : n - 1] = u[1000:2000, :1]  # ties
+    u[:, n - 1 :] = 0.0
+    rows = batch._haar_rows(u, n)
+    assert same_bits(rows.imag, np.zeros_like(rows.imag))
+    for cuts, moduli in zip(np.sort(u[:, : n - 1], axis=1).tolist(), rows.real):
+        cuts = [Fraction(0), *map(Fraction, cuts), Fraction(1)]
+        spacings = [float(hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+        assert sum(map(Fraction, spacings)) == 1
+        assert same_bits(moduli, np.sqrt(spacings))
+
+
+def test_zero_uniforms_give_the_last_basis_row():
+    u = np.zeros((1, K))
+    assert same_bits(batch.haar_states(u), [[0j, 0j, 0j, 1 + 0j]])
+    assert same_bits(batch.haar_one_qubit_states(u), [[0j, 1 + 0j]])
+    theta, a, b = batch.local_unitary_params(u)
+    assert same_bits(theta, [0.0]) and same_bits([a, b], [[0j], [1 + 0j]])
 
 
 def _worst_ulps(got, exact) -> float:
@@ -140,37 +172,20 @@ def _worst_ulps(got, exact) -> float:
     return worst
 
 
-def test_box_muller_kernels_are_within_one_ulp():
-    # Generator.random returns multiples of 2**-53 in [0, 1); the kernels are
+def test_cos_sin_kernel_is_within_one_ulp():
+    # Generator.random returns multiples of 2**-53 in [0, 1); the kernel is
     # exact at the quadrant points and within 1 ulp elsewhere on that grid.
     mpmath = pytest.importorskip("mpmath")
     edges = [0.0, 2.0**-53, 1.0 - 2.0**-53, 0.125, 0.25, 0.5, 0.75]
     u = np.concatenate([edges, batch.uniforms(1, 0, 0, 1250).ravel()])
-    neg_log = batch._neg_log1m(u)
     cos, sin = batch._cos_sin_2pi(u)
-    assert (neg_log[0], cos[0], sin[0]) == (0.0, 1.0, 0.0)
+    assert (cos[0], sin[0]) == (1.0, 0.0)
     assert cos[3] == sin[3] == math.sqrt(0.5)
     assert [(cos[i], sin[i]) for i in (4, 5, 6)] == [(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
     with mpmath.workprec(160):
         x = [mpmath.mpf(v) for v in u.tolist()]
-        assert _worst_ulps(neg_log, [-mpmath.log(1 - t) for t in x]) <= 1.0
         assert _worst_ulps(cos, [mpmath.cospi(2 * t) for t in x]) <= 1.0
         assert _worst_ulps(sin, [mpmath.sinpi(2 * t) for t in x]) <= 1.0
-
-
-@pytest.mark.parametrize("width", [2, 4])
-def test_normalized_rows_follow_the_scalar_rule(width):
-    # batch._normalized and the scalar samplers' squared_norm and divided.
-    rng = np.random.default_rng(width)
-    scales = [1e-100, 1e-12, 1.0, 1e12, 1e100]
-    re, im = rng.standard_normal((2, 3000, width)) * rng.choice(scales, size=(2, 3000, width))
-    re[rng.random(re.shape) < 0.25] = 0.0  # exact zeros
-    im[rng.random(im.shape) < 0.25] = -0.0
-    re[:, 0] = np.where(re[:, 0] == 0.0, 1e-100, re[:, 0])  # no zero row
-    rows = batch._normalized(re, im)
-    for r, i, row in zip(re.tolist(), im.tolist(), rows):
-        values = [complex(x, y) for x, y in zip(r, i)]
-        assert same_bits(row, divided(values, math.sqrt(squared_norm(values))))
 
 
 def test_negative_seed_raises_numpys_error(capsys):

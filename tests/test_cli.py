@@ -346,10 +346,11 @@ def test_verify_small_run_passes_and_is_deterministic(capsys, tmp_path):
 # SHA-256 of `qgeo verify` report bytes, pinned across refactors (the
 # default run's is checked in test_acceptance).  The values depend on numpy's
 # Philox streams and on libm's cos and sin of the rotation angles theta only;
-# the Gaussians use no libm or numpy transcendental function.
+# the Haar inputs are sorted (exactly) and use only sqrt and a cos/sin kernel
+# of correctly rounded float64 operations, no libm or numpy transcendental.
 REPORT_SHA256 = {
-    ("513", "0"): "000344ce8cf27300b06de31ef9a690b37aad4554d52231c6d9fdfa4320c8bdf6",
-    ("1", "7"): "fe8cefa0e5ffc08b7a6e1890cd3ae3eb803aaa3360946fe4e7a0c9bdfa01c587",
+    ("513", "0"): "59c111f36caa91ab87f3719a5547b4b1a2bd703cd65e1e3d042fa0943ce7e1eb",
+    ("1", "7"): "bfdefc9207ccbce99fa678a7cce8d93cdd257580c17c517157862b7ce4b31cda",
 }
 
 
@@ -578,9 +579,11 @@ def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, setting):
     # OPENBLAS_CORETYPE makes numpy's OpenBLAS run the kernels of another
     # CPU (AVX2, or SSE3 only), which round dot and matrix products
     # otherwise.  NPY_DISABLE_CPU_FEATURES makes numpy's ufuncs run their
-    # baseline loops, whose log1p, cos and sin round otherwise on some
-    # inputs.  The verify report, the sample files and renormalized state
-    # vectors use none of them.
+    # baseline loops, whose cos and sin round otherwise on some inputs, and
+    # its sort loops, which order alike (sorting is exact).  The verify
+    # report, the sample files and renormalized state vectors use none of
+    # the rounding ones: of numpy's ufuncs only sqrt is on their path, and
+    # it is correctly rounded.
     src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
     env = {
         **os.environ,
