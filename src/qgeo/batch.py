@@ -19,34 +19,40 @@ blocks, so everything here is exact, not approximate:
   rows are unit vectors to about 1e-15 with no normalization, and they
   round alike under every libc and every instruction set numpy dispatches
   to, whose own ``cos`` and ``sin`` round differently on some inputs.
-* Arithmetic.  A complex array is split into a pair of float64 arrays
-  ``(re, im)``.  CPython evaluates complex products and quotients with fixed
-  formulas (``_Py_c_prod``, ``_Py_c_quot``); numpy's complex ufuncs use other
-  ones (fused multiply-adds, another division), so the formulas are written
-  out here with float64 operations, which round exactly as the interpreter
-  does.  Every quotient is by a real number (:func:`div_real`), as in
-  ``Quaternion.inverse``.  ``abs`` of a complex is ``hypot`` in both, and
-  the chordal metric is one function of floats or arrays for both.  The
-  scalar code calls no numpy routine on a trial's inputs: matrix actions and
-  the Wootters form are written out in complex ``*`` and ``+`` in one fixed
-  order, and so are their mirrors here.  Neither layer calls BLAS, whose
+* Arithmetic.  A block of complex numbers is a :class:`Split`, a pair of
+  float64 arrays ``(re, im)``.  CPython evaluates complex products and
+  quotients with fixed formulas (``_Py_c_prod``, ``_Py_c_quot``); numpy's
+  complex ufuncs use other ones (fused multiply-adds, another division), so
+  Split's operators write the formulas out in float64 operations, which
+  round exactly as the interpreter does.  Every quotient is by a real
+  number, as in ``Quaternion.inverse``.  Neither layer calls BLAS, whose
   kernels (and hence roundings) depend on the CPU.
 
-A quaternion is a pair of split complex values ``(z1, z2)``.  Block
-functions compute the generic branch of the scalar code only; branch
-conditions, such as a denominator below ``ZERO_NORM_SQ``, are returned as
-boolean masks so that the caller can hand those trials to the scalar code.
+The evaluators of :mod:`qgeo.diagrams` are written once, in the library's
+functions and operators.  This module gives them blocks of the library's
+objects under the library's names (the states, ``SU2Element``,
+``SO2Element``, ``LocalUnitary``, ``Quaternion``, ``MoebiusQ``) and the
+operations that construct objects or branch (``quaternionify``,
+``embed_complex``, ``quat_matrix``, the Moebius constructors,
+``fraction_point``, the chordal metric's square root and ``max``); every
+other library function runs on the blocks unchanged.  Where the scalar code
+leaves the generic branch, at a quotient by a quaternion below
+``ZERO_NORM_SQ``, the block's rows are NaN, which marks those trials for the
+scalar code.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .quaternion import ZERO_NORM_SQ, _chord_sq
-from .states import _SIGMA_YY_ENTRIES
+from .local_unitary import QuatMat2, Variant, _require_variant
+from .quaternion import ZERO_NORM_SQ, _abs2, _chord_sq, _s4_coords
+from .states import Quaterbit
 
 # Trials per block.  A block amortizes numpy's per-call cost over its trials,
 # and its arrays bound the memory the suite needs whatever the trial count;
@@ -161,7 +167,9 @@ def _haar_rows(u: np.ndarray, n: int) -> np.ndarray:
     """
     cos, sin = _cos_sin_2pi(u[:, n - 1 : 2 * n - 1])  # first: its temporaries are the peak
     moduli = np.sqrt(np.diff(np.sort(u[:, : n - 1], axis=1), prepend=0.0, append=1.0, axis=1))
-    return join((moduli * cos, moduli * sin))
+    rows = np.empty(moduli.shape, dtype=complex)
+    rows.real, rows.imag = moduli * cos, moduli * sin
+    return rows
 
 
 def haar_states(u: np.ndarray) -> np.ndarray:
@@ -181,194 +189,199 @@ def local_unitary_params(u: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Interpreter arithmetic on float64 arrays
+# Interpreter arithmetic on blocks
 # ---------------------------------------------------------------------------
 
 
-def libm(fn, x: np.ndarray) -> np.ndarray:
+def libm(fn, x) -> np.ndarray:
     """A ``math`` function applied element by element, bit for bit what the scalar code gets."""
+    x = np.asarray(x, dtype=float)
     values = np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size)
     return values.reshape(x.shape)
 
 
-def split(z: np.ndarray):
-    return z.real, z.imag
+class Split:
+    """Complex rows as a pair of float64 arrays, with CPython 3.11's complex arithmetic.
+
+    ``+ - *`` are ``_Py_c_sum``, ``_Py_c_diff`` and ``_Py_c_prod``, ``/`` by
+    a real is ``_Py_c_quot`` by ``complex(x, 0.0)`` and ``abs`` is
+    ``hypot``.  A real operand (a float or a float64 array) is promoted to
+    ``complex(x, 0.0)`` and a Python complex to its parts, as the interpreter
+    promotes them, so ``x + z`` adds 0.0 to the imaginary part.  A part may
+    be a float that broadcasts, as the 0.0 of an embedded complex number.
+    """
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # an ndarray operand defers to the reflected operators
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, other):
+        w = _promoted(other)
+        return NotImplemented if w is None else Split(self.real + w.real, self.imag + w.imag)
+
+    def __sub__(self, other):
+        w = _promoted(other)
+        return NotImplemented if w is None else Split(self.real - w.real, self.imag - w.imag)
+
+    def __rsub__(self, other):
+        w = _promoted(other)
+        return NotImplemented if w is None else w - self
+
+    def __mul__(self, other):
+        w = _promoted(other)
+        if w is None:
+            return NotImplemented
+        return Split(self.real * w.real - self.imag * w.imag, self.real * w.imag + self.imag * w.real)
+
+    # IEEE + and * commute, so x + z and x * z round as z + x and z * x do.
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, x):
+        if not isinstance(x, _REAL):
+            return NotImplemented
+        ratio = 0.0 / x
+        denom = x + 0.0 * ratio
+        return Split((self.real + self.imag * ratio) / denom, (self.imag - self.real * ratio) / denom)
+
+    def __neg__(self):
+        return Split(-self.real, -self.imag)
+
+    def conjugate(self):
+        return Split(self.real, -self.imag)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
 
 
-def join(z) -> np.ndarray:
-    out = np.empty(np.broadcast(z[0], z[1]).shape, dtype=complex)
-    out.real, out.imag = z
-    return out
+_REAL = (int, float, np.ndarray)
 
 
-def mul(a, b):
-    """Complex product, ``_Py_c_prod``.  A real operand is passed as ``(x, 0.0)``."""
-    ar, ai = a
-    br, bi = b
-    return ar * br - ai * bi, ar * bi + ai * br
+def _promoted(x) -> Split | None:
+    if isinstance(x, Split):
+        return x
+    if isinstance(x, complex):
+        return Split(x.real, x.imag)
+    return Split(x, 0.0) if isinstance(x, _REAL) else None
 
 
-def real_mul(x, b):
-    """``x * b`` for a real ``x``: CPython promotes it to ``complex(x, 0.0)``."""
-    return mul((x, 0.0), b)
+def split(z: np.ndarray) -> Split:
+    """The Split rows of a complex array."""
+    return Split(z.real, z.imag)
 
 
-def add(a, b):
-    return a[0] + b[0], a[1] + b[1]
+class Quaternion:
+    """A block of the library's ``Quaternion`` z1 + z2 j, with Split rows z1 and z2."""
 
+    __slots__ = ("z1", "z2")
 
-def sub(a, b):
-    return a[0] - b[0], a[1] - b[1]
+    def __init__(self, z1: Split, z2: Split):
+        self.z1, self.z2 = z1, z2
 
+    x0 = property(lambda self: self.z1.real)
+    x1 = property(lambda self: self.z1.imag)
+    x2 = property(lambda self: self.z2.real)
+    x3 = property(lambda self: self.z2.imag)
 
-def neg(a):
-    return -a[0], -a[1]
+    def __add__(self, other):
+        return Quaternion(self.z1 + other.z1, self.z2 + other.z2)
 
+    def __sub__(self, other):
+        return Quaternion(self.z1 - other.z1, self.z2 - other.z2)
 
-def conj(a):
-    return a[0], -a[1]
+    def __mul__(self, other):
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        p1, p2, q1, q2 = self.z1, self.z2, other.z1, other.z2
+        return Quaternion(p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate())
 
+    def __rmul__(self, c):
+        """``c * q`` for a complex scalar ``c``, which multiplies on the left."""
+        return Quaternion(c * self.z1, c * self.z2)
 
-def abs2(a):
-    """The library's ``_abs2``: re*re + im*im."""
-    return a[0] * a[0] + a[1] * a[1]
+    def norm_sq(self):
+        return _abs2(self.z1) + _abs2(self.z2)
 
+    def __abs__(self):
+        return np.sqrt(self.norm_sq())
 
-def cabs(a):
-    """``abs`` of a complex."""
-    return np.hypot(a[0], a[1])
-
-
-def div_real(a, x):
-    """``a / x`` for a real ``x``: CPython divides by ``complex(x, 0.0)``."""
-    ratio = 0.0 / x
-    denom = x + 0.0 * ratio
-    return (a[0] + a[1] * ratio) / denom, (a[1] - a[0] * ratio) / denom
-
-
-def max2(a, b):
-    """Python's ``max(a, b)``: the first unless the second is greater."""
-    return np.where(b > a, b, a)
+    def inverse(self) -> Quaternion:
+        """conj(q) / |q|^2, marking the rows on which the library's ``inverse`` raises."""
+        return fraction_point(self.z1.conjugate(), -self.z2, self.norm_sq())
 
 
 # ---------------------------------------------------------------------------
-# Quaternions: pairs (z1, z2) of split complex values
+# The library's objects and branches on blocks
 # ---------------------------------------------------------------------------
 
-
-def qadd(p, q):
-    return add(p[0], q[0]), add(p[1], q[1])
-
-
-def qsub(p, q):
-    return sub(p[0], q[0]), sub(p[1], q[1])
+OneQubitState = namedtuple("OneQubitState", "a1 a2")
+TwoQubitState = namedtuple("TwoQubitState", "alpha beta gamma delta")
+SU2Element = namedtuple("SU2Element", "a b")
+SO2Element = namedtuple("SO2Element", "theta")
 
 
-def qmul(p, q):
-    """``Quaternion.__mul__``: (p1 q1 - p2 conj(q2)) + (p1 q2 + p2 conj(q1)) j."""
-    p1, p2 = p
-    q1, q2 = q
-    return sub(mul(p1, q1), mul(p2, conj(q2))), add(mul(p1, q2), mul(p2, conj(q1)))
+class LocalUnitary:
+    """A block of the library's ``LocalUnitary``: one variant, angle rows and SU(2) rows."""
+
+    def __init__(self, variant: Variant, rot: SO2Element, su2: SU2Element):
+        self.variant, self.su2 = Variant(variant), su2
+        rot_factor = [Split(libm(f, rot.theta), 0.0) for f in (math.cos, math.sin)]
+        self._factors = self.variant.order(tuple(rot_factor), (su2.a, su2.b))
+
+    def factors(self):
+        return self._factors
 
 
-def qscale(c, q):
-    """``c * q`` for a complex scalar ``c``, ``Quaternion.__rmul__``."""
-    return mul(c, q[0]), mul(c, q[1])
+def quaternionify(psi: TwoQubitState) -> Quaterbit:
+    return Quaterbit(Quaternion(psi.alpha, psi.beta), Quaternion(psi.gamma, psi.delta))
 
 
-def qnorm_sq(q):
-    return abs2(q[0]) + abs2(q[1])
+def embed_complex(z: Split) -> Quaternion:
+    return Quaternion(z, Split(0.0, 0.0))
 
 
-def qabs(q):
-    return np.sqrt(qnorm_sq(q))
+def fraction_point(z1: Split, z2: Split, d: np.ndarray) -> Quaternion:
+    """(z1 + z2 j) / d, with NaN on the rows d < ZERO_NORM_SQ that the library sends to INFINITY.
+
+    A NaN marks a row for the scalar code: it survives every operation of
+    this module, :func:`max` included.
+    """
+    d = np.where(d < ZERO_NORM_SQ, np.nan, d)
+    return Quaternion(z1 / d, z2 / d)
 
 
-def qinverse(q):
-    n = qnorm_sq(q)
-    return div_real(conj(q[0]), n), div_real(neg(q[1]), n)
+def quat_matrix(u: LocalUnitary) -> QuatMat2:
+    (a, b), (a2, b2) = u.factors()
+    f = Quaternion(a2, -b2)
+    return QuatMat2(a * f, b * f, (-b.conjugate()) * f, a.conjugate() * f)
 
 
-def right_quotient(p, q):
-    """``p * q**-1`` and the mask of rows where ``q`` counts as zero (scalar branch)."""
-    return qmul(p, qinverse(q)), qnorm_sq(q) < ZERO_NORM_SQ
+@dataclass(frozen=True)
+class MoebiusQ:
+    """A block of the library's ``MoebiusQ``.
+
+    There is no invertibility check: the suite builds its maps from unitary
+    matrices, whose Study determinant is 1 up to rounding.
+    """
+
+    m: QuatMat2
+
+    @classmethod
+    def from_su2(cls, u: SU2Element) -> MoebiusQ:
+        entries = (u.a, u.b, -u.b.conjugate(), u.a.conjugate())
+        return cls(QuatMat2(*map(embed_complex, entries)))
 
 
-def _s4_coords(p):
-    n = qnorm_sq(p)
-    d = n + 1.0
-    (x0, x1), (x2, x3) = p
-    return (2.0 * x0 / d, 2.0 * x1 / d, 2.0 * x2 / d, 2.0 * x3 / d, (n - 1.0) / d)
+def moebius_from_local_unitary(u: LocalUnitary) -> MoebiusQ:
+    _require_variant(u, Variant.SO2_X_SU2, "moebius_from_local_unitary")
+    return MoebiusQ(quat_matrix(u))
 
 
-def chordal_distance(p, q):
-    """``chordal_distance`` of two finite quaternion rows."""
+def chordal_distance(p: Quaternion, q: Quaternion) -> np.ndarray:
     return np.sqrt(_chord_sq(_s4_coords(p), _s4_coords(q)))
 
 
-# ---------------------------------------------------------------------------
-# The library's operations on blocks
-# ---------------------------------------------------------------------------
-
-
-def quaterbits(psi: np.ndarray):
-    """``quaternionify`` of amplitude rows: q1 = alpha + beta j, q2 = gamma + delta j."""
-    alpha, beta, gamma, delta = (split(psi[:, j]) for j in range(4))
-    return (alpha, beta), (gamma, delta)
-
-
-def schmidt_term(psi: np.ndarray):
-    alpha, beta, gamma, delta = (split(psi[:, j]) for j in range(4))
-    return add(mul(alpha, conj(gamma)), mul(beta, conj(delta)))
-
-
-def concurrence_term(psi: np.ndarray):
-    alpha, beta, gamma, delta = (split(psi[:, j]) for j in range(4))
-    return sub(mul(beta, gamma), mul(alpha, delta))
-
-
-def su2_action(a, b, x, y):
-    """``local_unitary._su2_action``: rows (a, b), (-conj(b), conj(a)) on the column (x, y)."""
-    return add(mul(a, x), mul(b, y)), add(mul(neg(conj(b)), x), mul(conj(a), y))
-
-
-def apply_cb(first, second, psi: np.ndarray) -> np.ndarray:
-    """Amplitude rows of ``apply_cb``: factor arrays ``(a, b)``, the second acting first."""
-    (a, b), (a2, b2) = (map(split, f) for f in (first, second))
-    alpha, beta, gamma, delta = (split(psi[:, j]) for j in range(4))
-    alpha, beta = su2_action(a2, b2, alpha, beta)
-    gamma, delta = su2_action(a2, b2, gamma, delta)
-    alpha, gamma = su2_action(a, b, alpha, gamma)
-    beta, delta = su2_action(a, b, beta, delta)
-    return np.stack([join(z) for z in (alpha, beta, gamma, delta)], axis=1)
-
-
-def spinor(first, second, qb):
-    """``apply_B_quaterbit``: the first factor from the left, then a2 - conj(b2) j on the right."""
-    (a, b), (a2, b2) = (map(split, f) for f in (first, second))
-    q1, q2 = qb
-    right = (a2, neg(conj(b2)))
-    top = qadd(qscale(a, q1), qscale(b, q2))
-    bottom = qadd(qscale(neg(conj(b)), q1), qscale(conj(a), q2))
-    return qmul(top, right), qmul(bottom, right)
-
-
-def moebius_so2xsu2(c, s, a, b, q):
-    """``apply_moebius_q(moebius_from_local_unitary(u), q)`` and its zero-denominator mask.
-
-    ``MoebiusQ``'s invertibility check cannot fire here: the matrix is
-    unitary, so its Study determinant is 1 up to rounding.
-    """
-    factor = (a, neg(b))
-    m11, m12 = qscale((c, 0.0), factor), qscale((s, 0.0), factor)
-    m21, m22 = qscale((-s, 0.0), factor), qscale((c, 0.0), factor)
-    num = qadd(qmul(q, m11), m12)
-    den = qadd(qmul(q, m21), m22)
-    return right_quotient(num, den)
-
-
-def wootters_preconcurrence(psi: np.ndarray):
-    """``states.wootters_preconcurrence`` per amplitude row, term for term."""
-    vbar = [conj(split(psi[:, j])) for j in range(4)]
-    terms = (mul(vbar[j], mul((s.real, s.imag), vbar[k])) for j, k, s in _SIGMA_YY_ENTRIES)
-    return reduce(add, terms)
+def max(*values: np.ndarray) -> np.ndarray:
+    """Python's ``max``, the first of equal maxima, except that a NaN (a mark) always wins."""
+    return reduce(lambda a, b: np.where((b > a) | np.isnan(b), b, a), values)

@@ -26,6 +26,7 @@ or input error, 3 mathematical domain error.  ``--tol`` alone sets
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -173,11 +174,20 @@ def cmd_verify(args) -> int:
         raise CliError(EXIT_USAGE, "--trials must be at least 1")
     if not math.isfinite(args.tol) or args.tol <= 0:
         raise CliError(EXIT_USAGE, "--tol must be a positive number")
-    report = run_suite(args.trials, args.seed, args.tol)
-    doc = report.to_dict()
-    if args.report is not None:
-        _write_json(args.report, doc)
-    print(json.dumps(doc, indent=2))
+    # The report file is opened before any trial is evaluated, so an
+    # unwritable path fails at once.  It is opened for appending and emptied
+    # only when the report is written, so a run that fails leaves it as it was.
+    no_file = contextlib.nullcontext()
+    try:
+        with no_file if args.report is None else open(args.report, "a", encoding="utf-8") as fh:
+            report = run_suite(args.trials, args.seed, args.tol)
+            text = json.dumps(report.to_dict(), indent=2)
+            if fh is not None:
+                fh.truncate(0)
+                fh.write(text + "\n")
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"{args.report}: cannot write: {exc.strerror or exc}") from None
+    print(text)
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAIL
 
 

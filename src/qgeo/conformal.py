@@ -60,11 +60,12 @@ def schmidt_concurrence_form(psi: TwoQubitState) -> tuple[ExtendedQuaternion, fl
     formula for cross-checking.
     """
     n2 = _abs2(psi.gamma) + _abs2(psi.delta)
-    if n2 < ZERO_NORM_SQ:
-        return INFINITY, n2
-    s = schmidt_term(psi)
-    c = concurrence_term(psi)
-    return Quaternion(s / n2, c / n2), n2
+    return fraction_point(schmidt_term(psi), concurrence_term(psi), n2), n2
+
+
+def fraction_point(z1: complex, z2: complex, d: float) -> ExtendedQuaternion:
+    """The point (z1 + z2*j) / d for a real d: INFINITY where d < ZERO_NORM_SQ."""
+    return INFINITY if d < ZERO_NORM_SQ else Quaternion(z1 / d, z2 / d)
 
 
 def inverse_stereographic(p: ExtendedQuaternion) -> np.ndarray:

@@ -14,9 +14,12 @@ index reads one counter-based stream and each trial a fixed slice of it
 (:func:`qgeo.batch.uniforms`), so reports are deterministic for a fixed seed
 regardless of evaluation order.  One table, ``_GROUPS``, holds every seeded
 row with its report section: the checks at indices 0-7, the two failure
-searches at 8 and 9 and the exploratory candidate at 10.  One trial loop runs
-them in blocks (:mod:`qgeo.batch`), bit for bit equal to the scalar
-evaluators below, which stay the public API and replay stored inputs by name.
+searches at 8 and 9 and the exploratory candidate at 10.  Each row has one
+evaluator, below, which is also the public API: it runs on one trial's
+inputs and, on the block objects of :mod:`qgeo.batch`, on a block of them,
+bit for bit alike.  One trial loop evaluates every row in blocks; the
+trials that take a rare branch, such as a conformal image at infinity, are
+evaluated again on their own, and replay evaluates stored inputs by name.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import batch
-from .quaternion import Quaternion, ZERO_NORM_SQ, _abs2, chordal_distance
+from .quaternion import _abs2, chordal_distance, right_quotient
 from .states import (
     OneQubitState,
     Quaterbit,
@@ -41,12 +45,7 @@ from .states import (
     schmidt_term,
     wootters_preconcurrence,
 )
-from .conformal import (
-    INFINITY,
-    conformal_map,
-    conformal_map_one_qubit,
-    schmidt_concurrence_form,
-)
+from .conformal import conformal_map, embed_complex, fraction_point
 from .local_unitary import (
     LocalUnitary,
     SO2Element,
@@ -93,29 +92,55 @@ class FailureSearch(Enum):
 # Per-input deviation evaluators
 # ---------------------------------------------------------------------------
 
+# The operations that construct objects or branch, by the names under which
+# qgeo.batch gives their block forms.  An evaluator takes them from its
+# state's type (:func:`_ops`) and all other operations from the library, so
+# each row has one definition for one trial and for a block of trials.
+_LIBRARY = SimpleNamespace(
+    OneQubitState=OneQubitState,
+    TwoQubitState=TwoQubitState,
+    SU2Element=SU2Element,
+    SO2Element=SO2Element,
+    LocalUnitary=LocalUnitary,
+    quaternionify=quaternionify,
+    embed_complex=embed_complex,
+    fraction_point=fraction_point,
+    quat_matrix=quat_matrix,
+    MoebiusQ=MoebiusQ,
+    moebius_from_local_unitary=moebius_from_local_unitary,
+    chordal_distance=chordal_distance,
+    max=max,
+)
+
+
+def _ops(psi):
+    """qgeo.batch for a block of states, else the library."""
+    return batch if isinstance(psi, (batch.OneQubitState, batch.TwoQubitState)) else _LIBRARY
+
 
 def check_one_qubit_diagram(a: SU2Element, psi: OneQubitState) -> float:
     """Chordal gap between the Moebius image of the conformal point and the
     conformal image of the transformed state.
 
     The Moebius map is the left-coefficient action of the SU(2) matrix on
-    the complex line, Lee et al.'s complex map.
+    the complex line, Lee et al.'s complex map.  The conformal images are
+    :func:`qgeo.conformal.conformal_map_one_qubit`'s quotient a1 / a2.
     """
-    x = conformal_map_one_qubit(psi)
-    lhs = apply_moebius_q_variant(MoebiusQ.from_su2(a), x, VariantOrder.LEFT_COEFFICIENTS)
-    rhs = conformal_map_one_qubit(apply_su2(a, psi))
-    return chordal_distance(lhs, rhs)
+    op = _ops(psi)
 
+    def image(state):
+        return right_quotient(op.embed_complex(state.a1), op.embed_complex(state.a2))
 
-def _quaterbit_gap(x: Quaterbit, y: Quaterbit) -> float:
-    return max(abs(x.q1 - y.q1), abs(x.q2 - y.q2))
+    lhs = apply_moebius_q_variant(op.MoebiusQ.from_su2(a), image(psi), VariantOrder.LEFT_COEFFICIENTS)
+    return op.chordal_distance(lhs, image(apply_su2(a, psi)))
 
 
 def check_quadrangle(u: LocalUnitary, psi: TwoQubitState) -> float:
     """Component gap between encode-then-transform and transform-then-encode."""
-    lhs = quaternionify(apply_cb(u, psi))
-    rhs = apply_B_quaterbit(u, quaternionify(psi))
-    return _quaterbit_gap(lhs, rhs)
+    op = _ops(psi)
+    lhs = op.quaternionify(apply_cb(u, psi))
+    rhs = apply_B_quaterbit(u, op.quaternionify(psi))
+    return op.max(abs(lhs.q1 - rhs.q1), abs(lhs.q2 - rhs.q2))
 
 
 def check_three_way(u: LocalUnitary, psi: TwoQubitState) -> tuple[float, float, float]:
@@ -125,47 +150,48 @@ def check_three_way(u: LocalUnitary, psi: TwoQubitState) -> tuple[float, float, 
     conformal image of the transformed amplitudes, conformal image of the
     transformed spinor, and Moebius image of the original conformal point.
     The closed-form cross-check compares the first value against the
-    (S' + C'*j)/|q2'|^2 expression of the transformed state and against the
-    same fraction predicted from the original state's Schmidt/concurrence
-    data and the rotation angle; all three are independently coded.
+    (S' + C'*j)/|q2'|^2 expression of the transformed state
+    (:func:`qgeo.conformal.schmidt_concurrence_form`) and against the same
+    fraction predicted from the original state's Schmidt/concurrence data
+    and the rotation angle; all three are independently coded.
     """
-    qb = quaternionify(psi)
+    op = _ops(psi)
+    qb = op.quaternionify(psi)
     psi2 = apply_cb(u, psi)
 
-    v1 = conformal_map(quaternionify(psi2))
+    v1 = conformal_map(op.quaternionify(psi2))
     v2 = conformal_map(apply_B_quaterbit(u, qb))
-    v3 = apply_moebius_q(moebius_from_local_unitary(u), conformal_map(qb))
+    v3 = apply_moebius_q(op.moebius_from_local_unitary(u), conformal_map(qb))
 
-    w1, _ = schmidt_concurrence_form(psi2)
+    n2_after = _abs2(psi2.gamma) + _abs2(psi2.delta)
+    w1 = op.fraction_point(schmidt_term(psi2), concurrence_term(psi2), n2_after)
 
     s_term = schmidt_term(psi)
-    c_term = concurrence_term(psi)
     n1 = _abs2(psi.alpha) + _abs2(psi.beta)
     n2 = _abs2(psi.gamma) + _abs2(psi.delta)
-    c, s = math.cos(u.rot.theta), math.sin(u.rot.theta)
+    (c, s), _ = u.factors()  # the rotation factor (cos(theta), sin(theta))
+    c, s = c.real, s.real
     den = n2 * c * c + n1 * s * s - 2.0 * s * c * s_term.real
-    if den < ZERO_NORM_SQ:
-        w2 = INFINITY
-    else:
-        num = c * c * s_term - s * s * s_term.conjugate() + s * c * (n2 - n1)
-        w2 = Quaternion(num / den, c_term / den)
+    num = c * c * s_term - s * s * s_term.conjugate() + s * c * (n2 - n1)
+    w2 = op.fraction_point(num, concurrence_term(psi), den)
 
-    first = chordal_distance(v1, v2)
-    second = chordal_distance(v2, v3)
-    closed = max(
-        chordal_distance(v1, w1),
-        chordal_distance(v1, w2),
-        chordal_distance(w1, w2),
+    first = op.chordal_distance(v1, v2)
+    second = op.chordal_distance(v2, v3)
+    closed = op.max(
+        op.chordal_distance(v1, w1),
+        op.chordal_distance(v1, w2),
+        op.chordal_distance(w1, w2),
     )
     return first, second, closed
 
 
 def check_second_qubit_inertness(a: SU2Element, psi: TwoQubitState) -> float:
     """Gap showing an SU(2) acting on the second qubit alone fixes the conformal image."""
-    u = LocalUnitary(Variant.SO2_X_SU2, SO2Element(0.0), a)
-    before = conformal_map(quaternionify(psi))
-    after = conformal_map(quaternionify(apply_cb(u, psi)))
-    return chordal_distance(before, after)
+    op = _ops(psi)
+    u = op.LocalUnitary(Variant.SO2_X_SU2, op.SO2Element(0.0), a)
+    before = conformal_map(op.quaternionify(psi))
+    after = conformal_map(op.quaternionify(apply_cb(u, psi)))
+    return op.chordal_distance(before, after)
 
 
 def concurrence_invariance_gap(u: LocalUnitary, psi: TwoQubitState) -> float:
@@ -198,11 +224,12 @@ def variant_failure_deviation(
     which = FailureSearch(which)
     left = which is FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
     _require_variant(u, Variant.SO2_X_SU2 if left else Variant.SU2_X_SO2, which.value)
-    qb = quaternionify(psi)
+    op = _ops(psi)
+    qb = op.quaternionify(psi)
     x = conformal_map(qb)
-    f = MoebiusQ(quat_matrix(u))
+    f = op.MoebiusQ(op.quat_matrix(u))
     lhs = apply_moebius_q_variant(f, x, VariantOrder.LEFT_DENOMINATOR) if left else apply_moebius_q(f, x)
-    return chordal_distance(lhs, conformal_map(apply_B_quaterbit(u, qb)))
+    return op.chordal_distance(lhs, conformal_map(apply_B_quaterbit(u, qb)))
 
 
 def left_coefficient_candidate_deviation(psi: TwoQubitState, u: LocalUnitary) -> float:
@@ -215,11 +242,12 @@ def left_coefficient_candidate_deviation(psi: TwoQubitState, u: LocalUnitary) ->
     variant than su2xso2 is rejected with a ValueError.
     """
     _require_variant(u, Variant.SU2_X_SO2, "left_coefficient_candidate_deviation")
-    qb = quaternionify(psi)
-    f = MoebiusQ.from_su2(u.su2)
+    op = _ops(psi)
+    qb = op.quaternionify(psi)
+    f = op.MoebiusQ.from_su2(u.su2)
     lhs = apply_moebius_q_variant(f, conformal_map(qb), VariantOrder.LEFT_COEFFICIENTS)
     rhs = conformal_map(apply_B_quaterbit(u, qb))
-    return chordal_distance(lhs, rhs)
+    return op.chordal_distance(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +370,12 @@ def _search_angles(u: np.ndarray) -> np.ndarray:
     return np.where(x < arc, low + x, math.pi + low + (x - arc))
 
 
-# ---------------------------------------------------------------------------
-# Block evaluation of the check groups
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class _Block:
     """Sampled inputs of the trials from ``start`` on of one check group.
 
     ``theta``, ``a`` and ``b`` are the transform draws (None in a group
-    without one) and ``psi`` the amplitude rows of the state draws.  In a
-    group of local unitaries, ``factors`` holds the (first-qubit,
-    second-qubit) factor arrays ``(a, b)`` of :meth:`LocalUnitary.factors`.
+    without one) and ``psi`` the amplitude rows of the state draws.
     """
 
     start: int
@@ -362,118 +383,6 @@ class _Block:
     a: np.ndarray | None
     b: np.ndarray | None
     psi: np.ndarray
-    factors: tuple | None
-
-    def transported(self) -> np.ndarray:
-        """Amplitude rows of ``apply_cb(u, psi)``."""
-        return batch.apply_cb(*self.factors, self.psi)
-
-
-def _quaterbit_gap_block(x, y):
-    return batch.max2(batch.qabs(batch.qsub(x[0], y[0])), batch.qabs(batch.qsub(x[1], y[1])))
-
-
-def _no_scalar(blk: _Block) -> np.ndarray:
-    return np.zeros(len(blk.psi), dtype=bool)
-
-
-def _scalar_only(blk: _Block):
-    """The block evaluator of a row that hands every trial to its scalar evaluator."""
-    return np.empty((len(blk.psi), 1)), ~_no_scalar(blk)
-
-
-def _embedded(z: np.ndarray):
-    """Complex rows as quaternions z + 0 j (``embed_complex``)."""
-    return batch.split(z), (0.0, 0.0)
-
-
-def _one_qubit_block(blk: _Block):
-    x, inf1 = batch.right_quotient(_embedded(blk.psi[:, 0]), _embedded(blk.psi[:, 1]))
-    # The left-coefficient action of MoebiusQ.from_su2, whose invertibility
-    # check cannot fire: the matrix is unitary.
-    entries = (blk.a, blk.b, -np.conj(blk.b), np.conj(blk.a))
-    m11, m12, m21, m22 = map(_embedded, entries)
-    lhs, inf2 = batch.right_quotient(
-        batch.qadd(batch.qmul(m11, x), m12), batch.qadd(batch.qmul(m21, x), m22)
-    )
-    v1, v2 = batch.su2_action(*map(batch.split, (blk.a, blk.b, blk.psi[:, 0], blk.psi[:, 1])))
-    rhs, inf3 = batch.right_quotient((v1, (0.0, 0.0)), (v2, (0.0, 0.0)))
-    return batch.chordal_distance(lhs, rhs)[:, None], inf1 | inf2 | inf3
-
-
-def _quadrangle_block(blk: _Block):
-    lhs = batch.quaterbits(blk.transported())
-    rhs = batch.spinor(*blk.factors, batch.quaterbits(blk.psi))
-    return _quaterbit_gap_block(lhs, rhs)[:, None], _no_scalar(blk)
-
-
-def _three_way_block(blk: _Block):
-    (c, s), (a, b) = blk.factors
-    c, s = c.real, s.real
-    psi2 = blk.transported()
-    qb = batch.quaterbits(blk.psi)
-    v1, inf1 = batch.right_quotient(*batch.quaterbits(psi2))
-    v2, inf2 = batch.right_quotient(*batch.spinor(*blk.factors, qb))
-    x, inf3 = batch.right_quotient(*qb)
-    v3, inf4 = batch.moebius_so2xsu2(c, s, batch.split(a), batch.split(b), x)
-
-    gamma2, delta2 = batch.split(psi2[:, 2]), batch.split(psi2[:, 3])
-    n2_after = batch.abs2(gamma2) + batch.abs2(delta2)
-    w1 = (
-        batch.div_real(batch.schmidt_term(psi2), n2_after),
-        batch.div_real(batch.concurrence_term(psi2), n2_after),
-    )
-
-    s_term = batch.schmidt_term(blk.psi)
-    c_term = batch.concurrence_term(blk.psi)
-    alpha, beta, gamma, delta = (batch.split(blk.psi[:, j]) for j in range(4))
-    n1 = batch.abs2(alpha) + batch.abs2(beta)
-    n2 = batch.abs2(gamma) + batch.abs2(delta)
-    den = n2 * c * c + n1 * s * s - 2.0 * s * c * s_term[0]
-    num = batch.add(
-        batch.sub(batch.real_mul(c * c, s_term), batch.real_mul(s * s, batch.conj(s_term))),
-        (s * c * (n2 - n1), 0.0),
-    )
-    w2 = (batch.div_real(num, den), batch.div_real(c_term, den))
-
-    first = batch.chordal_distance(v1, v2)
-    second = batch.chordal_distance(v2, v3)
-    closed = batch.max2(
-        batch.max2(batch.chordal_distance(v1, w1), batch.chordal_distance(v1, w2)),
-        batch.chordal_distance(w1, w2),
-    )
-    at_infinity = (
-        inf1 | inf2 | inf3 | inf4 | (n2_after < ZERO_NORM_SQ) | (den < ZERO_NORM_SQ)
-    )
-    return np.stack([first, second, closed], axis=1), at_infinity
-
-
-def _inertness_block(blk: _Block):
-    # The so2xsu2 element with SO2Element(0.0): the identity on the first qubit.
-    n = len(blk.psi)
-    identity = (np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
-    psi2 = batch.apply_cb(identity, (blk.a, blk.b), blk.psi)
-    before, inf1 = batch.right_quotient(*batch.quaterbits(blk.psi))
-    after, inf2 = batch.right_quotient(*batch.quaterbits(psi2))
-    return batch.chordal_distance(before, after)[:, None], inf1 | inf2
-
-
-def _concurrence_block(blk: _Block):
-    after = batch.concurrence_term(blk.transported())
-    dev = batch.cabs(batch.sub(after, batch.concurrence_term(blk.psi)))
-    return dev[:, None], _no_scalar(blk)
-
-
-def _concurrence_prime_block(blk: _Block):
-    after = batch.cabs(batch.concurrence_term(blk.transported()))
-    dev = np.abs(after - batch.cabs(batch.concurrence_term(blk.psi)))
-    return dev[:, None], _no_scalar(blk)
-
-
-def _wootters_block(blk: _Block):
-    expected = batch.real_mul(2.0, batch.conj(batch.concurrence_term(blk.psi)))
-    dev = batch.cabs(batch.sub(batch.wootters_preconcurrence(blk.psi), expected))
-    return dev[:, None], _no_scalar(blk)
 
 
 _SU2 = "su2"
@@ -485,21 +394,18 @@ class _Group:
 
     Trial t reads its uniforms from the stream of ``idx``.  ``transform``
     says what it draws besides its state: an SU(2) element (``"su2"``), a
-    local unitary of a variant, or nothing.  ``evaluate`` is the scalar
-    evaluator of one trial's inputs, returning one deviation per ``checks``
-    entry (a name and its contract, or None); ``evaluate_block`` computes
-    the same deviations for a block, with a mask of the trials it leaves to
-    ``evaluate`` (those taking a branch other than the generic one).
-    ``section`` is the report section of the row's results, ``checks``,
-    ``witnesses`` or ``exploratory``; rows outside ``checks`` draw theta
-    with :func:`_search_angles` and run min(trials, 100) trials.
+    local unitary of a variant, or nothing.  ``evaluate`` is the row's
+    evaluator, returning one deviation per ``checks`` entry (a name and its
+    contract, or None) for one trial's inputs, or arrays of them for a
+    block.  ``section`` is the report section of the row's results,
+    ``checks``, ``witnesses`` or ``exploratory``; rows outside ``checks``
+    draw theta with :func:`_search_angles` and run min(trials, 100) trials.
     """
 
     idx: int
     checks: tuple[tuple[str, float | None], ...]
     transform: Variant | str | None
     evaluate: Callable
-    evaluate_block: Callable = _scalar_only
     one_qubit: bool = False
     section: str = "checks"
 
@@ -510,7 +416,6 @@ _GROUPS = (
         (("one_qubit_intertwining", 1e-11),),
         _SU2,
         lambda a, psi: (check_one_qubit_diagram(a, psi),),
-        _one_qubit_block,
         one_qubit=True,
     ),
     _Group(
@@ -518,7 +423,6 @@ _GROUPS = (
         (("quaterbit_transport_so2xsu2", 1e-12),),
         Variant.SO2_X_SU2,
         lambda u, psi: (check_quadrangle(u, psi),),
-        _quadrangle_block,
     ),
     _Group(
         2,
@@ -529,42 +433,36 @@ _GROUPS = (
         ),
         Variant.SO2_X_SU2,
         check_three_way,
-        _three_way_block,
     ),
     _Group(
         3,
         (("second_qubit_inertness", 1e-11),),
         _SU2,
         lambda a, psi: (check_second_qubit_inertness(a, psi),),
-        _inertness_block,
     ),
     _Group(
         4,
         (("quaterbit_transport_su2xso2", 1e-12),),
         Variant.SU2_X_SO2,
         lambda u, psi: (check_quadrangle(u, psi),),
-        _quadrangle_block,
     ),
     _Group(
         5,
         (("concurrence_invariance_so2xsu2", 1e-12),),
         Variant.SO2_X_SU2,
         lambda u, psi: (concurrence_invariance_gap(u, psi),),
-        _concurrence_block,
     ),
     _Group(
         6,
         (("concurrence_magnitude_su2xso2", 1e-12),),
         Variant.SU2_X_SO2,
         lambda u, psi: (concurrence_magnitude_gap(u, psi),),
-        _concurrence_prime_block,
     ),
     _Group(
         7,
         (("wootters_preconcurrence_relation", 1e-12),),
         None,
         lambda psi: (wootters_relation_gap(psi),),
-        _wootters_block,
     ),
     _Group(
         8,
@@ -590,35 +488,38 @@ _GROUPS = (
 )
 
 
-def _sample_block(group: _Group, seed: int, start: int, stop: int) -> _Block:
+def _sample_trials(group: _Group, seed: int, start: int, stop: int) -> _Block:
     """Draw the inputs of trials ``[start, stop)`` of a group from one read of its stream."""
     u = batch.uniforms(seed, group.idx, start, stop)
-    theta = a = b = factors = None
+    theta = a = b = None
     if group.transform is not None:
         theta, a, b = batch.local_unitary_params(u)
     if group.section != "checks":
         theta = _search_angles(u[:, batch._ANGLE])
-    if isinstance(group.transform, Variant):
-        rot = tuple(batch.libm(f, theta).astype(complex) for f in (math.cos, math.sin))
-        factors = group.transform.order(rot, (a, b))
     psi = batch.haar_one_qubit_states(u) if group.one_qubit else batch.haar_states(u)
-    return _Block(start, theta, a, b, psi, factors)
+    return _Block(start, theta, a, b, psi)
 
 
-def _inputs(group: _Group, amplitudes, theta=None, a=None, b=None) -> tuple:
-    """The objects the row's scalar evaluator takes: its transform, if it draws one, and the state."""
-    psi = OneQubitState(*amplitudes) if group.one_qubit else TwoQubitState(*amplitudes)
+def _inputs(group: _Group, amplitudes, theta=None, a=None, b=None, op=_LIBRARY) -> tuple:
+    """The objects the row's evaluator takes: its transform, if it draws one, and the state."""
+    psi = (op.OneQubitState if group.one_qubit else op.TwoQubitState)(*amplitudes)
     if group.transform is None:
         return (psi,)
-    su2 = SU2Element(a, b)
+    su2 = op.SU2Element(a, b)
     if group.transform == _SU2:
         return (su2, psi)
-    return (LocalUnitary(group.transform, SO2Element(theta), su2), psi)
+    return (op.LocalUnitary(group.transform, op.SO2Element(theta), su2), psi)
 
 
 def _scalar_inputs(group: _Group, blk: _Block, i: int) -> tuple:
     """Trial ``blk.start + i`` as the objects the scalar evaluator takes."""
     return _inputs(group, blk.psi[i], *(x if x is None else x[i] for x in (blk.theta, blk.a, blk.b)))
+
+
+def _block_inputs(group: _Group, blk: _Block) -> tuple:
+    """All trials of the block as the block objects of :mod:`qgeo.batch`."""
+    a, b = (x if x is None else batch.split(x) for x in (blk.a, blk.b))
+    return _inputs(group, [batch.split(z) for z in blk.psi.T], blk.theta, a, b, op=batch)
 
 
 def _inputs_from_doc(group: _Group, doc: dict) -> tuple:
@@ -644,16 +545,24 @@ def _inputs_doc(inputs: tuple) -> dict:
 def _evaluate_group(group: _Group, seed: int, trials: int) -> list[tuple[float, tuple]]:
     """(max deviation, worst-case :func:`_scalar_inputs`) of each check of the group.
 
-    The worst case is the last trial reaching the maximum.  A NaN deviation
-    makes the maximum NaN, with the first such trial as the worst case.
+    The row is evaluated once per block.  A trial with a deviation that is
+    not finite, which includes the trials the block marks, is evaluated again
+    on its own; a ZeroDivisionError (DegenerateMapError included) or a
+    ValueError there makes all its deviations NaN.  The worst case is the
+    last trial reaching the maximum.  A NaN deviation makes the maximum NaN,
+    with the first such trial as the worst case.
     """
     best: list[tuple[float, tuple] | None] = [None] * len(group.checks)
     for start in range(0, trials, batch.BLOCK):
         with np.errstate(all="ignore"):
-            blk = _sample_block(group, seed, start, min(start + batch.BLOCK, trials))
-            devs, scalar = group.evaluate_block(blk)
-        for i in np.flatnonzero(scalar):
-            devs[i] = group.evaluate(*_scalar_inputs(group, blk, i))
+            blk = _sample_trials(group, seed, start, min(start + batch.BLOCK, trials))
+            devs = np.stack(group.evaluate(*_block_inputs(group, blk)), axis=1)
+        for i in np.flatnonzero(~np.isfinite(devs).all(axis=1)):
+            inputs = _scalar_inputs(group, blk, i)
+            try:
+                devs[i] = group.evaluate(*inputs)
+            except (ZeroDivisionError, ValueError):
+                devs[i] = math.nan
         for k, col in enumerate(devs.T):
             if best[k] is not None and math.isnan(best[k][0]):
                 continue

@@ -181,12 +181,12 @@ def apply_cb(u: LocalUnitary, psi: TwoQubitState) -> TwoQubitState:
     gamma, delta = _su2_action(a2, b2, psi.gamma, psi.delta)
     alpha, gamma = _su2_action(a, b, alpha, gamma)
     beta, delta = _su2_action(a, b, beta, delta)
-    return TwoQubitState(alpha, beta, gamma, delta)
+    return type(psi)(alpha, beta, gamma, delta)
 
 
 def apply_su2(a: SU2Element, psi: OneQubitState) -> OneQubitState:
     """One-qubit action of an SU(2) element on the amplitude pair."""
-    return OneQubitState(*_su2_action(a.a, a.b, psi.a1, psi.a2))
+    return type(psi)(*_su2_action(a.a, a.b, psi.a1, psi.a2))
 
 
 def apply_B_quaterbit(u: LocalUnitary, qb: Quaterbit) -> Quaterbit:
@@ -197,7 +197,7 @@ def apply_B_quaterbit(u: LocalUnitary, qb: Quaterbit) -> Quaterbit:
     factor (a2, b2) multiplies each component from the right.
     """
     (a, b), (a2, b2) = u.factors()
-    right = Quaternion(a2, -b2.conjugate())
+    right = type(qb.q1)(a2, -b2.conjugate())
     return Quaterbit(
         (a * qb.q1 + b * qb.q2) * right,
         ((-b.conjugate()) * qb.q1 + a.conjugate() * qb.q2) * right,

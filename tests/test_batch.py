@@ -11,11 +11,12 @@ from qgeo.batch import BLOCK, K
 from qgeo.cli import main
 from qgeo.diagrams import (
     _GROUPS,
-    _sample_block,
+    _sample_trials,
     _sample_state,
     _sample_transform,
     run_suite,
 )
+from qgeo.batch import Split
 from qgeo.local_unitary import Variant, _su2_action, apply_cb
 from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance
 from qgeo.states import TwoQubitState, wootters_preconcurrence
@@ -73,8 +74,8 @@ def test_trial_offsets_match_the_linear_stream(seed):
 def test_draws_do_not_depend_on_the_block_split(split):
     trials, seed = 1024, 42
     for group in _GROUPS:
-        whole = _sample_block(group, seed, 0, trials)
-        parts = _sample_block(group, seed, 0, split), _sample_block(group, seed, split, trials)
+        whole = _sample_trials(group, seed, 0, trials)
+        parts = _sample_trials(group, seed, 0, split), _sample_trials(group, seed, split, trials)
         for field in ("theta", "a", "b", "psi"):
             if getattr(whole, field) is None:
                 continue
@@ -86,14 +87,14 @@ def test_reseeded_generator_starts_the_trials_stream():
     # Each one-trial read reseeds a fresh generator at the trial's counter; its
     # draws must start where the trial's row of a block read from 0 does.
     seed, trials = 7, BLOCK + 2
-    blk = _sample_block(_GROUPS[1], seed, 0, trials)
-    searched = _sample_block(_GROUPS[10], seed, 0, trials)
+    blk = _sample_trials(_GROUPS[1], seed, 0, trials)
+    searched = _sample_trials(_GROUPS[10], seed, 0, trials)
     for t in (0, BLOCK - 1, BLOCK, BLOCK + 1):
         psi = _sample_state(seed, 1, t)
         assert same_bits(psi.amplitudes, blk.psi[t])
         u = _sample_transform(Variant.SO2_X_SU2, seed, 1, t)
         assert same_bits([u.rot.theta, u.su2.a, u.su2.b], [blk.theta[t], blk.a[t], blk.b[t]])
-        one = _sample_block(_GROUPS[10], seed, t, t + 1)
+        one = _sample_trials(_GROUPS[10], seed, t, t + 1)
         for field in ("theta", "a", "b", "psi"):
             assert same_bits(getattr(one, field), getattr(searched, field)[t : t + 1]), (t, field)
 
@@ -200,7 +201,7 @@ def test_negative_seed_raises_numpys_error(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Array primitives against the interpreter's arithmetic
+# Block number types against the interpreter's arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -211,30 +212,53 @@ def _complex_samples(n=4000, seed=0):
     w = rng.standard_normal((2, n)) * rng.choice([1e-6, 1.0, 1e6], size=(2, n))
     for x in (z, w):
         x[0, :50] = x[1, 50:100] = x[:, 100:150] = 0.0  # exact zeros
+        x[1, 150:200] = -0.0  # signed zeros
         rng.shuffle(x, axis=1)
-    return (z[0], z[1]), (w[0], w[1])
+    return Split(z[0], z[1]), Split(w[0], w[1])
 
 
 def _pyc(z):
-    return [complex(re, im) for re, im in zip(z[0].tolist(), z[1].tolist())]
+    return [complex(re, im) for re, im in zip(z.real.tolist(), z.imag.tolist())]
 
 
-def _split(values):
+def _parts(values):
+    """The (real, imag) arrays of a list of complex numbers, or of a Split."""
+    if isinstance(values, Split):
+        return values.real, values.imag
     return np.array([v.real for v in values]), np.array([v.imag for v in values])
 
 
 def test_complex_arithmetic_matches_the_interpreter():
     a, b = _complex_samples()
     pa, pb = _pyc(a), _pyc(b)
-    assert same_bits(batch.mul(a, b), _split([x * y for x, y in zip(pa, pb)]))
-    assert same_bits(batch.add(a, b), _split([x + y for x, y in zip(pa, pb)]))
-    assert same_bits(batch.sub(a, b), _split([x - y for x, y in zip(pa, pb)]))
-    assert same_bits(batch.cabs(a), [abs(x) for x in pa])
-    x = b[0][b[0] != 0]
-    some = (a[0][: len(x)], a[1][: len(x)])
-    pairs = list(zip(_pyc(some), x.tolist()))
-    assert same_bits(batch.div_real(some, x), _split([z / r for z, r in pairs]))
-    assert same_bits(batch.real_mul(x, some), _split([r * z for z, r in pairs]))
+    assert same_bits(_parts(a * b), _parts([x * y for x, y in zip(pa, pb)]))
+    assert same_bits(_parts(a + b), _parts([x + y for x, y in zip(pa, pb)]))
+    assert same_bits(_parts(a - b), _parts([x - y for x, y in zip(pa, pb)]))
+    assert same_bits(abs(a), [abs(x) for x in pa])
+    assert same_bits(_parts(-a.conjugate()), _parts([-x.conjugate() for x in pa]))
+    # A real operand, as a float64 array, a float or a negative float, is
+    # promoted to complex(x, 0.0): x + z gives -0.0 + 0.0 = 0.0 in the
+    # imaginary part, z - x keeps -0.0, and a negative divisor flips 0.0 / x.
+    x = b.real[b.real != 0]
+    z = Split(a.real[: len(x)], a.imag[: len(x)])
+    pairs = list(zip(_pyc(z), x.tolist()))
+    assert np.any(np.signbit(z.imag) & (z.imag == 0)) and np.any(x < 0)
+    cases = [
+        (x + z, [r + w for w, r in pairs]),
+        (z + x, [w + r for w, r in pairs]),
+        (x - z, [r - w for w, r in pairs]),
+        (z - x, [w - r for w, r in pairs]),
+        (x * z, [r * w for w, r in pairs]),
+        (z * x, [w * r for w, r in pairs]),
+        (z / x, [w / r for w, r in pairs]),
+    ]
+    for scalar in (2.0, -0.5, 3):
+        cases += [(scalar * z, [scalar * w for w in _pyc(z)]), (z + scalar, [w + scalar for w in _pyc(z)])]
+    # A Python complex operand, as in the Wootters form's entries.
+    cases.append((1j * z, [1j * w for w in _pyc(z)]))
+    cases.append(((-1 + 0j) - z, [(-1 + 0j) - w for w in _pyc(z)]))
+    for got, want in cases:
+        assert same_bits(_parts(got), _parts(want))
 
 
 def test_chordal_metric_squares_by_multiplication():
@@ -246,27 +270,40 @@ def test_chordal_metric_squares_by_multiplication():
     assert d[0] ** 2 != d[0] * d[0]
     expected = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3] + d[4] * d[4])
     assert chordal_distance(p, q) == expected
-    zero = (np.zeros(1), np.zeros(1))
-    p_row, q_row = ((np.array([0.438]), np.zeros(1)), zero), (zero, zero)
+    zero = Split(np.zeros(1), np.zeros(1))
+    p_row, q_row = batch.Quaternion(Split(np.array([0.438]), np.zeros(1)), zero), batch.Quaternion(zero, zero)
     assert same_bits(batch.chordal_distance(p_row, q_row), [expected])
 
 
 def test_quaternion_operations_match_the_scalar_class():
     (a, b), (c, d) = _complex_samples(seed=2), _complex_samples(seed=3)
-    p, q = (a, b), (c, d)
+    for z in (c, d):  # rows of q that are zero, or below ZERO_NORM_SQ
+        z.real[:100] = z.imag[:100] = 0.0
+        z.real[50:100] = 3e-13
+    p, q = batch.Quaternion(a, b), batch.Quaternion(c, d)
     ps = [Quaternion(z1, z2) for z1, z2 in zip(_pyc(a), _pyc(b))]
     qs = [Quaternion(z1, z2) for z1, z2 in zip(_pyc(c), _pyc(d))]
 
     def quat_rows(values):
-        return _split([v.z1 for v in values]), _split([v.z2 for v in values])
+        if isinstance(values, batch.Quaternion):
+            return _parts(values.z1), _parts(values.z2)
+        return _parts([v.z1 for v in values]), _parts([v.z2 for v in values])
 
-    assert same_bits(batch.qmul(p, q), quat_rows([x * y for x, y in zip(ps, qs)]))
-    invertible = batch.qnorm_sq(q) >= 1e-24
-    inv = batch.qinverse(q)
+    assert same_bits(quat_rows(p * q), quat_rows([x * y for x, y in zip(ps, qs)]))
+    assert same_bits(quat_rows(p + q), quat_rows([x + y for x, y in zip(ps, qs)]))
+    assert same_bits(quat_rows(p - q), quat_rows([x - y for x, y in zip(ps, qs)]))
+    assert same_bits(quat_rows(a * q), quat_rows([w * y for w, y in zip(_pyc(a), qs)]))
+    # The inverse is the scalar one where that exists, and NaN (a mark for
+    # the scalar code) on every row where it raises.
+    invertible = np.array([not y.is_zero() for y in qs])
+    assert invertible.sum() == len(qs) - 100
+    with np.errstate(all="ignore"):
+        inv = quat_rows(q.inverse())
     ref = quat_rows([y.inverse() for y, ok in zip(qs, invertible) if ok])
     assert same_bits([[part[invertible] for part in z] for z in inv], ref)
+    assert np.isnan(np.concatenate([part[~invertible] for z in inv for part in z])).all()
     assert same_bits(batch.chordal_distance(p, q), [chordal_distance(x, y) for x, y in zip(ps, qs)])
-    assert same_bits(batch.qabs(p), [abs(x) for x in ps])
+    assert same_bits(abs(p), [abs(x) for x in ps])
 
 
 class _Factors:
@@ -281,22 +318,20 @@ class _Factors:
 
 def test_local_actions_match_the_scalar_code():
     # Factors and amplitudes with exact zeros and wide scales, so signed
-    # zeros and every rounding of the fixed order must agree.
+    # zeros and every rounding of the fixed order must agree.  The block
+    # runs the library's own functions.
     a, b, c, d, alpha, beta, gamma, delta = (z for seed in range(4, 8) for z in _complex_samples(seed=seed))
     py = [_pyc(z) for z in (a, b, c, d, alpha, beta, gamma, delta)]
 
-    got = batch.su2_action(a, b, alpha, beta)
+    got = _su2_action(a, b, alpha, beta)
     want = [_su2_action(*z) for z in zip(py[0], py[1], py[4], py[5])]
-    assert same_bits(got, [_split([w[0] for w in want]), _split([w[1] for w in want])])
+    assert same_bits([_parts(g) for g in got], [_parts([w[k] for w in want]) for k in range(2)])
 
-    psi = np.stack([batch.join(z) for z in (alpha, beta, gamma, delta)], axis=1)
-    first, second = (batch.join(a), batch.join(b)), (batch.join(c), batch.join(d))
+    psi = batch.TwoQubitState(alpha, beta, gamma, delta)
     states = [TwoQubitState(*row) for row in zip(*py[4:])]
-    want = [
-        apply_cb(_Factors((fa, fb), (sa, sb)), s)
-        for fa, fb, sa, sb, s in zip(*py[:4], states)
-    ]
-    assert same_bits(batch.apply_cb(first, second, psi), [[w.alpha, w.beta, w.gamma, w.delta] for w in want])
+    got = apply_cb(_Factors((a, b), (c, d)), psi)
+    want = [apply_cb(_Factors((fa, fb), (sa, sb)), s) for fa, fb, sa, sb, s in zip(*py[:4], states)]
+    assert isinstance(got, batch.TwoQubitState)
+    assert same_bits([_parts(z) for z in got], [_parts([w.amplitudes[j] for w in want]) for j in range(4)])
 
-    want = [wootters_preconcurrence(s) for s in states]
-    assert same_bits(batch.wootters_preconcurrence(psi), _split(want))
+    assert same_bits(_parts(wootters_preconcurrence(psi)), _parts([wootters_preconcurrence(s) for s in states]))

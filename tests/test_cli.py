@@ -387,11 +387,28 @@ def test_verify_impossible_tolerance_fails_but_writes_report(capsys, tmp_path):
     assert doc["overall_pass"] is False
 
 
-def test_verify_unwritable_report_path(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "--trials", "2", "--report", "/nonexistent/dir/report.json"
-    )
+def test_verify_unwritable_report_path(capsys, monkeypatch, tmp_path):
+    def no_trials(*args):
+        raise AssertionError("trials evaluated before the report was opened")
+
+    monkeypatch.setattr(qgeo.cli, "run_suite", no_trials)
+    report = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--trials", "100000", "--report", str(report))
     assert code == 2
+    assert "cannot write" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not report.parent.exists()
+
+
+def test_verify_that_fails_leaves_an_old_report_as_it_was(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text('{"old": true}\n')
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--report", str(report))
+    assert code == 3 and out == "" and err.startswith("error: ")
+    assert report.read_text() == '{"old": true}\n'
+    code, out, _ = run_cli(capsys, "verify", "--trials", "3", "--report", str(report))
+    assert code == 0 and report.read_text() == out
 
 
 def test_orbit_bell_is_fixed_point(capsys, tmp_path, bell_state):

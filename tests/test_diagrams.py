@@ -10,6 +10,7 @@ import pytest
 
 from qgeo import batch, diagrams
 from qgeo.cli import load_state, load_transform, main
+from qgeo.quaternion import DegenerateMapError
 from qgeo.states import (
     OneQubitState,
     TwoQubitState,
@@ -265,8 +266,8 @@ def test_tolerance_must_be_positive_and_finite(check, tol):
 
 
 def test_worst_cases_reproduce_max_deviation():
-    # The block suite's scalar fallback and the re-evaluation are the same
-    # evaluator, and the block evaluators match it bit for bit: exact.
+    # The suite and the re-evaluation run the same evaluator, on a block and
+    # on one trial, and the two agree bit for bit: exact.
     report = run_suite(trials=batch.BLOCK + 1, seed=21)
     for check in report.checks:
         assert reevaluate_check(check.name, check.worst_case) == check.max_deviation, check.name
@@ -594,18 +595,15 @@ def test_block_suite_keeps_the_last_of_tied_trials(monkeypatch):
         assert c["worst_case"] == last_inputs[c["name"]]
 
 
+def _nan_on(bad, psi, deviation):
+    """``deviation`` with NaN on the trials whose state is ``bad``, for one trial or a block of them."""
+    return np.where(psi.alpha.real == bad.alpha.real, math.nan, deviation)
+
+
 def test_nan_deviation_fails_its_check(monkeypatch, capsys):
-    group = diagrams._GROUPS[1]
-
-    def nan_at_trial_1(blk):
-        devs, scalar = group.evaluate_block(blk)
-        if blk.start <= 1 < blk.start + len(devs):
-            devs[1 - blk.start, 0] = math.nan
-        return devs, scalar
-
-    groups = list(diagrams._GROUPS)
-    groups[1] = dataclasses.replace(group, evaluate_block=nan_at_trial_1)
-    monkeypatch.setattr(diagrams, "_GROUPS", tuple(groups))
+    bad = _sample_state(0, 1, 1)
+    quadrangle = check_quadrangle
+    monkeypatch.setattr(diagrams, "check_quadrangle", lambda u, psi: _nan_on(bad, psi, quadrangle(u, psi)))
 
     report = run_suite(trials=5, seed=0)
     check = report.checks[1]
@@ -631,12 +629,12 @@ def test_nan_deviation_fails_its_search_and_shows_in_the_exploratory_row(monkeyp
     monkeypatch.setattr(
         diagrams,
         "variant_failure_deviation",
-        lambda w, psi, u: math.nan if psi == bad_search else search(w, psi, u),
+        lambda w, psi, u: _nan_on(bad_search, psi, search(w, psi, u)),
     )
     monkeypatch.setattr(
         diagrams,
         "left_coefficient_candidate_deviation",
-        lambda psi, u: math.nan if psi == bad_candidate else candidate(psi, u),
+        lambda psi, u: _nan_on(bad_candidate, psi, candidate(psi, u)),
     )
 
     assert find_variant_failure_witness(which, 5, seed=0) is None
@@ -648,3 +646,83 @@ def test_nan_deviation_fails_its_search_and_shows_in_the_exploratory_row(monkeyp
     assert not report.overall_pass
     assert main(["verify", "--trials", "5", "--seed", "0"]) == 1
     capsys.readouterr()
+
+
+def test_a_trial_that_raises_fails_its_row(monkeypatch, capsys):
+    # Trial 1 of every two-qubit row reads the zero state, whose conformal
+    # image is the indeterminate 0/0 (DegenerateMapError).  The rows that
+    # take that quotient fail with trial 1 as their worst case, the others
+    # pass, and the run ends with a report, not with an error.
+    sample = batch.haar_states
+
+    def zero_trial_1(u):
+        rows = sample(u)
+        rows[1:2] = 0.0
+        return rows
+
+    monkeypatch.setattr(batch, "haar_states", zero_trial_1)
+    report = run_suite(trials=5, seed=0)
+    failed = {c.name: c for c in report.checks if not c.passed}
+    assert set(failed) == {
+        "three_way_first_equality",
+        "three_way_second_equality",
+        "closed_form_consistency",
+        "second_qubit_inertness",
+    }
+    for name, check in failed.items():
+        assert math.isnan(check.max_deviation)
+        assert check.worst_case["state"] == [[0.0, 0.0]] * 4
+        with pytest.raises(DegenerateMapError):
+            reevaluate_check(name, check.worst_case)
+    assert not any(w.found for w in report.witness_searches)
+    assert math.isnan(report.exploratory[0].max_deviation)
+    assert main(["verify", "--trials", "5", "--seed", "0"]) == 1
+    capsys.readouterr()
+
+
+def _record_scalar_evaluations(monkeypatch) -> list:
+    """Make every row record its index each time it evaluates one trial's inputs."""
+    calls = []
+
+    def recording(group):
+        def evaluate(*inputs):
+            if isinstance(inputs[-1], (OneQubitState, TwoQubitState)):
+                calls.append(group.idx)
+            return group.evaluate(*inputs)
+
+        return dataclasses.replace(group, evaluate=evaluate)
+
+    monkeypatch.setattr(diagrams, "_GROUPS", tuple(map(recording, diagrams._GROUPS)))
+    return calls
+
+
+def test_every_row_evaluates_its_trials_in_blocks(monkeypatch):
+    # The checks, both searches and the exploratory candidate: on Haar inputs
+    # no trial takes a branch, so none is evaluated on its own.
+    calls = _record_scalar_evaluations(monkeypatch)
+    run_suite(B + 1, 0)
+    assert calls == []
+
+
+def test_branch_trials_fall_back_to_the_scalar_code(monkeypatch):
+    # Trials whose spare uniform (slot 15) is below 0.2 get q2 = 0 (a2 = 0
+    # for one qubit), or a q2 below ZERO_NORM_SQ but not zero, so their
+    # conformal image is INFINITY whichever block reads them.  The block
+    # marks them, the scalar code evaluates them, and the report is still
+    # the per-trial one.
+    def q2_at_zero(sample, half):
+        def patched(u):
+            rows, spare = sample(u), u[:, 15]
+            rows[spare < 0.1, half:] = 0.0
+            rows[(0.1 <= spare) & (spare < 0.2), half:] *= 2.0**-45
+            return rows
+
+        return patched
+
+    monkeypatch.setattr(batch, "haar_states", q2_at_zero(batch.haar_states, 2))
+    monkeypatch.setattr(batch, "haar_one_qubit_states", q2_at_zero(batch.haar_one_qubit_states, 1))
+    per_trial = _reference_trials(3, B + 1)
+    calls = _record_scalar_evaluations(monkeypatch)
+    assert run_suite(B + 1, 3).to_dict() == _reference_report(3, B + 1, per_trial)
+    # Every row that takes a quotient went through the fallback.
+    assert set(calls) == {0, 2, 3, 8, 9, 10}
