@@ -9,16 +9,17 @@ blocks, so everything here is exact, not approximate:
   ``Generator.random`` call at counter offset ``K t / 4`` (Philox yields four
   64-bit words per counter step), so a trial's draws do not depend on which
   block reads them.  A Haar-random unit vector of C^n takes 2n - 1
-  uniforms: its squared moduli are the spacings of n - 1 of them, sorted,
-  and its phases are ``2 pi u`` of the other n (Devroye, *Non-Uniform Random
-  Variate Generation*, 1986, ch. V).  On the ``2**-53`` grid of
-  ``Generator.random`` the spacings are exact and add up to exactly 1, and
-  ``sqrt`` is correctly rounded; ``(cos, sin)(2 pi u)`` are fdlibm's
-  polynomial kernels written out in array operations that are each
-  correctly rounded or exact (``+ - *``, ``rint`` and selections).  So the
-  rows are unit vectors to about 1e-15 with no normalization, and they
-  round alike under every libc and every instruction set numpy dispatches
-  to, whose own ``cos`` and ``sin`` round differently on some inputs.
+  uniforms: its squared moduli are the spacings of n - 1 of them, sorted
+  by a compare-exchange network, and its phases are ``2 pi u`` of the
+  other n (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. V).
+  On the ``2**-53`` grid of ``Generator.random`` the spacings are exact and
+  add up to exactly 1, and ``sqrt`` is correctly rounded;
+  ``(cos, sin)(2 pi u)`` are fdlibm's polynomial kernels written out in
+  array operations that are each correctly rounded or exact (``+ - *``,
+  ``rint`` and selections).  So the rows are unit vectors to about 1e-15
+  with no normalization, and they round alike under every libc and every
+  instruction set numpy dispatches to, whose own ``cos`` and ``sin`` round
+  differently on some inputs.
 * Arithmetic.  A block of complex numbers is a :class:`Split`, a pair of
   float64 arrays ``(re, im)``.  CPython evaluates complex products and
   quotients with fixed formulas (``_Py_c_prod``, ``_Py_c_quot``); numpy's
@@ -55,9 +56,11 @@ from .quaternion import ZERO_NORM_SQ, _abs2, _chord_sq, _s4_coords
 from .states import Quaterbit
 
 # Trials per block.  A block amortizes numpy's per-call cost over its trials,
-# and its arrays bound the memory the suite needs whatever the trial count;
-# doubling it saves little time and adds to the peak resident set.
-BLOCK = 512
+# and its arrays bound the memory the suite needs whatever the trial count.
+# ``qgeo verify`` at its defaults (2 shared CPUs, numpy 2.4): run_suite takes
+# about 0.16 s at 2048 against 0.23 s at 512, at a peak resident set 0.6 MB
+# higher; 4096 saves another 0.01 s for another 1.2 MB.
+BLOCK = 2048
 
 # Uniforms per trial, a multiple of Philox's four words per counter step.
 # Slots 0-6: the state's 3 spacing and 4 phase uniforms (a one-qubit state
@@ -115,31 +118,91 @@ _ODD = np.array([False, True, False, True])
 _COS_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 _SIN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 
+# The helpers below evaluate their formulas operation by operation in the
+# order written, each with ``out=`` into a buffer whose value is no longer
+# needed, so that few block-sized arrays are alive at once.  ``+`` and ``*``
+# commute in IEEE arithmetic, so ``z * x`` may be stored as ``x *= z``.
+
 
 def _times_pio2(r):
-    """r pi/2 as ``hi + lo``: Dekker's exact product with _PIO2_HI, plus r _PIO2_LO."""
+    """r pi/2 as ``hi + lo``: Dekker's exact product with _PIO2_HI, plus r _PIO2_LO.
+
+    With r = rh + rl split by :func:`_veltkamp`, ``lo`` is (((rh _PIO2_H - hi)
+    + rh _PIO2_L) + rl _PIO2_H) + rl _PIO2_L + r _PIO2_LO, summed in that order.
+    """
     hi = r * _PIO2_HI
     rh, rl = _veltkamp(r)
-    return hi, (((rh * _PIO2_H - hi) + rh * _PIO2_L) + rl * _PIO2_H) + rl * _PIO2_L + r * _PIO2_LO
+    lo = rh * _PIO2_H
+    lo -= hi
+    rh *= _PIO2_L
+    lo += rh
+    np.multiply(rl, _PIO2_H, out=rh)
+    lo += rh
+    rl *= _PIO2_L
+    lo += rl
+    np.multiply(r, _PIO2_LO, out=rl)
+    lo += rl
+    return hi, lo
 
 
 def _kernel_sin(x, y):
-    """sin(x + y) for |x| <= pi/4 and y the tail of x: fdlibm's ``__kernel_sin``."""
+    """sin(x + y) for |x| <= pi/4 and y the tail of x: fdlibm's ``__kernel_sin``.
+
+    With z = x x, w = z z and zx = z x: x - ((z (0.5 y - zx poly) - y) -
+    zx _S1), where poly = _S2 + z (_S3 + z _S4) + z w (_S5 + z _S6).
+    """
     z = x * x
     w = z * z
     zx = z * x
-    poly = _S2 + z * (_S3 + z * _S4) + z * w * (_S5 + z * _S6)
-    return x - ((z * (0.5 * y - zx * poly) - y) - zx * _S1)
+    poly = z * _S4
+    poly += _S3
+    poly *= z
+    poly += _S2
+    w *= z
+    t = z * _S6
+    t += _S5
+    w *= t
+    poly += w
+    poly *= zx
+    np.multiply(y, 0.5, out=t)
+    t -= poly
+    t *= z
+    t -= y
+    zx *= _S1
+    t -= zx
+    return np.subtract(x, t, out=t)
 
 
 def _kernel_cos(x, y):
-    """cos(x + y) for |x| <= pi/4 and y the tail of x: fdlibm's ``__kernel_cos``."""
+    """cos(x + y) for |x| <= pi/4 and y the tail of x: fdlibm's ``__kernel_cos``.
+
+    With z = x x, w = z z, hz = 0.5 z and one_hz = 1 - hz: one_hz + (((1 -
+    one_hz) - hz) + (z poly - x y)), where poly = z (_C1 + z (_C2 + z _C3)) +
+    w w (_C4 + z (_C5 + z _C6)).
+    """
     z = x * x
     w = z * z
-    poly = z * (_C1 + z * (_C2 + z * _C3)) + w * w * (_C4 + z * (_C5 + z * _C6))
-    hz = 0.5 * z
-    one_hz = 1.0 - hz
-    return one_hz + (((1.0 - one_hz) - hz) + (z * poly - x * y))
+    poly = z * _C3
+    poly += _C2
+    poly *= z
+    poly += _C1
+    poly *= z
+    w *= w
+    t = z * _C6
+    t += _C5
+    t *= z
+    t += _C4
+    w *= t
+    poly += w
+    hz = np.multiply(z, 0.5, out=w)
+    one_hz = np.subtract(1.0, hz, out=t)
+    poly *= z
+    np.multiply(x, y, out=z)
+    poly -= z
+    np.subtract(1.0, one_hz, out=z)
+    z -= hz
+    z += poly
+    return np.add(one_hz, z, out=z)
 
 
 def _cos_sin_2pi(u: np.ndarray):
@@ -151,24 +214,59 @@ def _cos_sin_2pi(u: np.ndarray):
     FreeBSD's msun.  Quadrant n mod 4 then swaps and negates them, so
     quadrant points are exact: u = 1/4 gives (-0.0, 1.0).
     """
-    n = np.rint(4.0 * u)
-    x, y = _times_pio2(4.0 * u - n)
-    sin, cos = _kernel_sin(x, y), _kernel_cos(x, y)
+    r = np.multiply(u, 4.0)
+    n = np.rint(r)
+    r -= n
     q = n.astype(np.intp) & 3
+    x, y = _times_pio2(r)
+    del n, r  # before the kernels, whose buffers are the peak
+    sin, cos = _kernel_sin(x, y), _kernel_cos(x, y)
+    del x, y
     odd = _ODD[q]
     return np.where(odd, sin, cos) * _COS_SIGN[q], np.where(odd, cos, sin) * _SIN_SIGN[q]
+
+
+# Compare-exchange networks that sort 1 or 3 columns (Knuth, TAOCP 5.3.4).
+_SORTING_NETWORK = {1: (), 3: ((0, 1), (1, 2), (0, 1))}
+
+
+def _spacings(cuts: np.ndarray, out: np.ndarray) -> None:
+    """The spacings of each row of ``cuts``, sorted, against 0 and 1, written to ``out``.
+
+    ``out`` has one column more than ``cuts``.  The cuts are sorted in
+    place by a compare-exchange network, then column k becomes
+    ``edge[k] - edge[k - 1]`` (edge[-1] = 0 leaves column 0 as it is) and
+    the last column ``1 - edge[-1]``.  ``min`` and ``max`` are exact and
+    ``-`` is correctly rounded, so these are the bits that numpy's sort of
+    the rows followed by its differences with 0 prepended and 1 appended
+    give, ties included.
+    """
+    k = cuts.shape[1]
+    edges, last = out[:, :k], out[:, k]
+    edges[...] = cuts
+    for i, j in _SORTING_NETWORK[k]:
+        np.minimum(edges[:, i], edges[:, j], out=last)
+        np.maximum(edges[:, i], edges[:, j], out=edges[:, j])
+        edges[:, i] = last
+    np.subtract(1.0, edges[:, k - 1], out=last)
+    for i in range(k - 1, 0, -1):
+        edges[:, i] -= edges[:, i - 1]
 
 
 def _haar_rows(u: np.ndarray, n: int) -> np.ndarray:
     """Haar-random unit rows of C^n from the first 2n - 1 uniform columns.
 
-    The squared moduli are the spacings of columns 0 to n - 2, sorted,
-    against 0 and 1; the phases are 2 pi times the next n columns.
+    The squared moduli are the spacings of columns 0 to n - 2, sorted by a
+    compare-exchange network, against 0 and 1; the phases are 2 pi times
+    the next n columns.
     """
     cos, sin = _cos_sin_2pi(u[:, n - 1 : 2 * n - 1])  # first: its temporaries are the peak
-    moduli = np.sqrt(np.diff(np.sort(u[:, : n - 1], axis=1), prepend=0.0, append=1.0, axis=1))
-    rows = np.empty(moduli.shape, dtype=complex)
-    rows.real, rows.imag = moduli * cos, moduli * sin
+    rows = np.empty((len(u), n), dtype=complex)
+    moduli = rows.real
+    _spacings(u[:, : n - 1], moduli)
+    np.sqrt(moduli, out=moduli)
+    np.multiply(moduli, sin, out=rows.imag)
+    moduli *= cos
     return rows
 
 

@@ -72,7 +72,7 @@ def test_trial_offsets_match_the_linear_stream(seed):
 
 @pytest.mark.parametrize("split", [BLOCK - 1, BLOCK, BLOCK + 1, 300])
 def test_draws_do_not_depend_on_the_block_split(split):
-    trials, seed = 1024, 42
+    trials, seed = 2 * BLOCK + 3, 42  # every split lies inside
     for group in _GROUPS:
         whole = _sample_trials(group, seed, 0, trials)
         parts = _sample_trials(group, seed, 0, split), _sample_trials(group, seed, split, trials)
@@ -138,15 +138,20 @@ def test_haar_rows_have_their_distributions():
 def test_haar_moduli_are_roots_of_exact_spacings(n):
     # With the phase columns at 0, (cos, sin) is exactly (1, 0) and a row is
     # its moduli.  On the 2**-53 grid the spacings of the sorted uniforms are
-    # doubles that add up to exactly 1, and each modulus is their sqrt.
+    # doubles that add up to exactly 1, and each modulus is their sqrt.  The
+    # compare-exchange network gives the bits of numpy's sort and diff.
     u = batch.uniforms(5, 0, 0, 3000)[:, : 2 * n - 1]
     edges = 2.0**-53 * np.array([0, 1, 2**52, 2**53 - 1])
     u[:1000, : n - 1] = np.random.default_rng(n).choice(edges, size=(1000, n - 1))
     u[1000:2000, : n - 1] = u[1000:2000, :1]  # ties
+    u[2000:2050, : n - 1] = edges[0]
+    u[2050:2100, : n - 1] = edges[-1]
     u[:, n - 1 :] = 0.0
     rows = batch._haar_rows(u, n)
     assert same_bits(rows.imag, np.zeros_like(rows.imag))
-    for cuts, moduli in zip(np.sort(u[:, : n - 1], axis=1).tolist(), rows.real):
+    ordered = np.sort(u[:, : n - 1], axis=1)
+    assert same_bits(rows.real, np.sqrt(np.diff(ordered, prepend=0.0, append=1.0, axis=1)))
+    for cuts, moduli in zip(ordered.tolist(), rows.real):
         cuts = [Fraction(0), *map(Fraction, cuts), Fraction(1)]
         spacings = [float(hi - lo) for lo, hi in zip(cuts, cuts[1:])]
         assert sum(map(Fraction, spacings)) == 1

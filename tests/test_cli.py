@@ -23,6 +23,7 @@ except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__
 
 import qgeo.cli
+from qgeo import batch
 from qgeo.cli import load_state, load_transform, main
 from qgeo.conformal import conformal_map, inverse_stereographic, schmidt_concurrence_form
 from qgeo.local_unitary import LocalUnitary, SO2Element, SU2Element
@@ -368,6 +369,20 @@ def test_verify_report_bytes_are_pinned(capsys, tmp_path, trials, seed, digest):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+def test_verify_report_bytes_do_not_depend_on_the_block_size(capsys, tmp_path, monkeypatch):
+    # The block size is not a report parameter: the 513-trial run crosses a
+    # block boundary at 64 and 512, and is one block at the production size.
+    reports = []
+    for block in (64, 512, batch.BLOCK):
+        monkeypatch.setattr(batch, "BLOCK", block)
+        report = tmp_path / f"r{block}.json"
+        code, _, _ = run_cli(capsys, "verify", "--trials", "513", "--seed", "0", "--report", str(report))
+        assert code == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert hashlib.sha256(reports[0]).hexdigest() == REPORT_SHA256["513", "0"]
+
+
 def test_verify_impossible_tolerance_fails_but_writes_report(capsys, tmp_path):
     report = tmp_path / "r.json"
     code, out, _ = run_cli(
@@ -597,7 +612,7 @@ def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, setting):
     # CPU (AVX2, or SSE3 only), which round dot and matrix products
     # otherwise.  NPY_DISABLE_CPU_FEATURES makes numpy's ufuncs run their
     # baseline loops, whose cos and sin round otherwise on some inputs, and
-    # its sort loops, which order alike (sorting is exact).  The verify
+    # its min and max loops, which are exact in every one.  The verify
     # report, the sample files and renormalized state vectors use none of
     # the rounding ones: of numpy's ufuncs only sqrt is on their path, and
     # it is correctly rounded.

@@ -384,7 +384,16 @@ def test_one_table_holds_every_seeded_row():
 # Block evaluation against a per-trial reference
 # ---------------------------------------------------------------------------
 
-B = batch.BLOCK
+# The tests below cross block boundaries at a small block size, so that the
+# per-trial references they build stay cheap; run_suite reads batch.BLOCK
+# each time it runs.
+B = 64
+
+
+@pytest.fixture
+def small_block(monkeypatch):
+    monkeypatch.setattr(batch, "BLOCK", B)
+
 
 # (seed index, [(check, contract)], inputs of trial t, scalar evaluator): the
 # suite's groups as a per-trial loop runs them, each trial read on its own.
@@ -554,6 +563,7 @@ def _reference_report(seed, trials, per_trial):
 
 
 @pytest.mark.parametrize("seed", [0, 11, 2**33 + 1])
+@pytest.mark.usefixtures("small_block")
 def test_block_suite_matches_per_trial_reference(seed):
     per_trial = _reference_trials(seed, B + 1)
     for trials in (1, 2, B - 1, B, B + 1):
@@ -562,6 +572,7 @@ def test_block_suite_matches_per_trial_reference(seed):
         assert run_suite(trials, seed).to_dict() == expected, trials
 
 
+@pytest.mark.usefixtures("small_block")
 def test_block_suite_keeps_the_last_of_tied_trials(monkeypatch):
     # Identity transforms make most deviations exactly 0.0 in every trial,
     # so the worst case of those checks must be the last trial.
@@ -696,6 +707,7 @@ def _record_scalar_evaluations(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.usefixtures("small_block")
 def test_every_row_evaluates_its_trials_in_blocks(monkeypatch):
     # The checks, both searches and the exploratory candidate: on Haar inputs
     # no trial takes a branch, so none is evaluated on its own.
@@ -704,6 +716,7 @@ def test_every_row_evaluates_its_trials_in_blocks(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.usefixtures("small_block")
 def test_branch_trials_fall_back_to_the_scalar_code(monkeypatch):
     # Trials whose spare uniform (slot 15) is below 0.2 get q2 = 0 (a2 = 0
     # for one qubit), or a q2 below ZERO_NORM_SQ but not zero, so their
