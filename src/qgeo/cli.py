@@ -16,7 +16,10 @@ CSV with header ``step,u0,u1,u2,u3,u4``: row k is the 4-sphere image of the
 k-th iterate of the induced Moebius map, i.e. the initial image rotated by
 2*k*theta in the (u0, u4) plane with u1..u3 fixed.  The rows are computed in
 closed form and streamed in blocks, so neither the error nor the memory
-grows with ``--steps``.
+grows with ``--steps``.  The blocks are formatted by up to one process per
+available CPU, in whole blocks; each worker's run goes through an unnamed
+temporary file in ``--out``'s directory, and the bytes do not depend on the
+CPU count.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
 or input error, 3 mathematical domain error.  ``--tol`` alone sets
@@ -48,7 +51,7 @@ from .states import (
 )
 from .conformal import conformal_map, inverse_stereographic
 from .local_unitary import LocalUnitary, SO2Element, SU2Element, Variant, apply_cb, decode_transform
-from .moebius import orbit_s4_chunks
+from .moebius import ORBIT_CHUNK, orbit_s4_chunks
 from .diagrams import DEFAULT_SUITE_TOL, run_suite
 
 EXIT_OK = 0
@@ -204,24 +207,101 @@ def cmd_orbit(args) -> int:
         )
     point = conformal_map(quaternionify(psi))
     # The file is opened before any step is computed, so an unwritable path
-    # fails at once.  Lines are written as csv.writer would write them:
-    # repr floats, \r\n line ends; u1..u3 are the same in every row.
+    # fails at once.
     try:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             fh.write("step,u0,u1,u2,u3,u4\r\n")
-            step, fixed = 0, None
-            for rows in orbit_s4_chunks(u, point, 0, args.steps + 1):
-                if fixed is None:
-                    fixed = ",".join(repr(v) for v in rows[0, 1:4].tolist())
-                ks = range(step, step + len(rows))
-                fh.write("".join(
-                    f"{k},{u0!r},{fixed},{u4!r}\r\n"
-                    for k, u0, u4 in zip(ks, rows[:, 0].tolist(), rows[:, 4].tolist())
-                ))
-                step += len(rows)
+            _write_orbit(fh, u, point, args.steps + 1)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"{args.out}: cannot write: {exc.strerror or exc}") from None
     return EXIT_OK
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    import os
+
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _write_orbit_blocks(fh, u: LocalUnitary, point, k0: int, n: int) -> None:
+    """Write the CSV rows of steps k0 .. k0 + n - 1 to the text file ``fh``.
+
+    Lines are written as csv.writer would write them: repr floats, \\r\\n
+    line ends; u1..u3 are the same in every row.  One string per block of
+    :func:`orbit_s4_chunks`, joined from columns.
+    """
+    import itertools
+
+    for rows in orbit_s4_chunks(u, point, k0, n):
+        m = len(rows)
+        fixed = "," + ",".join(map(repr, rows[0, 1:4].tolist())) + ","
+        cells = [","] * (6 * m)  # step , u0 ,u1,u2,u3, u4 \r\n
+        cells[0::6] = map(str, range(k0, k0 + m))
+        cells[2::6] = map(repr, rows[:, 0].tolist())
+        cells[3::6] = itertools.repeat(fixed, m)
+        cells[4::6] = map(repr, rows[:, 4].tolist())
+        cells[5::6] = itertools.repeat("\r\n", m)
+        fh.write("".join(cells))
+        k0 += m
+
+
+def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
+    """Write the CSV rows of steps 0 .. n - 1 to ``fh``, on up to one process per CPU.
+
+    The rows are split into P contiguous runs of whole ORBIT_CHUNK blocks;
+    each block starts from its own exact angle, so the bytes do not depend
+    on P.  This process writes run 0 straight into ``fh``; a forked worker
+    writes each other run into an unnamed temporary file beside ``fh``,
+    which is appended once the run before it is in.  A worker runs only
+    :func:`_write_orbit_blocks` and leaves through ``os._exit``, flushing
+    nothing it inherited.  Every worker is reaped before this returns or
+    raises, and killed first on failure.  A worker that fails raises
+    OSError here.
+    """
+    import os
+    import shutil
+    import signal
+    import tempfile
+
+    blocks = -(-n // ORBIT_CHUNK)
+    p = min(_available_cpus(), blocks)
+    bounds = [min(n, r * blocks // p * ORBIT_CHUNK) for r in range(p + 1)]
+    directory = os.path.dirname(os.path.abspath(fh.name))
+    workers = []  # (pid, temporary file) of runs 1 .. p-1, in order, not yet reaped
+    with contextlib.ExitStack() as files:
+        try:
+            for r in range(1, p):
+                tmp = files.enter_context(tempfile.TemporaryFile(dir=directory))
+                pid = os.fork()
+                if pid == 0:  # a worker: it leaves only through os._exit
+                    status = 1
+                    try:
+                        with open(tmp.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
+                            _write_orbit_blocks(out, u, point, bounds[r], bounds[r + 1] - bounds[r])
+                        status = 0
+                    finally:
+                        os._exit(status)
+                workers.append((pid, tmp))
+            _write_orbit_blocks(fh, u, point, 0, bounds[1])
+            fh.flush()
+            while workers:
+                pid, tmp = workers[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[0]
+                if status:
+                    raise OSError(f"an orbit worker exited with status {status}")
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh.buffer)
+        finally:
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def cmd_sample(args) -> int:

@@ -156,15 +156,20 @@ def check_three_way(u: LocalUnitary, psi: TwoQubitState) -> tuple[float, float, 
     and the rotation angle; all three are independently coded.
     """
     op = _ops(psi)
+    # Each gap is taken as soon as its two points exist, and what no later
+    # step needs is dropped at once, which bounds the row's memory on a block.
     qb = op.quaternionify(psi)
-    psi2 = apply_cb(u, psi)
-
-    v1 = conformal_map(op.quaternionify(psi2))
-    v2 = conformal_map(apply_B_quaterbit(u, qb))
     v3 = apply_moebius_q(op.moebius_from_local_unitary(u), conformal_map(qb))
-
+    v2 = conformal_map(apply_B_quaterbit(u, qb))
+    second = op.chordal_distance(v2, v3)
+    del qb, v3
+    psi2 = apply_cb(u, psi)
+    v1 = conformal_map(op.quaternionify(psi2))
+    first = op.chordal_distance(v1, v2)
+    del v2
     n2_after = _abs2(psi2.gamma) + _abs2(psi2.delta)
     w1 = op.fraction_point(schmidt_term(psi2), concurrence_term(psi2), n2_after)
+    del psi2, n2_after
 
     s_term = schmidt_term(psi)
     n1 = _abs2(psi.alpha) + _abs2(psi.beta)
@@ -175,8 +180,6 @@ def check_three_way(u: LocalUnitary, psi: TwoQubitState) -> tuple[float, float, 
     num = c * c * s_term - s * s * s_term.conjugate() + s * c * (n2 - n1)
     w2 = op.fraction_point(num, concurrence_term(psi), den)
 
-    first = op.chordal_distance(v1, v2)
-    second = op.chordal_distance(v2, v3)
     closed = op.max(
         op.chordal_distance(v1, w1),
         op.chordal_distance(v1, w2),

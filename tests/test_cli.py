@@ -1,6 +1,7 @@
 """CLI end-to-end: subcommands, file formats, exit codes, determinism."""
 
 import csv
+import errno
 import functools
 import hashlib
 import io
@@ -11,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -503,28 +505,107 @@ def _orbit_inputs(tmp_path):
     return state, tr
 
 
-@pytest.mark.parametrize(
-    "steps", [0, ORBIT_CHUNK - 1, ORBIT_CHUNK, ORBIT_CHUNK + 1, 2 * ORBIT_CHUNK + 1]
-)
-def test_orbit_csv_bytes_match_csv_writer(capsys, tmp_path, steps):
-    state, tr = _orbit_inputs(tmp_path)
-    out = tmp_path / "orbit.csv"
-    code, _, _ = run_cli(capsys, "orbit", state, tr, "--steps", str(steps), "--out", str(out))
-    assert code == 0
-    data = out.read_bytes()
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        0, ORBIT_CHUNK - 1, ORBIT_CHUNK, ORBIT_CHUNK + 1, 2 * ORBIT_CHUNK + 1,
+        2 * ORBIT_CHUNK - 1, 2 * ORBIT_CHUNK, 3 * ORBIT_CHUNK + 5, 4 * ORBIT_CHUNK + 1,
+    ],
+)
+def test_orbit_csv_bytes_match_csv_writer(capsys, monkeypatch, tmp_path, steps):
+    state, tr = _orbit_inputs(tmp_path)
     point = conformal_map(quaternionify(load_state(state)))
     rows = orbit_s4(load_transform(tr), point, 0, steps + 1)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["step", "u0", "u1", "u2", "u3", "u4"])
     writer.writerows([k] + row.tolist() for k, row in enumerate(rows))
-    assert data == expected.getvalue().encode("utf-8")
+
+    out = tmp_path / "orbit.csv"
+    for cpus in (1, 2, 3):
+        # The rows are split over this many processes, in whole blocks.
+        monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: cpus)
+        code, _, _ = run_cli(capsys, "orbit", state, tr, "--steps", str(steps), "--out", str(out))
+        assert code == 0
+        data = out.read_bytes()
+        assert data == expected.getvalue().encode("utf-8"), cpus
+        _assert_no_child_left()
 
     lines = data.decode("utf-8").split("\r\n")
     assert lines[-1] == ""
     assert [int(line.split(",")[0]) for line in lines[1:-1]] == list(range(steps + 1))
     np.testing.assert_array_equal(rows[0], inverse_stereographic(point))
+
+
+def test_orbit_worker_failure_is_a_write_error(capsys, monkeypatch, tmp_path):
+    parent, write_blocks = os.getpid(), qgeo.cli._write_orbit_blocks
+
+    def fails_in_a_worker(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failed")
+        write_blocks(*args)
+
+    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(qgeo.cli, "_write_orbit_blocks", fails_in_a_worker)
+    state, tr = _orbit_inputs(tmp_path)
+    out = tmp_path / "orbit.csv"
+    code, _, err = run_cli(capsys, "orbit", state, tr, "--steps", str(3 * ORBIT_CHUNK), "--out", str(out))
+    assert code == 2
+    assert "cannot write" in err and "exited with status 1" in err
+    assert "Traceback" not in err
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "failure", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()], ids=repr
+)
+def test_orbit_failure_in_the_parent_kills_the_workers(capsys, monkeypatch, tmp_path, failure):
+    # The workers would outlive the test by a minute unless they are killed.
+    parent = os.getpid()
+
+    def fails_in_the_parent(*args):
+        if os.getpid() == parent:
+            raise failure
+        time.sleep(60)
+
+    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(qgeo.cli, "_write_orbit_blocks", fails_in_the_parent)
+    state, tr = _orbit_inputs(tmp_path)
+    out = tmp_path / "orbit.csv"
+    t0 = time.monotonic()
+    if isinstance(failure, OSError):
+        code, _, err = run_cli(capsys, "orbit", state, tr, "--steps", str(3 * ORBIT_CHUNK), "--out", str(out))
+        assert code == 2 and "cannot write: No space left on device" in err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(["orbit", state, tr, "--steps", str(3 * ORBIT_CHUNK), "--out", str(out)])
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_orbit_in_a_fresh_process_matches_one_process(capsys, monkeypatch, tmp_path):
+    # The workers are forked from an interpreter that pytest has not set up.
+    state, tr = _orbit_inputs(tmp_path)
+    steps = str(3 * ORBIT_CHUNK)
+    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 1)
+    one = tmp_path / "one.csv"
+    assert run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", str(one))[0] == 0
+
+    src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
+    forked = tmp_path / "forked.csv"
+    subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qgeo", "orbit", state, tr, "--steps", steps, "--out", str(forked)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
+    assert forked.read_bytes() == one.read_bytes()
 
 
 def test_orbit_long_run_has_no_drift(capsys, tmp_path):
