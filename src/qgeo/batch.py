@@ -377,11 +377,6 @@ class Quaternion:
     def __init__(self, z1: Split, z2: Split):
         self.z1, self.z2 = z1, z2
 
-    x0 = property(lambda self: self.z1.real)
-    x1 = property(lambda self: self.z1.imag)
-    x2 = property(lambda self: self.z2.real)
-    x3 = property(lambda self: self.z2.imag)
-
     def __add__(self, other):
         return Quaternion(self.z1 + other.z1, self.z2 + other.z2)
 

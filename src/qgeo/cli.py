@@ -18,8 +18,8 @@ k-th iterate of the induced Moebius map, i.e. the initial image rotated by
 closed form and streamed in blocks, so neither the error nor the memory
 grows with ``--steps``.  The blocks are formatted by up to one process per
 available CPU, in whole blocks; each worker's run goes through an unnamed
-temporary file in ``--out``'s directory, and the bytes do not depend on the
-CPU count.
+temporary file in the system's temporary directory, and the bytes do not
+depend on the CPU count.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
 or input error, 3 mathematical domain error.  ``--tol`` alone sets
@@ -32,6 +32,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -219,8 +220,6 @@ def cmd_orbit(args) -> int:
 
 def _available_cpus() -> int:
     """CPUs this process may run on; 1 where it cannot fork."""
-    import os
-
     if not hasattr(os, "fork"):
         return 1
     try:
@@ -256,15 +255,14 @@ def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
 
     The rows are split into P contiguous runs of whole ORBIT_CHUNK blocks;
     each block starts from its own exact angle, so the bytes do not depend
-    on P.  This process writes run 0 straight into ``fh``; a forked worker
-    writes each other run into an unnamed temporary file beside ``fh``,
-    which is appended once the run before it is in.  A worker runs only
+    on P.  This process writes run 0 straight into ``fh`` (a file, pipe or
+    device); a forked worker writes each other run into an unnamed temporary
+    file, appended once the run before it is in.  A worker runs only
     :func:`_write_orbit_blocks` and leaves through ``os._exit``, flushing
     nothing it inherited.  Every worker is reaped before this returns or
     raises, and killed first on failure.  A worker that fails raises
-    OSError here.
+    OSError here, with the text of its error, which it sends through a pipe.
     """
-    import os
     import shutil
     import signal
     import tempfile
@@ -272,12 +270,13 @@ def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
     blocks = -(-n // ORBIT_CHUNK)
     p = min(_available_cpus(), blocks)
     bounds = [min(n, r * blocks // p * ORBIT_CHUNK) for r in range(p + 1)]
-    directory = os.path.dirname(os.path.abspath(fh.name))
-    workers = []  # (pid, temporary file) of runs 1 .. p-1, in order, not yet reaped
+    workers = []  # (pid, temporary file, error pipe) of runs 1 .. p-1, in order, not yet reaped
     with contextlib.ExitStack() as files:
         try:
             for r in range(1, p):
-                tmp = files.enter_context(tempfile.TemporaryFile(dir=directory))
+                tmp = files.enter_context(tempfile.TemporaryFile())
+                cause, cause_out = (files.enter_context(open(fd, mode, buffering=0))
+                                    for fd, mode in zip(os.pipe(), ("rb", "wb")))
                 pid = os.fork()
                 if pid == 0:  # a worker: it leaves only through os._exit
                     status = 1
@@ -285,21 +284,25 @@ def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
                         with open(tmp.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
                             _write_orbit_blocks(out, u, point, bounds[r], bounds[r + 1] - bounds[r])
                         status = 0
+                    except BaseException as exc:
+                        cause_out.write((getattr(exc, "strerror", None) or str(exc) or repr(exc)).encode())
                     finally:
                         os._exit(status)
-                workers.append((pid, tmp))
+                workers.append((pid, tmp, cause))
+                cause_out.close()  # so that reading the cause ends when the worker does
             _write_orbit_blocks(fh, u, point, 0, bounds[1])
             fh.flush()
             while workers:
-                pid, tmp = workers[0]
+                pid, tmp, cause = workers[0]
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del workers[0]
                 if status:
-                    raise OSError(f"an orbit worker exited with status {status}")
+                    text = cause.read().decode(errors="replace") or "no cause given"
+                    raise OSError(f"{text} (an orbit worker exited with status {status})")
                 tmp.seek(0)
                 shutil.copyfileobj(tmp, fh.buffer)
         finally:
-            for pid, _ in workers:
+            for pid, *_ in workers:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 

@@ -96,21 +96,10 @@ class FailureSearch(Enum):
 # qgeo.batch gives their block forms.  An evaluator takes them from its
 # state's type (:func:`_ops`) and all other operations from the library, so
 # each row has one definition for one trial and for a block of trials.
-_LIBRARY = SimpleNamespace(
-    OneQubitState=OneQubitState,
-    TwoQubitState=TwoQubitState,
-    SU2Element=SU2Element,
-    SO2Element=SO2Element,
-    LocalUnitary=LocalUnitary,
-    quaternionify=quaternionify,
-    embed_complex=embed_complex,
-    fraction_point=fraction_point,
-    quat_matrix=quat_matrix,
-    MoebiusQ=MoebiusQ,
-    moebius_from_local_unitary=moebius_from_local_unitary,
-    chordal_distance=chordal_distance,
-    max=max,
-)
+_LIBRARY = SimpleNamespace(**{op.__name__: op for op in (
+    OneQubitState, TwoQubitState, SU2Element, SO2Element, LocalUnitary, quaternionify, embed_complex,
+    fraction_point, quat_matrix, MoebiusQ, moebius_from_local_unitary, chordal_distance, max,
+)})
 
 
 def _ops(psi):

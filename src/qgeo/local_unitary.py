@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quaternion import Quaternion, divided, squared_norm
+from .quaternion import Quaternion, _quaternion, divided, squared_norm
 from .states import (
     NORMALIZATION_TOL, OneQubitState, Quaterbit, TwoQubitState, _haar_amplitudes,
     decode_number, decode_pair, encode_pair,
@@ -42,7 +42,7 @@ class Variant(str, Enum):
         return (rot, su2) if self is Variant.SO2_X_SU2 else (su2, rot)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SU2Element:
     """SU(2) element with matrix rows (a, b) and (-conj(b), conj(a))."""
 
@@ -72,7 +72,7 @@ class SU2Element:
         return _factor_matrix(self.a, self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SO2Element:
     """Plane rotation by theta, matrix ((cos, sin), (-sin, cos))."""
 
@@ -90,7 +90,7 @@ class SO2Element:
         return np.array([[c, s], [-s, c]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalUnitary:
     """A separable two-qubit unitary, parameterized by (theta, a, b) and a variant."""
 
@@ -204,7 +204,7 @@ def apply_B_quaterbit(u: LocalUnitary, qb: Quaterbit) -> Quaterbit:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuatMat2:
     """2x2 matrix with quaternion entries."""
 
@@ -258,8 +258,7 @@ def quat_matrix(u: LocalUnitary) -> QuatMat2:
     exactly :func:`complex_form`.
     """
     (a, b), (a2, b2) = u.factors()
-    f = Quaternion(a2, -b2)
-    return QuatMat2(a * f, b * f, (-b.conjugate()) * f, a.conjugate() * f)
+    return QuatMat2(*[_quaternion(c * a2, c * -b2) for c in (a, b, -b.conjugate(), a.conjugate())])
 
 
 J_METRIC = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])

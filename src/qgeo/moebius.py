@@ -74,16 +74,17 @@ def study_determinant(m: QuatMat2) -> float:
     return (_abs2(w1) + _abs2(w2)) / na if na else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MoebiusQ:
     """Quaternionic Moebius map: a 2x2 quaternion matrix whose Study determinant is >= DET_TOL."""
 
     m: QuatMat2
 
-    def __post_init__(self):
-        det = study_determinant(self.m)
+    def __init__(self, m: QuatMat2):
+        det = study_determinant(m)
         if abs(det) < DET_TOL:
             raise ValueError(f"matrix is not invertible: Study determinant {det!r}")
+        _set_m(self, m)
 
     @classmethod
     def identity(cls) -> MoebiusQ:
@@ -98,6 +99,9 @@ class MoebiusQ:
         """
         entries = (u.a, u.b, -u.b.conjugate(), u.a.conjugate())
         return cls(QuatMat2(*map(embed_complex, entries)))
+
+
+_set_m = MoebiusQ.m.__set__
 
 
 def apply_moebius_q(f: MoebiusQ, q: ExtendedQuaternion) -> ExtendedQuaternion:

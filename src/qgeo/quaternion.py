@@ -117,7 +117,8 @@ class Quaternion:
         return _quaternion(self.z1.conjugate(), -self.z2)
 
     def norm_sq(self) -> float:
-        return _abs2(self.z1) + _abs2(self.z2)
+        z1, z2 = self.z1, self.z2  # _abs2(z1) + _abs2(z2), written out
+        return (z1.real * z1.real + z1.imag * z1.imag) + (z2.real * z2.real + z2.imag * z2.imag)
 
     def __abs__(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -147,11 +148,10 @@ def _not_finite(z1: complex, z2: complex) -> ValueError:
 
 
 def _quaternion(z1: complex, z2: complex) -> Quaternion:
-    """The Quaternion (z1, z2) of two complex numbers: the constructor of the class's own results.
+    """The Quaternion (z1, z2) of two complex numbers: the constructor of every result built from them.
 
     It checks finiteness as ``__init__`` does, with the same error, and skips
-    only the ``complex()`` coercion and the ``__init__`` call, since the
-    operands are complex already.
+    only the ``complex()`` coercion and the ``__init__`` call.
     """
     if not (_isfinite(z1) and _isfinite(z2)):
         raise _not_finite(z1, z2)
@@ -174,14 +174,11 @@ class DegenerateMapError(ZeroDivisionError):
     """Numerator and denominator vanished together: the quotient is indeterminate."""
 
 
-def _denominator_inverse(p: Quaternion, q: Quaternion) -> Quaternion | None:
-    """q**-1, or None where q counts as zero; DegenerateMapError where p counts as zero too."""
-    try:
-        return q.inverse()
-    except ZeroDivisionError:
-        if p.is_zero():
-            raise DegenerateMapError("indeterminate quotient: numerator and denominator both zero") from None
-        return None
+def _over_zero(p: Quaternion) -> AtInfinity:
+    """p over a denominator that counts as zero: INFINITY, or DegenerateMapError where p does too."""
+    if p.is_zero():
+        raise DegenerateMapError("indeterminate quotient: numerator and denominator both zero") from None
+    return INFINITY
 
 
 def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
@@ -189,14 +186,18 @@ def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
 
     Raises DegenerateMapError (a ZeroDivisionError) when p counts as zero too.
     """
-    inv = _denominator_inverse(p, q)
-    return INFINITY if inv is None else p * inv
+    try:
+        return p * q.inverse()
+    except ZeroDivisionError:
+        return _over_zero(p)
 
 
 def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     """q**-1 * p on the extended line, with the conventions of :func:`right_quotient`."""
-    inv = _denominator_inverse(p, q)
-    return INFINITY if inv is None else inv * p
+    try:
+        return q.inverse() * p
+    except ZeroDivisionError:
+        return _over_zero(p)
 
 
 def _s4_coords(p: ExtendedQuaternion) -> tuple[float, float, float, float, float]:
@@ -206,9 +207,10 @@ def _s4_coords(p: ExtendedQuaternion) -> tuple[float, float, float, float, float
     """
     if p is INFINITY:
         return (0.0, 0.0, 0.0, 0.0, 1.0)
+    z1, z2 = p.z1, p.z2
     n = p.norm_sq()
     d = n + 1.0
-    return (2.0 * p.x0 / d, 2.0 * p.x1 / d, 2.0 * p.x2 / d, 2.0 * p.x3 / d, (n - 1.0) / d)
+    return (2.0 * z1.real / d, 2.0 * z1.imag / d, 2.0 * z2.real / d, 2.0 * z2.imag / d, (n - 1.0) / d)
 
 
 def chordal_distance(p: ExtendedQuaternion, q: ExtendedQuaternion) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -10,7 +9,7 @@ from functools import reduce
 
 import numpy as np
 
-from .quaternion import Quaternion, _abs2, divided, squared_norm
+from .quaternion import Quaternion, _abs2, _isfinite, _quaternion, divided, squared_norm
 
 # Norm deviation accepted at the construction boundary.
 NORMALIZATION_TOL = 1e-9
@@ -24,12 +23,12 @@ _SIGMA_YY_ENTRIES = tuple(
 
 def _finite_complex(value, name: str) -> complex:
     z = complex(value)
-    if not cmath.isfinite(z):
+    if not _isfinite(z):
         raise ValueError(f"{name} must be finite, got {z!r}")
     return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OneQubitState:
     """Amplitudes (a1, a2) of |0> and |1>."""
 
@@ -44,7 +43,7 @@ class OneQubitState:
         return _abs2(self.a1) + _abs2(self.a2)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class TwoQubitState:
     """Amplitudes of |00>, |01>, |10>, |11>, in that basis order.
 
@@ -60,10 +59,10 @@ class TwoQubitState:
     delta: complex
 
     def __init__(self, alpha: complex, beta: complex, gamma: complex, delta: complex):
-        object.__setattr__(self, "alpha", _finite_complex(alpha, "alpha"))
-        object.__setattr__(self, "beta", _finite_complex(beta, "beta"))
-        object.__setattr__(self, "gamma", _finite_complex(gamma, "gamma"))
-        object.__setattr__(self, "delta", _finite_complex(delta, "delta"))
+        _set_alpha(self, _finite_complex(alpha, "alpha"))
+        _set_beta(self, _finite_complex(beta, "beta"))
+        _set_gamma(self, _finite_complex(gamma, "gamma"))
+        _set_delta(self, _finite_complex(delta, "delta"))
 
     @classmethod
     def from_vector(cls, vec, renormalize: bool = False) -> TwoQubitState:
@@ -89,15 +88,24 @@ class TwoQubitState:
         return (_abs2(self.alpha) + _abs2(self.beta)) + (_abs2(self.gamma) + _abs2(self.delta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Quaterbit:
     """Two-component quaternionic spinor image of a two-qubit state."""
 
     q1: Quaternion
     q2: Quaternion
 
+    def __init__(self, q1: Quaternion, q2: Quaternion):
+        _set_q1(self, q1)
+        _set_q2(self, q2)
+
     def norm_sq(self) -> float:
         return self.q1.norm_sq() + self.q2.norm_sq()
+
+
+_set_alpha, _set_beta = TwoQubitState.alpha.__set__, TwoQubitState.beta.__set__
+_set_gamma, _set_delta = TwoQubitState.gamma.__set__, TwoQubitState.delta.__set__
+_set_q1, _set_q2 = Quaterbit.q1.__set__, Quaterbit.q2.__set__
 
 
 def quaternionify(psi: TwoQubitState) -> Quaterbit:
@@ -106,7 +114,7 @@ def quaternionify(psi: TwoQubitState) -> Quaterbit:
     The map is a bijection of vectors, complex linear for scalars acting on
     the left, and carries the squared norm over exactly.
     """
-    return Quaterbit(Quaternion(psi.alpha, psi.beta), Quaternion(psi.gamma, psi.delta))
+    return Quaterbit(_quaternion(psi.alpha, psi.beta), _quaternion(psi.gamma, psi.delta))
 
 
 def dequaternionify(qb: Quaterbit) -> TwoQubitState:

@@ -543,22 +543,54 @@ def test_orbit_csv_bytes_match_csv_writer(capsys, monkeypatch, tmp_path, steps):
 
 
 def test_orbit_worker_failure_is_a_write_error(capsys, monkeypatch, tmp_path):
+    # The worker's own error text reaches the message, as the parent's does.
     parent, write_blocks = os.getpid(), qgeo.cli._write_orbit_blocks
-
-    def fails_in_a_worker(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("worker failed")
-        write_blocks(*args)
-
+    failures = {
+        "worker failed": RuntimeError("worker failed"),
+        "No space left on device": OSError(errno.ENOSPC, "No space left on device"),
+        "KeyboardInterrupt()": KeyboardInterrupt(),
+    }
     monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 3)
-    monkeypatch.setattr(qgeo.cli, "_write_orbit_blocks", fails_in_a_worker)
     state, tr = _orbit_inputs(tmp_path)
     out = tmp_path / "orbit.csv"
-    code, _, err = run_cli(capsys, "orbit", state, tr, "--steps", str(3 * ORBIT_CHUNK), "--out", str(out))
-    assert code == 2
-    assert "cannot write" in err and "exited with status 1" in err
-    assert "Traceback" not in err
+    for cause, failure in failures.items():
+
+        def fails_in_a_worker(*args):
+            if os.getpid() != parent:
+                raise failure
+            write_blocks(*args)
+
+        monkeypatch.setattr(qgeo.cli, "_write_orbit_blocks", fails_in_a_worker)
+        code, _, err = run_cli(capsys, "orbit", state, tr, "--steps", str(3 * ORBIT_CHUNK), "--out", str(out))
+        assert code == 2
+        assert f"{out}: cannot write: {cause} (an orbit worker exited with status 1)" in err, err
+        assert "Traceback" not in err
+        _assert_no_child_left()
+
+
+def test_orbit_writes_to_a_pipe(capsys, monkeypatch, tmp_path):
+    # /dev/fd/N has no directory to hold the workers' temporary files.
+    state, tr = _orbit_inputs(tmp_path)
+    steps = str(ORBIT_CHUNK + 5)
+    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 1)
+    one = tmp_path / "one.csv"
+    assert run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", str(one))[0] == 0
+
+    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 2)
+    piped = tmp_path / "piped.csv"
+    read_end, write_end = os.pipe()
+    copy = "import shutil, sys; shutil.copyfileobj(sys.stdin.buffer, open(sys.argv[1], 'wb'))"
+    with open(read_end, "rb") as reader:
+        drain = subprocess.Popen([sys.executable, "-c", copy, str(piped)], stdin=reader)
+    try:
+        code, _, err = run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", f"/dev/fd/{write_end}")
+    finally:
+        os.close(write_end)
+        drain.wait(timeout=60)
+    assert (code, err) == (0, "")
     _assert_no_child_left()
+    assert drain.returncode == 0
+    assert piped.read_bytes() == one.read_bytes()
 
 
 @pytest.mark.parametrize(
