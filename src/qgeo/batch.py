@@ -40,12 +40,22 @@ other library function runs on the blocks unchanged.  Where the scalar code
 leaves the generic branch, at a quotient by a quaternion below
 ``ZERO_NORM_SQ``, the block's rows are NaN, which marks those trials for the
 scalar code.
+
+Processes.  Blocks read disjoint counter ranges, so they need no shared
+state and can be evaluated anywhere.  :func:`_forked` runs shares of such
+work on forked workers; ``qgeo verify``'s blocks and ``qgeo orbit``'s CSV
+runs go through it, on up to one process per available CPU
+(:func:`_available_cpus`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -478,3 +488,90 @@ def chordal_distance(p: Quaternion, q: Quaternion) -> np.ndarray:
 def max(*values: np.ndarray) -> np.ndarray:
     """Python's ``max``, the first of equal maxima, except that a NaN (a mark) always wins."""
     return reduce(lambda a, b: np.where((b > a) | np.isnan(b), b, a), values)
+
+
+# ---------------------------------------------------------------------------
+# Processes
+# ---------------------------------------------------------------------------
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _forked(work: Callable, shares: Sequence, worker: str, carry: bool = True) -> list:
+    """``[work(share) for share in shares]``, each share after the first on a forked worker.
+
+    This process forks a worker for every other share, then runs
+    ``work(shares[0])``.  A worker runs only ``work`` and leaves through
+    ``os._exit``, flushing nothing it inherited.  Its reply comes back
+    through a pipe: the result pickled, or, when ``carry`` is set, the
+    exception ``work`` raised, which is raised here as itself.  A worker
+    that ends without such a reply (killed by a signal, its reply does not
+    pickle, or ``carry`` is not set) writes the text of its error instead,
+    and this raises ``ChildProcessError("<cause> (<worker> exited with
+    status N)")``.  Every worker is reaped before this returns or raises,
+    and killed first when this process fails.
+    """
+    import signal
+
+    workers = []  # (pid, reply pipe) of shares 1 .. p-1, in order, not yet reaped
+    with contextlib.ExitStack() as pipes:
+        try:
+            for share in shares[1:]:
+                reply, out = (pipes.enter_context(open(fd, mode)) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+                pid = os.fork()
+                if pid == 0:  # a worker: it leaves only through os._exit
+                    status = 1
+                    try:
+                        code = _reply(work, share, out, carry)
+                        out.flush()
+                        status = code
+                    finally:
+                        os._exit(status)
+                workers.append((pid, reply))
+                out.close()  # so that reading the reply ends when the worker does
+            results = [work(shares[0])]
+            while workers:
+                pid, reply = workers[0]
+                data = reply.read()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[0]
+                if status:
+                    cause = signal.strsignal(-status) if status < 0 else data.decode(errors="replace")
+                    raise ChildProcessError(f"{cause or 'no cause given'} ({worker} exited with status {status})")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                results.append(value)
+            return results
+        finally:
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _reply(work: Callable, share, out, carry: bool) -> int:
+    """A worker's exit status, once its reply to :func:`_forked` is written to ``out``."""
+    try:
+        reply = (True, work(share))
+    except BaseException as exc:
+        reply = (False, exc)
+    error = reply[1]
+    if reply[0] or carry:
+        try:
+            data = pickle.dumps(reply)
+            pickle.loads(data)  # an exception may pickle but not unpickle
+        except Exception as exc:
+            error = exc if reply[0] else error
+        else:
+            out.write(data)
+            return 0
+    out.write((getattr(error, "strerror", None) or str(error) or repr(error)).encode())
+    return 1

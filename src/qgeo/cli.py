@@ -37,6 +37,7 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 
+from . import batch
 from .quaternion import INFINITY, divided, squared_norm
 from .states import (
     TwoQubitState,
@@ -184,7 +185,10 @@ def cmd_verify(args) -> int:
     no_file = contextlib.nullcontext()
     try:
         with no_file if args.report is None else open(args.report, "a", encoding="utf-8") as fh:
-            report = run_suite(args.trials, args.seed, args.tol)
+            try:
+                report = run_suite(args.trials, args.seed, args.tol)
+            except OSError as exc:  # a worker that failed, or one that could not be forked
+                raise CliError(EXIT_USAGE, exc.strerror or str(exc)) from None
             text = json.dumps(report.to_dict(), indent=2)
             if fh is not None:
                 fh.truncate(0)
@@ -218,16 +222,6 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _write_orbit_blocks(fh, u: LocalUnitary, point, k0: int, n: int) -> None:
     """Write the CSV rows of steps k0 .. k0 + n - 1 to the text file ``fh``.
 
@@ -256,55 +250,28 @@ def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
     The rows are split into P contiguous runs of whole ORBIT_CHUNK blocks;
     each block starts from its own exact angle, so the bytes do not depend
     on P.  This process writes run 0 straight into ``fh`` (a file, pipe or
-    device); a forked worker writes each other run into an unnamed temporary
-    file, appended once the run before it is in.  A worker runs only
-    :func:`_write_orbit_blocks` and leaves through ``os._exit``, flushing
-    nothing it inherited.  Every worker is reaped before this returns or
-    raises, and killed first on failure.  A worker that fails raises
-    OSError here, with the text of its error, which it sends through a pipe.
+    device); a worker of :func:`qgeo.batch._forked` writes each other run
+    into an unnamed temporary file, appended in order once every run is in.
+    A worker's error is its text, raised here as OSError.
     """
     import shutil
-    import signal
     import tempfile
 
     blocks = -(-n // ORBIT_CHUNK)
-    p = min(_available_cpus(), blocks)
+    p = min(batch._available_cpus(), blocks)
     bounds = [min(n, r * blocks // p * ORBIT_CHUNK) for r in range(p + 1)]
-    workers = []  # (pid, temporary file, error pipe) of runs 1 .. p-1, in order, not yet reaped
     with contextlib.ExitStack() as files:
-        try:
-            for r in range(1, p):
-                tmp = files.enter_context(tempfile.TemporaryFile())
-                cause, cause_out = (files.enter_context(open(fd, mode, buffering=0))
-                                    for fd, mode in zip(os.pipe(), ("rb", "wb")))
-                pid = os.fork()
-                if pid == 0:  # a worker: it leaves only through os._exit
-                    status = 1
-                    try:
-                        with open(tmp.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
-                            _write_orbit_blocks(out, u, point, bounds[r], bounds[r + 1] - bounds[r])
-                        status = 0
-                    except BaseException as exc:
-                        cause_out.write((getattr(exc, "strerror", None) or str(exc) or repr(exc)).encode())
-                    finally:
-                        os._exit(status)
-                workers.append((pid, tmp, cause))
-                cause_out.close()  # so that reading the cause ends when the worker does
-            _write_orbit_blocks(fh, u, point, 0, bounds[1])
-            fh.flush()
-            while workers:
-                pid, tmp, cause = workers[0]
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del workers[0]
-                if status:
-                    text = cause.read().decode(errors="replace") or "no cause given"
-                    raise OSError(f"{text} (an orbit worker exited with status {status})")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh.buffer)
-        finally:
-            for pid, *_ in workers:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        runs = [fh] + [files.enter_context(tempfile.TemporaryFile()) for _ in range(1, p)]
+
+        def write_run(r: int) -> None:
+            out = fh if r == 0 else open(runs[r].fileno(), "w", newline="", encoding="utf-8", closefd=False)
+            _write_orbit_blocks(out, u, point, bounds[r], bounds[r + 1] - bounds[r])
+            out.flush()
+
+        batch._forked(write_run, range(p), "an orbit worker", carry=False)
+        for tmp in runs[1:]:
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh.buffer)
 
 
 def cmd_sample(args) -> int:

@@ -17,9 +17,10 @@ row with its report section: the checks at indices 0-7, the two failure
 searches at 8 and 9 and the exploratory candidate at 10.  Each row has one
 evaluator, below, which is also the public API: it runs on one trial's
 inputs and, on the block objects of :mod:`qgeo.batch`, on a block of them,
-bit for bit alike.  One trial loop evaluates every row in blocks; the
-trials that take a rare branch, such as a conformal image at infinity, are
-evaluated again on their own, and replay evaluates stored inputs by name.
+bit for bit alike.  One trial loop evaluates every row in blocks, dealt
+over up to one process per available CPU; the trials that take a rare
+branch, such as a conformal image at infinity, are evaluated again on their
+own, and replay evaluates stored inputs by name.
 """
 
 from __future__ import annotations
@@ -534,35 +535,72 @@ def _inputs_doc(inputs: tuple) -> dict:
     return {"state": encode_amplitudes(psi), "transform": transform_doc}
 
 
-def _evaluate_group(group: _Group, seed: int, trials: int) -> list[tuple[float, tuple]]:
-    """(max deviation, worst-case :func:`_scalar_inputs`) of each check of the group.
+def _evaluate_unit(group: _Group, seed: int, start: int, stop: int) -> list[tuple[float, int, tuple]]:
+    """(deviation, trial, :func:`_scalar_inputs`) of the worst trial of ``[start, stop)`` per check.
 
-    The row is evaluated once per block.  A trial with a deviation that is
-    not finite, which includes the trials the block marks, is evaluated again
-    on its own; a ZeroDivisionError (DegenerateMapError included) or a
-    ValueError there makes all its deviations NaN.  The worst case is the
-    last trial reaching the maximum.  A NaN deviation makes the maximum NaN,
-    with the first such trial as the worst case.
+    The row is evaluated on the block.  A trial with a deviation that is
+    not finite, which includes the trials the block marks, is evaluated
+    again on its own; a ZeroDivisionError (DegenerateMapError included) or a
+    ValueError there makes all its deviations NaN.  The worst trial is the
+    one :func:`_rank` ranks highest.
     """
-    best: list[tuple[float, tuple] | None] = [None] * len(group.checks)
-    for start in range(0, trials, batch.BLOCK):
-        with np.errstate(all="ignore"):
-            blk = _sample_trials(group, seed, start, min(start + batch.BLOCK, trials))
-            devs = np.stack(group.evaluate(*_block_inputs(group, blk)), axis=1)
-        for i in np.flatnonzero(~np.isfinite(devs).all(axis=1)):
-            inputs = _scalar_inputs(group, blk, i)
-            try:
-                devs[i] = group.evaluate(*inputs)
-            except (ZeroDivisionError, ValueError):
-                devs[i] = math.nan
-        for k, col in enumerate(devs.T):
-            if best[k] is not None and math.isnan(best[k][0]):
-                continue
-            nan = np.flatnonzero(np.isnan(col))
-            i = nan[0] if len(nan) else len(col) - 1 - int(np.argmax(col[::-1]))
-            if best[k] is None or len(nan) or col[i] >= best[k][0]:
-                best[k] = (float(col[i]), _scalar_inputs(group, blk, i))
-    return best
+    with np.errstate(all="ignore"):
+        blk = _sample_trials(group, seed, start, stop)
+        devs = np.stack(group.evaluate(*_block_inputs(group, blk)), axis=1)
+    for i in np.flatnonzero(~np.isfinite(devs).all(axis=1)):
+        inputs = _scalar_inputs(group, blk, i)
+        try:
+            devs[i] = group.evaluate(*inputs)
+        except (ZeroDivisionError, ValueError):
+            devs[i] = math.nan
+    worst = []
+    for col in devs.T:
+        nan = np.flatnonzero(np.isnan(col))
+        i = int(nan[0]) if len(nan) else len(col) - 1 - int(np.argmax(col[::-1]))
+        worst.append((float(col[i]), start + i, _scalar_inputs(group, blk, i)))
+    return worst
+
+
+def _rank(case: tuple[float, int, tuple]) -> tuple:
+    """Order of a row's (deviation, trial, inputs): a NaN first, the first NaN trial
+    before later ones; then the largest deviation, the later trial of equal ones.
+
+    Trials are distinct, so the worst case of a row does not depend on the
+    order in which its blocks are reduced.
+    """
+    dev, trial, _ = case
+    return (1, -trial) if math.isnan(dev) else (0, dev, trial)
+
+
+def _evaluate_rows(rows: list[tuple[_Group, int]], seed: int) -> list[list[tuple[float, tuple]]]:
+    """Per (row, trials) of ``rows``, the (max deviation, worst-case inputs) of each check.
+
+    The (row, block) units are dealt round-robin to up to one process per
+    available CPU (:func:`qgeo.batch._forked`), this process taking the
+    last of each round; each process reduces its share by :func:`_rank`
+    and so does this one with the shares, so the result does not depend on
+    the number of processes.
+    """
+    units = [(r, start, min(start + batch.BLOCK, n))
+             for r, (_, n) in enumerate(rows) for start in range(0, n, batch.BLOCK)]
+    p = min(batch._available_cpus(), len(units))
+
+    def fold(worst: dict, r: int, cases: list) -> None:
+        worst[r] = [max(pair, key=_rank) for pair in zip(worst.get(r, cases), cases)]
+
+    def evaluate(share: list) -> dict:
+        worst: dict = {}
+        for r, start, stop in share:
+            fold(worst, r, _evaluate_unit(rows[r][0], seed, start, stop))
+        return worst
+
+    import numpy.random  # noqa: F401  numpy imports it on first use; here once, not in each worker
+
+    merged: dict = {}
+    for worst in batch._forked(evaluate, [units[p - 1 - k::p] for k in range(p)], "a verify worker"):
+        for r, cases in worst.items():
+            fold(merged, r, cases)
+    return [[(dev, inputs) for dev, _, inputs in merged[r]] for r in range(len(rows))]
 
 
 def _row(name: str) -> tuple[_Group, int]:
@@ -591,7 +629,7 @@ def find_variant_failure_witness(which: FailureSearch, max_trials: int, seed: in
         raise ValueError("max_trials must be at least 1")
     name = FailureSearch(which).value
     group, _ = _row(name)
-    [(dev, inputs)] = _evaluate_group(group, seed, max_trials)
+    [[(dev, inputs)]] = _evaluate_rows([(group, max_trials)], seed)
     return _witness(name, dev, inputs)
 
 
@@ -602,7 +640,10 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
     value (the default leaves the contracts untouched).  Witness searches use
     min(trials, 100) attempts, as does the exploratory candidate; the report
     passes overall when every check meets its threshold and both searches
-    find a witness.  A NaN deviation fails its check or its search.
+    find a witness.  A NaN deviation fails its check or its search.  The
+    blocks are evaluated on up to one process per available CPU, and the
+    report does not depend on how many; an exception in a worker is raised
+    here as itself (:func:`qgeo.batch._forked`).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -610,10 +651,10 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
         raise ValueError("tol must be positive and finite")
     scale = tol / DEFAULT_SUITE_TOL
 
+    rows = [(group, trials if group.section == "checks" else min(trials, 100)) for group in _GROUPS]
     sections = {"checks": [], "witnesses": [], "exploratory": []}
-    for group in _GROUPS:
-        n = trials if group.section == "checks" else min(trials, 100)
-        for (name, contract), (dev, inputs) in zip(group.checks, _evaluate_group(group, seed, n)):
+    for (group, n), worst in zip(rows, _evaluate_rows(rows, seed)):
+        for (name, contract), (dev, inputs) in zip(group.checks, worst):
             if group.section == "checks":
                 tolerance = contract * scale
                 result = CheckResult(name, n, dev, tolerance, dev <= tolerance, _inputs_doc(inputs))

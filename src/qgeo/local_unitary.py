@@ -204,7 +204,7 @@ def apply_B_quaterbit(u: LocalUnitary, qb: Quaterbit) -> Quaterbit:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QuatMat2:
     """2x2 matrix with quaternion entries."""
 
@@ -212,6 +212,12 @@ class QuatMat2:
     m12: Quaternion
     m21: Quaternion
     m22: Quaternion
+
+    def __init__(self, m11: Quaternion, m12: Quaternion, m21: Quaternion, m22: Quaternion):
+        _set_m11(self, m11)
+        _set_m12(self, m12)
+        _set_m21(self, m21)
+        _set_m22(self, m22)
 
     @classmethod
     def identity(cls) -> QuatMat2:
@@ -249,6 +255,10 @@ class QuatMat2:
         return QuatMat2(self.m11 * s, self.m12 * s, self.m21 * s, self.m22 * s)
 
 
+_set_m11, _set_m12 = QuatMat2.m11.__set__, QuatMat2.m12.__set__
+_set_m21, _set_m22 = QuatMat2.m21.__set__, QuatMat2.m22.__set__
+
+
 def quat_matrix(u: LocalUnitary) -> QuatMat2:
     """Quaternionic 2x2 matrix of a local unitary.
 
@@ -258,7 +268,13 @@ def quat_matrix(u: LocalUnitary) -> QuatMat2:
     exactly :func:`complex_form`.
     """
     (a, b), (a2, b2) = u.factors()
-    return QuatMat2(*[_quaternion(c * a2, c * -b2) for c in (a, b, -b.conjugate(), a.conjugate())])
+    c, d, nb2 = -b.conjugate(), a.conjugate(), -b2
+    return QuatMat2(
+        _quaternion(a * a2, a * nb2),
+        _quaternion(b * a2, b * nb2),
+        _quaternion(c * a2, c * nb2),
+        _quaternion(d * a2, d * nb2),
+    )
 
 
 J_METRIC = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])

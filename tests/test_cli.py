@@ -10,6 +10,7 @@ import math
 import operator
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -25,7 +26,7 @@ except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__
 
 import qgeo.cli
-from qgeo import batch
+from qgeo import batch, diagrams
 from qgeo.cli import load_state, load_transform, main
 from qgeo.conformal import conformal_map, inverse_stereographic, schmidt_concurrence_form
 from qgeo.local_unitary import LocalUnitary, SO2Element, SU2Element
@@ -347,28 +348,71 @@ def test_verify_small_run_passes_and_is_deterministic(capsys, tmp_path):
 
 
 # SHA-256 of `qgeo verify` report bytes, pinned across refactors (the
-# default run's is checked in test_acceptance).  The values depend on numpy's
-# Philox streams and on libm's cos and sin of the rotation angles theta only;
-# the Haar inputs are sorted (exactly) and use only sqrt and a cos/sin kernel
-# of correctly rounded float64 operations, no libm or numpy transcendental.
+# default run's is test_acceptance's DEFAULT_REPORT_SHA256).  The values
+# depend on numpy's Philox streams and on libm's cos and sin of the rotation
+# angles theta only; the Haar inputs are sorted (exactly) and use only sqrt
+# and a cos/sin kernel of correctly rounded float64 operations, no libm or
+# numpy transcendental.
 REPORT_SHA256 = {
     ("513", "0"): "59c111f36caa91ab87f3719a5547b4b1a2bd703cd65e1e3d042fa0943ce7e1eb",
     ("1", "7"): "bfdefc9207ccbce99fa678a7cce8d93cdd257580c17c517157862b7ce4b31cda",
+    ("10000", "42"): "50c905ef36645397b40269dc3b2962da831af25d8a7dc0b39bab3b3919f5efc0",
 }
+
+# CPU counts a verify run is dealt over: one process, two (the benchmark
+# machine's count), three, and five, more than a row of 4097 trials has blocks.
+CPU_COUNTS = (1, 2, 3, 5)
 
 
 @pytest.mark.parametrize(
     "trials, seed, digest",
     [pytest.param(t, s, d, id=f"{t}-{s}") for (t, s), d in REPORT_SHA256.items()],
 )
-def test_verify_report_bytes_are_pinned(capsys, tmp_path, trials, seed, digest):
+def test_verify_report_bytes_are_pinned(capsys, monkeypatch, tmp_path, trials, seed, digest):
     report = tmp_path / "r.json"
-    code, out, _ = run_cli(
-        capsys, "verify", "--trials", trials, "--seed", seed, "--report", str(report)
+    for cpus in CPU_COUNTS:
+        # The (row, block) units are dealt over this many processes.
+        monkeypatch.setattr(batch, "_available_cpus", lambda: cpus)
+        code, out, _ = run_cli(
+            capsys, "verify", "--trials", trials, "--seed", seed, "--report", str(report)
+        )
+        assert code == 0
+        assert out == report.read_text()
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, cpus
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("trials", [batch.BLOCK + 1, 2 * batch.BLOCK + 1])
+def test_verify_report_bytes_do_not_depend_on_the_cpu_count(capsys, monkeypatch, tmp_path, trials):
+    # 2049 trials end in a block of one trial; 4097 make 27 units.
+    reports = []
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(batch, "_available_cpus", lambda: cpus)
+        report = tmp_path / f"r{cpus}.json"
+        code, _, _ = run_cli(capsys, "verify", "--trials", str(trials), "--seed", "11", "--report", str(report))
+        assert code == 0
+        reports.append(report.read_bytes())
+        _assert_no_child_left()
+    assert reports == [reports[0]] * len(CPU_COUNTS)
+
+
+def test_verify_in_a_fresh_process_matches_one_process(capsys, monkeypatch, tmp_path):
+    # The workers are forked from an interpreter that pytest has not set up.
+    args = ["verify", "--trials", str(2 * batch.BLOCK + 1), "--seed", "11", "--report"]
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 1)
+    one = tmp_path / "one.json"
+    assert run_cli(capsys, *args, str(one))[0] == 0
+
+    src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
+    forked = tmp_path / "forked.json"
+    subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qgeo", *args, str(forked)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True,
+        check=True,
+        timeout=120,
     )
-    assert code == 0
-    assert out == report.read_text()
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert forked.read_bytes() == one.read_bytes()
 
 
 def test_verify_report_bytes_do_not_depend_on_the_block_size(capsys, tmp_path, monkeypatch):
@@ -426,6 +470,85 @@ def test_verify_that_fails_leaves_an_old_report_as_it_was(capsys, tmp_path):
     assert report.read_text() == '{"old": true}\n'
     code, out, _ = run_cli(capsys, "verify", "--trials", "3", "--report", str(report))
     assert code == 0 and report.read_text() == out
+
+
+def test_verify_worker_error_is_raised_as_itself(capsys, monkeypatch, tmp_path):
+    # --seed -1 fails alike in every process (numpy's ValueError), and a
+    # ValueError raised in a worker alone is raised here as itself: either
+    # way the run exits 3 with the message and keeps an old report.
+    parent, sample = os.getpid(), diagrams._sample_trials
+
+    def fails_in_a_worker(*args):
+        if os.getpid() != parent:
+            raise ValueError("a worker's own error")
+        return sample(*args)
+
+    report = tmp_path / "report.json"
+    report.write_text('{"old": true}\n')
+    for cpus in (1, 3):
+        monkeypatch.setattr(batch, "_available_cpus", lambda: cpus)
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--report", str(report))
+        assert code == 3 and out == "" and err.startswith("error: "), cpus
+        assert report.read_text() == '{"old": true}\n'
+        _assert_no_child_left()
+
+    monkeypatch.setattr(diagrams, "_sample_trials", fails_in_a_worker)
+    with pytest.raises(ValueError) as got:
+        diagrams.run_suite(3, 0)
+    assert type(got.value) is ValueError and str(got.value) == "a worker's own error"
+    code, out, err = run_cli(capsys, "verify", "--trials", "3", "--report", str(report))
+    assert (code, out, err) == (3, "", "error: a worker's own error\n")
+    assert report.read_text() == '{"old": true}\n'
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("death", ["signal", "unpicklable"])
+def test_verify_worker_that_ends_without_a_result_names_the_cause(capsys, monkeypatch, death):
+    parent, sample = os.getpid(), diagrams._sample_trials
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != parent:
+            if death == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise qgeo.cli.CliError(2, "an error that pickles but does not unpickle")
+        return sample(*args)
+
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(diagrams, "_sample_trials", dies_in_a_worker)
+    if death == "signal":
+        cause = f"{signal.strsignal(signal.SIGKILL)} (a verify worker exited with status -9)"
+    else:
+        cause = "an error that pickles but does not unpickle (a verify worker exited with status 1)"
+    with pytest.raises(ChildProcessError) as got:
+        diagrams.run_suite(3, 0)
+    assert str(got.value) == cause
+    _assert_no_child_left()
+    assert run_cli(capsys, "verify", "--trials", "3") == (2, "", f"error: {cause}\n")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "failure", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()], ids=repr
+)
+def test_verify_failure_in_the_parent_kills_the_workers(capsys, monkeypatch, failure):
+    # The workers would outlive the test by a minute unless they are killed.
+    parent = os.getpid()
+
+    def fails_in_the_parent(*args):
+        if os.getpid() == parent:
+            raise failure
+        time.sleep(60)
+
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(diagrams, "_sample_trials", fails_in_the_parent)
+    t0 = time.monotonic()
+    if isinstance(failure, OSError):
+        assert run_cli(capsys, "verify", "--trials", "3") == (2, "", "error: No space left on device\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--trials", "3"])
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
 
 
 def test_orbit_bell_is_fixed_point(capsys, tmp_path, bell_state):
@@ -529,7 +652,7 @@ def test_orbit_csv_bytes_match_csv_writer(capsys, monkeypatch, tmp_path, steps):
     out = tmp_path / "orbit.csv"
     for cpus in (1, 2, 3):
         # The rows are split over this many processes, in whole blocks.
-        monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(batch, "_available_cpus", lambda: cpus)
         code, _, _ = run_cli(capsys, "orbit", state, tr, "--steps", str(steps), "--out", str(out))
         assert code == 0
         data = out.read_bytes()
@@ -550,7 +673,7 @@ def test_orbit_worker_failure_is_a_write_error(capsys, monkeypatch, tmp_path):
         "No space left on device": OSError(errno.ENOSPC, "No space left on device"),
         "KeyboardInterrupt()": KeyboardInterrupt(),
     }
-    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 3)
     state, tr = _orbit_inputs(tmp_path)
     out = tmp_path / "orbit.csv"
     for cause, failure in failures.items():
@@ -572,11 +695,11 @@ def test_orbit_writes_to_a_pipe(capsys, monkeypatch, tmp_path):
     # /dev/fd/N has no directory to hold the workers' temporary files.
     state, tr = _orbit_inputs(tmp_path)
     steps = str(ORBIT_CHUNK + 5)
-    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 1)
     one = tmp_path / "one.csv"
     assert run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", str(one))[0] == 0
 
-    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 2)
     piped = tmp_path / "piped.csv"
     read_end, write_end = os.pipe()
     copy = "import shutil, sys; shutil.copyfileobj(sys.stdin.buffer, open(sys.argv[1], 'wb'))"
@@ -605,7 +728,7 @@ def test_orbit_failure_in_the_parent_kills_the_workers(capsys, monkeypatch, tmp_
             raise failure
         time.sleep(60)
 
-    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 3)
     monkeypatch.setattr(qgeo.cli, "_write_orbit_blocks", fails_in_the_parent)
     state, tr = _orbit_inputs(tmp_path)
     out = tmp_path / "orbit.csv"
@@ -624,7 +747,7 @@ def test_orbit_in_a_fresh_process_matches_one_process(capsys, monkeypatch, tmp_p
     # The workers are forked from an interpreter that pytest has not set up.
     state, tr = _orbit_inputs(tmp_path)
     steps = str(3 * ORBIT_CHUNK)
-    monkeypatch.setattr(qgeo.cli, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 1)
     one = tmp_path / "one.csv"
     assert run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", str(one))[0] == 0
 

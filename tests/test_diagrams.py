@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -691,8 +692,64 @@ def test_a_trial_that_raises_fails_its_row(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _marked(deviation, parent: int, marks):
+    """``deviation`` with ``value`` on the trials of each (state, value, in_parent) of
+    ``marks``, where the process that ``in_parent`` names evaluates them: this
+    (pytest's) process ``parent``, or a worker."""
+
+    def evaluate(u, psi):
+        dev = deviation(u, psi)
+        for state, value, in_parent in marks:
+            if in_parent == (os.getpid() == parent):
+                dev = np.where(psi.alpha.real == state.alpha.real, value, dev)
+        return dev
+
+    return evaluate
+
+
+# At 2 CPUs with blocks of B trials, a run of 4 * B trials deals the blocks
+# of rows 1 and 4 (units 4-7 and 16-19 of the suite) to the worker, this
+# process, the worker and this process, in trial order: trials 0-63 and
+# 128-191 go to the worker, 64-127 and 192-255 stay here.
+
+
+@pytest.mark.usefixtures("small_block")
+def test_the_first_nan_trial_is_the_worst_case_whichever_process_reads_it(monkeypatch):
+    # NaN in the worker's trial 10 and in this process's trial 70, and a
+    # deviation of 1.0, far above any other, in this process's trial 200.
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 2)
+    state = [_sample_state(0, 1, t) for t in range(4 * B)]
+    marks = [(state[10], math.nan, False), (state[70], math.nan, True), (state[200], 1.0, True)]
+    monkeypatch.setattr(diagrams, "check_quadrangle", _marked(check_quadrangle, os.getpid(), marks))
+    check = next(c for c in run_suite(4 * B, 0).checks if c.name == "quaterbit_transport_so2xsu2")
+    assert math.isnan(check.max_deviation) and not check.passed
+    assert check.worst_case == _inputs_doc((_sample_transform(Variant.SO2_X_SU2, 0, 1, 10), state[10]))
+
+
+@pytest.mark.usefixtures("small_block")
+def test_a_tied_maximum_goes_to_the_later_trial_whichever_process_reads_it(monkeypatch):
+    # Row 1 ties the worker's trial 10 with this process's trial 70; row 4
+    # ties this process's trial 70 with the worker's trial 130.
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 2)
+    row1, row4 = ([_sample_state(0, idx, t) for t in range(4 * B)] for idx in (1, 4))
+    marks = [(row1[10], 0.5, False), (row1[70], 0.5, True), (row4[70], 0.5, True), (row4[130], 0.5, False)]
+    monkeypatch.setattr(diagrams, "check_quadrangle", _marked(check_quadrangle, os.getpid(), marks))
+    checks = {c.name: c for c in run_suite(4 * B, 0).checks}
+    for name, variant, idx, later in (
+        ("quaterbit_transport_so2xsu2", Variant.SO2_X_SU2, 1, 70),
+        ("quaterbit_transport_su2xso2", Variant.SU2_X_SO2, 4, 130),
+    ):
+        assert checks[name].max_deviation == 0.5
+        inputs = (_sample_transform(variant, 0, idx, later), _sample_state(0, idx, later))
+        assert checks[name].worst_case == _inputs_doc(inputs), name
+
+
 def _record_scalar_evaluations(monkeypatch) -> list:
-    """Make every row record its index each time it evaluates one trial's inputs."""
+    """Make every row record its index each time it evaluates one trial's inputs.
+
+    The suite then runs in this process alone, whose memory holds the record.
+    """
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 1)
     calls = []
 
     def recording(group):
