@@ -41,6 +41,10 @@ leaves the generic branch, at a quotient by a quaternion below
 ``ZERO_NORM_SQ``, the block's rows are NaN, which marks those trials for the
 scalar code.
 
+Text.  :func:`reprs` gives ``repr``'s strings of a float64 column, its
+digits made in blocks where they can be proven; ``qgeo orbit`` writes its CSV
+with it.
+
 Processes.  Blocks read disjoint counter ranges, so they need no shared
 state and can be evaluated anywhere.  :func:`_forked` runs shares of such
 work on forked workers; ``qgeo verify``'s blocks and ``qgeo orbit``'s CSV
@@ -306,6 +310,105 @@ def libm(fn, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     values = np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size)
     return values.reshape(x.shape)
+
+
+# Tables of reprs.  10**(16 - E) for the decade 10**E <= |x| < 10**(E + 1),
+# E = -4 .. -1.  By class E + 4, plus 4 for x < 0: the sign, "0." and -E - 1
+# zeros right-aligned in bytes 0-6 of a word, and the bits by which the text
+# is then shifted down.  The text of 00 .. 99.  Row t marks the last t of 24 bytes.
+_DECADE_SCALE = np.array([1e20, 1e19, 1e18, 1e17])
+_PREFIXES = np.frombuffer(
+    b"".join((s + b"0." + b"0" * (3 - e)).rjust(7, b"\0") + b"\0" for s in (b"", b"-") for e in range(4)), dtype="<u8"
+)
+_SHIFTS = np.array([8 * (2 + e - s) for s in (0, 1) for e in range(4)], dtype=np.uint64)
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype="<u2")
+_TRAILING = np.frombuffer(b"".join(b"\0" * (24 - t) + b"\1" * t for t in range(17)), dtype=bool).reshape(17, 24)
+_POWERS = np.array([10**j for j in range(1, 17)])
+
+
+def reprs(x: np.ndarray) -> list[str]:
+    """``list(map(repr, x.tolist()))`` for a 1-D float64 array, bit for bit.
+
+    As in Grisu3 (Loitsch, PLDI 2010), digits are made fast where they are
+    proven, and ``repr`` is called once for the rest.  Proven: 1e-4 <= |x|
+    < 1, not a power of two.  Each 1e-N is the first double at or above
+    10**-N, so the decade E is exact.  |x| 10**(16 - E) = z + f exactly
+    (Dekker), z a 17-digit integer, f in [0, 1); a decimal reads back as x
+    when nearer than the exact h = ulp(x) 10**(16 - E) / 2, in (0.55, 11.2).
+    Distances to the nearest multiples of 10 and 100 are exact below 13 and
+    at least 13 otherwise; a multiple of 100 within h is the only one, so
+    its trailing zeros give the shortest length.  Ties and distances of
+    exactly h go to ``repr``.  The operations are exact or correctly
+    rounded, so the text does not depend on the CPU or libc, and few in
+    kind, so that few pages of numpy's code are read in.
+    """
+    a = np.abs(x)
+    unsure = a < 1e-4  # each unsure[...] = True below marks rows for repr
+    unsure[a >= 1.0] = unsure[a != a] = True
+    if np.count_nonzero(unsure) == len(a):
+        return list(map(repr, x.tolist()))
+    a[unsure] = 0.3  # any value in range, so that nothing below overflows
+    mantissa, exponent = np.frexp(a)
+    unsure[mantissa == 0.5] = True  # a power of two
+    e = np.where(a < 1e-3, 0, np.where(a < 1e-2, 1, np.where(a < 1e-1, 2, 3)))
+    text = _text(*_shortest(a, exponent, _DECADE_SCALE[e], unsure), np.where(x < 0, e + 4, e))
+    (bad,) = np.nonzero(unsure)
+    if bad.size:
+        text[bad] = np.array(list(map(repr, x[bad].tolist())), dtype="S24").view(np.uint8).reshape(-1, 24)
+    out = []  # in slices, so that the 4-byte characters of "U24" take little memory
+    for i in range(0, len(text), 512):
+        out += text[i : i + 512].astype(np.uint32).view("U24").ravel().tolist()  # NUL padding is no part of a str
+    return out
+
+
+def _shortest(a, exponent, scale, unsure):
+    """The shortest decimals nearest a, times scale: 17-digit integers, and their trailing zeros."""
+    hi = a * scale
+    (ah, al), (sh, sl) = _veltkamp(a), _veltkamp(scale)
+    lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+    floor = np.floor(lo)
+    f, z = lo - floor, hi.astype(np.int64) + floor.astype(np.int64)
+    h = np.ldexp(scale * 2.0**-54, exponent)  # ulp(a) scale / 2
+    ok10, c10 = _nearest_multiple(z, f, h, 10, unsure)
+    ok100, c100 = _nearest_multiple(z, f, h, 100, unsure)
+    unsure[f == 0.5] = True
+    c = np.where(ok100, c100, np.where(ok10, c10, np.where(f > 0.5, z + 1, z)))
+    zeros = np.where(ok10, 1, 0)
+    (rows,) = np.nonzero(ok100)
+    zeros[rows] = np.where(c[rows, None] % _POWERS, 0, 1).sum(axis=1)
+    return c, zeros
+
+
+def _nearest_multiple(z, f, h, q: int, unsure):
+    """Whether the multiple of q nearest z + f is nearer than h, and that multiple; marks ties in ``unsure``."""
+    r = z % q
+    below = (r + 0x4330000000000000).view(np.float64) - 2.0**52  # float(r), from the bits of 2**52 + r
+    above = (q - below) - f
+    below += f
+    near = np.minimum(below, above)
+    ok = near < h
+    unsure[near == h] = unsure[np.where(ok, below == above, False)] = True
+    return ok, np.where(above < below, z - r + q, z - r)
+
+
+def _text(c, zeros, cls):
+    """Rows of 24 NUL-padded bytes: the prefix of class cls, then the digits of c up to its trailing zeros."""
+    t, low = np.divmod(c, 10**8)
+    lead, high = np.divmod(t, 10**8)
+    quads = np.divmod(np.stack([high, low], axis=1), 10**4)
+    pairs = np.stack(np.divmod(quads[0], 100) + np.divmod(quads[1], 100), axis=2)
+    words = np.empty((len(c), 3), dtype="<u8")  # little-endian on every CPU
+    words[:, 0] = _PREFIXES[cls]
+    words[:, 1:] = _PAIRS.take(pairs).view("<u8")[:, :, 0]
+    text = words.view(np.uint8)
+    text[:, 7] = lead + ord("0")
+    text[_TRAILING[zeros]] = 0
+    shift = _SHIFTS[cls]  # down over the prefix's padding, as 24 little-endian bytes
+    for i in range(3):
+        words[:, i] >>= shift
+        if i < 2:
+            words[:, i] += words[:, i + 1] << (64 - shift)
+    return text
 
 
 class Split:

@@ -16,10 +16,12 @@ CSV with header ``step,u0,u1,u2,u3,u4``: row k is the 4-sphere image of the
 k-th iterate of the induced Moebius map, i.e. the initial image rotated by
 2*k*theta in the (u0, u4) plane with u1..u3 fixed.  The rows are computed in
 closed form and streamed in blocks, so neither the error nor the memory
-grows with ``--steps``.  The blocks are formatted by up to one process per
-available CPU, in whole blocks; each worker's run goes through an unnamed
-temporary file in the system's temporary directory, and the bytes do not
-depend on the CPU count.
+grows with ``--steps``.  Rows carry ``repr``'s digits: for 1e-4 <= |x| < 1
+they are made per block in exact numpy arithmetic (:func:`qgeo.batch.reprs`),
+and ``repr`` covers every other value.  The blocks are formatted by up to
+one process per available CPU, in whole blocks; each worker's run goes
+through an unnamed temporary file in the system's temporary directory, and
+the bytes do not depend on the CPU count.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
 or input error, 3 mathematical domain error.  ``--tol`` alone sets
@@ -225,20 +227,22 @@ def cmd_orbit(args) -> int:
 def _write_orbit_blocks(fh, u: LocalUnitary, point, k0: int, n: int) -> None:
     """Write the CSV rows of steps k0 .. k0 + n - 1 to the text file ``fh``.
 
-    Lines are written as csv.writer would write them: repr floats, \\r\\n
-    line ends; u1..u3 are the same in every row.  One string per block of
-    :func:`orbit_s4_chunks`, joined from columns.
+    Lines are written as csv.writer would write them: ``str`` step numbers,
+    ``repr`` floats, \\r\\n line ends.  One string per block of
+    :func:`orbit_s4_chunks`, joined from columns, each column's text from one
+    :func:`qgeo.batch.reprs` call; u1..u3, the same in every row, once.
     """
     import itertools
 
+    fixed = None
     for rows in orbit_s4_chunks(u, point, k0, n):
         m = len(rows)
-        fixed = "," + ",".join(map(repr, rows[0, 1:4].tolist())) + ","
+        fixed = fixed or "," + ",".join(batch.reprs(rows[0, 1:4])) + ","
         cells = [","] * (6 * m)  # step , u0 ,u1,u2,u3, u4 \r\n
         cells[0::6] = map(str, range(k0, k0 + m))
-        cells[2::6] = map(repr, rows[:, 0].tolist())
+        cells[2::6] = batch.reprs(rows[:, 0])
         cells[3::6] = itertools.repeat(fixed, m)
-        cells[4::6] = map(repr, rows[:, 4].tolist())
+        cells[4::6] = batch.reprs(rows[:, 4])
         cells[5::6] = itertools.repeat("\r\n", m)
         fh.write("".join(cells))
         k0 += m

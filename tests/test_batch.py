@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qgeo import batch
 from qgeo.batch import BLOCK, K
@@ -340,3 +342,59 @@ def test_local_actions_match_the_scalar_code():
     assert same_bits([_parts(z) for z in got], [_parts([w.amplitudes[j] for w in want]) for j in range(4)])
 
     assert same_bits(_parts(wootters_preconcurrence(psi)), _parts([wootters_preconcurrence(s) for s in states]))
+
+
+# ---------------------------------------------------------------------------
+# Float text against repr
+# ---------------------------------------------------------------------------
+
+
+def _reprs_taken(monkeypatch) -> list:
+    """The values that batch.reprs hands to ``repr`` from now on, in order."""
+    taken = []
+
+    def counting_repr(v):
+        taken.append(v)
+        return repr(v)
+
+    monkeypatch.setattr(batch, "repr", counting_repr, raising=False)
+    return taken
+
+
+def test_reprs_match_repr_on_a_catalogue(monkeypatch):
+    rng = np.random.default_rng(21)
+    # k-digit decimals from 0.1 down to 1e-21, so across 1e-4 into exponent
+    # form, and dyadic values with few bits: those are exact 17-digit
+    # decimals, where two nearest 16-digit ones can tie.
+    decimals = [
+        float(f"{m}e-{k + z}") for k in range(1, 17) for z in range(5) for m in rng.integers(10 ** (k - 1), 10**k, 40).tolist()
+    ]
+    dyadic = [m * 2.0**-n for n in range(14, 22) for m in rng.integers(1, 2**n, 40).tolist()]
+    values = np.array(decimals + dyadic)
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+    edges = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0 - 2.0**-53, math.inf, math.nan]
+    values = np.concatenate([values, 2.0 ** -np.arange(15), edges, np.nextafter(edges, 0.0), special])
+    values = np.concatenate([values, -values])
+    taken = _reprs_taken(monkeypatch)
+    assert batch.reprs(values) == list(map(repr, values.tolist()))
+    assert 0 < len(taken) < len(values) / 2
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
+def test_reprs_match_repr_on_any_floats_in_range(values):
+    assert batch.reprs(np.array(values)) == list(map(repr, values))
+
+
+def test_reprs_match_repr_on_random_bit_patterns(monkeypatch):
+    # Uniform bit patterns in [2**-15, 1), with either sign: about one in
+    # nine is below 1e-4.  Only those, and the powers of two, reach repr.
+    rng = np.random.default_rng(2010)
+    n = 200_000
+    bits = rng.integers(*np.array([2.0**-15, 1.0]).view(np.int64), n)
+    bits[:100] &= ~((1 << 52) - 1)  # powers of two
+    values = bits.view(np.float64) * rng.choice([-1.0, 1.0], n)
+    taken = _reprs_taken(monkeypatch)
+    assert batch.reprs(values) == list(map(repr, values.tolist()))
+    unproven = values[(np.abs(values) < 1e-4) | (bits & ((1 << 52) - 1) == 0)]
+    assert taken == unproven.tolist()

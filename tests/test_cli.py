@@ -633,15 +633,30 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _pole_orbit_inputs(tmp_path):
+    """|00>, whose image is the pole (0, 0, 0, 0, 1), turned by 2 pi / 3 a step.
+
+    Its rows hold the values that batch.reprs leaves to repr in an orbit
+    (0.0, 1.0, and about 1e-16 k in exponent form at every third step k)
+    beside values it formats itself.
+    """
+    state = write_state(tmp_path / "s.json", [1 + 0j, 0j, 0j, 0j])
+    return state, write_transform(tmp_path / "t.json", "so2xsu2", math.pi / 3, 1 + 0j, 0j)
+
+
 @pytest.mark.parametrize(
-    "steps",
+    "steps, inputs",
     [
-        0, ORBIT_CHUNK - 1, ORBIT_CHUNK, ORBIT_CHUNK + 1, 2 * ORBIT_CHUNK + 1,
-        2 * ORBIT_CHUNK - 1, 2 * ORBIT_CHUNK, 3 * ORBIT_CHUNK + 5, 4 * ORBIT_CHUNK + 1,
-    ],
+        pytest.param(steps, _orbit_inputs, id=str(steps))
+        for steps in (
+            0, ORBIT_CHUNK - 1, ORBIT_CHUNK, ORBIT_CHUNK + 1, 2 * ORBIT_CHUNK + 1,
+            2 * ORBIT_CHUNK - 1, 2 * ORBIT_CHUNK, 3 * ORBIT_CHUNK + 5, 4 * ORBIT_CHUNK + 1,
+        )
+    ]
+    + [pytest.param(2 * ORBIT_CHUNK + 7, _pole_orbit_inputs, id="pole")],
 )
-def test_orbit_csv_bytes_match_csv_writer(capsys, monkeypatch, tmp_path, steps):
-    state, tr = _orbit_inputs(tmp_path)
+def test_orbit_csv_bytes_match_csv_writer(capsys, monkeypatch, tmp_path, steps, inputs):
+    state, tr = inputs(tmp_path)
     point = conformal_map(quaternionify(load_state(state)))
     rows = orbit_s4(load_transform(tr), point, 0, steps + 1)
     expected = io.StringIO(newline="")
@@ -663,6 +678,23 @@ def test_orbit_csv_bytes_match_csv_writer(capsys, monkeypatch, tmp_path, steps):
     assert lines[-1] == ""
     assert [int(line.split(",")[0]) for line in lines[1:-1]] == list(range(steps + 1))
     np.testing.assert_array_equal(rows[0], inverse_stereographic(point))
+    if inputs is _pole_orbit_inputs:
+        u0 = {line.split(",")[1] for line in lines[1:-1]}
+        u4 = {line.split(",")[5] for line in lines[1:-1]}
+        assert {"0.0", "1.0"} <= u0 | u4 and any("e-" in v for v in u0) and len(u0) > steps / 2
+
+
+@pytest.mark.parametrize("k0", [99_990, 10**17 - 3, 2**63 - 3])
+def test_orbit_block_writer_matches_csv_writer_at_any_step(tmp_path, k0):
+    # Step numbers are str(k) for every int k: across 99 999 -> 100 000
+    # inside one block, and across 10**17 and 2**63.
+    state, tr = _orbit_inputs(tmp_path)
+    u, point = load_transform(tr), conformal_map(quaternionify(load_state(state)))
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([k0 + j] + row.tolist() for j, row in enumerate(orbit_s4(u, point, k0, 20)))
+    out = io.StringIO(newline="")
+    qgeo.cli._write_orbit_blocks(out, u, point, k0, 20)
+    assert out.getvalue() == expected.getvalue()
 
 
 def test_orbit_worker_failure_is_a_write_error(capsys, monkeypatch, tmp_path):
