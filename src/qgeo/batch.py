@@ -35,11 +35,12 @@ objects under the library's names (the states, ``SU2Element``,
 ``SO2Element``, ``LocalUnitary``, ``Quaternion``, ``MoebiusQ``) and the
 operations that construct objects or branch (``quaternionify``,
 ``embed_complex``, ``quat_matrix``, the Moebius constructors,
-``fraction_point``, the chordal metric's square root and ``max``); every
+``fraction_point``, the chordal metric and ``max``); a block
+``Quaternion``'s compound operations are the operators they compose.  Every
 other library function runs on the blocks unchanged.  Where the scalar code
 leaves the generic branch, at a quotient by a quaternion below
-``ZERO_NORM_SQ``, the block's rows are NaN, which marks those trials for the
-scalar code.
+``ZERO_NORM_SQ`` or at a point whose |q|^2 overflows, the block's rows are
+NaN, which marks those trials for the scalar code.
 
 Text.  :func:`reprs` gives ``repr``'s strings of a float64 column, its
 digits made in blocks where they can be proven; ``qgeo orbit`` writes its CSV
@@ -66,7 +67,7 @@ from functools import reduce
 import numpy as np
 
 from .local_unitary import QuatMat2, Variant, _require_variant
-from .quaternion import ZERO_NORM_SQ, _abs2, _chord_sq, _s4_coords
+from .quaternion import ZERO_NORM_SQ, _abs2
 from .states import Quaterbit
 
 # Trials per block.  A block amortizes numpy's per-call cost over its trials,
@@ -516,6 +517,15 @@ class Quaternion:
         """conj(q) / |q|^2, marking the rows on which the library's ``inverse`` raises."""
         return fraction_point(self.z1.conjugate(), -self.z2, self.norm_sq())
 
+    def _mul_add(self, m, n):
+        return self * m + n
+
+    def _over(self, q):
+        return self * q.inverse()
+
+    def _under(self, q):
+        return q.inverse() * self
+
 
 # ---------------------------------------------------------------------------
 # The library's objects and branches on blocks
@@ -585,7 +595,18 @@ def moebius_from_local_unitary(u: LocalUnitary) -> MoebiusQ:
 
 
 def chordal_distance(p: Quaternion, q: Quaternion) -> np.ndarray:
-    return np.sqrt(_chord_sq(_s4_coords(p), _s4_coords(q)))
+    """The library's chordal metric, in its operations and their order."""
+    u0, u1, u2, u3, u4 = _s4_coords(p)
+    v0, v1, v2, v3, v4 = _s4_coords(q)
+    d0, d1, d2, d3, d4 = u0 - v0, u1 - v1, u2 - v2, u3 - v3, u4 - v4
+    return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4)
+
+
+def _s4_coords(p: Quaternion) -> tuple[np.ndarray, ...]:
+    z1, z2 = p.z1, p.z2
+    n = p.norm_sq()
+    d = n + 1.0
+    return (2.0 * z1.real / d, 2.0 * z1.imag / d, 2.0 * z2.real / d, 2.0 * z2.imag / d, (n - 1.0) / d)
 
 
 def max(*values: np.ndarray) -> np.ndarray:

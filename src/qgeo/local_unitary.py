@@ -177,10 +177,13 @@ def apply_cb(u: LocalUnitary, psi: TwoQubitState) -> TwoQubitState:
     :func:`apply_B_quaterbit`, which applies F first.
     """
     (a, b), (a2, b2) = u.factors()
-    alpha, beta = _su2_action(a2, b2, psi.alpha, psi.beta)
-    gamma, delta = _su2_action(a2, b2, psi.gamma, psi.delta)
-    alpha, gamma = _su2_action(a, b, alpha, gamma)
-    beta, delta = _su2_action(a, b, beta, delta)
+    c, d, c2, d2 = -b.conjugate(), a.conjugate(), -b2.conjugate(), a2.conjugate()
+    alpha, beta, gamma, delta = psi.alpha, psi.beta, psi.gamma, psi.delta
+    # Each pair is _su2_action written out: G on the rows, then F on the columns.
+    alpha, beta = a2 * alpha + b2 * beta, c2 * alpha + d2 * beta
+    gamma, delta = a2 * gamma + b2 * delta, c2 * gamma + d2 * delta
+    alpha, gamma = a * alpha + b * gamma, c * alpha + d * gamma
+    beta, delta = a * beta + b * delta, c * beta + d * delta
     return type(psi)(alpha, beta, gamma, delta)
 
 

@@ -62,7 +62,7 @@ def study_determinant(m: QuatMat2) -> float:
     a singular matrix cancels in w, so its value is rounding squared (Aslaksen, "Quaternionic
     determinants", Math. Intelligencer 18 (1996) 57-65).
     """
-    a, b, c, d = m.entries()
+    a, b, c, d = m.m11, m.m12, m.m21, m.m22
     na, nc = a.norm_sq(), c.norm_sq()
     if na < nc:
         a, b, c, d, na = c, d, a, b, nc
@@ -109,7 +109,7 @@ def apply_moebius_q(f: MoebiusQ, q: ExtendedQuaternion) -> ExtendedQuaternion:
     m = f.m
     if q is INFINITY:
         return right_quotient(m.m11, m.m21)
-    return right_quotient(q * m.m11 + m.m12, q * m.m21 + m.m22)
+    return right_quotient(q._mul_add(m.m11, m.m12), q._mul_add(m.m21, m.m22))
 
 
 def apply_moebius_q_variant(
@@ -128,10 +128,10 @@ def apply_moebius_q_variant(
     if which is VariantOrder.LEFT_DENOMINATOR:
         if q is INFINITY:
             return left_quotient(m.m11, m.m21)
-        return left_quotient(q * m.m11 + m.m12, q * m.m21 + m.m22)
+        return left_quotient(q._mul_add(m.m11, m.m12), q._mul_add(m.m21, m.m22))
     if q is INFINITY:
         return right_quotient(m.m11, m.m21)
-    return right_quotient(m.m11 * q + m.m12, m.m21 * q + m.m22)
+    return right_quotient(m.m11._mul_add(q, m.m12), m.m21._mul_add(q, m.m22))
 
 
 def compose(f: MoebiusQ, g: MoebiusQ) -> MoebiusQ:

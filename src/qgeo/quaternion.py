@@ -128,10 +128,40 @@ class Quaternion:
 
     def inverse(self) -> Quaternion:
         """Two-sided inverse conj(q) / |q|^2; raises on (near-)zero input."""
+        return _quaternion(*self._inverse_parts())
+
+    def _inverse_parts(self) -> tuple[complex, complex]:
+        # Finite: each part is at most n ** -0.5 <= 1e12 (or 0 where n overflows).
         n = self.norm_sq()
         if n < ZERO_NORM_SQ:
             raise ZeroDivisionError("inverse of a zero (or sub-threshold) quaternion")
-        return _quaternion(self.z1.conjugate() / n, -self.z2 / n)
+        return self.z1.conjugate() / n, -self.z2 / n
+
+    # The compound operations below compute on the parts, in the order and
+    # with the roundings of the operators they compose, and build only their
+    # result.  Each raises what the composed expression raises.
+
+    def _mul_add(self, m: Quaternion, n: Quaternion) -> Quaternion:
+        """self * m + n."""
+        p1, p2, q1, q2 = self.z1, self.z2, m.z1, m.z2
+        r1, r2 = p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate()
+        try:
+            return _quaternion(r1 + n.z1, r2 + n.z2)
+        except ValueError:
+            _quaternion(r1, r2)  # a product that overflowed is the first error
+            raise
+
+    def _over(self, q: Quaternion) -> Quaternion:
+        """self * q**-1."""
+        c1, c2 = q._inverse_parts()
+        p1, p2 = self.z1, self.z2
+        return _quaternion(p1 * c1 - p2 * c2.conjugate(), p1 * c2 + p2 * c1.conjugate())
+
+    def _under(self, q: Quaternion) -> Quaternion:
+        """q**-1 * self."""
+        c1, c2 = q._inverse_parts()
+        p1, p2 = self.z1, self.z2
+        return _quaternion(c1 * p1 - c2 * p2.conjugate(), c1 * p2 + c2 * p1.conjugate())
 
     def isclose(self, other: Quaternion, tol: float = COMPARE_TOL) -> bool:
         return abs(self.z1 - other.z1) <= tol and abs(self.z2 - other.z2) <= tol
@@ -187,7 +217,7 @@ def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     Raises DegenerateMapError (a ZeroDivisionError) when p counts as zero too.
     """
     try:
-        return p * q.inverse()
+        return p._over(q)
     except ZeroDivisionError:
         return _over_zero(p)
 
@@ -195,42 +225,47 @@ def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
 def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     """q**-1 * p on the extended line, with the conventions of :func:`right_quotient`."""
     try:
-        return q.inverse() * p
+        return p._under(q)
     except ZeroDivisionError:
         return _over_zero(p)
+
+
+_TINY = 2.0**-600
 
 
 def _s4_coords(p: ExtendedQuaternion) -> tuple[float, float, float, float, float]:
     """Inverse stereographic image of an extended quaternion on the unit 4-sphere.
 
-    INFINITY goes to the north pole (0,0,0,0,1) and 0 to the south pole.
+    INFINITY goes to the north pole (0,0,0,0,1) and 0 to the south pole.  A
+    point whose |q|^2 overflows (|q| above about 1.34e154) goes next to the
+    north pole: u4 is 1.0, the float nearest (|q|^2 - 1) / (|q|^2 + 1), and
+    u0..u3 are 2 x / |q|^2 computed on q scaled by 2**-600.
     """
     if p is INFINITY:
         return (0.0, 0.0, 0.0, 0.0, 1.0)
     z1, z2 = p.z1, p.z2
-    n = p.norm_sq()
+    x0, x1, x2, x3 = z1.real, z1.imag, z2.real, z2.imag
+    n = (x0 * x0 + x1 * x1) + (x2 * x2 + x3 * x3)  # p.norm_sq(), written out
+    if n == math.inf:
+        x = [c * _TINY for c in (x0, x1, x2, x3)]
+        n = (x[0] * x[0] + x[1] * x[1]) + (x[2] * x[2] + x[3] * x[3])
+        return (*[2.0 * c / n * _TINY for c in x], 1.0)
     d = n + 1.0
-    return (2.0 * z1.real / d, 2.0 * z1.imag / d, 2.0 * z2.real / d, 2.0 * z2.imag / d, (n - 1.0) / d)
+    return (2.0 * x0 / d, 2.0 * x1 / d, 2.0 * x2 / d, 2.0 * x3 / d, (n - 1.0) / d)
 
 
 def chordal_distance(p: ExtendedQuaternion, q: ExtendedQuaternion) -> float:
     """Euclidean distance between 4-sphere images; makes INFINITY an ordinary point.
 
     Symmetric, non-negative, zero only for equal points, and bounded by 2.
+    ``d * d`` added left to right rounds alike under every Python and as
+    ``qgeo.batch``'s block metric; ``d ** 2`` (libm ``pow``) and ``sum``
+    (compensated since 3.12) do not.
     """
-    return math.sqrt(_chord_sq(_s4_coords(p), _s4_coords(q)))
-
-
-def _chord_sq(u, v):
-    """Squared distance of two 4-sphere points, as floats or as float64 arrays.
-
-    ``d * d`` added left to right rounds alike under every Python and numpy;
-    ``d ** 2`` (libm ``pow``) and ``sum`` (compensated since 3.12) do not.
-    """
-    u0, u1, u2, u3, u4 = u
-    v0, v1, v2, v3, v4 = v
+    u0, u1, u2, u3, u4 = _s4_coords(p)
+    v0, v1, v2, v3, v4 = _s4_coords(q)
     d0, d1, d2, d3, d4 = u0 - v0, u1 - v1, u2 - v2, u3 - v3, u4 - v4
-    return d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4
+    return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4)
 
 
 def squared_norm(values):

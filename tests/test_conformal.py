@@ -122,6 +122,11 @@ def test_inverse_stereographic_poles_and_equator():
     )
     np.testing.assert_allclose(inverse_stereographic(INFINITY), [0, 0, 0, 0, 1], atol=1e-15)
     np.testing.assert_allclose(inverse_stereographic(J), [0, 0, 1, 0, 0], atol=1e-15)
+    # Next to the north pole, where |q|^2 overflows: 2 x / |q|^2 and 1.0, not NaN.
+    far = Quaternion(1e200 - 3e199j, 4e199)
+    np.testing.assert_allclose(inverse_stereographic(far), [1.6e-200, -4.8e-201, 6.4e-201, 0, 1], rtol=1e-15)
+    u = inverse_stereographic(Quaternion(1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j))
+    assert np.all(np.isfinite(u)) and u[4] == 1.0 and np.all(np.abs(u[:4]) < 1e-308)
 
 
 @given(quaternions)

@@ -494,10 +494,26 @@ def test_every_quotient_path_shares_the_extended_line_convention(quotient, formu
 )
 def test_moebius_orderings_equal_their_written_formulas(apply, at_point, at_infinity):
     rng = np.random.default_rng(52)
-    for _ in range(1000):
-        f, x = _random_moebius(rng), _random_quaternion(rng)
-        assert apply(f, x) == at_point(x, f.m)
-        assert apply(f, INFINITY) == at_infinity(f.m)
+    cases = [(_random_moebius(rng), _random_quaternion(rng)) for _ in range(1000)]
+    # Denominators with |q|^2 one ulp below ZERO_NORM_SQ, at it and one ulp
+    # above, at 0 and at INFINITY; then points of norm about 1e150.
+    tiny = [Quaternion(9.999999999999998e-13 + 1e-20j, 0), Quaternion(1e-12, 0), Quaternion(1e-12 + 1e-20j, 0)]
+    assert [t.norm_sq() for t in tiny] == [math.nextafter(1e-24, 0), 1e-24, math.nextafter(1e-24, 1)]
+    for t in tiny:
+        a, b, c = (_random_quaternion(rng) for _ in range(3))
+        cases += [(MoebiusQ(QuatMat2(a, b, c, t)), ZERO), (MoebiusQ(QuatMat2(a, b, t, c)), ZERO)]
+    cases += [(_random_moebius(rng), 1e150 * _random_quaternion(rng)) for _ in range(20)]
+    for f, x in cases:
+        assert apply(f, x) == _on_extended_line(at_point, x, f.m)
+        assert apply(f, INFINITY) == _on_extended_line(at_infinity, f.m)
+
+
+def _on_extended_line(formula, *args):
+    """A written formula's value, or INFINITY where the inverse in it raises."""
+    try:
+        return formula(*args)
+    except ZeroDivisionError:
+        return INFINITY
 
 
 # ---------------------------------------------------------------------------

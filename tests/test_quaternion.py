@@ -8,6 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qgeo import quaternion
+from qgeo.conformal import conformal_map
+from qgeo.local_unitary import QuatMat2
+from qgeo.moebius import MoebiusQ, apply_moebius_q
 from qgeo.quaternion import (
     I,
     INFINITY,
@@ -21,6 +25,7 @@ from qgeo.quaternion import (
     left_quotient,
     right_quotient,
 )
+from qgeo.states import Quaterbit
 
 components = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 quaternions = st.builds(Quaternion.from_reals, components, components, components, components)
@@ -56,26 +61,41 @@ def test_rejects_non_finite_components():
 
 
 # A finite result that overflows: each operation raises the public
-# constructor's error, which names the components.
+# constructor's error, which names the components.  A compound operation
+# (the quotients and the Moebius action) raises the error of the first
+# operator of its composed expression that overflows, also where the next
+# one would name other components.
 _BIG = Quaternion(1e308, 0)
+_TENTH = Quaternion(0.1, 0)
+_SCALE = MoebiusQ(QuatMat2(Quaternion(10, 0), J, Quaternion(0, 0), ONE))
+_SHIFT = MoebiusQ(QuatMat2(ONE, _BIG, Quaternion(0, 0), ONE))
 _OVERFLOWS = {
-    "mul": lambda: _BIG * Quaternion(10, 0),
-    "add": lambda: _BIG + _BIG,
-    "sub": lambda: _BIG - (-_BIG),
-    "rmul": lambda: 10 * _BIG,
-    "rmul_complex": lambda: 10j * _BIG,
+    "mul": (lambda: _BIG * Quaternion(10, 0), None),
+    "add": (lambda: _BIG + _BIG, None),
+    "sub": (lambda: _BIG - (-_BIG), None),
+    "rmul": (lambda: 10 * _BIG, None),
+    "rmul_complex": (lambda: 10j * _BIG, None),
+    "right_quotient": (lambda: right_quotient(_BIG, _TENTH), lambda: _BIG * _TENTH.inverse()),
+    "left_quotient": (lambda: left_quotient(_BIG, _TENTH), lambda: _TENTH.inverse() * _BIG),
+    "moebius_product": (lambda: apply_moebius_q(_SCALE, _BIG), lambda: _BIG * _SCALE.m.m11 + J),
+    "moebius_sum": (lambda: apply_moebius_q(_SHIFT, _BIG), lambda: _BIG * ONE + _BIG),
 }
 
 
 @pytest.mark.parametrize("op", list(_OVERFLOWS))
 def test_overflowing_operations_raise_the_constructors_error(op):
+    operation, composed = _OVERFLOWS[op]
     with pytest.raises(ValueError) as got:
-        _OVERFLOWS[op]()
+        operation()
     z1 = complex(0, float("inf")) if op == "rmul_complex" else complex(float("inf"), 0)
     with pytest.raises(ValueError) as ref:
         Quaternion(z1, 0j)
     assert str(got.value) == str(ref.value)
     assert str(ref.value) == f"quaternion components must be finite, got ({z1!r}, 0j)"
+    if composed is not None:
+        with pytest.raises(ValueError) as written:
+            composed()
+        assert str(got.value) == str(written.value)
 
 
 def test_inverse_cannot_overflow():
@@ -233,12 +253,34 @@ def test_finite_quotient_computes_the_denominator_norm_once(quotient, monkeypatc
     assert calls == [q]
 
 
+def test_compound_operations_build_only_their_result(monkeypatch):
+    built = []
+    build = quaternion._quaternion
+    monkeypatch.setattr(quaternion, "_quaternion", lambda z1, z2: built.append(z1) or build(z1, z2))
+    p, q = Quaternion.from_reals(0.3, -1, 2, 0.7), Quaternion.from_reals(1, 0.5, -0.2, 0.1)
+    f = MoebiusQ(QuatMat2(p, q, q.conjugate(), ONE))
+    for operation, most in [
+        (lambda: right_quotient(p, q), 1),
+        (lambda: left_quotient(p, q), 1),
+        (lambda: conformal_map(Quaterbit(p, q)), 1),
+        (lambda: apply_moebius_q(f, p), 3),
+    ]:
+        built.clear()
+        operation()
+        assert 1 <= len(built) <= most
+
+
 def test_chordal_distance_examples():
     zero = Quaternion(0j, 0j)
     assert chordal_distance(INFINITY, INFINITY) == 0.0
     assert chordal_distance(zero, INFINITY) == 2.0
     q = Quaternion.from_reals(0.2, -0.4, 1.1, 0.0)
     assert chordal_distance(q, q) == 0.0
+    # |q|^2 overflows above |q| of about 1.34e154: the image is still the
+    # point 2 x / |q|^2 next to the north pole, not NaN.
+    assert chordal_distance(INFINITY, Quaternion(1e200, 0)) == pytest.approx(2e-200, rel=1e-15)
+    assert chordal_distance(Quaternion(0, -1e300j), Quaternion(1e300j, 0)) == pytest.approx(2e-300 * 2**0.5)
+    assert 0.0 < chordal_distance(Quaternion(1.3e154, 0), Quaternion(1.4e154, 0)) < 1e-154
 
 
 @given(quaternions, quaternions)
