@@ -526,6 +526,9 @@ class Quaternion:
     def _under(self, q):
         return q.inverse() * self
 
+    def _moebius(self, m):
+        return self._mul_add(m.m11, m.m12)._over(self._mul_add(m.m21, m.m22))
+
 
 # ---------------------------------------------------------------------------
 # The library's objects and branches on blocks

@@ -184,7 +184,7 @@ def apply_cb(u: LocalUnitary, psi: TwoQubitState) -> TwoQubitState:
     gamma, delta = a2 * gamma + b2 * delta, c2 * gamma + d2 * delta
     alpha, gamma = a * alpha + b * gamma, c * alpha + d * gamma
     beta, delta = a * beta + b * delta, c * beta + d * delta
-    return type(psi)(alpha, beta, gamma, delta)
+    return type(psi)._make((alpha, beta, gamma, delta))
 
 
 def apply_su2(a: SU2Element, psi: OneQubitState) -> OneQubitState:
@@ -270,7 +270,12 @@ def quat_matrix(u: LocalUnitary) -> QuatMat2:
     factor.  For so2xsu2, where F is real, :func:`complexify` of it is
     exactly :func:`complex_form`.
     """
-    (a, b), (a2, b2) = u.factors()
+    return _quat_matrix(*u.factors())
+
+
+def _quat_matrix(first: tuple[complex, complex], second: tuple[complex, complex]) -> QuatMat2:
+    """:func:`quat_matrix` of the factors (a, b) and (a2, b2) of :meth:`LocalUnitary.factors`."""
+    (a, b), (a2, b2) = first, second
     c, d, nb2 = -b.conjugate(), a.conjugate(), -b2
     return QuatMat2(
         _quaternion(a * a2, a * nb2),

@@ -35,7 +35,7 @@ from .quaternion import (
     right_quotient,
 )
 from .conformal import embed_complex, inverse_stereographic
-from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require_variant, quat_matrix
+from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _quat_matrix, _require_variant
 
 # MoebiusQ's invertibility threshold on |study_determinant(m)|, the determinant of m in C^4x4.
 DET_TOL = 1e-18
@@ -101,6 +101,7 @@ class MoebiusQ:
         return cls(QuatMat2(*map(embed_complex, entries)))
 
 
+_new = object.__new__
 _set_m = MoebiusQ.m.__set__
 
 
@@ -109,7 +110,7 @@ def apply_moebius_q(f: MoebiusQ, q: ExtendedQuaternion) -> ExtendedQuaternion:
     m = f.m
     if q is INFINITY:
         return right_quotient(m.m11, m.m21)
-    return right_quotient(q._mul_add(m.m11, m.m12), q._mul_add(m.m21, m.m22))
+    return q._moebius(m)
 
 
 def apply_moebius_q_variant(
@@ -155,9 +156,32 @@ def moebius_from_local_unitary(u: LocalUnitary) -> MoebiusQ:
     Its matrix is :func:`quat_matrix`, with entries R(theta)_ij * (a - b*j).
     Under the canonical action the right factor (a - b*j) cancels, so the
     induced map on the extended quaternion line depends on theta alone.
+    MoebiusQ's invertibility guard is taken in closed form from the factors
+    (:func:`_factor_study_determinant`), with MoebiusQ's threshold and error.
     """
     _require_variant(u, Variant.SO2_X_SU2, "moebius_from_local_unitary")
-    return MoebiusQ(quat_matrix(u))
+    first, second = u.factors()
+    m = _quat_matrix(first, second)
+    det = _factor_study_determinant(first, second)
+    if det < DET_TOL:
+        raise ValueError(f"matrix is not invertible: Study determinant {det!r}")
+    f = _new(MoebiusQ)
+    _set_m(f, m)
+    return f
+
+
+def _factor_study_determinant(first: tuple[complex, complex], second: tuple[complex, complex]) -> float:
+    """study_determinant of the matrix with entries F_ij * p of two factors (a, b) and (a2, b2).
+
+    The Study determinant is multiplicative (Aslaksen 1996), so it is
+    |det F|^2 |p|^4 = ((|a|^2 + |b|^2) (|a2|^2 + |b2|^2))^2.
+    """
+    (a, b), (a2, b2) = first, second
+    # Each |x|^2 is _abs2(x), written out.
+    s = (a.real * a.real + a.imag * a.imag + (b.real * b.real + b.imag * b.imag)) * (
+        a2.real * a2.real + a2.imag * a2.imag + (b2.real * b2.real + b2.imag * b2.imag)
+    )
+    return s * s
 
 
 def _pi_fixed(bits: int) -> int:

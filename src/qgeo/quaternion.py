@@ -163,6 +163,30 @@ class Quaternion:
         p1, p2 = self.z1, self.z2
         return _quaternion(c1 * p1 - c2 * p2.conjugate(), c1 * p2 + c2 * p1.conjugate())
 
+    def _moebius(self, m) -> ExtendedQuaternion:
+        """(self * m.m11 + m.m12) * (self * m.m21 + m.m22)**-1 for a QuatMat2 m, as
+        ``right_quotient(self._mul_add(m.m11, m.m12), self._mul_add(m.m21, m.m22))``."""
+        p1, p2, a, b, c, d = self.z1, self.z2, m.m11, m.m12, m.m21, m.m22
+        # The two _mul_add, written out: numerator n, then denominator d.
+        q1, q2 = a.z1, a.z2
+        r1, r2 = p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate()
+        n1, n2 = r1 + b.z1, r2 + b.z2
+        if not (_isfinite(n1) and _isfinite(n2)):
+            _quaternion(r1, r2)  # a product that overflowed is the first error
+            raise _not_finite(n1, n2)
+        q1, q2 = c.z1, c.z2
+        r1, r2 = p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate()
+        d1, d2 = r1 + d.z1, r2 + d.z2
+        if not (_isfinite(d1) and _isfinite(d2)):
+            _quaternion(r1, r2)
+            raise _not_finite(d1, d2)
+        # Then right_quotient: d's _inverse_parts and n's _over.
+        n = (d1.real * d1.real + d1.imag * d1.imag) + (d2.real * d2.real + d2.imag * d2.imag)
+        if n < ZERO_NORM_SQ:
+            return _over_zero(_abs2(n1) + _abs2(n2))
+        c1, c2 = d1.conjugate() / n, -d2 / n
+        return _quaternion(n1 * c1 - n2 * c2.conjugate(), n1 * c2 + n2 * c1.conjugate())
+
     def isclose(self, other: Quaternion, tol: float = COMPARE_TOL) -> bool:
         return abs(self.z1 - other.z1) <= tol and abs(self.z2 - other.z2) <= tol
 
@@ -204,9 +228,10 @@ class DegenerateMapError(ZeroDivisionError):
     """Numerator and denominator vanished together: the quotient is indeterminate."""
 
 
-def _over_zero(p: Quaternion) -> AtInfinity:
-    """p over a denominator that counts as zero: INFINITY, or DegenerateMapError where p does too."""
-    if p.is_zero():
+def _over_zero(p_norm_sq: float) -> AtInfinity:
+    """A numerator of squared norm p_norm_sq over a denominator that counts as zero:
+    INFINITY, or DegenerateMapError where the numerator does too."""
+    if p_norm_sq < ZERO_NORM_SQ:
         raise DegenerateMapError("indeterminate quotient: numerator and denominator both zero") from None
     return INFINITY
 
@@ -219,7 +244,7 @@ def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     try:
         return p._over(q)
     except ZeroDivisionError:
-        return _over_zero(p)
+        return _over_zero(p.norm_sq())
 
 
 def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
@@ -227,7 +252,7 @@ def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     try:
         return p._under(q)
     except ZeroDivisionError:
-        return _over_zero(p)
+        return _over_zero(p.norm_sq())
 
 
 _TINY = 2.0**-600

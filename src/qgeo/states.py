@@ -65,6 +65,23 @@ class TwoQubitState:
         _set_delta(self, _finite_complex(delta, "delta"))
 
     @classmethod
+    def _make(cls, amplitudes) -> TwoQubitState:
+        """The state of four complex amplitudes, as a namedtuple's ``_make`` builds one.
+
+        It checks finiteness as ``__init__`` does, with the same error, and
+        skips only the ``complex()`` coercion and the ``__init__`` call.
+        """
+        alpha, beta, gamma, delta = amplitudes
+        if not (_isfinite(alpha) and _isfinite(beta) and _isfinite(gamma) and _isfinite(delta)):
+            return cls(alpha, beta, gamma, delta)  # raises __init__'s error
+        psi = _new(cls)
+        _set_alpha(psi, alpha)
+        _set_beta(psi, beta)
+        _set_gamma(psi, gamma)
+        _set_delta(psi, delta)
+        return psi
+
+    @classmethod
     def from_vector(cls, vec, renormalize: bool = False) -> TwoQubitState:
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.shape != (4,):
@@ -103,6 +120,7 @@ class Quaterbit:
         return self.q1.norm_sq() + self.q2.norm_sq()
 
 
+_new = object.__new__
 _set_alpha, _set_beta = TwoQubitState.alpha.__set__, TwoQubitState.beta.__set__
 _set_gamma, _set_delta = TwoQubitState.gamma.__set__, TwoQubitState.delta.__set__
 _set_q1, _set_q2 = Quaterbit.q1.__set__, Quaterbit.q2.__set__

@@ -1,10 +1,12 @@
 """Local unitary actions, Sp(2) membership tests, and the complexification maps."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from qgeo import batch
 from qgeo.quaternion import J, ONE, Quaternion
 from qgeo.states import (
     TwoQubitState,
@@ -168,6 +170,22 @@ def test_apply_cb_builds_no_amplitude_vector(monkeypatch):
 
     monkeypatch.setattr(TwoQubitState, "amplitudes", property(no_vector))
     assert [apply_cb(u, psi) for u, psi in cases] == expected
+
+
+def test_apply_cb_raises_the_states_error_on_overflow():
+    # apply_cb builds its result without TwoQubitState.__init__ but keeps its
+    # finiteness check and error; on a block state it builds the namedtuple.
+    u = _b(0.0, S, S)
+    for big in [(1.7e308, 1.7e308, 0, 0), (0, 0, 1.7e308j, 1.7e308j), (1e-300, 0, -1.7e308, -1.7e308)]:
+        raw = apply_cb(u, batch.TwoQubitState(*map(complex, big)))
+        assert type(raw) is batch.TwoQubitState and not all(map(cmath.isfinite, raw))
+        with pytest.raises(ValueError) as ref:
+            TwoQubitState(*raw)
+        with pytest.raises(ValueError) as got:
+            apply_cb(u, TwoQubitState(*big))
+        assert str(got.value) == str(ref.value) and " must be finite, got " in str(ref.value)
+    out = apply_cb(u, BELL)
+    assert type(out) is TwoQubitState and out == TwoQubitState(*map(complex, out.amplitudes.tolist()))
 
 
 def test_apply_cb_rounds_independently_of_the_spinor_action():

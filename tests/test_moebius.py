@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qgeo.quaternion import I, INFINITY, J, K, ONE, Quaternion, chordal_distance
+from qgeo.quaternion import I, INFINITY, J, K, ONE, Quaternion, chordal_distance, left_quotient, right_quotient
 from qgeo.states import OneQubitState, Quaterbit, TwoQubitState, haar_random_state, quaternionify
 from qgeo.conformal import (
     conformal_map,
@@ -22,6 +22,7 @@ from qgeo.local_unitary import (
     SU2Element,
     Variant,
     complexify,
+    quat_matrix,
     random_local_unitary,
     random_su2,
 )
@@ -33,6 +34,7 @@ from qgeo.moebius import (
     VariantOrder,
     apply_moebius_q,
     apply_moebius_q_variant,
+    _factor_study_determinant,
     compose,
     moebius_from_local_unitary,
     orbit_angles,
@@ -133,6 +135,18 @@ def test_study_determinant_is_the_complexified_determinant():
             reference = np.linalg.det(complexify(f.m)).real
             assert abs(study_determinant(f.m) - reference) <= 1e-13 * _scale(f.m)
             assert abs(study_determinant(f.m) - 1.0) <= 1e-13
+    # moebius_from_local_unitary's guard, in closed form from the factors.
+    rotations = [k * math.pi / 2 + offset for k in range(4) for offset in (0.0, -1e-9, 1e-9)]
+    transforms = [random_local_unitary(variant, seed) for seed in range(200) for variant in Variant]
+    transforms += [
+        LocalUnitary(variant, SO2Element(theta), su2)
+        for seed, theta in enumerate(rotations)
+        for su2 in (random_su2(seed), SU2Element(-0.6 + 0.8j, 0), SU2Element(0, 0.8 - 0.6j))
+        for variant in Variant
+    ]
+    for u in transforms:
+        closed = _factor_study_determinant(*u.factors())
+        assert abs(closed - study_determinant(quat_matrix(u))) <= 1e-13
 
 
 def test_numerically_singular_matrices_are_rejected():
@@ -470,29 +484,32 @@ def test_every_quotient_path_shares_the_extended_line_convention(quotient, formu
 
 
 @pytest.mark.parametrize(
-    "apply, at_point, at_infinity",
+    "apply, at_point, at_infinity, composed",
     [
         pytest.param(
             apply_moebius_q,
             lambda x, m: (x * m.m11 + m.m12) * (x * m.m21 + m.m22).inverse(),
             lambda m: m.m11 * m.m21.inverse(),
+            lambda x, m: right_quotient(x * m.m11 + m.m12, x * m.m21 + m.m22),
             id="canonical",
         ),
         pytest.param(
             lambda f, x: apply_moebius_q_variant(f, x, VariantOrder.LEFT_DENOMINATOR),
             lambda x, m: (x * m.m21 + m.m22).inverse() * (x * m.m11 + m.m12),
             lambda m: m.m21.inverse() * m.m11,
+            lambda x, m: left_quotient(x * m.m11 + m.m12, x * m.m21 + m.m22),
             id="left_denominator",
         ),
         pytest.param(
             lambda f, x: apply_moebius_q_variant(f, x, VariantOrder.LEFT_COEFFICIENTS),
             lambda x, m: (m.m11 * x + m.m12) * (m.m21 * x + m.m22).inverse(),
             lambda m: m.m11 * m.m21.inverse(),
+            lambda x, m: right_quotient(m.m11 * x + m.m12, m.m21 * x + m.m22),
             id="left_coefficients",
         ),
     ],
 )
-def test_moebius_orderings_equal_their_written_formulas(apply, at_point, at_infinity):
+def test_moebius_orderings_equal_their_written_formulas(apply, at_point, at_infinity, composed):
     rng = np.random.default_rng(52)
     cases = [(_random_moebius(rng), _random_quaternion(rng)) for _ in range(1000)]
     # Denominators with |q|^2 one ulp below ZERO_NORM_SQ, at it and one ulp
@@ -506,6 +523,20 @@ def test_moebius_orderings_equal_their_written_formulas(apply, at_point, at_infi
     for f, x in cases:
         assert apply(f, x) == _on_extended_line(at_point, x, f.m)
         assert apply(f, INFINITY) == _on_extended_line(at_infinity, f.m)
+    # The whole outcome (a value, INFINITY or the error raised) is that of
+    # the composed operators and the extended line's quotient, at points
+    # other than 0: denominators one ulp below ZERO_NORM_SQ, at it and one ulp
+    # above, then 0/0 on maps that pass DET_TOL (entries 1e6 and 1e-13).
+    outcomes = []
+    for t in tiny:
+        a, b = _random_quaternion(rng), _random_quaternion(rng)
+        f = MoebiusQ(QuatMat2(a, b, ONE, ZERO))
+        outcomes.append(_outcome(apply, composed, f, t))
+    assert outcomes[0] is INFINITY
+    assert all(type(p) is Quaternion and p.norm_sq() > 1e20 for p in outcomes[1:])
+    degenerate = MoebiusQ(QuatMat2(_BIG[0], Quaternion(1e-13, 0), _BIG[1], Quaternion(-1e-13, 0)))
+    for x in (ZERO, Quaternion(2e-20 + 3e-20j, 0), Quaternion(1e-20, -2e-20j)):
+        assert _outcome(apply, composed, degenerate, x) is DegenerateMapError
 
 
 def _on_extended_line(formula, *args):
@@ -514,6 +545,20 @@ def _on_extended_line(formula, *args):
         return formula(*args)
     except ZeroDivisionError:
         return INFINITY
+
+
+def _outcome(apply, composed, f, x):
+    """apply(f, x), asserted equal to composed(x, f.m), or the type of the
+    error that both raise with the same message."""
+    try:
+        want = composed(x, f.m)
+    except ZeroDivisionError as exc:
+        with pytest.raises(type(exc)) as got:
+            apply(f, x)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return type(exc)
+    assert apply(f, x) == want
+    return want
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qgeo import quaternion
+from qgeo import local_unitary, moebius, quaternion
 from qgeo.conformal import conformal_map
-from qgeo.local_unitary import QuatMat2
-from qgeo.moebius import MoebiusQ, apply_moebius_q
+from qgeo.local_unitary import QuatMat2, Variant, random_local_unitary
+from qgeo.moebius import MoebiusQ, apply_moebius_q, moebius_from_local_unitary
 from qgeo.quaternion import (
     I,
     INFINITY,
@@ -69,6 +69,16 @@ _BIG = Quaternion(1e308, 0)
 _TENTH = Quaternion(0.1, 0)
 _SCALE = MoebiusQ(QuatMat2(Quaternion(10, 0), J, Quaternion(0, 0), ONE))
 _SHIFT = MoebiusQ(QuatMat2(ONE, _BIG, Quaternion(0, 0), ONE))
+_SCALE_DEN = MoebiusQ(QuatMat2(ONE, Quaternion(0, 0), Quaternion(10, 0), ONE))
+_SHIFT_DEN = MoebiusQ(QuatMat2(ONE, Quaternion(0, 0), ONE, _BIG))
+_SHRINK_DEN = MoebiusQ(QuatMat2(ONE, Quaternion(0, 0), Quaternion(0, 0), _TENTH))
+
+
+def _composed_moebius(x, m):
+    """The canonical action at x in the operators that ``Quaternion._moebius`` composes."""
+    return (x * m.m11 + m.m12) * (x * m.m21 + m.m22).inverse()
+
+
 _OVERFLOWS = {
     "mul": (lambda: _BIG * Quaternion(10, 0), None),
     "add": (lambda: _BIG + _BIG, None),
@@ -79,6 +89,19 @@ _OVERFLOWS = {
     "left_quotient": (lambda: left_quotient(_BIG, _TENTH), lambda: _TENTH.inverse() * _BIG),
     "moebius_product": (lambda: apply_moebius_q(_SCALE, _BIG), lambda: _BIG * _SCALE.m.m11 + J),
     "moebius_sum": (lambda: apply_moebius_q(_SHIFT, _BIG), lambda: _BIG * ONE + _BIG),
+    **{
+        f"_moebius_{name}": (
+            lambda f=f: _BIG._moebius(f.m),
+            lambda f=f: _composed_moebius(_BIG, f.m),
+        )
+        for name, f in [
+            ("numerator_product", _SCALE),
+            ("numerator_sum", _SHIFT),
+            ("denominator_product", _SCALE_DEN),
+            ("denominator_sum", _SHIFT_DEN),
+            ("quotient", _SHRINK_DEN),
+        ]
+    },
 }
 
 
@@ -256,18 +279,27 @@ def test_finite_quotient_computes_the_denominator_norm_once(quotient, monkeypatc
 def test_compound_operations_build_only_their_result(monkeypatch):
     built = []
     build = quaternion._quaternion
-    monkeypatch.setattr(quaternion, "_quaternion", lambda z1, z2: built.append(z1) or build(z1, z2))
+    for module in (quaternion, local_unitary):
+        monkeypatch.setattr(module, "_quaternion", lambda z1, z2: built.append(z1) or build(z1, z2))
+    determinants = []
+    study = moebius.study_determinant
+    monkeypatch.setattr(moebius, "study_determinant", lambda m: determinants.append(m) or study(m))
     p, q = Quaternion.from_reals(0.3, -1, 2, 0.7), Quaternion.from_reals(1, 0.5, -0.2, 0.1)
     f = MoebiusQ(QuatMat2(p, q, q.conjugate(), ONE))
-    for operation, most in [
+    u = random_local_unitary(Variant.SO2_X_SU2, 5)
+    for operation, count in [
         (lambda: right_quotient(p, q), 1),
         (lambda: left_quotient(p, q), 1),
         (lambda: conformal_map(Quaterbit(p, q)), 1),
-        (lambda: apply_moebius_q(f, p), 3),
+        (lambda: apply_moebius_q(f, p), 1),
+        # The four entries of its matrix, and no general determinant pass.
+        (lambda: moebius_from_local_unitary(u), 4),
     ]:
         built.clear()
+        determinants.clear()
         operation()
-        assert 1 <= len(built) <= most
+        assert len(built) == count
+        assert determinants == []
 
 
 def test_chordal_distance_examples():
