@@ -13,7 +13,6 @@ from .quaternion import (
     ExtendedQuaternion,
     Quaternion,
     chordal_distance,
-    ext_isclose,
     left_quotient,
     right_quotient,
 )

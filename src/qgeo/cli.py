@@ -21,7 +21,8 @@ they are made per block in exact numpy arithmetic (:func:`qgeo.batch.reprs`),
 and ``repr`` covers every other value.  The blocks are formatted by up to
 one process per available CPU, in whole blocks; each worker's run goes
 through an unnamed temporary file in the system's temporary directory, and
-the bytes do not depend on the CPU count.
+the bytes do not depend on the CPU count.  ``sample`` reads stream (seed, 0)
+of :mod:`qgeo.sampling` in blocks; file k is ``haar_random_state(seed, 0, k)``.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
 or input error, 3 mathematical domain error.  ``--tol`` alone sets
@@ -39,7 +40,7 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 
-from . import batch
+from . import batch, sampling
 from .quaternion import INFINITY, divided, squared_norm
 from .states import (
     TwoQubitState,
@@ -47,7 +48,6 @@ from .states import (
     decode_amplitudes,
     encode_amplitudes,
     encode_pair,
-    haar_random_state,
     is_separable,
     quaternionify,
     schmidt_term,
@@ -286,9 +286,10 @@ def cmd_sample(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"{args.out}: cannot create directory: {exc.strerror or exc}") from None
-    for k in range(args.count):
-        psi = haar_random_state([args.seed, k])
-        _write_json(str(out_dir / f"state_{k:04d}.json"), state_to_doc(psi))
+    for start in range(0, args.count, batch.BLOCK):
+        u = sampling.uniforms(args.seed, 0, start, min(start + batch.BLOCK, args.count))
+        for k, amplitudes in enumerate(sampling.haar_rows(u, 4).tolist(), start):
+            _write_json(str(out_dir / f"state_{k:04d}.json"), state_to_doc(TwoQubitState(*amplitudes)))
     return EXIT_OK
 
 

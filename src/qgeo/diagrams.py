@@ -11,7 +11,7 @@ genuinely fail to intertwine.
 
 All randomness is derived from (seed, seed-space index, trial index): each
 index reads one counter-based stream and each trial a fixed slice of it
-(:func:`qgeo.batch.uniforms`), so reports are deterministic for a fixed seed
+(:func:`qgeo.sampling.uniforms`), so reports are deterministic for a fixed seed
 regardless of evaluation order.  One table, ``_GROUPS``, holds every seeded
 row with its report section: the checks at indices 0-7, the two failure
 searches at 8 and 9 and the exploratory candidate at 10.  Each row has one
@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import batch
+from . import batch, sampling
 from .quaternion import _abs2, chordal_distance, right_quotient
 from .states import (
     OneQubitState,
@@ -340,17 +340,6 @@ class DiagramReport:
 # Suite machinery
 # ---------------------------------------------------------------------------
 
-def _sample_state(seed: int, idx: int, trial: int) -> TwoQubitState:
-    """The state of one trial, read on its own."""
-    return TwoQubitState(*batch.haar_states(batch.uniforms(seed, idx, trial, trial + 1))[0])
-
-
-def _sample_transform(variant: Variant, seed: int, idx: int, trial: int) -> LocalUnitary:
-    """The transform of one trial of a check group, read on its own."""
-    theta, a, b = batch.local_unitary_params(batch.uniforms(seed, idx, trial, trial + 1))
-    return LocalUnitary(variant, SO2Element(theta[0]), SU2Element(a[0], b[0]))
-
-
 def _search_angles(u: np.ndarray) -> np.ndarray:
     """theta uniform on the two arcs where |sin(theta)| >= _MIN_ABS_SIN, from uniforms u.
 
@@ -483,13 +472,13 @@ _GROUPS = (
 
 def _sample_trials(group: _Group, seed: int, start: int, stop: int) -> _Block:
     """Draw the inputs of trials ``[start, stop)`` of a group from one read of its stream."""
-    u = batch.uniforms(seed, group.idx, start, stop)
+    u = sampling.uniforms(seed, group.idx, start, stop)
     theta = a = b = None
     if group.transform is not None:
-        theta, a, b = batch.local_unitary_params(u)
+        theta, a, b = sampling.local_unitary_params(u)
     if group.section != "checks":
-        theta = _search_angles(u[:, batch._ANGLE])
-    psi = batch.haar_one_qubit_states(u) if group.one_qubit else batch.haar_states(u)
+        theta = _search_angles(u[:, sampling._ANGLE])
+    psi = sampling.haar_rows(u, 2 if group.one_qubit else 4)
     return _Block(start, theta, a, b, psi)
 
 

@@ -20,10 +20,10 @@ from enum import Enum
 
 import numpy as np
 
+from . import sampling
 from .quaternion import Quaternion, _quaternion, divided, squared_norm
 from .states import (
-    NORMALIZATION_TOL, OneQubitState, Quaterbit, TwoQubitState, _haar_amplitudes,
-    decode_number, decode_pair, encode_pair,
+    NORMALIZATION_TOL, OneQubitState, Quaterbit, TwoQubitState, decode_number, decode_pair, encode_pair,
 )
 
 
@@ -334,13 +334,14 @@ def is_quaternionic_complex_matrix(u: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(J_METRIC @ u @ (-J_METRIC) - u.conjugate())) < tol)
 
 
-def random_local_unitary(variant: Variant, seed) -> LocalUnitary:
-    """theta uniform on [0, 2*pi), then (a, b) Haar on SU(2), as the one-qubit sampler draws."""
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return LocalUnitary(Variant(variant), SO2Element(theta), SU2Element(*_haar_amplitudes(rng, 2)))
+def random_local_unitary(variant: Variant, seed: int, idx: int = 0, trial: int = 0) -> LocalUnitary:
+    """Trial ``trial`` of stream ``(seed, idx)``, as ``qgeo verify`` draws it: theta uniform on
+    [0, 2*pi), then (a, b) Haar on SU(2).  The arguments are non-negative integers.
+    """
+    theta, a, b = sampling.local_unitary_params(sampling.uniforms(seed, idx, trial, trial + 1))
+    return LocalUnitary(Variant(variant), SO2Element(theta[0]), SU2Element(a[0], b[0]))
 
 
-def random_su2(seed) -> SU2Element:
-    """Haar-random SU(2) element from a normalized complex Gaussian pair."""
-    return random_local_unitary(Variant.SO2_X_SU2, seed).su2
+def random_su2(seed: int, idx: int = 0, trial: int = 0) -> SU2Element:
+    """The Haar-random SU(2) element of :func:`random_local_unitary`'s trial."""
+    return random_local_unitary(Variant.SO2_X_SU2, seed, idx, trial).su2

@@ -306,8 +306,3 @@ def squared_norm(values):
 def divided(values, n: float) -> list[complex]:
     """Each value divided by n, part by part: before Python 3.14, ``z / n`` turns -0.0 into 0.0."""
     return [complex(z.real / n, z.imag / n) for z in values]
-
-
-def ext_isclose(p: ExtendedQuaternion, q: ExtendedQuaternion, tol: float = COMPARE_TOL) -> bool:
-    """Tolerance comparison on the extended line, via the chordal metric."""
-    return chordal_distance(p, q) <= tol

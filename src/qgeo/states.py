@@ -9,6 +9,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import sampling
 from .quaternion import Quaternion, _abs2, _isfinite, _quaternion, divided, squared_norm
 
 # Norm deviation accepted at the construction boundary.
@@ -180,31 +181,17 @@ def is_separable(psi: TwoQubitState, tol: float = 1e-10) -> bool:
     return abs(concurrence_term(psi)) < tol
 
 
-def haar_random_state(seed) -> TwoQubitState:
-    """Uniform random normalized two-qubit state, deterministic in seed.
+def haar_random_state(seed: int, idx: int = 0, trial: int = 0) -> TwoQubitState:
+    """Haar-random two-qubit state: trial ``trial`` of stream ``(seed, idx)``, as ``qgeo verify`` draws it.
 
-    Four complex amplitudes are drawn as standard Gaussians and the vector is
-    normalized, which makes the distribution unitarily invariant.
+    The arguments are non-negative integers; see :mod:`qgeo.sampling`.
     """
-    return TwoQubitState(*_haar_amplitudes(seed, 4))
+    return TwoQubitState(*sampling.haar_rows(sampling.uniforms(seed, idx, trial, trial + 1), 4)[0].tolist())
 
 
-def haar_random_one_qubit(seed) -> OneQubitState:
-    """Uniform random normalized one-qubit state, deterministic in seed."""
-    return OneQubitState(*_haar_amplitudes(seed, 2))
-
-
-def _haar_amplitudes(seed, n: int) -> list[complex]:
-    """n standard complex Gaussians from ``default_rng(seed)`` (real parts drawn first), normalized.
-
-    ``seed`` may be a Generator, which is read on.  The vector is normalized
-    by the one rule of :func:`qgeo.quaternion.squared_norm`, so it does not
-    depend on BLAS, the CPU or the Python version.
-    """
-    rng = np.random.default_rng(seed)
-    re, im = rng.standard_normal(n).tolist(), rng.standard_normal(n).tolist()
-    values = [complex(x, y) for x, y in zip(re, im)]
-    return divided(values, math.sqrt(squared_norm(values)))
+def haar_random_one_qubit(seed: int, idx: int = 0, trial: int = 0) -> OneQubitState:
+    """Haar-random one-qubit state: trial ``trial`` of stream ``(seed, idx)``, as ``qgeo verify`` draws it."""
+    return OneQubitState(*sampling.haar_rows(sampling.uniforms(seed, idx, trial, trial + 1), 2)[0].tolist())
 
 
 def _json_number(value) -> float | None:

@@ -13,21 +13,13 @@ import sys
 import numpy as np
 
 from qgeo.quaternion import INFINITY, J, ONE, Quaternion, chordal_distance
-from qgeo.states import (
-    TwoQubitState,
-    concurrence_term,
-    haar_random_one_qubit,
-    haar_random_state,
-    wootters_preconcurrence,
-)
+from qgeo.states import TwoQubitState, concurrence_term, wootters_preconcurrence
 from qgeo.local_unitary import (
     QuatMat2,
     SU2Element,
-    Variant,
     complexify,
     is_quaternionic_complex_matrix,
     quat_matrix,
-    random_local_unitary,
     random_su2,
     sp2_check_complex,
     sp2_check_quaternionic,
@@ -35,6 +27,9 @@ from qgeo.local_unitary import (
 from qgeo.moebius import MoebiusQ, apply_moebius_q, compose, moebius_from_local_unitary
 from qgeo.diagrams import (
     FailureSearch,
+    _row,
+    _sample_trials,
+    _scalar_inputs,
     check_one_qubit_diagram,
     check_quadrangle,
     check_second_qubit_inertness,
@@ -51,11 +46,18 @@ BELL = TwoQubitState(math.sqrt(0.5), 0, 0, math.sqrt(0.5))
 # Philox streams and on libm's cos and sin of each rotation angle theta,
 # nothing else of libm or numpy's SIMD code: the Haar inputs are sorted
 # uniforms (sorting is exact), their spacings, sqrt and a cos/sin kernel
-# of correctly rounded float64 operations (qgeo.batch).
+# of correctly rounded float64 operations (qgeo.sampling).
 # The chordal metric uses neither `**` nor `sum`, whose float rounding
 # differs between CPython versions, so the metric does not tie it to 3.11.
 # No BLAS routine computes any of it, so the OpenBLAS kernel does not either.
 DEFAULT_REPORT_SHA256 = "50c905ef36645397b40269dc3b2962da831af25d8a7dc0b39bab3b3919f5efc0"
+
+
+def _trials(row: str, seed: int, n: int = 10_000) -> list[tuple]:
+    """The inputs of trials [0, n) of the verify row reporting ``row`` at ``seed``, read as one block."""
+    group, _ = _row(row)
+    blk = _sample_trials(group, seed, 0, n)
+    return [_scalar_inputs(group, blk, i) for i in range(n)]
 
 
 def _report(num: int, name: str, max_dev: float, tol: float) -> None:
@@ -100,9 +102,7 @@ def test_c01_quaternion_algebra_suite():
 
 def test_c02_encoding_square_so2xsu2():
     worst = 0.0
-    for trial in range(10_000):
-        u = random_local_unitary(Variant.SO2_X_SU2, [101, trial, 0])
-        psi = haar_random_state([101, trial, 1])
+    for u, psi in _trials("quaterbit_transport_so2xsu2", 101):
         worst = max(worst, check_quadrangle(u, psi))
     _report(2, "encoding-square-so2xsu2", worst, 1e-12)
 
@@ -110,9 +110,7 @@ def test_c02_encoding_square_so2xsu2():
 def test_c03_three_way_equality_with_closed_forms():
     worst_paths = 0.0
     worst_closed = 0.0
-    for trial in range(10_000):
-        u = random_local_unitary(Variant.SO2_X_SU2, [103, trial, 0])
-        psi = haar_random_state([103, trial, 1])
+    for u, psi in _trials("three_way_first_equality", 103):
         first, second, closed = check_three_way(u, psi)
         worst_paths = max(worst_paths, first, second)
         worst_closed = max(worst_closed, closed)
@@ -123,9 +121,7 @@ def test_c03_three_way_equality_with_closed_forms():
 def test_c04_concurrence_invariance_and_wootters():
     worst_signed = 0.0
     worst_wootters = 0.0
-    for trial in range(10_000):
-        u = random_local_unitary(Variant.SO2_X_SU2, [104, trial, 0])
-        psi = haar_random_state([104, trial, 1])
+    for u, psi in _trials("concurrence_invariance_so2xsu2", 104):
         worst_signed = max(worst_signed, concurrence_invariance_gap(u, psi))
         worst_wootters = max(worst_wootters, wootters_relation_gap(psi))
     _report(4, "signed-concurrence-invariance", worst_signed, 1e-12)
@@ -139,18 +135,14 @@ def test_c04_concurrence_invariance_and_wootters():
 
 def test_c05_second_qubit_inertness():
     worst = 0.0
-    for trial in range(10_000):
-        a = random_su2([105, trial, 0])
-        psi = haar_random_state([105, trial, 1])
+    for a, psi in _trials("second_qubit_inertness", 105):
         worst = max(worst, check_second_qubit_inertness(a, psi))
     _report(5, "second-qubit-inertness", worst, 1e-11)
 
 
 def test_c06_encoding_square_su2xso2():
     worst = 0.0
-    for trial in range(10_000):
-        u = random_local_unitary(Variant.SU2_X_SO2, [106, trial, 0])
-        psi = haar_random_state([106, trial, 1])
+    for u, psi in _trials("quaterbit_transport_su2xso2", 106):
         worst = max(worst, check_quadrangle(u, psi))
     _report(6, "encoding-square-su2xso2", worst, 1e-12)
 
@@ -176,8 +168,8 @@ def test_c07_failure_witnesses_exist():
 
 def test_c08_sp2_membership_coherence():
     ok = True
-    for trial in range(1_000):
-        m = quat_matrix(random_local_unitary(Variant.SO2_X_SU2, [108, trial]))
+    for u, _ in _trials("quaterbit_transport_so2xsu2", 108, 1_000):
+        m = quat_matrix(u)
         ok = ok and sp2_check_quaternionic(m, tol=1e-12)
         ok = ok and sp2_check_complex(complexify(m), tol=1e-12)
     _report_flag(8, "sp2-membership-both-pictures", ok, "1000 group elements")
@@ -215,9 +207,10 @@ def test_c08_sp2_membership_coherence():
 def test_c09_moebius_group_law():
     worst = 0.0
     rng = np.random.default_rng(20_240_609)
-    for trial in range(10_000):
-        f = moebius_from_local_unitary(random_local_unitary(Variant.SO2_X_SU2, [109, trial, 0]))
-        g = moebius_from_local_unitary(random_local_unitary(Variant.SO2_X_SU2, [109, trial, 1]))
+    # f and g: the so2xsu2 transforms of two rows' streams.
+    pairs = zip(_trials("quaterbit_transport_so2xsu2", 109), _trials("three_way_first_equality", 109))
+    for trial, ((u, _), (v, _)) in enumerate(pairs):
+        f, g = moebius_from_local_unitary(u), moebius_from_local_unitary(v)
         if trial % 50 == 0 and not g.m.m21.is_zero():
             # Constructed pole hit: g sends this point to infinity.
             q = -g.m.m22 * g.m.m21.inverse()
@@ -250,16 +243,14 @@ def test_c09_moebius_group_law():
 
 def test_c10_one_qubit_diagram():
     worst = 0.0
-    for trial in range(10_000):
-        a = random_su2([110, trial, 0])
-        psi = haar_random_one_qubit([110, trial, 1])
+    for a, psi in _trials("one_qubit_intertwining", 110):
         worst = max(worst, check_one_qubit_diagram(a, psi))
     # Infinity-valued cases: states with a vanishing second amplitude pass
     # through the point at infinity on both sides.
     from qgeo.states import OneQubitState
 
     for trial in range(200):
-        a = random_su2([110, trial, 2])
+        a = random_su2(110, 2, trial)
         phase = np.exp(1j * np.random.default_rng([110, trial, 3]).uniform(0, 2 * math.pi))
         worst = max(worst, check_one_qubit_diagram(a, OneQubitState(phase, 0)))
         worst = max(worst, check_one_qubit_diagram(SU2Element(0, 1), OneQubitState(phase, 0)))

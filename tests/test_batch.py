@@ -8,20 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgeo import batch
-from qgeo.batch import BLOCK, K
+from qgeo import batch, sampling
+from qgeo.batch import BLOCK, Split
 from qgeo.cli import main
-from qgeo.diagrams import (
-    _GROUPS,
-    _sample_trials,
-    _sample_state,
-    _sample_transform,
-    run_suite,
-)
-from qgeo.batch import Split
-from qgeo.local_unitary import Variant, _su2_action, apply_cb
+from qgeo.diagrams import _GROUPS, _sample_trials, run_suite
+from qgeo.local_unitary import Variant, _su2_action, apply_cb, random_local_unitary, random_su2
 from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance
-from qgeo.states import TwoQubitState, wootters_preconcurrence
+from qgeo.sampling import K
+from qgeo.states import TwoQubitState, haar_random_one_qubit, haar_random_state, wootters_preconcurrence
 
 SEEDS = [0, 42, 2**32 + 5, 2**70]
 
@@ -58,7 +52,7 @@ def test_block_draws_match_default_rng(seed):
     trials = BLOCK + 3
     ref = _linear(seed, 2, trials)
     for bounds in ((0, trials), (0, BLOCK - 3, BLOCK, trials)):
-        blocks = [batch.uniforms(seed, 2, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        blocks = [sampling.uniforms(seed, 2, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         assert same_bits(np.concatenate(blocks), ref), bounds
 
 
@@ -69,7 +63,7 @@ def test_trial_offsets_match_the_linear_stream(seed):
     # the linear read, then used where no linear read can go.
     assert same_bits(_at_counter(seed, 5, 3 * K // 4, 2), _linear(seed, 5, 5)[3:])
     for t in (BLOCK - 1, 2**32 - 1, 2**40, 2**62 + 1):
-        assert same_bits(batch.uniforms(seed, 5, t, t + 2), _at_counter(seed, 5, t * K // 4, 2)), t
+        assert same_bits(sampling.uniforms(seed, 5, t, t + 2), _at_counter(seed, 5, t * K // 4, 2)), t
 
 
 @pytest.mark.parametrize("split", [BLOCK - 1, BLOCK, BLOCK + 1, 300])
@@ -86,16 +80,25 @@ def test_draws_do_not_depend_on_the_block_split(split):
 
 
 def test_reseeded_generator_starts_the_trials_stream():
-    # Each one-trial read reseeds a fresh generator at the trial's counter; its
-    # draws must start where the trial's row of a block read from 0 does.
+    # Each public sampler reseeds a fresh generator at its trial's counter; what
+    # it draws must be, bit for bit, row t of a block read of (seed, idx) from 0.
     seed, trials = 7, BLOCK + 2
-    blk = _sample_trials(_GROUPS[1], seed, 0, trials)
     searched = _sample_trials(_GROUPS[10], seed, 0, trials)
+    for idx in (0, 1, 10, 2**40):
+        u = sampling.uniforms(seed, idx, 0, trials)
+        psi, one = sampling.haar_rows(u, 4), sampling.haar_rows(u, 2)
+        theta, a, b = sampling.local_unitary_params(u)
+        for t in (0, BLOCK - 1, BLOCK, BLOCK + 1):
+            assert same_bits(haar_random_state(seed, idx, t).amplitudes, psi[t]), (idx, t)
+            q = haar_random_one_qubit(seed, idx, t)
+            assert same_bits([q.a1, q.a2], one[t]), (idx, t)
+            for variant in Variant:
+                g = random_local_unitary(variant, seed, idx, t)
+                assert g.variant is variant
+                assert same_bits([g.rot.theta, g.su2.a, g.su2.b], [theta[t], a[t], b[t]]), (idx, t)
+            su2 = random_su2(seed, idx, t)
+            assert same_bits([su2.a, su2.b], [a[t], b[t]]), (idx, t)
     for t in (0, BLOCK - 1, BLOCK, BLOCK + 1):
-        psi = _sample_state(seed, 1, t)
-        assert same_bits(psi.amplitudes, blk.psi[t])
-        u = _sample_transform(Variant.SO2_X_SU2, seed, 1, t)
-        assert same_bits([u.rot.theta, u.su2.a, u.su2.b], [blk.theta[t], blk.a[t], blk.b[t]])
         one = _sample_trials(_GROUPS[10], seed, t, t + 1)
         for field in ("theta", "a", "b", "psi"):
             assert same_bits(getattr(one, field), getattr(searched, field)[t : t + 1]), (t, field)
@@ -103,9 +106,9 @@ def test_reseeded_generator_starts_the_trials_stream():
 
 def test_sampled_inputs_have_their_distributions():
     # Loose moment checks, with no scipy, that catch a wrong slot layout.
-    u = batch.uniforms(3, 0, 0, 20000)
-    theta, a, b = batch.local_unitary_params(u)
-    for rows in (batch.haar_states(u), batch.haar_one_qubit_states(u), np.stack([a, b], axis=1)):
+    u = sampling.uniforms(3, 0, 0, 20000)
+    theta, a, b = sampling.local_unitary_params(u)
+    for rows in (sampling.haar_rows(u, 4), sampling.haar_rows(u, 2), np.stack([a, b], axis=1)):
         assert np.abs(np.sum(rows.real**2 + rows.imag**2, axis=1) - 1.0).max() < 1e-15
         assert np.abs(np.mean(np.abs(rows) ** 2, axis=0) - 1.0 / rows.shape[1]).max() < 0.01
         assert np.abs(np.mean(rows, axis=0)).max() < 0.02  # uniform phases
@@ -117,10 +120,10 @@ def test_haar_rows_have_their_distributions():
     # Deterministic (one fixed stream), so the p-value bounds cannot flake;
     # the moment bounds are about six standard errors of 200 000 draws.
     stats = pytest.importorskip("scipy.stats")
-    u = batch.uniforms(11, 0, 0, 200_000)
-    psi = batch.haar_states(u)
-    one = batch.haar_one_qubit_states(u)
-    theta, a, b = batch.local_unitary_params(u)
+    u = sampling.uniforms(11, 0, 0, 200_000)
+    psi = sampling.haar_rows(u, 4)
+    one = sampling.haar_rows(u, 2)
+    theta, a, b = sampling.local_unitary_params(u)
     # Haar on C^d: |psi_i|^2 is Beta(1, d - 1), uniform on [0, 1] for d = 2.
     for col in psi.T:
         assert stats.kstest(np.abs(col) ** 2, "beta", args=(1, 3)).pvalue > 1e-3
@@ -142,14 +145,14 @@ def test_haar_moduli_are_roots_of_exact_spacings(n):
     # its moduli.  On the 2**-53 grid the spacings of the sorted uniforms are
     # doubles that add up to exactly 1, and each modulus is their sqrt.  The
     # compare-exchange network gives the bits of numpy's sort and diff.
-    u = batch.uniforms(5, 0, 0, 3000)[:, : 2 * n - 1]
+    u = sampling.uniforms(5, 0, 0, 3000)[:, : 2 * n - 1]
     edges = 2.0**-53 * np.array([0, 1, 2**52, 2**53 - 1])
     u[:1000, : n - 1] = np.random.default_rng(n).choice(edges, size=(1000, n - 1))
     u[1000:2000, : n - 1] = u[1000:2000, :1]  # ties
     u[2000:2050, : n - 1] = edges[0]
     u[2050:2100, : n - 1] = edges[-1]
     u[:, n - 1 :] = 0.0
-    rows = batch._haar_rows(u, n)
+    rows = sampling.haar_rows(u, n)
     assert same_bits(rows.imag, np.zeros_like(rows.imag))
     ordered = np.sort(u[:, : n - 1], axis=1)
     assert same_bits(rows.real, np.sqrt(np.diff(ordered, prepend=0.0, append=1.0, axis=1)))
@@ -162,9 +165,9 @@ def test_haar_moduli_are_roots_of_exact_spacings(n):
 
 def test_zero_uniforms_give_the_last_basis_row():
     u = np.zeros((1, K))
-    assert same_bits(batch.haar_states(u), [[0j, 0j, 0j, 1 + 0j]])
-    assert same_bits(batch.haar_one_qubit_states(u), [[0j, 1 + 0j]])
-    theta, a, b = batch.local_unitary_params(u)
+    assert same_bits(sampling.haar_rows(u, 4), [[0j, 0j, 0j, 1 + 0j]])
+    assert same_bits(sampling.haar_rows(u, 2), [[0j, 1 + 0j]])
+    theta, a, b = sampling.local_unitary_params(u)
     assert same_bits(theta, [0.0]) and same_bits([a, b], [[0j], [1 + 0j]])
 
 
@@ -185,8 +188,8 @@ def test_cos_sin_kernel_is_within_one_ulp():
     # exact at the quadrant points and within 1 ulp elsewhere on that grid.
     mpmath = pytest.importorskip("mpmath")
     edges = [0.0, 2.0**-53, 1.0 - 2.0**-53, 0.125, 0.25, 0.5, 0.75]
-    u = np.concatenate([edges, batch.uniforms(1, 0, 0, 1250).ravel()])
-    cos, sin = batch._cos_sin_2pi(u)
+    u = np.concatenate([edges, sampling.uniforms(1, 0, 0, 1250).ravel()])
+    cos, sin = sampling._cos_sin_2pi(u)
     assert (cos[0], sin[0]) == (1.0, 0.0)
     assert cos[3] == sin[3] == math.sqrt(0.5)
     assert [(cos[i], sin[i]) for i in (4, 5, 6)] == [(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
@@ -205,6 +208,22 @@ def test_negative_seed_raises_numpys_error(capsys):
     assert main(["verify", "--seed", "-1"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {ref.value}\n"
+
+
+def test_seeds_that_are_not_integers_raise():
+    # numpy alone reads a nested list as a seed of another stream, so an old
+    # call such as haar_random_state([101, trial, 1]) must fail, not draw.
+    for draw in (
+        lambda: haar_random_state([101, 3, 1]),
+        lambda: haar_random_one_qubit(1, [0]),
+        lambda: random_local_unitary(Variant.SO2_X_SU2, [3, 4]),
+        lambda: random_su2(2.0),
+        lambda: sampling.uniforms(1, 0, 0.0, 1),
+    ):
+        with pytest.raises(TypeError):
+            draw()
+    with pytest.raises(ValueError, match="not a range of non-negative integers"):
+        haar_random_state(1, 0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -831,10 +831,9 @@ def test_sample_writes_deterministic_valid_states(capsys, tmp_path):
 
 
 # SHA-256 over the files `qgeo sample --count 10 --seed 0` writes, each as its
-# name, a NUL byte and its contents, in name order.  `qgeo sample` and the
-# public samplers behind it keep their `np.random.default_rng(seed)` draws;
-# only the verification suite reads counter-based streams.
-SAMPLE_SHA256 = "97c53bf753f29dcc58065cae07334f65938e2cfde9de135361d2c58da1e5c444"
+# name, a NUL byte and its contents, in name order.  File k is trial k of the
+# counter-based stream (0, 0), the one sampler `qgeo verify` also reads.
+SAMPLE_SHA256 = "17ea870a9fdf368b456a2f64eebaf623632756988ef2f01e1ffad37c52ca626c"
 
 
 def _files_digest(directory: Path) -> str:
@@ -847,6 +846,17 @@ def _files_digest(directory: Path) -> str:
 def test_sample_files_are_pinned(capsys, tmp_path):
     assert run_cli(capsys, "sample", "--count", "10", "--seed", "0", "--out", str(tmp_path))[0] == 0
     assert _files_digest(tmp_path) == SAMPLE_SHA256
+
+
+def test_sample_file_k_is_trial_k_of_the_seeds_stream(capsys, tmp_path, monkeypatch):
+    # Blocks of 4 files, so that the 10 files cross two block boundaries.
+    monkeypatch.setattr(batch, "BLOCK", 4)
+    assert run_cli(capsys, "sample", "--count", "10", "--seed", "9", "--out", str(tmp_path / "a"))[0] == 0
+    for k in range(10):
+        doc = json.loads((tmp_path / "a" / f"state_{k:04d}.json").read_text())
+        assert doc == qgeo.cli.state_to_doc(haar_random_state(9, 0, k)), k
+    assert run_cli(capsys, "sample", "--count", "10", "--seed", "0", "--out", str(tmp_path / "b"))[0] == 0
+    assert _files_digest(tmp_path / "b") == SAMPLE_SHA256
 
 
 # SHA-256 of the reprs of `TwoQubitState.from_vector(v, renormalize=True)`
@@ -881,9 +891,10 @@ def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, setting):
     # otherwise.  NPY_DISABLE_CPU_FEATURES makes numpy's ufuncs run their
     # baseline loops, whose cos and sin round otherwise on some inputs, and
     # its min and max loops, which are exact in every one.  The verify
-    # report, the sample files and renormalized state vectors use none of
-    # the rounding ones: of numpy's ufuncs only sqrt is on their path, and
-    # it is correctly rounded.
+    # report and the sample files read one sampler (qgeo.sampling), and it
+    # and renormalized state vectors use none of the rounding ones: the
+    # ufuncs on their path are sqrt and the + - * rint of the cos/sin
+    # kernel, each correctly rounded, and min, max and selections, exact.
     src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
     env = {
         **os.environ,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from qgeo import sampling
 from qgeo.quaternion import INFINITY, J, Quaternion, chordal_distance
 from qgeo.states import OneQubitState, Quaterbit, TwoQubitState, haar_random_state, quaternionify
 from qgeo.conformal import (
@@ -59,8 +60,9 @@ def test_dual_map_examples():
 
 
 def test_dual_map_bra_relation():
-    for seed in range(10_000):
-        qb = quaternionify(haar_random_state(seed))
+    # Trials 0-9 999 of stream (0, 0), read as one block.
+    for amplitudes in sampling.haar_rows(sampling.uniforms(0, 0, 0, 10_000), 4).tolist():
+        qb = quaternionify(TwoQubitState(*amplitudes))
         conj_qb = Quaterbit(qb.q1.conjugate(), qb.q2.conjugate())
         if qb.q2.is_zero():
             continue

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from qgeo import batch, diagrams
+from qgeo import batch, diagrams, sampling
 from qgeo.cli import load_state, load_transform, main
 from qgeo.quaternion import DegenerateMapError
 from qgeo.states import (
@@ -36,8 +36,6 @@ from qgeo.local_unitary import (
 from qgeo.diagrams import (
     WITNESS_THRESHOLD,
     FailureSearch,
-    _sample_state,
-    _sample_transform,
     check_one_qubit_diagram,
     check_quadrangle,
     check_second_qubit_inertness,
@@ -59,6 +57,13 @@ IDENTITY_B = LocalUnitary(Variant.SO2_X_SU2, SO2Element(0.0), SU2Element(1, 0))
 IDENTITY_BP = LocalUnitary(Variant.SU2_X_SO2, SO2Element(0.0), SU2Element(1, 0))
 
 
+def _row_inputs(name, trials, seed=0):
+    """The inputs of trials [0, trials) of the suite's row reporting ``name``, read as one block."""
+    group, _ = diagrams._row(name)
+    blk = diagrams._sample_trials(group, seed, 0, trials)
+    return [diagrams._scalar_inputs(group, blk, i) for i in range(trials)]
+
+
 def test_one_qubit_identity_gap_is_zero():
     psi = haar_random_one_qubit(0)
     assert check_one_qubit_diagram(SU2Element(1, 0), psi) == 0.0
@@ -74,9 +79,7 @@ def test_one_qubit_infinity_valued_case():
 
 
 def test_one_qubit_random_gaps_small():
-    for seed in range(500):
-        a = random_su2([seed, 0])
-        psi = haar_random_one_qubit([seed, 1])
+    for a, psi in _row_inputs("one_qubit_intertwining", 500):
         assert check_one_qubit_diagram(a, psi) <= 1e-11
 
 
@@ -87,9 +90,7 @@ def test_quadrangle_identity_and_examples():
 
 
 def test_quadrangle_random_gaps_small():
-    for seed in range(500):
-        u = random_local_unitary(Variant.SO2_X_SU2, [seed, 0])
-        psi = haar_random_state([seed, 1])
+    for u, psi in _row_inputs("quaterbit_transport_so2xsu2", 500):
         assert check_quadrangle(u, psi) <= 1e-12
 
 
@@ -102,8 +103,8 @@ def test_three_way_identity_and_bell():
 
 def test_three_way_and_closed_forms_random():
     for seed in range(300):
-        u = random_local_unitary(Variant.SO2_X_SU2, [seed, 0])
-        psi = haar_random_state([seed, 1])
+        u = random_local_unitary(Variant.SO2_X_SU2, seed, 0)
+        psi = haar_random_state(seed, 1)
         first, second, closed = check_three_way(u, psi)
         assert first <= 1e-10 and second <= 1e-10
         assert closed <= 1e-10
@@ -112,24 +113,22 @@ def test_three_way_and_closed_forms_random():
 def test_second_qubit_inertness():
     assert check_second_qubit_inertness(SU2Element(1, 0), haar_random_state(2)) == 0.0
     for seed in range(300):
-        a = random_su2([seed, 5])
+        a = random_su2(seed, 5)
         assert check_second_qubit_inertness(a, BELL) <= 1e-12
-        assert check_second_qubit_inertness(a, haar_random_state([seed, 6])) <= 1e-11
+        assert check_second_qubit_inertness(a, haar_random_state(seed, 6)) <= 1e-11
 
 
 def test_quadrangle_prime_random_gaps_small():
     assert check_quadrangle(IDENTITY_BP, haar_random_state(3)) == 0.0
-    for seed in range(500):
-        u = random_local_unitary(Variant.SU2_X_SO2, [seed, 0])
-        psi = haar_random_state([seed, 1])
+    for u, psi in _row_inputs("quaterbit_transport_su2xso2", 500):
         assert check_quadrangle(u, psi) <= 1e-12
 
 
 def test_invariance_gaps_small():
     for seed in range(200):
-        psi = haar_random_state([seed, 1])
-        u = random_local_unitary(Variant.SO2_X_SU2, [seed, 2])
-        up = random_local_unitary(Variant.SU2_X_SO2, [seed, 3])
+        psi = haar_random_state(seed, 1)
+        u = random_local_unitary(Variant.SO2_X_SU2, seed, 2)
+        up = random_local_unitary(Variant.SU2_X_SO2, seed, 3)
         assert concurrence_invariance_gap(u, psi) <= 1e-12
         assert concurrence_magnitude_gap(up, psi) <= 1e-12
         assert wootters_relation_gap(psi) <= 1e-12
@@ -155,7 +154,7 @@ def test_degenerate_search_space_finds_no_witness():
     which = FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
     for t in range(100):
         u = LocalUnitary(Variant.SO2_X_SU2, SO2Element(0.0), SU2Element((-1.0) ** t, 0))
-        psi = _sample_state(0, diagrams._row(which.value)[0].idx, t)
+        psi = haar_random_state(0, diagrams._row(which.value)[0].idx, t)
         assert variant_failure_deviation(which, psi, u) <= WITNESS_THRESHOLD
 
 
@@ -183,8 +182,8 @@ def test_left_coefficient_candidate_intertwines():
     # The one ordering the failure searches leave out turns out to commute
     # exactly; the suite reports it without gating on it.
     for seed in range(200):
-        psi = haar_random_state([seed, 0])
-        u = random_local_unitary(Variant.SU2_X_SO2, [seed, 1])
+        psi = haar_random_state(seed, 0)
+        u = random_local_unitary(Variant.SU2_X_SO2, seed, 1)
         assert left_coefficient_candidate_deviation(psi, u) <= 1e-12
 
 
@@ -376,7 +375,7 @@ def test_one_table_holds_every_seeded_row():
         assert [r["name"] for r in doc[section]] == rows, section
     # The exploratory candidate replays by its name like any other row.
     name = "left_coefficient_variant_on_su2xso2"
-    u, psi = _sample_transform(Variant.SU2_X_SO2, 0, 10, 2), _sample_state(0, 10, 2)
+    u, psi = random_local_unitary(Variant.SU2_X_SO2, 0, 10, 2), haar_random_state(0, 10, 2)
     doc = {"state": encode_amplitudes(psi), "transform": encode_transform(u)}
     assert reevaluate_check(name, doc) == left_coefficient_candidate_deviation(psi, u)
 
@@ -397,23 +396,20 @@ def small_block(monkeypatch):
 
 
 # (seed index, [(check, contract)], inputs of trial t, scalar evaluator): the
-# suite's groups as a per-trial loop runs them, each trial read on its own.
+# suite's groups as a per-trial loop runs them, each trial read on its own by
+# the public samplers.
 # ``lu`` draws the transforms, so that a test can replace them.
-def _one_qubit_state(s, i, t):
-    return OneQubitState(*batch.haar_one_qubit_states(batch.uniforms(s, i, t, t + 1))[0])
-
-
 _REFERENCE_GROUPS = [
     (
         0,
         [("one_qubit_intertwining", 1e-11)],
-        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t).su2, _one_qubit_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t).su2, haar_random_one_qubit(s, i, t)),
         lambda a, psi: (check_one_qubit_diagram(a, psi),),
     ),
     (
         1,
         [("quaterbit_transport_so2xsu2", 1e-12)],
-        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t), haar_random_state(s, i, t)),
         lambda u, psi: (check_quadrangle(u, psi),),
     ),
     (
@@ -423,37 +419,37 @@ _REFERENCE_GROUPS = [
             ("three_way_second_equality", 1e-10),
             ("closed_form_consistency", 1e-10),
         ],
-        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t), haar_random_state(s, i, t)),
         check_three_way,
     ),
     (
         3,
         [("second_qubit_inertness", 1e-11)],
-        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t).su2, _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t).su2, haar_random_state(s, i, t)),
         lambda a, psi: (check_second_qubit_inertness(a, psi),),
     ),
     (
         4,
         [("quaterbit_transport_su2xso2", 1e-12)],
-        lambda s, i, t, lu: (lu(Variant.SU2_X_SO2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SU2_X_SO2, s, i, t), haar_random_state(s, i, t)),
         lambda u, psi: (check_quadrangle(u, psi),),
     ),
     (
         5,
         [("concurrence_invariance_so2xsu2", 1e-12)],
-        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SO2_X_SU2, s, i, t), haar_random_state(s, i, t)),
         lambda u, psi: (concurrence_invariance_gap(u, psi),),
     ),
     (
         6,
         [("concurrence_magnitude_su2xso2", 1e-12)],
-        lambda s, i, t, lu: (lu(Variant.SU2_X_SO2, s, i, t), _sample_state(s, i, t)),
+        lambda s, i, t, lu: (lu(Variant.SU2_X_SO2, s, i, t), haar_random_state(s, i, t)),
         lambda u, psi: (concurrence_magnitude_gap(u, psi),),
     ),
     (
         7,
         [("wootters_preconcurrence_relation", 1e-12)],
-        lambda s, i, t, lu: (_sample_state(s, i, t),),
+        lambda s, i, t, lu: (haar_random_state(s, i, t),),
         lambda psi: (wootters_relation_gap(psi),),
     ),
 ]
@@ -461,9 +457,9 @@ _REFERENCE_GROUPS = [
 
 def _search_transform(variant, s, i, t):
     """The transform of search trial t, read on its own: theta on the arcs |sin| >= 0.1."""
-    u = batch.uniforms(s, i, t, t + 1)
-    _, a, b = batch.local_unitary_params(u)
-    theta = diagrams._search_angles(u[:, batch._ANGLE])[0]
+    u = sampling.uniforms(s, i, t, t + 1)
+    _, a, b = sampling.local_unitary_params(u)
+    theta = diagrams._search_angles(u[:, sampling._ANGLE])[0]
     return LocalUnitary(variant, SO2Element(theta), SU2Element(a[0], b[0]))
 
 
@@ -488,7 +484,7 @@ def _reference_search(seed, trials, idx, variant, deviation):
     """(max deviation, (u, psi)) of a search row: the last trial reaching the maximum."""
     best = None
     for t in range(trials):
-        psi, u = _sample_state(seed, idx, t), _search_transform(variant, seed, idx, t)
+        psi, u = haar_random_state(seed, idx, t), _search_transform(variant, seed, idx, t)
         dev = deviation(psi, u)
         if best is None or dev >= best[0]:
             best = (dev, (u, psi))
@@ -501,7 +497,7 @@ def _inputs_doc(inputs):
     return {"state": encode_amplitudes(psi), "transform": transform_doc}
 
 
-def _reference_trials(seed, trials, lu=_sample_transform):
+def _reference_trials(seed, trials, lu=random_local_unitary):
     """Per group, (deviations, inputs) of every trial, from the scalar evaluators."""
     per_group = []
     for idx, _, sample, evaluate in _REFERENCE_GROUPS:
@@ -581,7 +577,7 @@ def test_block_suite_keeps_the_last_of_tied_trials(monkeypatch):
         n = len(u)
         return np.zeros(n), np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
 
-    monkeypatch.setattr(batch, "local_unitary_params", identity_params)
+    monkeypatch.setattr(sampling, "local_unitary_params", identity_params)
     trials, seed = B + 1, 4
     per_trial = _reference_trials(
         seed,
@@ -613,7 +609,7 @@ def _nan_on(bad, psi, deviation):
 
 
 def test_nan_deviation_fails_its_check(monkeypatch, capsys):
-    bad = _sample_state(0, 1, 1)
+    bad = haar_random_state(0, 1, 1)
     quadrangle = check_quadrangle
     monkeypatch.setattr(diagrams, "check_quadrangle", lambda u, psi: _nan_on(bad, psi, quadrangle(u, psi)))
 
@@ -622,7 +618,7 @@ def test_nan_deviation_fails_its_check(monkeypatch, capsys):
     assert check.name == "quaterbit_transport_so2xsu2"
     assert math.isnan(check.max_deviation) and not check.passed
     assert check.worst_case == _inputs_doc(
-        (_sample_transform(Variant.SO2_X_SU2, 0, 1, 1), _sample_state(0, 1, 1))
+        (random_local_unitary(Variant.SO2_X_SU2, 0, 1, 1), haar_random_state(0, 1, 1))
     )
     assert all(c.passed for c in report.checks if c is not check)
     assert not report.overall_pass
@@ -635,8 +631,8 @@ def test_nan_deviation_fails_its_search_and_shows_in_the_exploratory_row(monkeyp
     # deviate by NaN: the search finds no witness, whatever its other trials
     # read, and the candidate reports the NaN instead of dropping it.
     which = FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2
-    bad_search = _sample_state(0, diagrams._row(which.value)[0].idx, 1)
-    bad_candidate = _sample_state(0, diagrams._row("left_coefficient_variant_on_su2xso2")[0].idx, 1)
+    bad_search = haar_random_state(0, diagrams._row(which.value)[0].idx, 1)
+    bad_candidate = haar_random_state(0, diagrams._row("left_coefficient_variant_on_su2xso2")[0].idx, 1)
     search, candidate = variant_failure_deviation, left_coefficient_candidate_deviation
     monkeypatch.setattr(
         diagrams,
@@ -665,14 +661,15 @@ def test_a_trial_that_raises_fails_its_row(monkeypatch, capsys):
     # image is the indeterminate 0/0 (DegenerateMapError).  The rows that
     # take that quotient fail with trial 1 as their worst case, the others
     # pass, and the run ends with a report, not with an error.
-    sample = batch.haar_states
+    sample = sampling.haar_rows
 
-    def zero_trial_1(u):
-        rows = sample(u)
-        rows[1:2] = 0.0
+    def zero_trial_1(u, n):
+        rows = sample(u, n)
+        if n == 4:
+            rows[1:2] = 0.0
         return rows
 
-    monkeypatch.setattr(batch, "haar_states", zero_trial_1)
+    monkeypatch.setattr(sampling, "haar_rows", zero_trial_1)
     report = run_suite(trials=5, seed=0)
     failed = {c.name: c for c in report.checks if not c.passed}
     assert set(failed) == {
@@ -718,12 +715,12 @@ def test_the_first_nan_trial_is_the_worst_case_whichever_process_reads_it(monkey
     # NaN in the worker's trial 10 and in this process's trial 70, and a
     # deviation of 1.0, far above any other, in this process's trial 200.
     monkeypatch.setattr(batch, "_available_cpus", lambda: 2)
-    state = [_sample_state(0, 1, t) for t in range(4 * B)]
+    state = [haar_random_state(0, 1, t) for t in range(4 * B)]
     marks = [(state[10], math.nan, False), (state[70], math.nan, True), (state[200], 1.0, True)]
     monkeypatch.setattr(diagrams, "check_quadrangle", _marked(check_quadrangle, os.getpid(), marks))
     check = next(c for c in run_suite(4 * B, 0).checks if c.name == "quaterbit_transport_so2xsu2")
     assert math.isnan(check.max_deviation) and not check.passed
-    assert check.worst_case == _inputs_doc((_sample_transform(Variant.SO2_X_SU2, 0, 1, 10), state[10]))
+    assert check.worst_case == _inputs_doc((random_local_unitary(Variant.SO2_X_SU2, 0, 1, 10), state[10]))
 
 
 @pytest.mark.usefixtures("small_block")
@@ -731,7 +728,7 @@ def test_a_tied_maximum_goes_to_the_later_trial_whichever_process_reads_it(monke
     # Row 1 ties the worker's trial 10 with this process's trial 70; row 4
     # ties this process's trial 70 with the worker's trial 130.
     monkeypatch.setattr(batch, "_available_cpus", lambda: 2)
-    row1, row4 = ([_sample_state(0, idx, t) for t in range(4 * B)] for idx in (1, 4))
+    row1, row4 = ([haar_random_state(0, idx, t) for t in range(4 * B)] for idx in (1, 4))
     marks = [(row1[10], 0.5, False), (row1[70], 0.5, True), (row4[70], 0.5, True), (row4[130], 0.5, False)]
     monkeypatch.setattr(diagrams, "check_quadrangle", _marked(check_quadrangle, os.getpid(), marks))
     checks = {c.name: c for c in run_suite(4 * B, 0).checks}
@@ -740,7 +737,7 @@ def test_a_tied_maximum_goes_to_the_later_trial_whichever_process_reads_it(monke
         ("quaterbit_transport_su2xso2", Variant.SU2_X_SO2, 4, 130),
     ):
         assert checks[name].max_deviation == 0.5
-        inputs = (_sample_transform(variant, 0, idx, later), _sample_state(0, idx, later))
+        inputs = (random_local_unitary(variant, 0, idx, later), haar_random_state(0, idx, later))
         assert checks[name].worst_case == _inputs_doc(inputs), name
 
 
@@ -780,17 +777,17 @@ def test_branch_trials_fall_back_to_the_scalar_code(monkeypatch):
     # conformal image is INFINITY whichever block reads them.  The block
     # marks them, the scalar code evaluates them, and the report is still
     # the per-trial one.
-    def q2_at_zero(sample, half):
-        def patched(u):
-            rows, spare = sample(u), u[:, 15]
-            rows[spare < 0.1, half:] = 0.0
-            rows[(0.1 <= spare) & (spare < 0.2), half:] *= 2.0**-45
-            return rows
+    sample = sampling.haar_rows
 
-        return patched
+    def q2_at_zero(u, n):
+        rows = sample(u, n)
+        if u.shape[1] == sampling.K:  # a state's row, not the SU(2) pair's
+            spare = u[:, 15]
+            rows[spare < 0.1, n // 2 :] = 0.0
+            rows[(0.1 <= spare) & (spare < 0.2), n // 2 :] *= 2.0**-45
+        return rows
 
-    monkeypatch.setattr(batch, "haar_states", q2_at_zero(batch.haar_states, 2))
-    monkeypatch.setattr(batch, "haar_one_qubit_states", q2_at_zero(batch.haar_one_qubit_states, 1))
+    monkeypatch.setattr(sampling, "haar_rows", q2_at_zero)
     per_trial = _reference_trials(3, B + 1)
     calls = _record_scalar_evaluations(monkeypatch)
     assert run_suite(B + 1, 3).to_dict() == _reference_report(3, B + 1, per_trial)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qgeo import batch
+from qgeo import batch, sampling
 from qgeo.quaternion import J, ONE, Quaternion
 from qgeo.states import (
     TwoQubitState,
@@ -382,13 +382,14 @@ def test_random_local_unitary_deterministic_and_valid():
     # on [0, 1] for Haar (a, b), and theta is uniform on [0, 2 pi).
     u = random_local_unitary(Variant.SO2_X_SU2, 5)
     assert u == random_local_unitary(Variant.SO2_X_SU2, 5)
-    assert random_su2([3, 4]) == random_su2([3, 4]) != random_su2([3, 5])
+    assert random_su2(3, 4) == random_su2(3, 4) != random_su2(3, 5)
     for seed in range(100):
         u = random_local_unitary(Variant.SO2_X_SU2, seed)
         assert sp2_check_complex(complex_form(u), tol=1e-12)
-    us = [random_local_unitary(Variant.SO2_X_SU2, [7, k]) for k in range(20_000)]
-    a, b = (np.array([getattr(u.su2, f) for u in us]) for f in "ab")
-    theta = np.array([u.rot.theta for u in us])
+    # Trials 0-19 999 of stream (7, 0), read as one block.
+    theta, a, b = sampling.local_unitary_params(sampling.uniforms(7, 0, 0, 20_000))
+    last = random_local_unitary(Variant.SO2_X_SU2, 7, 0, 19_999)
+    assert (last.rot.theta, last.su2.a, last.su2.b) == (theta[-1], a[-1], b[-1])
     assert np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0).max() < 1e-15
     assert abs(np.mean(np.abs(a) ** 2) - 0.5) < 0.01
     assert abs(np.mean(np.abs(a) ** 4) - 1.0 / 3.0) < 0.01

@@ -1,4 +1,4 @@
-"""The scalar layer: its value types' contract, the bits of its chain, and its independence of batch."""
+"""The scalar layer: its value types' contract, the bits of its chain, its independence of batch, and the one sampler."""
 
 import ast
 import dataclasses
@@ -200,3 +200,51 @@ def test_imported_names_sees_every_form_of_import():
 def test_scalar_modules_do_not_import_batch(module):
     source = (Path(qgeo.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
     assert "batch" not in _imported_names(source)
+
+
+# ---------------------------------------------------------------------------
+# One sampler: qgeo.sampling draws every random input and imports nothing of qgeo
+# ---------------------------------------------------------------------------
+
+MODULES = sorted(path.stem for path in Path(qgeo.__file__).parent.glob("*.py"))
+_DRAWING_NAMES = {"default_rng", "standard_normal", "SeedSequence"}
+
+
+def _drawing_names(source: str) -> set[str]:
+    """The names of ``_DRAWING_NAMES`` that ``source`` uses, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names & _DRAWING_NAMES
+
+
+def _imports_qgeo(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "qgeo"):
+            return True
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "qgeo" for a in node.names):
+            return True
+    return False
+
+
+def test_the_guards_see_every_form():
+    for source in ("np.random.default_rng(0)", "rng.standard_normal(4)", "from numpy.random import SeedSequence",
+                   "import numpy.random.SeedSequence", "SeedSequence([1, 2])"):
+        assert _drawing_names(source), source
+    for source in ("from . import batch", "from .quaternion import J", "import qgeo.batch", "from qgeo import batch"):
+        assert _imports_qgeo(source), source
+    assert not _imports_qgeo("import numpy as np\nfrom math import pi")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_but_sampling_draws_random_inputs(module):
+    source = (Path(qgeo.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    if module == "sampling":
+        assert not _imports_qgeo(source)
+    else:
+        assert not _drawing_names(source)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgeo import sampling
 from qgeo.quaternion import J, ONE, Quaternion
 from qgeo.states import (
     OneQubitState,
@@ -180,7 +181,10 @@ def test_haar_sampler_normalized_any_seed(seed):
 
 
 def test_haar_mean_amplitude_weight():
-    mean = np.mean([abs(haar_random_state(k).alpha) ** 2 for k in range(10_000)])
+    # Trials 0-9 999 of stream (0, 0), read as one block.
+    alpha = sampling.haar_rows(sampling.uniforms(0, 0, 0, 10_000), 4)[:, 0]
+    assert haar_random_state(0, 0, 9_999).alpha == alpha[-1]
+    mean = np.mean(np.abs(alpha) ** 2)
     assert abs(mean - 0.25) <= 0.02
 
 
