@@ -24,9 +24,9 @@ leaves the generic branch, at a quotient by a quaternion below
 ``ZERO_NORM_SQ`` or at a point whose |q|^2 overflows, the block's rows are
 NaN, which marks those trials for the scalar code.
 
-Text.  :func:`reprs` gives ``repr``'s strings of a float64 column, its
-digits made in blocks where they can be proven; ``qgeo orbit`` writes its CSV
-with it.
+Text.  :func:`csv_rows` gives a block's CSV lines as one bytearray:
+step numbers, float64 columns in ``repr``'s digits, made in numpy where they
+can be proven, and fixed text.  ``qgeo orbit`` writes its CSV with it.
 
 Processes.  Blocks read disjoint counter ranges, so they need no shared
 state and can be evaluated anywhere.  :func:`_forked` runs shares of such
@@ -72,103 +72,111 @@ def libm(fn, x) -> np.ndarray:
     return values.reshape(x.shape)
 
 
-# Tables of reprs.  10**(16 - E) for the decade 10**E <= |x| < 10**(E + 1),
-# E = -4 .. -1.  By class E + 4, plus 4 for x < 0: the sign, "0." and -E - 1
-# zeros right-aligned in bytes 0-6 of a word, and the bits by which the text
-# is then shifted down.  The text of 00 .. 99.  Row t marks the last t of 24 bytes.
-_DECADE_SCALE = np.array([1e20, 1e19, 1e18, 1e17])
-_PREFIXES = np.frombuffer(
-    b"".join((s + b"0." + b"0" * (3 - e)).rjust(7, b"\0") + b"\0" for s in (b"", b"-") for e in range(4)), dtype="<u8"
-)
-_SHIFTS = np.array([8 * (2 + e - s) for s in (0, 1) for e in range(4)], dtype=np.uint64)
-_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype="<u2")
-_TRAILING = np.frombuffer(b"".join(b"\0" * (24 - t) + b"\1" * t for t in range(17)), dtype=bool).reshape(17, 24)
-_POWERS = np.array([10**j for j in range(1, 17)])
+# Tables of the CSV text.  By decade e, 10**(e - 4) <= |x| < 10**(e - 3): the
+# scale 10**(20 - e), its Veltkamp halves, and scale * 2**-54.  At 10 * (e +
+# 4 (x < 0)) + d: the sign, "0." and 3 - e zeros in bytes 1-6 of a word, the
+# lead digit d in byte 7.  By n: the bytes of a word that hold bits below 2**n.
+_SCALES = np.array([(s, *_veltkamp(s), s * 2.0**-54) for s in (1e20, 1e19, 1e18, 1e17)]).T.copy()
+_HEADS = np.frombuffer(b"".join(
+    (s + b"0." + b"0" * (3 - e)).rjust(7, b"\0") + b"%d" % d for s in (b"", b"-") for e in range(4) for d in range(10)), "<u8")
+_KEEP = np.array([(1 << 8 * -(-n // 8)) - 1 for n in range(64)], dtype=np.uint64).view(np.int64)
+_ONES = 0x0101010101010101  # one in each byte of a word
 
 
-def reprs(x: np.ndarray) -> list[str]:
-    """``list(map(repr, x.tolist()))`` for a 1-D float64 array, bit for bit.
+def csv_rows(k0: int, fields: Sequence) -> bytearray:
+    """CSV lines k0, k0 + 1, ..., byte for byte as ``csv.writer`` writes them.
+
+    Line k0 + j is ``str(k0 + j)``, then each field after a comma, then
+    ``\\r\\n``.  A field is a float64 column, row j written as ``repr`` writes
+    it, or printable ASCII bytes, the same in every line; one at least is a
+    column, of at most 10**8 rows.  The fields are NUL-padded bytes side by
+    side, one record a line, whose NULs one pass deletes; bytes are a mark there.
+    """
+    m = next(len(f) for f in fields if not isinstance(f, bytes))
+    high, low = divmod(k0, 10**8)  # str(k): the digits above the last 8, then the last 8
+    v = np.arange(low, low + m)
+    carry = v >= 10**8  # from high to high + 1, at most once
+    heads = np.array([b"%d" % high if high else b"", b"%d" % (high + 1)])
+    digits = _digits(np.where(carry, v - 10**8, v)) + 0x30 * _ONES
+    if not high:  # no leading zeros
+        digits &= ~_KEEP.take(8 * (7 - np.searchsorted(10 ** np.arange(1, 8), v, "right")))
+    cells, marks = [heads.take(carry.view(np.uint8)), digits.view("S8")], [f for f in fields if isinstance(f, bytes)]
+    for f in fields:
+        text = np.bytes_(b"%c" % (marks.index(f) + 1)) if isinstance(f, bytes) else _float_text(f)
+        cells += [np.bytes_(b","), text]
+    cells.append(np.bytes_(b"\r\n"))
+    record = np.dtype([(f"f{i}", c.dtype) for i, c in enumerate(cells)])
+    data = bytearray(m * record.itemsize)
+    for i, c in enumerate(cells):
+        np.frombuffer(data, record)[f"f{i}"] = c
+    data = data.translate(None, b"\0")
+    for i, text in enumerate(marks, 1):
+        data = data.replace(b"%c" % i, text)
+    return data
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of a float64 column, as NUL-padded ``S24``.
 
     As in Grisu3 (Loitsch, PLDI 2010), digits are made fast where they are
-    proven, and ``repr`` is called once for the rest.  Proven: 1e-4 <= |x|
-    < 1, not a power of two.  Each 1e-N is the first double at or above
-    10**-N, so the decade E is exact.  |x| 10**(16 - E) = z + f exactly
-    (Dekker), z a 17-digit integer, f in [0, 1); a decimal reads back as x
-    when nearer than the exact h = ulp(x) 10**(16 - E) / 2, in (0.55, 11.2).
-    Distances to the nearest multiples of 10 and 100 are exact below 13 and
-    at least 13 otherwise; a multiple of 100 within h is the only one, so
-    its trailing zeros give the shortest length.  Ties and distances of
-    exactly h go to ``repr``.  The operations are exact or correctly
-    rounded, so the text does not depend on the CPU or libc, and few in
-    kind, so that few pages of numpy's code are read in.
+    proven, and ``repr`` is called once for the rest.  Proven: 1e-4 <= |x| <
+    1, not a power of two; each 1e-N is the first double at or above 10**-N,
+    so the decade is exact.  |x| 10**(20 - e) = z + f exactly (Dekker), z a
+    17-digit integer, f in [0, 1); a decimal reads back as x when nearer than
+    the exact h = ulp(x) 10**(20 - e) / 2, in (0.55, 11.2).  Distances to the
+    multiples of 10 and 100 nearest are exact below 13 and at least 13
+    otherwise; a multiple of 100 within h is the only one, so the shortest.
+    Ties and distances of exactly h go to ``repr``.  The operations are exact
+    or correctly rounded, so the text does not depend on the CPU or libc.
     """
     a = np.abs(x)
-    unsure = a < 1e-4  # each unsure[...] = True below marks rows for repr
-    unsure[a >= 1.0] = unsure[a != a] = True
-    if np.count_nonzero(unsure) == len(a):
-        return list(map(repr, x.tolist()))
-    a[unsure] = 0.3  # any value in range, so that nothing below overflows
+    unsure = ~((1e-4 <= a) & (a < 1.0))  # rows for repr
+    a = np.where(unsure, 0.3, a)  # any value in range, so that nothing below overflows
     mantissa, exponent = np.frexp(a)
-    unsure[mantissa == 0.5] = True  # a power of two
-    e = np.where(a < 1e-3, 0, np.where(a < 1e-2, 1, np.where(a < 1e-1, 2, 3)))
-    text = _text(*_shortest(a, exponent, _DECADE_SCALE[e], unsure), np.where(x < 0, e + 4, e))
-    (bad,) = np.nonzero(unsure)
-    if bad.size:
-        text[bad] = np.array(list(map(repr, x[bad].tolist())), dtype="S24").view(np.uint8).reshape(-1, 24)
-    out = []  # in slices, so that the 4-byte characters of "U24" take little memory
-    for i in range(0, len(text), 512):
-        out += text[i : i + 512].astype(np.uint32).view("U24").ravel().tolist()  # NUL padding is no part of a str
-    return out
-
-
-def _shortest(a, exponent, scale, unsure):
-    """The shortest decimals nearest a, times scale: 17-digit integers, and their trailing zeros."""
+    unsure |= mantissa == 0.5  # a power of two
+    e = (a >= 1e-3).astype(np.intp) + (a >= 1e-2) + (a >= 1e-1)
+    scale, sh, sl, half_ulp = _SCALES.take(e, axis=1)
     hi = a * scale
-    (ah, al), (sh, sl) = _veltkamp(a), _veltkamp(scale)
+    ah, al = _veltkamp(a)
     lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
     floor = np.floor(lo)
-    f, z = lo - floor, hi.astype(np.int64) + floor.astype(np.int64)
-    h = np.ldexp(scale * 2.0**-54, exponent)  # ulp(a) scale / 2
-    ok10, c10 = _nearest_multiple(z, f, h, 10, unsure)
-    ok100, c100 = _nearest_multiple(z, f, h, 100, unsure)
-    unsure[f == 0.5] = True
-    c = np.where(ok100, c100, np.where(ok10, c10, np.where(f > 0.5, z + 1, z)))
-    zeros = np.where(ok10, 1, 0)
-    (rows,) = np.nonzero(ok100)
-    zeros[rows] = np.where(c[rows, None] % _POWERS, 0, 1).sum(axis=1)
-    return c, zeros
-
-
-def _nearest_multiple(z, f, h, q: int, unsure):
-    """Whether the multiple of q nearest z + f is nearer than h, and that multiple; marks ties in ``unsure``."""
-    r = z % q
-    below = (r + 0x4330000000000000).view(np.float64) - 2.0**52  # float(r), from the bits of 2**52 + r
-    above = (q - below) - f
-    below += f
-    near = np.minimum(below, above)
-    ok = near < h
-    unsure[near == h] = unsure[np.where(ok, below == above, False)] = True
-    return ok, np.where(above < below, z - r + q, z - r)
-
-
-def _text(c, zeros, cls):
-    """Rows of 24 NUL-padded bytes: the prefix of class cls, then the digits of c up to its trailing zeros."""
-    t, low = np.divmod(c, 10**8)
-    lead, high = np.divmod(t, 10**8)
-    quads = np.divmod(np.stack([high, low], axis=1), 10**4)
-    pairs = np.stack(np.divmod(quads[0], 100) + np.divmod(quads[1], 100), axis=2)
-    words = np.empty((len(c), 3), dtype="<u8")  # little-endian on every CPU
-    words[:, 0] = _PREFIXES[cls]
-    words[:, 1:] = _PAIRS.take(pairs).view("<u8")[:, :, 0]
-    text = words.view(np.uint8)
-    text[:, 7] = lead + ord("0")
-    text[_TRAILING[zeros]] = 0
-    shift = _SHIFTS[cls]  # down over the prefix's padding, as 24 little-endian bytes
-    for i in range(3):
-        words[:, i] >>= shift
-        if i < 2:
-            words[:, i] += words[:, i + 1] << (64 - shift)
+    f = lo - floor
+    z = hi.astype(np.int64) + floor.astype(np.int64)
+    h = np.ldexp(half_ulp, exponent)
+    r100 = (z - z // 100 * 100 + 0x4330000000000000).view(np.float64) - 2.0**52  # float(z % 100), from the bits of 2**52 + r
+    r10 = r100 - 10.0 * np.floor(r100 * 0.1)
+    unsure |= f == 0.5
+    step = (f > 0.5).astype(np.float64)  # from z to the nearest integer, or a multiple of 10 or 100 within h
+    for r, q in ((r10, 10.0), (r100, 100.0)):
+        below = r + f
+        above = (q - r) - f
+        near = np.minimum(below, above)
+        ok = near < h
+        unsure |= (near == h) | (ok & (below == above))
+        step = np.where(ok, (above < below) * q - r, step)
+    c = z + step.astype(np.int64)
+    lead, top = c // 10**16, c // 10**8
+    digits = _digits(np.stack([top - lead * 10**8, c - top * 10**8]))
+    # 2**(n - 1) in each word's last nonzero digit (n = 0 for none), to drop the trailing zeros
+    n = np.frexp(((digits + 0x3F * _ONES) & 0x40 * _ONES).astype(np.float64))[1]
+    n[0] = np.maximum(n[0], (n[1] > 0) * 63)
+    words = np.empty((len(x), 3), dtype="<u8")
+    words[:, 0] = _HEADS.take((e + 4 * (x < 0)) * 10 + lead)
+    words[:, 1:] = ((digits + 0x30 * _ONES) & _KEEP.take(n)).T
+    text = words.view("S24")[:, 0]
+    text[unsure] = list(map(repr, x[unsure].tolist()))
     return text
+
+
+def _digits(v):
+    """The 8 decimal digits of each int64 0 <= v < 10**8, a byte each, the first in the lowest byte."""
+    # By 10**4, then by 100 and 10 in each 32- and 16-bit part at once: * 5243 >> 19 and * 103 >> 10.
+    q = v // 10**4
+    x = q + ((v - q * 10**4) << 32)
+    y = (x * 5243 >> 19) & 0x0000007F0000007F
+    x = y + ((x - y * 100) << 16)
+    y = (x * 103 >> 10) & 0x000F000F000F000F
+    return y + ((x - y * 10) << 8)
 
 
 class Split:

@@ -16,13 +16,10 @@ CSV with header ``step,u0,u1,u2,u3,u4``: row k is the 4-sphere image of the
 k-th iterate of the induced Moebius map, i.e. the initial image rotated by
 2*k*theta in the (u0, u4) plane with u1..u3 fixed.  The rows are computed in
 closed form and streamed in blocks, so neither the error nor the memory
-grows with ``--steps``.  Rows carry ``repr``'s digits: for 1e-4 <= |x| < 1
-they are made per block in exact numpy arithmetic (:func:`qgeo.batch.reprs`),
-and ``repr`` covers every other value.  The blocks are formatted by up to
-one process per available CPU, in whole blocks; each worker's run goes
-through an unnamed temporary file in the system's temporary directory, and
-the bytes do not depend on the CPU count.  ``sample`` reads stream (seed, 0)
-of :mod:`qgeo.sampling` in blocks; file k is ``haar_random_state(seed, 0, k)``.
+grows with ``--steps``; each block's lines, in ``csv.writer``'s text, are
+one binary write of :func:`qgeo.batch.csv_rows` (see :func:`_write_orbit`
+for the processes).  ``sample`` reads stream (seed, 0) of :mod:`qgeo.sampling`
+in blocks; file k is ``haar_random_state(seed, 0, k)``.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
 or input error, 3 mathematical domain error.  ``--tol`` alone sets
@@ -35,7 +32,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -216,8 +212,8 @@ def cmd_orbit(args) -> int:
     # The file is opened before any step is computed, so an unwritable path
     # fails at once.
     try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write("step,u0,u1,u2,u3,u4\r\n")
+        with open(args.out, "wb") as fh:
+            fh.write(b"step,u0,u1,u2,u3,u4\r\n")
             _write_orbit(fh, u, point, args.steps + 1)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"{args.out}: cannot write: {exc.strerror or exc}") from None
@@ -225,27 +221,12 @@ def cmd_orbit(args) -> int:
 
 
 def _write_orbit_blocks(fh, u: LocalUnitary, point, k0: int, n: int) -> None:
-    """Write the CSV rows of steps k0 .. k0 + n - 1 to the text file ``fh``.
-
-    Lines are written as csv.writer would write them: ``str`` step numbers,
-    ``repr`` floats, \\r\\n line ends.  One string per block of
-    :func:`orbit_s4_chunks`, joined from columns, each column's text from one
-    :func:`qgeo.batch.reprs` call; u1..u3, the same in every row, once.
-    """
-    import itertools
-
+    """Write the CSV rows of steps k0 .. k0 + n - 1 to the binary file ``fh``, a write per block, u1..u3 once."""
     fixed = None
     for rows in orbit_s4_chunks(u, point, k0, n):
-        m = len(rows)
-        fixed = fixed or "," + ",".join(batch.reprs(rows[0, 1:4])) + ","
-        cells = [","] * (6 * m)  # step , u0 ,u1,u2,u3, u4 \r\n
-        cells[0::6] = map(str, range(k0, k0 + m))
-        cells[2::6] = batch.reprs(rows[:, 0])
-        cells[3::6] = itertools.repeat(fixed, m)
-        cells[4::6] = batch.reprs(rows[:, 4])
-        cells[5::6] = itertools.repeat("\r\n", m)
-        fh.write("".join(cells))
-        k0 += m
+        fixed = fixed or ",".join(map(repr, rows[0, 1:4].tolist())).encode()
+        fh.write(batch.csv_rows(k0, [rows[:, 0], fixed, rows[:, 4]]))
+        k0 += len(rows)
 
 
 def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
@@ -268,14 +249,13 @@ def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
         runs = [fh] + [files.enter_context(tempfile.TemporaryFile()) for _ in range(1, p)]
 
         def write_run(r: int) -> None:
-            out = fh if r == 0 else open(runs[r].fileno(), "w", newline="", encoding="utf-8", closefd=False)
-            _write_orbit_blocks(out, u, point, bounds[r], bounds[r + 1] - bounds[r])
-            out.flush()
+            _write_orbit_blocks(runs[r], u, point, bounds[r], bounds[r + 1] - bounds[r])
+            runs[r].flush()
 
         batch._forked(write_run, range(p), "an orbit worker", carry=False)
         for tmp in runs[1:]:
             tmp.seek(0)
-            shutil.copyfileobj(tmp, fh.buffer)
+            shutil.copyfileobj(tmp, fh)
 
 
 def cmd_sample(args) -> int:

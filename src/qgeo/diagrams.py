@@ -37,7 +37,6 @@ from . import batch, sampling
 from .quaternion import _abs2, chordal_distance, right_quotient
 from .states import (
     OneQubitState,
-    Quaterbit,
     TwoQubitState,
     concurrence_term,
     decode_amplitudes,

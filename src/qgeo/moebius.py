@@ -220,13 +220,24 @@ def orbit_angles(theta: float, ks: Sequence[int]) -> list[float]:
         return []
     if min(ks) < 0:
         raise ValueError("orbit steps must be non-negative")
+    step, modulus, scale = _angle_steps(num, den, max(ks))
+    return [k * step % modulus / scale for k in ks]
+
+
+def _orbit_offsets(theta: float, n: int) -> list[float]:
+    """``orbit_angles(theta, range(n))``, by the exact integer steps r_j = (r_(j-1) + s) mod d."""
+    step, modulus, scale = _angle_steps(*float(theta).as_integer_ratio(), n - 1)
+    r = -step  # so that the first angle is 0
+    return [(r := (r + step) % modulus) / scale for _ in range(n)]
+
+
+def _angle_steps(num: int, den: int, k_max: int) -> tuple[int, int, int]:
+    """(s, d, scale): 2*k*theta mod 2*pi is (k s mod d) / scale for theta = num / den, 0 <= k <= k_max."""
     # 2*k*theta < 2**(bits of k + bits of num - bits of den + 2); the guard
     # bits then cover 2*pi's truncation times the number of whole turns.
-    bits = max(max(ks).bit_length() + num.bit_length() - den.bit_length() + 2, 0)
-    bits += _ANGLE_GUARD_BITS
-    den_two_pi = den * (_pi_fixed(bits) << 1)
-    den_scaled = den << bits
-    return [(((2 * k * num) << bits) % den_two_pi) / den_scaled for k in ks]
+    bits = max(k_max.bit_length() + num.bit_length() - den.bit_length() + 2, 0) + _ANGLE_GUARD_BITS
+    modulus = den * (_pi_fixed(bits) << 1)
+    return (num << bits + 1) % modulus, modulus, den << bits
 
 
 def orbit_s4_chunks(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int) -> Iterator[np.ndarray]:
@@ -243,7 +254,7 @@ def orbit_s4_chunks(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int)
     u0, u1, u2, u3, u4 = inverse_stereographic(point).tolist()
     # Step k0 + c + j is a rotation by phi_c + phi_j: one exact angle per
     # block start c, one table of in-block offsets j for the whole run.
-    offsets = np.array(orbit_angles(theta, range(min(n, ORBIT_CHUNK))))
+    offsets = np.array(_orbit_offsets(theta, min(n, ORBIT_CHUNK)))
     cos_j, sin_j = np.cos(offsets), np.sin(offsets)
     for start in range(k0, k0 + n, ORBIT_CHUNK):
         m = min(ORBIT_CHUNK, k0 + n - start)

@@ -1,5 +1,7 @@
 """Block sampler and array primitives against the scalar code they mirror, bit for bit."""
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -369,7 +371,7 @@ def test_local_actions_match_the_scalar_code():
 
 
 def _reprs_taken(monkeypatch) -> list:
-    """The values that batch.reprs hands to ``repr`` from now on, in order."""
+    """The values that batch.csv_rows hands to ``repr`` from now on, in order."""
     taken = []
 
     def counting_repr(v):
@@ -378,6 +380,15 @@ def _reprs_taken(monkeypatch) -> list:
 
     monkeypatch.setattr(batch, "repr", counting_repr, raising=False)
     return taken
+
+
+def _column_text(values: np.ndarray) -> list[str]:
+    """The float cells of ``batch.csv_rows`` over one column, each line checked for its step number."""
+    lines = batch.csv_rows(7, [values]).decode("ascii").split("\r\n")
+    assert lines.pop() == ""
+    steps, cells = zip(*(line.split(",") for line in lines)) if lines else ((), ())
+    assert list(steps) == [str(k) for k in range(7, 7 + len(values))]
+    return list(cells)
 
 
 def test_reprs_match_repr_on_a_catalogue(monkeypatch):
@@ -396,13 +407,13 @@ def test_reprs_match_repr_on_a_catalogue(monkeypatch):
     values = np.concatenate([values, 2.0 ** -np.arange(15), edges, np.nextafter(edges, 0.0), special])
     values = np.concatenate([values, -values])
     taken = _reprs_taken(monkeypatch)
-    assert batch.reprs(values) == list(map(repr, values.tolist()))
+    assert _column_text(values) == list(map(repr, values.tolist()))
     assert 0 < len(taken) < len(values) / 2
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
 def test_reprs_match_repr_on_any_floats_in_range(values):
-    assert batch.reprs(np.array(values)) == list(map(repr, values))
+    assert _column_text(np.array(values)) == list(map(repr, values))
 
 
 def test_reprs_match_repr_on_random_bit_patterns(monkeypatch):
@@ -414,6 +425,16 @@ def test_reprs_match_repr_on_random_bit_patterns(monkeypatch):
     bits[:100] &= ~((1 << 52) - 1)  # powers of two
     values = bits.view(np.float64) * rng.choice([-1.0, 1.0], n)
     taken = _reprs_taken(monkeypatch)
-    assert batch.reprs(values) == list(map(repr, values.tolist()))
+    assert _column_text(values) == list(map(repr, values.tolist()))
     unproven = values[(np.abs(values) < 1e-4) | (bits & ((1 << 52) - 1) == 0)]
     assert taken == unproven.tolist()
+
+
+def test_csv_rows_writes_columns_and_fixed_text_as_csv_writer():
+    # Two columns and two fixed texts, across the step 99 999 999 -> 100 000 000.
+    rng = np.random.default_rng(25)
+    u, v = rng.uniform(-1.0, 1.0, (2, 40))
+    v[::7] = [0.0, 1e-7, -0.5, 3.0, np.nan, -0.25]
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([10**8 - 20 + j, a, "x", "y", b, 7] for j, (a, b) in enumerate(zip(u.tolist(), v.tolist())))
+    assert batch.csv_rows(10**8 - 20, [u, b"x,y", v, b"7"]) == expected.getvalue().encode("ascii")

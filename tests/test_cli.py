@@ -636,7 +636,7 @@ def _assert_no_child_left():
 def _pole_orbit_inputs(tmp_path):
     """|00>, whose image is the pole (0, 0, 0, 0, 1), turned by 2 pi / 3 a step.
 
-    Its rows hold the values that batch.reprs leaves to repr in an orbit
+    Its rows hold the values that batch.csv_rows leaves to repr in an orbit
     (0.0, 1.0, and about 1e-16 k in exponent form at every third step k)
     beside values it formats itself.
     """
@@ -651,6 +651,7 @@ def _pole_orbit_inputs(tmp_path):
         for steps in (
             0, ORBIT_CHUNK - 1, ORBIT_CHUNK, ORBIT_CHUNK + 1, 2 * ORBIT_CHUNK + 1,
             2 * ORBIT_CHUNK - 1, 2 * ORBIT_CHUNK, 3 * ORBIT_CHUNK + 5, 4 * ORBIT_CHUNK + 1,
+            10_000,  # 9 999 -> 10 000 inside the last block, at 3 CPUs that block's own worker
         )
     ]
     + [pytest.param(2 * ORBIT_CHUNK + 7, _pole_orbit_inputs, id="pole")],
@@ -684,17 +685,18 @@ def test_orbit_csv_bytes_match_csv_writer(capsys, monkeypatch, tmp_path, steps, 
         assert {"0.0", "1.0"} <= u0 | u4 and any("e-" in v for v in u0) and len(u0) > steps / 2
 
 
-@pytest.mark.parametrize("k0", [99_990, 10**17 - 3, 2**63 - 3])
+@pytest.mark.parametrize("k0", [99_990, 10**7 - 5, 10**8 - 10, 10**17 - 3, 2**63 - 3])
 def test_orbit_block_writer_matches_csv_writer_at_any_step(tmp_path, k0):
-    # Step numbers are str(k) for every int k: across 99 999 -> 100 000
-    # inside one block, and across 10**17 and 2**63.
+    # Step numbers are str(k) for every int k: across 99 999 -> 100 000,
+    # 9 999 999 -> 10 000 000 and 99 999 999 -> 100 000 000 inside one
+    # block, and across 10**17 and 2**63.
     state, tr = _orbit_inputs(tmp_path)
     u, point = load_transform(tr), conformal_map(quaternionify(load_state(state)))
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows([k0 + j] + row.tolist() for j, row in enumerate(orbit_s4(u, point, k0, 20)))
-    out = io.StringIO(newline="")
+    out = io.BytesIO()
     qgeo.cli._write_orbit_blocks(out, u, point, k0, 20)
-    assert out.getvalue() == expected.getvalue()
+    assert out.getvalue() == expected.getvalue().encode("ascii")
 
 
 def test_orbit_worker_failure_is_a_write_error(capsys, monkeypatch, tmp_path):

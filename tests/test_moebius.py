@@ -35,6 +35,7 @@ from qgeo.moebius import (
     apply_moebius_q,
     apply_moebius_q_variant,
     _factor_study_determinant,
+    _orbit_offsets,
     compose,
     moebius_from_local_unitary,
     orbit_angles,
@@ -648,3 +649,10 @@ def test_orbit_angles_are_exact(theta):
     assert orbit_angles(theta, []) == []
     with pytest.raises(ValueError):
         orbit_angles(theta, [-1])
+
+
+@pytest.mark.parametrize("theta", [t * sign for t in (0.0, 5e-324, math.pi / 2, 2.345678, 1e300) for sign in (1, -1)])
+def test_orbit_offsets_are_orbit_angles_bit_for_bit(theta):
+    # The in-block offsets of orbit_s4_chunks, by exact integer steps.
+    offsets = np.array(_orbit_offsets(theta, ORBIT_CHUNK))
+    np.testing.assert_array_equal(offsets.view(np.int64), np.array(orbit_angles(theta, range(ORBIT_CHUNK))).view(np.int64))

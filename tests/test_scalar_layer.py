@@ -1,4 +1,4 @@
-"""The scalar layer: its value types' contract, the bits of its chain, its independence of batch, and the one sampler."""
+"""The scalar layer: its value types' contract, the bits of its chain, its independence of batch, the one sampler, and read imports."""
 
 import ast
 import dataclasses
@@ -248,3 +248,41 @@ def test_no_module_but_sampling_draws_random_inputs(module):
         assert not _imports_qgeo(source)
     else:
         assert not _drawing_names(source)
+
+
+# ---------------------------------------------------------------------------
+# Every module-level import is read
+# ---------------------------------------------------------------------------
+
+# Names a module imports to hand on, never to read, beside the package's
+# namespace in __init__: the error of quaternion.right_quotient that
+# moebius's actions raise.
+REEXPORTS = {"moebius": {"DegenerateMapError"}}
+
+
+def _unread_imports(source: str) -> set[str]:
+    """The names that the module-level imports of ``source`` bind and that ``source`` never reads.
+
+    Imports inside functions, kept for a side effect such as ``import
+    numpy.random``, are not counted; nor is ``from __future__ import``.
+    """
+    tree = ast.parse(source)
+    bound = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_unread_imports_sees_every_form_of_import():
+    source = "from __future__ import annotations\nimport os, numpy.random\nimport numpy as np\nfrom . import batch as b\n"
+    assert _unread_imports(source) == {"os", "numpy", "np", "b"}
+    assert _unread_imports(source + "def f():\n    import math\n    return os, numpy, np.pi, b.BLOCK\n") == set()
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES if module != "__init__"])
+def test_every_module_level_import_is_read(module):
+    source = (Path(qgeo.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert _unread_imports(source) == REEXPORTS.get(module, set())
