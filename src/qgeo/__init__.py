@@ -72,7 +72,6 @@ from .diagrams import (
     check_quadrangle,
     check_second_qubit_inertness,
     check_three_way,
-    find_variant_failure_witness,
     run_suite,
 )
 

@@ -261,13 +261,17 @@ def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise CliError(EXIT_USAGE, "--count must be at least 1")
+    # Block 0 is read before the directory is made, so that a seed numpy
+    # rejects leaves no directory behind.
+    u = sampling.uniforms(args.seed, 0, 0, min(batch.BLOCK, args.count))
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"{args.out}: cannot create directory: {exc.strerror or exc}") from None
     for start in range(0, args.count, batch.BLOCK):
-        u = sampling.uniforms(args.seed, 0, start, min(start + batch.BLOCK, args.count))
+        if start:
+            u = sampling.uniforms(args.seed, 0, start, min(start + batch.BLOCK, args.count))
         for k, amplitudes in enumerate(sampling.haar_rows(u, 4).tolist(), start):
             _write_json(str(out_dir / f"state_{k:04d}.json"), state_to_doc(TwoQubitState(*amplitudes)))
     return EXIT_OK

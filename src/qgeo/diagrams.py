@@ -273,9 +273,6 @@ class Witness:
         doc = _inputs_doc((self.transform, self.state))
         return {**doc, "variant_tag": self.variant_tag, "deviation": self.deviation}
 
-    def reevaluate(self) -> float:
-        return reevaluate_check(self.variant_tag, self.to_dict())
-
 
 @dataclass(frozen=True)
 class WitnessSearchResult:
@@ -600,27 +597,6 @@ def _row(name: str) -> tuple[_Group, int]:
     raise ValueError(f"unknown check name {name!r}")
 
 
-def _witness(name: str, dev: float, inputs: tuple) -> Witness | None:
-    """A search's witness: its worst trial, if that deviates by more than WITNESS_THRESHOLD."""
-    u, psi = inputs
-    return Witness(psi, u, name, dev) if dev > WITNESS_THRESHOLD else None
-
-
-def find_variant_failure_witness(which: FailureSearch, max_trials: int, seed: int) -> Witness | None:
-    """Search random inputs for a failure of the designated alternative intertwining.
-
-    Returns the worst witness found, the last trial reaching the maximum
-    deviation, if that deviation exceeds ``WITNESS_THRESHOLD``, else None.
-    A NaN deviation in any trial finds none.
-    """
-    if max_trials < 1:
-        raise ValueError("max_trials must be at least 1")
-    name = FailureSearch(which).value
-    group, _ = _row(name)
-    [[(dev, inputs)]] = _evaluate_rows([(group, max_trials)], seed)
-    return _witness(name, dev, inputs)
-
-
 def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> DiagramReport:
     """Run every row of ``_GROUPS``: the checks, both failure searches, and the exploratory candidate.
 
@@ -647,7 +623,9 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
                 tolerance = contract * scale
                 result = CheckResult(name, n, dev, tolerance, dev <= tolerance, _inputs_doc(inputs))
             elif group.section == "witnesses":
-                result = WitnessSearchResult(name, n, WITNESS_THRESHOLD, _witness(name, dev, inputs))
+                u, psi = inputs
+                witness = Witness(psi, u, name, dev) if dev > WITNESS_THRESHOLD else None
+                result = WitnessSearchResult(name, n, WITNESS_THRESHOLD, witness)
             else:
                 result = ExploratoryResult(name, n, dev)
             sections[group.section].append(result)

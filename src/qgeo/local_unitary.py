@@ -253,10 +253,6 @@ class QuatMat2:
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return (self.m11, self.m12, self.m21, self.m22)
 
-    def scaled_right(self, s: Quaternion) -> QuatMat2:
-        """Multiply every entry by s on the right."""
-        return QuatMat2(self.m11 * s, self.m12 * s, self.m21 * s, self.m22 * s)
-
 
 _set_m11, _set_m12 = QuatMat2.m11.__set__, QuatMat2.m12.__set__
 _set_m21, _set_m22 = QuatMat2.m21.__set__, QuatMat2.m22.__set__

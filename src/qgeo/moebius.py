@@ -87,10 +87,6 @@ class MoebiusQ:
         _set_m(self, m)
 
     @classmethod
-    def identity(cls) -> MoebiusQ:
-        return cls(QuatMat2.identity())
-
-    @classmethod
     def from_su2(cls, u: SU2Element) -> MoebiusQ:
         """The SU(2) matrix, rows (a, b) and (-conj(b), conj(a)), on the complex line.
 

@@ -9,9 +9,6 @@ from dataclasses import dataclass
 # Squared-norm threshold below which a quaternion counts as zero for inversion.
 ZERO_NORM_SQ = 1e-24
 
-# Default absolute tolerance for approximate comparisons.
-COMPARE_TOL = 1e-10
-
 
 def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
@@ -66,22 +63,6 @@ class Quaternion:
     def as_reals(self) -> tuple[float, float, float, float]:
         return (self.z1.real, self.z1.imag, self.z2.real, self.z2.imag)
 
-    @property
-    def x0(self) -> float:
-        return self.z1.real
-
-    @property
-    def x1(self) -> float:
-        return self.z1.imag
-
-    @property
-    def x2(self) -> float:
-        return self.z2.real
-
-    @property
-    def x3(self) -> float:
-        return self.z2.imag
-
     def __add__(self, other: Quaternion) -> Quaternion:
         if not isinstance(other, Quaternion):
             return NotImplemented
@@ -122,9 +103,6 @@ class Quaternion:
 
     def __abs__(self) -> float:
         return math.sqrt(self.norm_sq())
-
-    def is_zero(self) -> bool:
-        return self.norm_sq() < ZERO_NORM_SQ
 
     def inverse(self) -> Quaternion:
         """Two-sided inverse conj(q) / |q|^2; raises on (near-)zero input."""
@@ -186,9 +164,6 @@ class Quaternion:
             return _over_zero(_abs2(n1) + _abs2(n2))
         c1, c2 = d1.conjugate() / n, -d2 / n
         return _quaternion(n1 * c1 - n2 * c2.conjugate(), n1 * c2 + n2 * c1.conjugate())
-
-    def isclose(self, other: Quaternion, tol: float = COMPARE_TOL) -> bool:
-        return abs(self.z1 - other.z1) <= tol and abs(self.z2 - other.z2) <= tol
 
 
 _isfinite = cmath.isfinite

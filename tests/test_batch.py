@@ -15,7 +15,7 @@ from qgeo.batch import BLOCK, Split
 from qgeo.cli import main
 from qgeo.diagrams import _GROUPS, _sample_trials, run_suite
 from qgeo.local_unitary import Variant, _su2_action, apply_cb, random_local_unitary, random_su2
-from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance
+from qgeo.quaternion import ZERO_NORM_SQ, Quaternion, _s4_coords, chordal_distance
 from qgeo.sampling import K
 from qgeo.states import TwoQubitState, haar_random_one_qubit, haar_random_state, wootters_preconcurrence
 
@@ -323,7 +323,7 @@ def test_quaternion_operations_match_the_scalar_class():
     assert same_bits(quat_rows(a * q), quat_rows([w * y for w, y in zip(_pyc(a), qs)]))
     # The inverse is the scalar one where that exists, and NaN (a mark for
     # the scalar code) on every row where it raises.
-    invertible = np.array([not y.is_zero() for y in qs])
+    invertible = np.array([y.norm_sq() >= ZERO_NORM_SQ for y in qs])
     assert invertible.sum() == len(qs) - 100
     with np.errstate(all="ignore"):
         inv = quat_rows(q.inverse())

@@ -832,6 +832,13 @@ def test_sample_writes_deterministic_valid_states(capsys, tmp_path):
         assert code == 0
 
 
+def test_sample_with_a_rejected_seed_makes_no_directory(capsys, tmp_path):
+    out_dir = tmp_path / "samples"
+    code, out, err = run_cli(capsys, "sample", "--count", "3", "--seed", "-1", "--out", str(out_dir))
+    assert code == 3 and out == "" and err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 # SHA-256 over the files `qgeo sample --count 10 --seed 0` writes, each as its
 # name, a NUL byte and its contents, in name order.  File k is trial k of the
 # counter-based stream (0, 0), the one sampler `qgeo verify` also reads.

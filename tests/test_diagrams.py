@@ -42,7 +42,6 @@ from qgeo.diagrams import (
     check_three_way,
     concurrence_invariance_gap,
     concurrence_magnitude_gap,
-    find_variant_failure_witness,
     left_coefficient_candidate_deviation,
     reevaluate_check,
     run_suite,
@@ -135,14 +134,14 @@ def test_invariance_gaps_small():
 
 
 def test_failure_witness_found_for_left_denominator_variant():
-    w = find_variant_failure_witness(FailureSearch.LEFT_DENOMINATOR_ON_SO2XSU2, 100, seed=0)
+    w = run_suite(100, 0).witness_searches[0].witness
     assert w is not None
     assert w.deviation > 0.01
     assert w.transform.variant is Variant.SO2_X_SU2
 
 
 def test_failure_witness_found_for_canonical_on_su2xso2():
-    w = find_variant_failure_witness(FailureSearch.CANONICAL_ON_SU2XSO2, 100, seed=0)
+    w = run_suite(100, 0).witness_searches[1].witness
     assert w is not None
     assert w.deviation > 0.01
     assert w.transform.variant is Variant.SU2_X_SO2
@@ -169,13 +168,14 @@ def test_search_angles_cover_the_arcs_away_from_degenerate_values():
 
 
 def test_witness_deviation_is_reproducible():
-    w = find_variant_failure_witness(FailureSearch.CANONICAL_ON_SU2XSO2, 50, seed=7)
+    w = run_suite(50, 7).witness_searches[1].witness
     assert w is not None
-    assert abs(w.reevaluate() - w.deviation) <= 1e-14
+    again = reevaluate_check(w.variant_tag, w.to_dict())
+    assert abs(again - w.deviation) <= 1e-14
     direct = variant_failure_deviation(
         FailureSearch(w.variant_tag), w.state, w.transform
     )
-    assert direct == w.reevaluate()
+    assert direct == again
 
 
 def test_left_coefficient_candidate_intertwines():
@@ -645,7 +645,6 @@ def test_nan_deviation_fails_its_search_and_shows_in_the_exploratory_row(monkeyp
         lambda psi, u: _nan_on(bad_candidate, psi, candidate(psi, u)),
     )
 
-    assert find_variant_failure_witness(which, 5, seed=0) is None
     report = run_suite(trials=5, seed=0)
     left, canonical = report.witness_searches
     assert not left.found and canonical.found

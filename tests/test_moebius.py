@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qgeo.quaternion import I, INFINITY, J, K, ONE, Quaternion, chordal_distance, left_quotient, right_quotient
+from qgeo.quaternion import I, INFINITY, J, K, ONE, ZERO_NORM_SQ, Quaternion, chordal_distance, left_quotient, right_quotient
 from qgeo.states import OneQubitState, Quaterbit, TwoQubitState, haar_random_state, quaternionify
 from qgeo.conformal import (
     conformal_map,
@@ -86,18 +86,18 @@ def test_moebius_c_conventions():
         assert _apply_c(ident, z) == z
 
     inv = _complex_moebius(0, 1, 1, 0)
-    assert _apply_c(inv, embed_complex(2)).isclose(embed_complex(0.5), tol=1e-15)
+    assert abs(_apply_c(inv, embed_complex(2)) - embed_complex(0.5)) <= 1e-15
     assert _apply_c(inv, ZERO) is INFINITY
     assert _apply_c(inv, INFINITY) == ZERO
 
     f = _complex_moebius(2, 1, 1 + 1j, 3)
-    assert _apply_c(f, INFINITY).isclose(embed_complex(2 / (1 + 1j)), tol=1e-15)
+    assert abs(_apply_c(f, INFINITY) - embed_complex(2 / (1 + 1j))) <= 1e-15
     translation = _complex_moebius(1, 5, 0, 1)
     assert _apply_c(translation, INFINITY) is INFINITY
 
 
 def test_moebius_q_identity():
-    ident = MoebiusQ.identity()
+    ident = MoebiusQ(QuatMat2.identity())
     q = _q(0.3, -1, 0.5, 2)
     assert apply_moebius_q(ident, q) == q
     assert apply_moebius_q(ident, INFINITY) is INFINITY
@@ -186,7 +186,7 @@ def test_moebius_q_needs_no_numpy_determinant(monkeypatch):
 def test_moebius_q_inversion_matrix():
     swap = MoebiusQ(QuatMat2(ZERO, ONE, ONE, ZERO))
     q = _q(0.5, 1, -2, 0.25)
-    assert apply_moebius_q(swap, q).isclose(q.inverse(), tol=1e-14)
+    assert abs(apply_moebius_q(swap, q) - q.inverse()) <= 1e-14
     assert apply_moebius_q(swap, ZERO) is INFINITY
     assert apply_moebius_q(swap, INFINITY) == ZERO
 
@@ -197,7 +197,7 @@ def test_moebius_q_infinity_conventions():
     f = moebius_from_local_unitary(u)
     value = apply_moebius_q(f, INFINITY)
     expected = Quaternion(complex(-math.cos(theta) / math.sin(theta)), 0j)
-    assert value.isclose(expected, tol=1e-12)
+    assert abs(value - expected) <= 1e-12
 
     # The preimage of infinity is -m22 * m21^-1.
     pole = -f.m.m22 * f.m.m21.inverse()
@@ -230,7 +230,7 @@ def test_variants_differ_pairwise_on_generic_matrix():
 
 
 def test_variant_identity_matrix_acts_trivially():
-    ident = MoebiusQ.identity()
+    ident = MoebiusQ(QuatMat2.identity())
     q = _q(1, -0.5, 0.25, 2)
     for which in VariantOrder:
         assert apply_moebius_q_variant(ident, q, which) == q
@@ -240,7 +240,7 @@ def test_variant_identity_matrix_acts_trivially():
 def test_compose_with_identity():
     rng = np.random.default_rng(3)
     g = _random_moebius(rng)
-    gi = compose(MoebiusQ.identity(), g)
+    gi = compose(MoebiusQ(QuatMat2.identity()), g)
     assert all(x == y for x, y in zip(gi.m.entries(), g.m.entries()))
 
 
@@ -277,7 +277,7 @@ def test_composition_through_poles():
     for seed in range(100):
         f = _random_induced_map(seed, 2)
         g = _random_induced_map(seed, 3)
-        if g.m.m21.is_zero():
+        if g.m.m21.norm_sq() < ZERO_NORM_SQ:
             continue
         # The pole of g is sent to infinity, so the composite must land on
         # f's value at infinity.
@@ -296,9 +296,9 @@ def test_composition_law_fails_for_generic_quaternion_matrices():
     g = MoebiusQ(QuatMat2(I, ZERO, ZERO, ONE))
     q = _q(0.3, 0.7, -0.2, 0.5)
     composite = apply_moebius_q(f, apply_moebius_q(g, q))
-    assert composite.isclose(q * K, tol=1e-14)
+    assert abs(composite - q * K) <= 1e-14
     via_product = apply_moebius_q(compose(f, g), q)
-    assert via_product.isclose(q * (-K), tol=1e-14)
+    assert abs(via_product - q * (-K)) <= 1e-14
     assert chordal_distance(composite, via_product) > 0.01
 
 
@@ -322,7 +322,7 @@ def test_right_common_factor_cancellation():
         if s.norm_sq() < 1e-2:
             continue
         s = (1.0 / abs(s)) * s
-        scaled = MoebiusQ(f.m.scaled_right(s))
+        scaled = MoebiusQ(QuatMat2(*(e * s for e in f.m.entries())))
         q = _random_quaternion(rng)
         assert chordal_distance(apply_moebius_q(f, q), apply_moebius_q(scaled, q)) <= 1e-11
         assert chordal_distance(
@@ -430,7 +430,7 @@ def _left(num, den):
 def _on_plane(path):
     """A path of the complex line, fed each quaternion x0 + x1 i + x2 j + x3 k
     as the complex number x0 + x2 i: J becomes i, and zero and tiny values stay so."""
-    return lambda num, den: path(complex(num.x0, num.x2), complex(den.x0, den.x2))
+    return lambda num, den: path(complex(num.z1.real, num.z2.real), complex(den.z1.real, den.z2.real))
 
 
 _right_on_plane = _on_plane(lambda p, q: _right(embed_complex(p), embed_complex(q)))

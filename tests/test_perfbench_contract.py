@@ -1,0 +1,53 @@
+"""What the benchmark under perfbench/ reads of the library still works.
+
+The benchmark's modules are loaded from their files and only read: a
+library change that breaks the tracer's patching, the api workload's items
+or the verify workload's count of report units fails here first.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import qgeo
+from qgeo import diagrams
+from qgeo.diagrams import run_suite
+from qgeo.quaternion import Quaternion
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """The benchmark's speed, tracer, api and run modules; run.py imports the first two by name."""
+    modules = {}
+    for name in ("speed", "tracer", "api", "run"):
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    return SimpleNamespace(**modules)
+
+
+def test_tracer_installs_and_uninstalls(perfbench):
+    conformal_map, mul = qgeo.conformal_map, Quaternion.__mul__
+    tracer = perfbench.tracer.Tracer()
+    try:
+        tracer.install()
+        assert qgeo.conformal_map is not conformal_map and Quaternion.__mul__ is not mul
+    finally:
+        tracer.uninstall()
+    assert qgeo.conformal_map is conformal_map and Quaternion.__mul__ is mul
+
+
+def test_api_items_evaluate_within_their_contracts(perfbench):
+    assert perfbench.api.run(perfbench.api.make_items(0, 20), 10)["failures"] == []
+
+
+def test_report_holds_the_verify_units_and_check_loops(perfbench):
+    report = run_suite(3, 0)
+    assert len(report.checks) + len(report.witness_searches) == perfbench.run.VERIFY_UNITS
+    assert len({diagrams._row(c.name)[0].idx for c in report.checks}) == perfbench.run.VERIFY_CHECK_LOOPS

@@ -26,7 +26,7 @@ VALUES = {
     "TwoQubitState": (TwoQubitState(0.5, 0.5j, -0.5, 0.5), "alpha"),
     "Quaterbit": (Quaterbit(_Q, -_Q), "q1"),
     "QuatMat2": (QuatMat2.identity(), "m11"),
-    "MoebiusQ": (MoebiusQ.identity(), "m"),
+    "MoebiusQ": (MoebiusQ(QuatMat2.identity()), "m"),
     "SU2Element": (_SU2, "a"),
     "SO2Element": (SO2Element(0.25), "theta"),
     "LocalUnitary": (LocalUnitary(Variant.SO2_X_SU2, SO2Element(0.25), _SU2), "rot"),
