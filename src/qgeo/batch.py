@@ -284,17 +284,11 @@ class Quaternion:
         """conj(q) / |q|^2, marking the rows on which the library's ``inverse`` raises."""
         return fraction_point(self.z1.conjugate(), -self.z2, self.norm_sq())
 
-    def _mul_add(self, m, n):
-        return self * m + n
-
     def _over(self, q):
         return self * q.inverse()
 
-    def _under(self, q):
-        return q.inverse() * self
-
     def _moebius(self, m):
-        return self._mul_add(m.m11, m.m12)._over(self._mul_add(m.m21, m.m22))
+        return (self * m.m11 + m.m12)._over(self * m.m21 + m.m22)
 
 
 # ---------------------------------------------------------------------------

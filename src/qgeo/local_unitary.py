@@ -150,15 +150,10 @@ def _require_variant(u: LocalUnitary, variant: Variant, op: str) -> None:
         raise ValueError(f"{op} requires variant {variant.value!r}, got {u.variant.value!r}")
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices (np.kron, minus its overhead)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
 def complex_form(u: LocalUnitary) -> np.ndarray:
     """The 4x4 complex form, the Kronecker product of the first and second factor."""
     first, second = u.factors()
-    return _kron2(_factor_matrix(*first), _factor_matrix(*second))
+    return np.kron(_factor_matrix(*first), _factor_matrix(*second))
 
 
 def _su2_action(a: complex, b: complex, x: complex, y: complex) -> tuple[complex, complex]:

@@ -82,7 +82,7 @@ class MoebiusQ:
 
     def __init__(self, m: QuatMat2):
         det = study_determinant(m)
-        if abs(det) < DET_TOL:
+        if not abs(det) >= DET_TOL:  # also NaN, which overflowing entries give
             raise ValueError(f"matrix is not invertible: Study determinant {det!r}")
         _set_m(self, m)
 
@@ -125,10 +125,10 @@ def apply_moebius_q_variant(
     if which is VariantOrder.LEFT_DENOMINATOR:
         if q is INFINITY:
             return left_quotient(m.m11, m.m21)
-        return left_quotient(q._mul_add(m.m11, m.m12), q._mul_add(m.m21, m.m22))
+        return left_quotient(q * m.m11 + m.m12, q * m.m21 + m.m22)
     if q is INFINITY:
         return right_quotient(m.m11, m.m21)
-    return right_quotient(m.m11._mul_add(q, m.m12), m.m21._mul_add(q, m.m22))
+    return right_quotient(m.m11 * q + m.m12, m.m21 * q + m.m22)
 
 
 def compose(f: MoebiusQ, g: MoebiusQ) -> MoebiusQ:

@@ -119,33 +119,17 @@ class Quaternion:
     # with the roundings of the operators they compose, and build only their
     # result.  Each raises what the composed expression raises.
 
-    def _mul_add(self, m: Quaternion, n: Quaternion) -> Quaternion:
-        """self * m + n."""
-        p1, p2, q1, q2 = self.z1, self.z2, m.z1, m.z2
-        r1, r2 = p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate()
-        try:
-            return _quaternion(r1 + n.z1, r2 + n.z2)
-        except ValueError:
-            _quaternion(r1, r2)  # a product that overflowed is the first error
-            raise
-
     def _over(self, q: Quaternion) -> Quaternion:
         """self * q**-1."""
         c1, c2 = q._inverse_parts()
         p1, p2 = self.z1, self.z2
         return _quaternion(p1 * c1 - p2 * c2.conjugate(), p1 * c2 + p2 * c1.conjugate())
 
-    def _under(self, q: Quaternion) -> Quaternion:
-        """q**-1 * self."""
-        c1, c2 = q._inverse_parts()
-        p1, p2 = self.z1, self.z2
-        return _quaternion(c1 * p1 - c2 * p2.conjugate(), c1 * p2 + c2 * p1.conjugate())
-
     def _moebius(self, m) -> ExtendedQuaternion:
         """(self * m.m11 + m.m12) * (self * m.m21 + m.m22)**-1 for a QuatMat2 m, as
-        ``right_quotient(self._mul_add(m.m11, m.m12), self._mul_add(m.m21, m.m22))``."""
+        ``right_quotient(self * m.m11 + m.m12, self * m.m21 + m.m22)``."""
         p1, p2, a, b, c, d = self.z1, self.z2, m.m11, m.m12, m.m21, m.m22
-        # The two _mul_add, written out: numerator n, then denominator d.
+        # The two products and sums, written out: numerator n, then denominator d.
         q1, q2 = a.z1, a.z2
         r1, r2 = p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate()
         n1, n2 = r1 + b.z1, r2 + b.z2
@@ -225,7 +209,7 @@ def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
 def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     """q**-1 * p on the extended line, with the conventions of :func:`right_quotient`."""
     try:
-        return p._under(q)
+        return q.inverse() * p
     except ZeroDivisionError:
         return _over_zero(p.norm_sq())
 

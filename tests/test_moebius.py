@@ -115,6 +115,18 @@ def test_moebius_q_rejects_non_invertible():
         MoebiusQ(QuatMat2(ONE, ZERO, ZERO, math.sqrt(0.99e-18) * ONE))
 
 
+def test_moebius_q_rejects_a_nan_study_determinant():
+    # s * identity: the determinant s**4 overflows to inf at s = 1e100; from
+    # s = 1e155 on, |s|**2 overflows inside the closed form, which gives NaN.
+    for s in (1e155, 1e200):
+        assert math.isnan(study_determinant(QuatMat2(s * ONE, ZERO, ZERO, s * ONE)))
+        with pytest.raises(ValueError, match="matrix is not invertible: Study determinant nan"):
+            MoebiusQ(QuatMat2(s * ONE, ZERO, ZERO, s * ONE))
+    f = MoebiusQ(QuatMat2(1e100 * ONE, ZERO, ZERO, 1e100 * ONE))
+    assert study_determinant(f.m) == math.inf
+    assert apply_moebius_q(f, J) == J
+
+
 def _scale(m: QuatMat2) -> float:
     a, b, c, d = (x.norm_sq() for x in m.entries())
     return a * d + b * c

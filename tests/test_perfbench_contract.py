@@ -51,3 +51,21 @@ def test_report_holds_the_verify_units_and_check_loops(perfbench):
     report = run_suite(3, 0)
     assert len(report.checks) + len(report.witness_searches) == perfbench.run.VERIFY_UNITS
     assert len({diagrams._row(c.name)[0].idx for c in report.checks}) == perfbench.run.VERIFY_CHECK_LOOPS
+
+
+def test_every_private_quaternion_kernel_is_on_the_api_path(perfbench, monkeypatch):
+    # A fused kernel earns its place only where the api workload times it.
+    kernels = [name for name in vars(Quaternion) if name.startswith("_") and not name.startswith("__")]
+    calls = dict.fromkeys(kernels, 0)
+    for name in kernels:
+        kernel = getattr(Quaternion, name)
+
+        def counted(*args, _name=name, _kernel=kernel):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(Quaternion, name, counted)
+    items = perfbench.api.make_items(0, 50)
+    assert "infinity" in {stratum for stratum, _, _ in items}
+    perfbench.api.run(items, 10)
+    assert kernels and all(calls.values()), calls

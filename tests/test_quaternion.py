@@ -288,7 +288,6 @@ def test_compound_operations_build_only_their_result(monkeypatch):
     u = random_local_unitary(Variant.SO2_X_SU2, 5)
     for operation, count in [
         (lambda: right_quotient(p, q), 1),
-        (lambda: left_quotient(p, q), 1),
         (lambda: conformal_map(Quaterbit(p, q)), 1),
         (lambda: apply_moebius_q(f, p), 1),
         # The four entries of its matrix, and no general determinant pass.
