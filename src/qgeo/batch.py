@@ -20,9 +20,9 @@ operations that construct objects or branch (``quaternionify``,
 ``fraction_point``, the chordal metric and ``max``); a block
 ``Quaternion``'s compound operations are the operators they compose.  Every
 other library function runs on the blocks unchanged.  Where the scalar code
-leaves the generic branch, at a quotient by a quaternion below
-``ZERO_NORM_SQ`` or at a point whose |q|^2 overflows, the block's rows are
-NaN, which marks those trials for the scalar code.
+leaves the generic branch, at a quotient by a quaternion whose |q|^2 is
+below ``ZERO_NORM_SQ`` or overflows, or at a point whose |q|^2 overflows,
+the block's rows are NaN, which marks those trials for the scalar code.
 
 Text.  :func:`csv_rows` gives a block's CSV lines as one bytearray:
 step numbers, float64 columns in ``repr``'s digits, made in numpy where they
@@ -281,8 +281,9 @@ class Quaternion:
         return np.sqrt(self.norm_sq())
 
     def inverse(self) -> Quaternion:
-        """conj(q) / |q|^2, marking the rows on which the library's ``inverse`` raises."""
-        return fraction_point(self.z1.conjugate(), -self.z2, self.norm_sq())
+        """conj(q) / |q|^2, marking the rows on which the library's ``inverse`` raises or rescales q."""
+        n = self.norm_sq()
+        return fraction_point(self.z1.conjugate(), -self.z2, np.where(n < math.inf, n, np.nan))
 
     def _over(self, q):
         return self * q.inverse()

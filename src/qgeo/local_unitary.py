@@ -100,6 +100,10 @@ class LocalUnitary:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
+        if not isinstance(self.rot, SO2Element):
+            raise TypeError(f"rot must be an SO2Element, got {type(self.rot).__name__}")
+        if not isinstance(self.su2, SU2Element):
+            raise TypeError(f"su2 must be an SU2Element, got {type(self.su2).__name__}")
 
     def factors(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         """The (first-qubit, second-qubit) SU(2) factors, each as the pair (a, b)

@@ -152,32 +152,13 @@ def moebius_from_local_unitary(u: LocalUnitary) -> MoebiusQ:
     Its matrix is :func:`quat_matrix`, with entries R(theta)_ij * (a - b*j).
     Under the canonical action the right factor (a - b*j) cancels, so the
     induced map on the extended quaternion line depends on theta alone.
-    MoebiusQ's invertibility guard is taken in closed form from the factors
-    (:func:`_factor_study_determinant`), with MoebiusQ's threshold and error.
+    MoebiusQ's invertibility check is skipped: a LocalUnitary's factors are
+    unitary by type, so the Study determinant is 1 up to NORMALIZATION_TOL.
     """
     _require_variant(u, Variant.SO2_X_SU2, "moebius_from_local_unitary")
-    first, second = u.factors()
-    m = _quat_matrix(first, second)
-    det = _factor_study_determinant(first, second)
-    if det < DET_TOL:
-        raise ValueError(f"matrix is not invertible: Study determinant {det!r}")
     f = _new(MoebiusQ)
-    _set_m(f, m)
+    _set_m(f, _quat_matrix(*u.factors()))
     return f
-
-
-def _factor_study_determinant(first: tuple[complex, complex], second: tuple[complex, complex]) -> float:
-    """study_determinant of the matrix with entries F_ij * p of two factors (a, b) and (a2, b2).
-
-    The Study determinant is multiplicative (Aslaksen 1996), so it is
-    |det F|^2 |p|^4 = ((|a|^2 + |b|^2) (|a2|^2 + |b2|^2))^2.
-    """
-    (a, b), (a2, b2) = first, second
-    # Each |x|^2 is _abs2(x), written out.
-    s = (a.real * a.real + a.imag * a.imag + (b.real * b.real + b.imag * b.imag)) * (
-        a2.real * a2.real + a2.imag * a2.imag + (b2.real * b2.real + b2.imag * b2.imag)
-    )
-    return s * s
 
 
 def _pi_fixed(bits: int) -> int:

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 # Squared-norm threshold below which a quaternion counts as zero for inversion.
 ZERO_NORM_SQ = 1e-24
 
+_TINY = 2.0**-600  # scales a quaternion whose |q|^2 overflows into range, exactly
+
 
 def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
@@ -109,10 +111,14 @@ class Quaternion:
         return _quaternion(*self._inverse_parts())
 
     def _inverse_parts(self) -> tuple[complex, complex]:
-        # Finite: each part is at most n ** -0.5 <= 1e12 (or 0 where n overflows).
+        # Finite: each part is at most n ** -0.5 <= 1e12.
         n = self.norm_sq()
         if n < ZERO_NORM_SQ:
             raise ZeroDivisionError("inverse of a zero (or sub-threshold) quaternion")
+        if n == math.inf:  # |q|^2 overflows: invert q * 2**-600, then scale by 2**-600
+            z1, z2 = self.z1 * _TINY, self.z2 * _TINY
+            n = _abs2(z1) + _abs2(z2)
+            return z1.conjugate() / n * _TINY, -z2 / n * _TINY
         return self.z1.conjugate() / n, -self.z2 / n
 
     # The compound operations below compute on the parts, in the order and
@@ -131,21 +137,15 @@ class Quaternion:
         p1, p2, a, b, c, d = self.z1, self.z2, m.m11, m.m12, m.m21, m.m22
         # The two products and sums, written out: numerator n, then denominator d.
         q1, q2 = a.z1, a.z2
-        r1, r2 = p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate()
-        n1, n2 = r1 + b.z1, r2 + b.z2
-        if not (_isfinite(n1) and _isfinite(n2)):
-            _quaternion(r1, r2)  # a product that overflowed is the first error
-            raise _not_finite(n1, n2)
+        n1, n2 = p1 * q1 - p2 * q2.conjugate() + b.z1, p1 * q2 + p2 * q1.conjugate() + b.z2
         q1, q2 = c.z1, c.z2
-        r1, r2 = p1 * q1 - p2 * q2.conjugate(), p1 * q2 + p2 * q1.conjugate()
-        d1, d2 = r1 + d.z1, r2 + d.z2
-        if not (_isfinite(d1) and _isfinite(d2)):
-            _quaternion(r1, r2)
-            raise _not_finite(d1, d2)
-        # Then right_quotient: d's _inverse_parts and n's _over.
+        d1, d2 = p1 * q1 - p2 * q2.conjugate() + d.z1, p1 * q2 + p2 * q1.conjugate() + d.z2
+        # Then right_quotient: d's _inverse_parts and n's _over.  A numerator that
+        # is not finite, or a |d|^2 that counts as zero or overflows, goes to the
+        # composed expression, which decides it.
         n = (d1.real * d1.real + d1.imag * d1.imag) + (d2.real * d2.real + d2.imag * d2.imag)
-        if n < ZERO_NORM_SQ:
-            return _over_zero(_abs2(n1) + _abs2(n2))
+        if not (_isfinite(n1) and _isfinite(n2) and ZERO_NORM_SQ <= n < math.inf):
+            return right_quotient(self * a + b, self * c + d)
         c1, c2 = d1.conjugate() / n, -d2 / n
         return _quaternion(n1 * c1 - n2 * c2.conjugate(), n1 * c2 + n2 * c1.conjugate())
 
@@ -212,9 +212,6 @@ def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
         return q.inverse() * p
     except ZeroDivisionError:
         return _over_zero(p.norm_sq())
-
-
-_TINY = 2.0**-600
 
 
 def _s4_coords(p: ExtendedQuaternion) -> tuple[float, float, float, float, float]:

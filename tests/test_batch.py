@@ -305,9 +305,10 @@ def test_chordal_metric_squares_by_multiplication():
 
 def test_quaternion_operations_match_the_scalar_class():
     (a, b), (c, d) = _complex_samples(seed=2), _complex_samples(seed=3)
-    for z in (c, d):  # rows of q that are zero, or below ZERO_NORM_SQ
+    for z in (c, d):  # rows of q that are zero, or below ZERO_NORM_SQ, or whose |q|^2 overflows
         z.real[:100] = z.imag[:100] = 0.0
         z.real[50:100] = 3e-13
+        z.real[100:150] = 1e200
     p, q = batch.Quaternion(a, b), batch.Quaternion(c, d)
     ps = [Quaternion(z1, z2) for z1, z2 in zip(_pyc(a), _pyc(b))]
     qs = [Quaternion(z1, z2) for z1, z2 in zip(_pyc(c), _pyc(d))]
@@ -321,16 +322,20 @@ def test_quaternion_operations_match_the_scalar_class():
     assert same_bits(quat_rows(p + q), quat_rows([x + y for x, y in zip(ps, qs)]))
     assert same_bits(quat_rows(p - q), quat_rows([x - y for x, y in zip(ps, qs)]))
     assert same_bits(quat_rows(a * q), quat_rows([w * y for w, y in zip(_pyc(a), qs)]))
-    # The inverse is the scalar one where that exists, and NaN (a mark for
-    # the scalar code) on every row where it raises.
-    invertible = np.array([y.norm_sq() >= ZERO_NORM_SQ for y in qs])
-    assert invertible.sum() == len(qs) - 100
+    # The inverse is the scalar one where the scalar code divides by |q|^2,
+    # and NaN (a mark for the scalar code) on every row where it raises or
+    # rescales q; so is the chordal distance to a point whose |q|^2 overflows.
+    overflows = np.array([y.norm_sq() == math.inf for y in qs])
+    invertible = np.array([y.norm_sq() >= ZERO_NORM_SQ for y in qs]) & ~overflows
+    assert invertible.sum() == len(qs) - 150 and overflows.sum() == 50
     with np.errstate(all="ignore"):
         inv = quat_rows(q.inverse())
+        distance = batch.chordal_distance(p, q)
     ref = quat_rows([y.inverse() for y, ok in zip(qs, invertible) if ok])
     assert same_bits([[part[invertible] for part in z] for z in inv], ref)
     assert np.isnan(np.concatenate([part[~invertible] for z in inv for part in z])).all()
-    assert same_bits(batch.chordal_distance(p, q), [chordal_distance(x, y) for x, y in zip(ps, qs)])
+    ref = [chordal_distance(x, y) for x, y, big in zip(ps, qs, overflows) if not big]
+    assert same_bits(distance[~overflows], ref) and np.isnan(distance[overflows]).all()
     assert same_bits(abs(p), [abs(x) for x in ps])
 
 

@@ -68,6 +68,19 @@ def test_su2_element_validates_normalization():
     assert abs(abs(u.a) ** 2 + abs(u.b) ** 2 - 1.0) <= 1e-15
 
 
+def test_local_unitary_takes_only_unitary_factors():
+    # The factors are unitary by type, which moebius_from_local_unitary relies on.
+    su2 = SU2Element(0.6, 0.8j)
+    for variant in Variant:
+        for rot, factor in [
+            (SO2Element(0.3), (0.6, 0.8j)),
+            (SO2Element(0.3), batch.SU2Element(0.6, 0.8j)),
+            (0.3, su2),
+        ]:
+            with pytest.raises(TypeError, match="must be an S[OU]2Element"):
+                LocalUnitary(variant, rot, factor)
+
+
 def test_cb_matrix_identity_and_rotation():
     np.testing.assert_allclose(complex_form(_b(0.0, 1, 0)), np.eye(4), atol=1e-15)
     m = complex_form(_b(math.pi / 2, 1, 0))

@@ -34,7 +34,6 @@ from qgeo.moebius import (
     VariantOrder,
     apply_moebius_q,
     apply_moebius_q_variant,
-    _factor_study_determinant,
     _orbit_offsets,
     compose,
     moebius_from_local_unitary,
@@ -148,7 +147,8 @@ def test_study_determinant_is_the_complexified_determinant():
             reference = np.linalg.det(complexify(f.m)).real
             assert abs(study_determinant(f.m) - reference) <= 1e-13 * _scale(f.m)
             assert abs(study_determinant(f.m) - 1.0) <= 1e-13
-    # moebius_from_local_unitary's guard, in closed form from the factors.
+    # moebius_from_local_unitary builds its map unchecked: the determinant is
+    # 1 on every transform, rotations at and next to the quarter turns included.
     rotations = [k * math.pi / 2 + offset for k in range(4) for offset in (0.0, -1e-9, 1e-9)]
     transforms = [random_local_unitary(variant, seed) for seed in range(200) for variant in Variant]
     transforms += [
@@ -157,9 +157,21 @@ def test_study_determinant_is_the_complexified_determinant():
         for su2 in (random_su2(seed), SU2Element(-0.6 + 0.8j, 0), SU2Element(0, 0.8 - 0.6j))
         for variant in Variant
     ]
+    assert len(transforms) == 472
     for u in transforms:
-        closed = _factor_study_determinant(*u.factors())
-        assert abs(closed - study_determinant(quat_matrix(u))) <= 1e-13
+        assert abs(study_determinant(quat_matrix(u)) - 1) <= 1e-13
+
+
+def test_local_unitary_maps_are_invertible_at_the_normalization_tolerance():
+    # |a|^2 + |b|^2 = 1 +- 0.9e-9, inside NORMALIZATION_TOL = 1e-9: the Study
+    # determinant ((|a|^2 + |b|^2) (cos^2 + sin^2))^2 stays within 2e-9 of 1.
+    for excess in (-0.9e-9, 0.9e-9):
+        s = math.sqrt(1.0 + excess)
+        su2 = SU2Element(s * (0.6 + 0.48j), s * 0.64j)
+        assert abs(abs(su2.a) ** 2 + abs(su2.b) ** 2 - 1.0 - excess) <= 1e-15
+        for theta in (0.0, 0.7, math.pi / 2 + 1e-9, 3.0):
+            f = moebius_from_local_unitary(LocalUnitary(Variant.SO2_X_SU2, SO2Element(theta), su2))
+            assert abs(study_determinant(f.m) - 1.0) <= 4e-9
 
 
 def test_numerically_singular_matrices_are_rejected():

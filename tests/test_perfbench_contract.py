@@ -10,11 +10,14 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import qgeo
-from qgeo import diagrams
+from qgeo import conformal_map, diagrams, quaternionify
+from qgeo.cli import load_state, load_transform
 from qgeo.diagrams import run_suite
+from qgeo.moebius import orbit_s4
 from qgeo.quaternion import Quaternion
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,6 +54,16 @@ def test_report_holds_the_verify_units_and_check_loops(perfbench):
     report = run_suite(3, 0)
     assert len(report.checks) + len(report.witness_searches) == perfbench.run.VERIFY_UNITS
     assert len({diagrams._row(c.name)[0].idx for c in report.checks}) == perfbench.run.VERIFY_CHECK_LOOPS
+
+
+def test_orbit_reference_builds_its_local_unitary(perfbench, tmp_path):
+    # run.py builds LocalUnitary(u.variant, SO2Element(...), u.su2) for the
+    # orbit workload's closed-form last row: the type check must accept it.
+    state, transform = perfbench.run.write_orbit_inputs(1, tmp_path)
+    first, last = perfbench.run.orbit_reference(state, transform, 10)
+    u = load_transform(str(transform))
+    x0 = conformal_map(quaternionify(load_state(str(state))))
+    assert np.abs(orbit_s4(u, x0, 0, 11)[[0, 10]] - [first, last]).max() <= 1e-12
 
 
 def test_every_private_quaternion_kernel_is_on_the_api_path(perfbench, monkeypatch):

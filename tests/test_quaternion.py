@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -122,13 +123,30 @@ def test_overflowing_operations_raise_the_constructors_error(op):
 
 def test_inverse_cannot_overflow():
     # |z|^2 <= n and n >= ZERO_NORM_SQ bound each component of conj(q) / n by
-    # n ** -0.5 <= 1e12, and a norm that overflows to inf gives zeros, so
-    # inverse has no overflow to raise on.
+    # n ** -0.5 <= 1e12, so inverse has no overflow to raise on.  Where n
+    # overflows, q is scaled by 2**-600 first: the inverse is still 1 / q.
     for q in (_BIG, Quaternion(1e308 + 1e308j, -1e308 - 1e308j), Quaternion(1e-12, 0)):
         inv = q.inverse()
         assert all(map(math.isfinite, inv.as_reals()))
-    assert _BIG.inverse() == Quaternion(0, 0)
+    for x in (1e308, 1e155, 1e200, sys.float_info.max):
+        assert Quaternion(x, 0).inverse() == Quaternion(1 / x, 0)
+        assert Quaternion(0, x).inverse() == Quaternion(0, -1 / x)
+    q = Quaternion(1e308 + 1e308j, -1e308 - 1e308j)
+    assert abs(q * q.inverse() - ONE) <= 2e-15 and abs(q.inverse() * q - ONE) <= 2e-15
     assert Quaternion(1e-12, 0).inverse() == Quaternion(1e12, 0)
+
+
+def test_moebius_at_an_overflowing_point_is_the_composed_quotient():
+    # |x|^2 and the denominator's |d|^2 overflow, so _moebius defers to
+    # right_quotient, whose inverse scales d: the image is next to
+    # x m11 m21**-1 x**-1, of norm |m11| / |m21|, not 0.
+    p, q = Quaternion.from_reals(0.3, -1, 2, 0.7), Quaternion.from_reals(1, 0.5, -0.2, 0.1)
+    f = MoebiusQ(QuatMat2(p, q, q.conjugate(), ONE))
+    x = Quaternion(0.6e200, 0.8e200j)
+    m = f.m
+    image = apply_moebius_q(f, x)
+    assert image == right_quotient(x * m.m11 + m.m12, x * m.m21 + m.m22)
+    assert abs(abs(image) - abs(m.m11) / abs(m.m21)) <= 1e-15
 
 
 def test_operations_return_plain_quaternions():
