@@ -19,10 +19,9 @@ operations that construct objects or branch (``quaternionify``,
 ``embed_complex``, ``quat_matrix``, the Moebius constructors,
 ``fraction_point``, the chordal metric and ``max``); a block
 ``Quaternion``'s compound operations are the operators they compose.  Every
-other library function runs on the blocks unchanged.  Where the scalar code
-leaves the generic branch, at a quotient by a quaternion whose |q|^2 is
-below ``ZERO_NORM_SQ`` or overflows, or at a point whose |q|^2 overflows,
-the block's rows are NaN, which marks those trials for the scalar code.
+other library function runs on the blocks unchanged.  Rows on which the
+scalar code leaves the generic branch (a quotient by a |q|^2 below
+``ZERO_NORM_SQ``, or a |q|^2 that overflows) are NaN, for the scalar code.
 
 Text.  :func:`csv_rows` gives a block's CSV lines as one bytearray:
 step numbers, float64 columns in ``repr``'s digits, made in numpy where they
@@ -235,6 +234,7 @@ class Split:
 
 
 _REAL = (int, float, np.ndarray)
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest finite float
 
 
 def _promoted(x) -> Split | None:
@@ -283,7 +283,8 @@ class Quaternion:
     def inverse(self) -> Quaternion:
         """conj(q) / |q|^2, marking the rows on which the library's ``inverse`` raises or rescales q."""
         n = self.norm_sq()
-        return fraction_point(self.z1.conjugate(), -self.z2, np.where(n < math.inf, n, np.nan))
+        n[n > _FLOAT_MAX] = np.nan  # the rows whose |q|^2 overflows, marked in place
+        return fraction_point(self.z1.conjugate(), -self.z2, n)
 
     def _over(self, q):
         return self * q.inverse()

@@ -115,10 +115,10 @@ class Quaternion:
         n = self.norm_sq()
         if n < ZERO_NORM_SQ:
             raise ZeroDivisionError("inverse of a zero (or sub-threshold) quaternion")
-        if n == math.inf:  # |q|^2 overflows: invert q * 2**-600, then scale by 2**-600
-            z1, z2 = self.z1 * _TINY, self.z2 * _TINY
+        if n == math.inf:  # |q|^2 overflows: invert q / 2**600, divide by 2**600, part by part
+            z1, z2 = divided((self.z1, self.z2), 1 / _TINY)
             n = _abs2(z1) + _abs2(z2)
-            return z1.conjugate() / n * _TINY, -z2 / n * _TINY
+            return tuple(divided((z1.conjugate() / n, -z2 / n), 1 / _TINY))
         return self.z1.conjugate() / n, -self.z2 / n
 
     # The compound operations below compute on the parts, in the order and
@@ -140,9 +140,8 @@ class Quaternion:
         n1, n2 = p1 * q1 - p2 * q2.conjugate() + b.z1, p1 * q2 + p2 * q1.conjugate() + b.z2
         q1, q2 = c.z1, c.z2
         d1, d2 = p1 * q1 - p2 * q2.conjugate() + d.z1, p1 * q2 + p2 * q1.conjugate() + d.z2
-        # Then right_quotient: d's _inverse_parts and n's _over.  A numerator that
-        # is not finite, or a |d|^2 that counts as zero or overflows, goes to the
-        # composed expression, which decides it.
+        # Then right_quotient: d's _inverse_parts and n's _over.  A non-finite numerator, or
+        # a |d|^2 that counts as zero or overflows, goes to the composed expression.
         n = (d1.real * d1.real + d1.imag * d1.imag) + (d2.real * d2.real + d2.imag * d2.imag)
         if not (_isfinite(n1) and _isfinite(n2) and ZERO_NORM_SQ <= n < math.inf):
             return right_quotient(self * a + b, self * c + d)

@@ -1,6 +1,7 @@
 """Quaternion algebra: unit table, conjugation, norms, inverses, extended line."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import sys
@@ -134,6 +135,14 @@ def test_inverse_cannot_overflow():
     q = Quaternion(1e308 + 1e308j, -1e308 - 1e308j)
     assert abs(q * q.inverse() - ONE) <= 2e-15 and abs(q.inverse() * q - ONE) <= 2e-15
     assert Quaternion(1e-12, 0).inverse() == Quaternion(1e12, 0)
+    # The scaling is part by part, so the signed zeros of the inverse do not
+    # depend on whether n overflows: one component +-x, the others +-0.0.
+    def signs(parts):
+        return [math.copysign(1.0, v) for v in Quaternion.from_reals(*parts).inverse().as_reals()]
+
+    for k, s in itertools.product(range(4), itertools.product((1.0, -1.0), repeat=4)):
+        small, big = ([c * (x if i == k else 0.0) for i, c in enumerate(s)] for x in (1e150, 1e300))
+        assert signs(big) == signs(small)
 
 
 def test_moebius_at_an_overflowing_point_is_the_composed_quotient():
