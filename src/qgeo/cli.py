@@ -50,7 +50,7 @@ from .states import (
     wootters_preconcurrence,
 )
 from .conformal import conformal_map, inverse_stereographic
-from .local_unitary import LocalUnitary, SO2Element, SU2Element, Variant, apply_cb, decode_transform
+from .local_unitary import LocalUnitary, SO2Element, SU2Element, Variant, _fields, apply_cb, decode_transform
 from .moebius import ORBIT_CHUNK, orbit_s4_chunks
 from .diagrams import DEFAULT_SUITE_TOL, run_suite
 
@@ -98,14 +98,8 @@ def _load_json(path: str, decode: Callable):
         raise CliError(EXIT_USAGE, f"{path}: {exc.strerror or exc}") from None
 
 
-def _state_amplitudes(doc) -> list[complex]:
-    if not isinstance(doc, dict) or "amplitudes" not in doc:
-        raise ValueError("expected an object with an 'amplitudes' field")
-    return decode_amplitudes(doc["amplitudes"], 4)
-
-
 def load_state(path: str) -> TwoQubitState:
-    values = _load_json(path, _state_amplitudes)
+    values = _load_json(path, lambda doc: decode_amplitudes(*_fields(doc, ("amplitudes",)), 4))
     norm = math.sqrt(squared_norm(values))
     if norm < 1e-9:
         raise CliError(EXIT_DOMAIN, f"{path}: state vector is zero")

@@ -350,13 +350,12 @@ def _search_angles(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Block:
-    """Sampled inputs of the trials from ``start`` on of one check group.
+    """Sampled inputs of a run of consecutive trials of one check group.
 
     ``theta``, ``a`` and ``b`` are the transform draws (None in a group
     without one) and ``psi`` the amplitude rows of the state draws.
     """
 
-    start: int
     theta: np.ndarray | None
     a: np.ndarray | None
     b: np.ndarray | None
@@ -475,7 +474,7 @@ def _sample_trials(group: _Group, seed: int, start: int, stop: int) -> _Block:
     if group.section != "checks":
         theta = _search_angles(u[:, sampling._ANGLE])
     psi = sampling.haar_rows(u, 2 if group.one_qubit else 4)
-    return _Block(start, theta, a, b, psi)
+    return _Block(theta, a, b, psi)
 
 
 def _inputs(group: _Group, amplitudes, theta=None, a=None, b=None, op=_LIBRARY) -> tuple:
@@ -490,7 +489,7 @@ def _inputs(group: _Group, amplitudes, theta=None, a=None, b=None, op=_LIBRARY) 
 
 
 def _scalar_inputs(group: _Group, blk: _Block, i: int) -> tuple:
-    """Trial ``blk.start + i`` as the objects the scalar evaluator takes."""
+    """Trial ``i`` of the block as the objects the scalar evaluator takes."""
     return _inputs(group, blk.psi[i], *(x if x is None else x[i] for x in (blk.theta, blk.a, blk.b)))
 
 

@@ -265,12 +265,7 @@ def quat_matrix(u: LocalUnitary) -> QuatMat2:
     factor.  For so2xsu2, where F is real, :func:`complexify` of it is
     exactly :func:`complex_form`.
     """
-    return _quat_matrix(*u.factors())
-
-
-def _quat_matrix(first: tuple[complex, complex], second: tuple[complex, complex]) -> QuatMat2:
-    """:func:`quat_matrix` of the factors (a, b) and (a2, b2) of :meth:`LocalUnitary.factors`."""
-    (a, b), (a2, b2) = first, second
+    (a, b), (a2, b2) = u.factors()
     c, d, nb2 = -b.conjugate(), a.conjugate(), -b2
     return QuatMat2(
         _quaternion(a * a2, a * nb2),

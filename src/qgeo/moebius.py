@@ -35,7 +35,7 @@ from .quaternion import (
     right_quotient,
 )
 from .conformal import embed_complex, inverse_stereographic
-from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _quat_matrix, _require_variant
+from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require_variant, quat_matrix
 
 # MoebiusQ's invertibility threshold on |study_determinant(m)|, the determinant of m in C^4x4.
 DET_TOL = 1e-18
@@ -157,7 +157,7 @@ def moebius_from_local_unitary(u: LocalUnitary) -> MoebiusQ:
     """
     _require_variant(u, Variant.SO2_X_SU2, "moebius_from_local_unitary")
     f = _new(MoebiusQ)
-    _set_m(f, _quat_matrix(*u.factors()))
+    _set_m(f, quat_matrix(u))
     return f
 
 

@@ -148,6 +148,32 @@ def test_analyze_schema_violations(capsys, tmp_path):
     assert run_cli(capsys, "analyze", str(path))[0] == 2
 
 
+def test_input_errors_exit_2_and_leave_no_output(capsys, tmp_path, bell_state):
+    tr = write_transform(tmp_path / "t.json", "so2xsu2", 0.3, 1 + 0j, 0j)
+    out = tmp_path / "out"
+    a_file, listed, bare = tmp_path / "file", tmp_path / "list.json", tmp_path / "bare.json"
+    a_file.write_text("")
+    listed.write_text("[]")
+    bare.write_text('{"amps": []}')
+    cases = [
+        (["verify", "--trials", "0", "--report", str(out)], "--trials must be at least 1"),
+        *((["verify", "--tol", tol, "--report", str(out)], "--tol must be a positive number")
+          for tol in ("0", "-1", "nan", "inf")),
+        (["orbit", bell_state, tr, "--steps", "-1", "--out", str(out)], "--steps must be non-negative"),
+        (["sample", "--count", "0", "--out", str(out)], "--count must be at least 1"),
+        (["sample", "--out", str(a_file)], f"{a_file}: cannot create directory: File exists"),
+        (["transform", bell_state, tr, str(out / "o.json")], f"{out / 'o.json'}: cannot write: "),
+        (["analyze", str(tmp_path)], f"{tmp_path}: Is a directory"),
+        (["analyze", str(listed)], f"{listed}: expected a JSON object"),
+        (["analyze", str(bare)], f"{bare}: missing field 'amplitudes'"),
+    ]
+    for args, message in cases:
+        code, stdout, err = run_cli(capsys, *args)
+        assert (code, stdout) == (2, ""), args
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, (args, err)
+        assert not out.exists(), args
+
+
 def test_analyze_zero_vector_is_domain_error(capsys, tmp_path):
     path = write_state(tmp_path / "null.json", [0j, 0j, 0j, 0j])
     code, _, err = run_cli(capsys, "analyze", str(path))

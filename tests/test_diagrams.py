@@ -215,6 +215,8 @@ def test_run_suite_structure_single_trial():
         "exploratory",
         "overall_pass",
     }
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_suite(trials=0, seed=0)
 
 
 def test_run_suite_passes_at_moderate_scale():

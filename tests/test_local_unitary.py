@@ -66,6 +66,8 @@ def test_su2_element_validates_normalization():
         SU2Element(1.0, 1.0)
     u = SU2Element.normalized(1.0, 1.0)
     assert abs(abs(u.a) ** 2 + abs(u.b) ** 2 - 1.0) <= 1e-15
+    with pytest.raises(ZeroDivisionError):
+        SU2Element.normalized(0, 0)
 
 
 def test_local_unitary_takes_only_unitary_factors():

@@ -632,6 +632,9 @@ def test_orbit_s4_rows_do_not_depend_on_blocking():
         assert np.max(np.abs(part - whole[k0:k0 + n])) <= 4e-15
         np.testing.assert_array_equal(part[:, 1:4], whole[k0:k0 + n, 1:4])
     assert orbit_s4(u, point, 3, 0).shape == (0, 5)
+    for k0, n in [(-1, 3), (0, -1)]:
+        with pytest.raises(ValueError, match="orbit steps must be non-negative"):
+            orbit_s4(u, point, k0, n)
     np.testing.assert_array_equal(whole[0], inverse_stereographic(point))
 
 
