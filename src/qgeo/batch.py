@@ -304,15 +304,12 @@ SO2Element = namedtuple("SO2Element", "theta")
 
 
 class LocalUnitary:
-    """A block of the library's ``LocalUnitary``: one variant, angle rows and SU(2) rows."""
+    """A block of the library's ``LocalUnitary``: one variant, SU(2) rows, and factor rows a1, b1, a2, b2."""
 
     def __init__(self, variant: Variant, rot: SO2Element, su2: SU2Element):
         self.variant, self.su2 = Variant(variant), su2
-        rot_factor = [Split(libm(f, rot.theta), 0.0) for f in (math.cos, math.sin)]
-        self._factors = self.variant.order(tuple(rot_factor), (su2.a, su2.b))
-
-    def factors(self):
-        return self._factors
+        rot_factor = tuple(Split(libm(f, rot.theta), 0.0) for f in (math.cos, math.sin))
+        (self.a1, self.b1), (self.a2, self.b2) = self.variant.order(rot_factor, (su2.a, su2.b))
 
 
 def quaternionify(psi: TwoQubitState) -> Quaterbit:
@@ -334,8 +331,7 @@ def fraction_point(z1: Split, z2: Split, d: np.ndarray) -> Quaternion:
 
 
 def quat_matrix(u: LocalUnitary) -> QuatMat2:
-    (a, b), (a2, b2) = u.factors()
-    f = Quaternion(a2, -b2)
+    a, b, f = u.a1, u.b1, Quaternion(u.a2, -u.b2)
     return QuatMat2(a * f, b * f, (-b.conjugate()) * f, a.conjugate() * f)
 
 

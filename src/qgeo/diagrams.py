@@ -163,8 +163,7 @@ def check_three_way(u: LocalUnitary, psi: TwoQubitState) -> tuple[float, float, 
     s_term = schmidt_term(psi)
     n1 = _abs2(psi.alpha) + _abs2(psi.beta)
     n2 = _abs2(psi.gamma) + _abs2(psi.delta)
-    (c, s), _ = u.factors()  # the rotation factor (cos(theta), sin(theta))
-    c, s = c.real, s.real
+    c, s = u.a1.real, u.b1.real  # the first factor: the rotation (cos(theta), sin(theta))
     den = n2 * c * c + n1 * s * s - 2.0 * s * c * s_term.real
     num = c * c * s_term - s * s * s_term.conjugate() + s * c * (n2 - n1)
     w2 = op.fraction_point(num, concurrence_term(psi), den)

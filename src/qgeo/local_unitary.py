@@ -2,8 +2,8 @@
 
 Two one-parameter families are covered: rotation-on-first-qubit with SU(2) on
 the second ("so2xsu2"), and SU(2)-on-first with rotation on the second
-("su2xso2").  Both are a pair of SU(2) factors, one per qubit
-(:meth:`LocalUnitary.factors`), which give one complex action on amplitudes
+("su2xso2").  Both are a pair of SU(2) factors, one per qubit (the fields
+of :class:`LocalUnitary`), which give one complex action on amplitudes
 (:func:`apply_cb`, written out in interpreter arithmetic; :func:`complex_form`
 is its 4x4 matrix) and one equivalent quaternionic spinor action; the module also
 provides the membership tests that characterize Sp(2) in both the
@@ -90,31 +90,45 @@ class SO2Element:
         return np.array([[c, s], [-s, c]])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LocalUnitary:
-    """A separable two-qubit unitary, parameterized by (theta, a, b) and a variant."""
+    """A separable two-qubit unitary: its variant, its angle and the factors it computes once.
+
+    ``(a1, b1)`` and ``(a2, b2)`` are the first and second qubit's SU(2) factors, each
+    the pair (a, b) of the matrix rows (a, b), (-conj(b), conj(a)): the rotation
+    (cos(theta), sin(theta)) and the SU(2) element's (a, b), in :meth:`Variant.order`.
+    """
 
     variant: Variant
-    rot: SO2Element
-    su2: SU2Element
+    theta: float
+    a1: complex
+    b1: complex
+    a2: complex
+    b2: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
-        if not isinstance(self.rot, SO2Element):
-            raise TypeError(f"rot must be an SO2Element, got {type(self.rot).__name__}")
-        if not isinstance(self.su2, SU2Element):
-            raise TypeError(f"su2 must be an SU2Element, got {type(self.su2).__name__}")
+    def __init__(self, variant: Variant, rot: SO2Element, su2: SU2Element):
+        variant = Variant(variant)
+        if not isinstance(rot, SO2Element):
+            raise TypeError(f"rot must be an SO2Element, got {type(rot).__name__}")
+        if not isinstance(su2, SU2Element):
+            raise TypeError(f"su2 must be an SU2Element, got {type(su2).__name__}")
+        theta = rot.theta
+        (a1, b1), (a2, b2) = variant.order((complex(math.cos(theta)), complex(math.sin(theta))), (su2.a, su2.b))
+        for set_field, value in zip(_SET_FIELDS, (variant, theta, a1, b1, a2, b2)):
+            set_field(self, value)
 
-    def factors(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        """The (first-qubit, second-qubit) SU(2) factors, each as the pair (a, b)
-        of its matrix rows (a, b), (-conj(b), conj(a)).
+    @property
+    def rot(self) -> SO2Element:
+        """The rotation it was built from."""
+        return SO2Element(self.theta)
 
-        The rotation by theta is the pair (cos(theta), sin(theta)); the
-        variant says which qubit it acts on (:meth:`Variant.order`).
-        """
-        theta = self.rot.theta
-        rot = (complex(math.cos(theta)), complex(math.sin(theta)))
-        return self.variant.order(rot, (self.su2.a, self.su2.b))
+    @property
+    def su2(self) -> SU2Element:
+        """The SU(2) element it was built from (:meth:`Variant.order` undoes itself)."""
+        return SU2Element(*self.variant.order((self.a1, self.b1), (self.a2, self.b2))[1])
+
+
+_SET_FIELDS = [getattr(LocalUnitary, name).__set__ for name in ("variant", "theta", "a1", "b1", "a2", "b2")]
 
 
 def _fields(doc, names: tuple[str, ...]) -> list:
@@ -142,7 +156,7 @@ def encode_transform(t: LocalUnitary | SU2Element) -> dict:
     """The JSON form of a local unitary or of an SU(2) element."""
     if isinstance(t, SU2Element):
         return {"a": encode_pair(t.a), "b": encode_pair(t.b)}
-    return {"variant": t.variant.value, "theta": t.rot.theta, **encode_transform(t.su2)}
+    return {"variant": t.variant.value, "theta": t.theta, **encode_transform(t.su2)}
 
 
 def _factor_matrix(a: complex, b: complex) -> np.ndarray:
@@ -156,8 +170,7 @@ def _require_variant(u: LocalUnitary, variant: Variant, op: str) -> None:
 
 def complex_form(u: LocalUnitary) -> np.ndarray:
     """The 4x4 complex form, the Kronecker product of the first and second factor."""
-    first, second = u.factors()
-    return np.kron(_factor_matrix(*first), _factor_matrix(*second))
+    return np.kron(_factor_matrix(u.a1, u.b1), _factor_matrix(u.a2, u.b2))
 
 
 def _su2_action(a: complex, b: complex, x: complex, y: complex) -> tuple[complex, complex]:
@@ -175,7 +188,7 @@ def apply_cb(u: LocalUnitary, psi: TwoQubitState) -> TwoQubitState:
     does not depend on BLAS or the CPU, and it rounds otherwise than
     :func:`apply_B_quaterbit`, which applies F first.
     """
-    (a, b), (a2, b2) = u.factors()
+    a, b, a2, b2 = u.a1, u.b1, u.a2, u.b2
     c, d, c2, d2 = -b.conjugate(), a.conjugate(), -b2.conjugate(), a2.conjugate()
     alpha, beta, gamma, delta = psi.alpha, psi.beta, psi.gamma, psi.delta
     # Each pair is _su2_action written out: G on the rows, then F on the columns.
@@ -198,8 +211,8 @@ def apply_B_quaterbit(u: LocalUnitary, qb: Quaterbit) -> Quaterbit:
     complex scalars, and the unit quaternion a2 - conj(b2)*j of the second
     factor (a2, b2) multiplies each component from the right.
     """
-    (a, b), (a2, b2) = u.factors()
-    right = type(qb.q1)(a2, -b2.conjugate())
+    a, b = u.a1, u.b1
+    right = type(qb.q1)(u.a2, -u.b2.conjugate())
     return Quaterbit(
         (a * qb.q1 + b * qb.q2) * right,
         ((-b.conjugate()) * qb.q1 + a.conjugate() * qb.q2) * right,
@@ -265,8 +278,8 @@ def quat_matrix(u: LocalUnitary) -> QuatMat2:
     factor.  For so2xsu2, where F is real, :func:`complexify` of it is
     exactly :func:`complex_form`.
     """
-    (a, b), (a2, b2) = u.factors()
-    c, d, nb2 = -b.conjugate(), a.conjugate(), -b2
+    a, b, a2, nb2 = u.a1, u.b1, u.a2, -u.b2
+    c, d = -b.conjugate(), a.conjugate()
     return QuatMat2(
         _quaternion(a * a2, a * nb2),
         _quaternion(b * a2, b * nb2),
@@ -334,4 +347,5 @@ def random_local_unitary(variant: Variant, seed: int, idx: int = 0, trial: int =
 
 def random_su2(seed: int, idx: int = 0, trial: int = 0) -> SU2Element:
     """The Haar-random SU(2) element of :func:`random_local_unitary`'s trial."""
-    return random_local_unitary(Variant.SO2_X_SU2, seed, idx, trial).su2
+    _, a, b = sampling.local_unitary_params(sampling.uniforms(seed, idx, trial, trial + 1))
+    return SU2Element(a[0], b[0])

@@ -152,8 +152,9 @@ def moebius_from_local_unitary(u: LocalUnitary) -> MoebiusQ:
     Its matrix is :func:`quat_matrix`, with entries R(theta)_ij * (a - b*j).
     Under the canonical action the right factor (a - b*j) cancels, so the
     induced map on the extended quaternion line depends on theta alone.
-    MoebiusQ's invertibility check is skipped: a LocalUnitary's factors are
-    unitary by type, so the Study determinant is 1 up to NORMALIZATION_TOL.
+    MoebiusQ's invertibility check is skipped: a LocalUnitary computes its stored
+    factors from an SO2Element and an SU2Element, so they are unitary by type and
+    the Study determinant is 1 up to NORMALIZATION_TOL.
     """
     _require_variant(u, Variant.SO2_X_SU2, "moebius_from_local_unitary")
     f = _new(MoebiusQ)
@@ -227,7 +228,7 @@ def orbit_s4_chunks(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int)
     _require_variant(u, Variant.SO2_X_SU2, "orbit_s4")
     if k0 < 0 or n < 0:
         raise ValueError(f"orbit steps must be non-negative, got k0={k0}, n={n}")
-    theta = u.rot.theta
+    theta = u.theta
     u0, u1, u2, u3, u4 = inverse_stereographic(point).tolist()
     # Step k0 + c + j is a rotation by phi_c + phi_j: one exact angle per
     # block start c, one table of in-block offsets j for the whole run.

@@ -14,7 +14,9 @@ from qgeo import batch, sampling
 from qgeo.batch import BLOCK, Split
 from qgeo.cli import main
 from qgeo.diagrams import _GROUPS, _sample_trials, run_suite
-from qgeo.local_unitary import Variant, _su2_action, apply_cb, random_local_unitary, random_su2
+from qgeo.local_unitary import (
+    LocalUnitary, SO2Element, SU2Element, Variant, _su2_action, apply_cb, random_local_unitary, random_su2,
+)
 from qgeo.quaternion import ZERO_NORM_SQ, Quaternion, _s4_coords, chordal_distance
 from qgeo.sampling import K
 from qgeo.states import TwoQubitState, haar_random_one_qubit, haar_random_state, wootters_preconcurrence
@@ -343,10 +345,21 @@ class _Factors:
     """A stand-in local unitary: ``apply_cb`` reads nothing of it but its factors."""
 
     def __init__(self, first, second):
-        self._factors = (first, second)
+        (self.a1, self.b1), (self.a2, self.b2) = first, second
 
-    def factors(self):
-        return self._factors
+
+def test_block_local_unitary_stores_the_scalar_factors():
+    # Each evaluator reads the same four fields on both layers.
+    theta, a, b = sampling.local_unitary_params(sampling.uniforms(5, 0, 0, 300))
+    for variant in Variant:
+        block = batch.LocalUnitary(variant, batch.SO2Element(theta), batch.SU2Element(batch.split(a), batch.split(b)))
+        scalars = [
+            LocalUnitary(variant, SO2Element(t), SU2Element(x, y))
+            for t, x, y in zip(theta.tolist(), a.tolist(), b.tolist())
+        ]
+        for name in ("a1", "b1", "a2", "b2"):
+            got = [np.broadcast_to(part, theta.shape) for part in _parts(getattr(block, name))]
+            assert same_bits(got, _parts([getattr(u, name) for u in scalars])), (variant, name)
 
 
 def test_local_actions_match_the_scalar_code():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +82,28 @@ def test_local_unitary_takes_only_unitary_factors():
         ]:
             with pytest.raises(TypeError, match="must be an S[OU]2Element"):
                 LocalUnitary(variant, rot, factor)
+
+
+def _bits(*values) -> str:
+    """The reprs of the parts: they tell -0.0 from 0.0."""
+    return repr([(z.real, z.imag) for z in values])
+
+
+def test_local_unitary_stores_the_factors_of_its_elements():
+    # The constructor computes the factors once: libm's (cos, sin) of theta and
+    # the SU(2) element's (a, b), in Variant.order.  rot and su2 rebuild the
+    # elements it was built from.
+    theta, a, b = sampling.local_unitary_params(sampling.uniforms(3, 0, 0, 200))
+    for variant in Variant:
+        for t, x, y in zip(theta.tolist(), a.tolist(), b.tolist()):
+            rot, su2 = SO2Element(t), SU2Element(x, y)
+            u = LocalUnitary(variant, rot, su2)
+            (a1, b1), (a2, b2) = variant.order((complex(math.cos(t)), complex(math.sin(t))), (su2.a, su2.b))
+            assert _bits(u.a1, u.b1, u.a2, u.b2) == _bits(a1, b1, a2, b2)
+            assert u.rot == rot and u.su2 == su2
+            again = LocalUnitary(u.variant, u.rot, u.su2)
+            assert again == u and hash(again) == hash(u)
+            assert pickle.loads(pickle.dumps(u)) == u
 
 
 def test_cb_matrix_identity_and_rotation():

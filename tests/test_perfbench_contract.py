@@ -6,6 +6,7 @@ or the verify workload's count of report units fails here first.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 import qgeo
-from qgeo import conformal_map, diagrams, quaternionify
+from qgeo import conformal_map, diagrams, local_unitary, quaternionify
 from qgeo.cli import load_state, load_transform
 from qgeo.diagrams import run_suite
+from qgeo.local_unitary import LocalUnitary, SO2Element, SU2Element, Variant
 from qgeo.moebius import orbit_s4
 from qgeo.quaternion import Quaternion
 
@@ -48,6 +50,35 @@ def test_tracer_installs_and_uninstalls(perfbench):
 
 def test_api_items_evaluate_within_their_contracts(perfbench):
     assert perfbench.api.run(perfbench.api.make_items(0, 20), 10)["failures"] == []
+
+
+def test_api_items_make_no_libm_call(perfbench, monkeypatch):
+    # A LocalUnitary computes its factors when it is built, not once per state.
+    items = perfbench.api.make_items(0, 50)
+    calls = dict.fromkeys(("cos", "sin"), 0)
+
+    def counted(name):
+        def call(x):
+            calls[name] += 1
+            return getattr(math, name)(x)
+
+        return call
+
+    monkeypatch.setattr(local_unitary, "math", SimpleNamespace(**{**vars(math), **{n: counted(n) for n in calls}}))
+    assert perfbench.api.run(items, 10)["failures"] == []
+    assert calls == {"cos": 0, "sin": 0}
+    LocalUnitary(Variant.SO2_X_SU2, SO2Element(0.7), SU2Element(1, 0))
+    assert calls == {"cos": 1, "sin": 1}  # the constructor calls the counted binding
+
+
+def test_perfbench_reads_of_a_local_unitary_round_trip():
+    # api.py builds LocalUnitary(variant, SO2Element, SU2Element); run.py reads
+    # u.variant, u.rot.theta and u.su2 back.
+    su2 = SU2Element(0.6 + 0.48j, 0.64j)
+    for variant in Variant:
+        u = LocalUnitary(variant, SO2Element(0.7), su2)
+        assert (u.variant, u.rot.theta, u.su2) == (variant, 0.7, su2)
+        assert LocalUnitary(u.variant, SO2Element(u.rot.theta), u.su2) == u
 
 
 def test_report_holds_the_verify_units_and_check_loops(perfbench):
