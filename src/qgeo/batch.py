@@ -20,8 +20,8 @@ operations that construct objects or branch (``quaternionify``,
 ``fraction_point``, the chordal metric and ``max``); a block
 ``Quaternion``'s compound operations are the operators they compose.  Every
 other library function runs on the blocks unchanged.  Rows on which the
-scalar code leaves the generic branch (a quotient by a |q|^2 below
-``ZERO_NORM_SQ``, or a |q|^2 that overflows) are NaN, for the scalar code.
+scalar code leaves the generic branch (a quotient by a d or |q|^2 that is
+not a normal finite float) are NaN, for the scalar code.
 
 Text.  :func:`csv_rows` gives a block's CSV lines as one bytearray:
 step numbers, float64 columns in ``repr``'s digits, made in numpy where they
@@ -48,7 +48,7 @@ from functools import reduce
 import numpy as np
 
 from .local_unitary import QuatMat2, Variant, _require_variant
-from .quaternion import ZERO_NORM_SQ, _abs2
+from .quaternion import _NORMAL, _abs2
 from .sampling import _veltkamp
 from .states import Quaterbit
 
@@ -234,7 +234,6 @@ class Split:
 
 
 _REAL = (int, float, np.ndarray)
-_FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest finite float
 
 
 def _promoted(x) -> Split | None:
@@ -281,10 +280,8 @@ class Quaternion:
         return np.sqrt(self.norm_sq())
 
     def inverse(self) -> Quaternion:
-        """conj(q) / |q|^2, marking the rows on which the library's ``inverse`` raises or rescales q."""
-        n = self.norm_sq()
-        n[n > _FLOAT_MAX] = np.nan  # the rows whose |q|^2 overflows, marked in place
-        return fraction_point(self.z1.conjugate(), -self.z2, n)
+        """conj(q) / |q|^2, marked by :func:`fraction_point` where the library's ``inverse`` raises or rescales q."""
+        return fraction_point(self.z1.conjugate(), -self.z2, self.norm_sq())
 
     def _over(self, q):
         return self * q.inverse()
@@ -321,12 +318,13 @@ def embed_complex(z: Split) -> Quaternion:
 
 
 def fraction_point(z1: Split, z2: Split, d: np.ndarray) -> Quaternion:
-    """(z1 + z2 j) / d, with NaN on the rows d < ZERO_NORM_SQ that the library sends to INFINITY.
+    """(z1 + z2 j) / d, with NaN on the rows whose d is not a normal finite float: the
+    library sends them to INFINITY (d <= 0) or rescales their inverse.
 
     A NaN marks a row for the scalar code: it survives every operation of
     this module, :func:`max` included.
     """
-    d = np.where(d < ZERO_NORM_SQ, np.nan, d)
+    d = np.where((d >= _NORMAL) & (d < math.inf), d, np.nan)
     return Quaternion(z1 / d, z2 / d)
 
 

@@ -13,7 +13,6 @@ from .quaternion import (
     INFINITY,
     ExtendedQuaternion,
     Quaternion,
-    ZERO_NORM_SQ,
     _abs2,
     _s4_coords,
     left_quotient,
@@ -64,8 +63,8 @@ def schmidt_concurrence_form(psi: TwoQubitState) -> tuple[ExtendedQuaternion, fl
 
 
 def fraction_point(z1: complex, z2: complex, d: float) -> ExtendedQuaternion:
-    """The point (z1 + z2*j) / d for a real d: INFINITY where d < ZERO_NORM_SQ."""
-    return INFINITY if d < ZERO_NORM_SQ else Quaternion(z1 / d, z2 / d)
+    """The point (z1 + z2*j) / d for a real d: INFINITY where d <= 0."""
+    return INFINITY if d <= 0 else Quaternion(z1 / d, z2 / d)
 
 
 def inverse_stereographic(p: ExtendedQuaternion) -> np.ndarray:

@@ -6,10 +6,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-# Squared-norm threshold below which a quaternion counts as zero for inversion.
-ZERO_NORM_SQ = 1e-24
-
-_TINY = 2.0**-600  # scales a quaternion whose |q|^2 overflows into range, exactly
+_TINY = 2.0**-600  # scales a quaternion whose |q|^2 overflows (1 / _TINY: underflows) into range, exactly
+_NORMAL = 2.0**-1022  # the least normal float: a |q|^2 below it has lost bits
 
 
 def _abs2(z: complex) -> float:
@@ -107,19 +105,21 @@ class Quaternion:
         return math.sqrt(self.norm_sq())
 
     def inverse(self) -> Quaternion:
-        """Two-sided inverse conj(q) / |q|^2; raises on (near-)zero input."""
+        """Two-sided inverse conj(q) / |q|^2; raises where it is not finite: q = 0 or |q| < ~5.6e-309."""
         return _quaternion(*self._inverse_parts())
 
     def _inverse_parts(self) -> tuple[complex, complex]:
-        # Finite: each part is at most n ** -0.5 <= 1e12.
         n = self.norm_sq()
-        if n < ZERO_NORM_SQ:
-            raise ZeroDivisionError("inverse of a zero (or sub-threshold) quaternion")
-        if n == math.inf:  # |q|^2 overflows: invert q / 2**600, divide by 2**600, part by part
-            z1, z2 = divided((self.z1, self.z2), 1 / _TINY)
+        if _NORMAL <= n < math.inf:  # each part is at most n ** -0.5 < 2**511
+            return self.z1.conjugate() / n, -self.z2 / n
+        if self.z1 or self.z2:  # |q * s|^2 is normal for s = 2**-600 (overflow) or 2**600
+            s = _TINY if n == math.inf else 1 / _TINY
+            z1, z2 = divided((self.z1, self.z2), 1 / s)  # invert q * s, then scale by s, part by part
             n = _abs2(z1) + _abs2(z2)
-            return tuple(divided((z1.conjugate() / n, -z2 / n), 1 / _TINY))
-        return self.z1.conjugate() / n, -self.z2 / n
+            w1, w2 = divided((z1.conjugate() / n, -z2 / n), 1 / s)
+            if _isfinite(w1) and _isfinite(w2):  # else |q| is below 1 / the largest float
+                return w1, w2
+        raise ZeroDivisionError("quaternion has no finite inverse")
 
     # The compound operations below compute on the parts, in the order and
     # with the roundings of the operators they compose, and build only their
@@ -141,9 +141,9 @@ class Quaternion:
         q1, q2 = c.z1, c.z2
         d1, d2 = p1 * q1 - p2 * q2.conjugate() + d.z1, p1 * q2 + p2 * q1.conjugate() + d.z2
         # Then right_quotient: d's _inverse_parts and n's _over.  A non-finite numerator, or
-        # a |d|^2 that counts as zero or overflows, goes to the composed expression.
+        # a |d|^2 that is not a normal finite float, goes to the composed expression.
         n = (d1.real * d1.real + d1.imag * d1.imag) + (d2.real * d2.real + d2.imag * d2.imag)
-        if not (_isfinite(n1) and _isfinite(n2) and ZERO_NORM_SQ <= n < math.inf):
+        if not (_isfinite(n1) and _isfinite(n2) and _NORMAL <= n < math.inf):
             return right_quotient(self * a + b, self * c + d)
         c1, c2 = d1.conjugate() / n, -d2 / n
         return _quaternion(n1 * c1 - n2 * c2.conjugate(), n1 * c2 + n2 * c1.conjugate())
@@ -186,23 +186,25 @@ class DegenerateMapError(ZeroDivisionError):
     """Numerator and denominator vanished together: the quotient is indeterminate."""
 
 
-def _over_zero(p_norm_sq: float) -> AtInfinity:
-    """A numerator of squared norm p_norm_sq over a denominator that counts as zero:
-    INFINITY, or DegenerateMapError where the numerator does too."""
-    if p_norm_sq < ZERO_NORM_SQ:
+def _over_zero(p: Quaternion) -> AtInfinity:
+    """A numerator p over a denominator with no finite inverse: INFINITY, or
+    DegenerateMapError where p has none either."""
+    try:
+        p._inverse_parts()
+    except ZeroDivisionError:
         raise DegenerateMapError("indeterminate quotient: numerator and denominator both zero") from None
     return INFINITY
 
 
 def right_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
-    """p * q**-1 on the extended line: INFINITY where q counts as zero.
+    """p * q**-1 on the extended line: INFINITY where q has no finite inverse (:meth:`Quaternion.inverse`).
 
-    Raises DegenerateMapError (a ZeroDivisionError) when p counts as zero too.
+    Raises DegenerateMapError (a ZeroDivisionError) when p has none either.
     """
     try:
         return p._over(q)
     except ZeroDivisionError:
-        return _over_zero(p.norm_sq())
+        return _over_zero(p)
 
 
 def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
@@ -210,7 +212,7 @@ def left_quotient(p: Quaternion, q: Quaternion) -> ExtendedQuaternion:
     try:
         return q.inverse() * p
     except ZeroDivisionError:
-        return _over_zero(p.norm_sq())
+        return _over_zero(p)
 
 
 def _s4_coords(p: ExtendedQuaternion) -> tuple[float, float, float, float, float]:

@@ -15,3 +15,15 @@ def _on_pythonpath(package: str) -> bool:
 # a PYTHONPATH that provides qgeo (another tree's src) is tested instead.
 if not _on_pythonpath("qgeo"):
     sys.path.insert(0, str(SRC))
+
+
+def child_env(**settings: str) -> dict[str, str]:
+    """The environment of a child Python process that imports the qgeo under test.
+
+    It is os.environ plus ``settings``, with the directory that holds the
+    imported qgeo first on PYTHONPATH.
+    """
+    import qgeo
+
+    src = str(Path(qgeo.__file__).resolve().parent.parent)
+    return {**os.environ, **settings, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -17,7 +17,7 @@ from qgeo.diagrams import _GROUPS, _sample_trials, run_suite
 from qgeo.local_unitary import (
     LocalUnitary, SO2Element, SU2Element, Variant, _su2_action, apply_cb, random_local_unitary, random_su2,
 )
-from qgeo.quaternion import ZERO_NORM_SQ, Quaternion, _s4_coords, chordal_distance
+from qgeo.quaternion import Quaternion, _s4_coords, chordal_distance
 from qgeo.sampling import K
 from qgeo.states import TwoQubitState, haar_random_one_qubit, haar_random_state, wootters_preconcurrence
 
@@ -307,10 +307,14 @@ def test_chordal_metric_squares_by_multiplication():
 
 def test_quaternion_operations_match_the_scalar_class():
     (a, b), (c, d) = _complex_samples(seed=2), _complex_samples(seed=3)
-    for z in (c, d):  # rows of q that are zero, or below ZERO_NORM_SQ, or whose |q|^2 overflows
-        z.real[:100] = z.imag[:100] = 0.0
-        z.real[50:100] = 3e-13
+    # Rows of q that are zero, have no finite inverse, have a |q|^2 that
+    # underflows or overflows, and are small but have a normal |q|^2.
+    for z in (c, d):
+        z.real[:200] = z.imag[:200] = 0.0
+        z.real[50:75] = 5e-324
+        z.real[75:100] = 1e-160
         z.real[100:150] = 1e200
+        z.real[150:200] = 3e-13
     p, q = batch.Quaternion(a, b), batch.Quaternion(c, d)
     ps = [Quaternion(z1, z2) for z1, z2 in zip(_pyc(a), _pyc(b))]
     qs = [Quaternion(z1, z2) for z1, z2 in zip(_pyc(c), _pyc(d))]
@@ -328,8 +332,9 @@ def test_quaternion_operations_match_the_scalar_class():
     # and NaN (a mark for the scalar code) on every row where it raises or
     # rescales q; so is the chordal distance to a point whose |q|^2 overflows.
     overflows = np.array([y.norm_sq() == math.inf for y in qs])
-    invertible = np.array([y.norm_sq() >= ZERO_NORM_SQ for y in qs]) & ~overflows
+    invertible = np.array([y.norm_sq() >= 2.0**-1022 for y in qs]) & ~overflows
     assert invertible.sum() == len(qs) - 150 and overflows.sum() == 50
+    assert invertible[150:200].all()
     with np.errstate(all="ignore"):
         inv = quat_rows(q.inverse())
         distance = batch.chordal_distance(p, q)

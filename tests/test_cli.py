@@ -26,6 +26,7 @@ except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__
 
 import qgeo.cli
+from conftest import child_env
 from qgeo import batch, diagrams
 from qgeo.cli import load_state, load_transform, main
 from qgeo.conformal import conformal_map, inverse_stereographic, schmidt_concurrence_form
@@ -429,11 +430,10 @@ def test_verify_in_a_fresh_process_matches_one_process(capsys, monkeypatch, tmp_
     one = tmp_path / "one.json"
     assert run_cli(capsys, *args, str(one))[0] == 0
 
-    src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
     forked = tmp_path / "forked.json"
     subprocess.run(
         [sys.executable, "-W", "error", "-m", "qgeo", *args, str(forked)],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        env=child_env(),
         capture_output=True,
         check=True,
         timeout=120,
@@ -811,11 +811,10 @@ def test_orbit_in_a_fresh_process_matches_one_process(capsys, monkeypatch, tmp_p
     one = tmp_path / "one.csv"
     assert run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", str(one))[0] == 0
 
-    src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
     forked = tmp_path / "forked.csv"
     subprocess.run(
         [sys.executable, "-W", "error", "-m", "qgeo", "orbit", state, tr, "--steps", steps, "--out", str(forked)],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        env=child_env(),
         capture_output=True,
         check=True,
         timeout=120,
@@ -930,12 +929,7 @@ def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, setting):
     # and renormalized state vectors use none of the rounding ones: the
     # ufuncs on their path are sqrt and the + - * rint of the cos/sin
     # kernel, each correctly rounded, and min, max and selections, exact.
-    src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
-    env = {
-        **os.environ,
-        **setting,
-        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-    }
+    env = child_env(**setting)
 
     def python(*args):
         return subprocess.run([sys.executable, "-W", "error", *args], env=env,
@@ -954,14 +948,13 @@ def test_pinned_bytes_do_not_depend_on_the_blas_kernel(tmp_path, setting):
 
 def test_importing_the_cli_loads_no_scipy():
     # Importing scipy.special alone costs about twice the CLI's start-up time.
-    src = str(Path(qgeo.cli.__file__).resolve().parent.parent)
     code = "import sys, qgeo.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", code],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        env=child_env(),
     )
     assert proc.stdout == "[]\n"
 

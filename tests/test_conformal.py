@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qgeo import sampling
-from qgeo.quaternion import INFINITY, J, ZERO_NORM_SQ, Quaternion, chordal_distance
+from qgeo.quaternion import INFINITY, J, Quaternion, chordal_distance
 from qgeo.states import OneQubitState, Quaterbit, TwoQubitState, haar_random_state, quaternionify
 from qgeo.conformal import (
     conformal_map,
@@ -64,8 +64,6 @@ def test_dual_map_bra_relation():
     for amplitudes in sampling.haar_rows(sampling.uniforms(0, 0, 0, 10_000), 4).tolist():
         qb = quaternionify(TwoQubitState(*amplitudes))
         conj_qb = Quaterbit(qb.q1.conjugate(), qb.q2.conjugate())
-        if qb.q2.norm_sq() < ZERO_NORM_SQ:
-            continue
         lhs = conformal_map_dual(conj_qb)
         rhs = conformal_map(qb).conjugate()
         assert abs(lhs - rhs) <= 1e-12
@@ -99,10 +97,50 @@ def test_scale_invariance_of_the_quotient():
         qb = quaternionify(psi)
         rng = np.random.default_rng(seed + 10_000)
         s = Quaternion.from_reals(*rng.uniform(-1, 1, size=4))
-        if s.norm_sq() < 1e-4 or qb.q2.norm_sq() < ZERO_NORM_SQ:
+        if s.norm_sq() < 1e-4:
             continue
         scaled = Quaterbit(qb.q1 * s, qb.q2 * s)
         assert chordal_distance(conformal_map(scaled), conformal_map(qb)) <= 1e-11
+
+
+def test_conformal_map_is_invariant_under_real_scaling():
+    # The image of a spinor is that of its right-quaternion line, so scaling
+    # both components by any s > 0 keeps it: INFINITY is reached only where
+    # q2 has no finite inverse, wherever the spinor's scale puts |q2|^2.
+    g = 1e-13
+    spinors = [quaternionify(haar_random_state(seed)) for seed in range(10)]
+    spinors.append(Quaterbit(Quaternion(math.sqrt(1 - g * g), 0), Quaternion(g, 0)))
+    for qb in spinors:
+        image = conformal_map(qb)
+        for e in range(-150, 151):
+            s = 10.0**e
+            assert chordal_distance(conformal_map(Quaterbit(s * qb.q1, s * qb.q2)), image) <= 1e-15
+
+
+def _exact_s4(q1, q2, mp):
+    """The 4-sphere image of q1 * q2**-1 for the float spinor (q1, q2), in mpmath."""
+    a1, a2, b1, b2 = (mp.mpc(z) for z in (q1.z1, q1.z2, q2.z1, q2.z2))
+    n = abs(b1) ** 2 + abs(b2) ** 2
+    c1, c2 = mp.conj(b1) / n, -b2 / n  # q2**-1
+    p1, p2 = a1 * c1 - a2 * mp.conj(c2), a1 * c2 + a2 * mp.conj(c1)
+    m = abs(p1) ** 2 + abs(p2) ** 2
+    return [2 * x / (m + 1) for x in (p1.real, p1.imag, p2.real, p2.imag)] + [(m - 1) / (m + 1)]
+
+
+def test_conformal_map_is_accurate_next_to_infinity():
+    # Unit spinors with |q2| = 10**-k map within rounding of their image, as
+    # far down as 1e-300, where |q2|^2 is 0 in floats: a unit spinor is sent
+    # to INFINITY only at q2 = 0.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(61)
+    with mpmath.workdps(60):
+        for k in range(12, 301):
+            g = 10.0**-k
+            u1, u2 = (Quaternion.from_reals(*(x / np.linalg.norm(x))) for x in rng.standard_normal((2, 4)))
+            for qb in (Quaterbit(math.sqrt(1 - g * g) * u1, g * u2), Quaterbit(Quaternion(1, 0), Quaternion(g, 0))):
+                exact = _exact_s4(qb.q1, qb.q2, mpmath)
+                got = inverse_stereographic(conformal_map(qb)).tolist()
+                assert mpmath.sqrt(sum((mpmath.mpf(x) - y) ** 2 for x, y in zip(got, exact))) <= 1e-15
 
 
 def test_one_qubit_map_agrees_with_embedded_quaternionic_map():

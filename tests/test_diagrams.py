@@ -100,6 +100,15 @@ def test_three_way_identity_and_bell():
     assert first <= 1e-12 and second <= 1e-12
 
 
+def test_three_way_holds_next_to_infinity():
+    # A unit spinor with a tiny q2 maps next to INFINITY, not onto it, on
+    # every path: the three ways agree to rounding, with no 2*g gap between
+    # INFINITY and the true image.
+    u = LocalUnitary(Variant.SO2_X_SU2, SO2Element(0.7), SU2Element(1, 0))
+    for g in (0.999e-12, 1e-13, 1e-160, 1e-300):
+        assert max(check_three_way(u, TwoQubitState(math.sqrt(1 - g * g), 0, g, 0))) <= 1e-15
+
+
 def test_three_way_and_closed_forms_random():
     for seed in range(300):
         u = random_local_unitary(Variant.SO2_X_SU2, seed, 0)
@@ -743,7 +752,7 @@ def test_a_tied_maximum_goes_to_the_later_trial_whichever_process_reads_it(monke
 
 
 def _record_scalar_evaluations(monkeypatch) -> list:
-    """Make every row record its index each time it evaluates one trial's inputs.
+    """Make every row record its index and state each time it evaluates one trial's inputs.
 
     The suite then runs in this process alone, whose memory holds the record.
     """
@@ -753,7 +762,7 @@ def _record_scalar_evaluations(monkeypatch) -> list:
     def recording(group):
         def evaluate(*inputs):
             if isinstance(inputs[-1], (OneQubitState, TwoQubitState)):
-                calls.append(group.idx)
+                calls.append((group.idx, inputs[-1]))
             return group.evaluate(*inputs)
 
         return dataclasses.replace(group, evaluate=evaluate)
@@ -774,10 +783,10 @@ def test_every_row_evaluates_its_trials_in_blocks(monkeypatch):
 @pytest.mark.usefixtures("small_block")
 def test_branch_trials_fall_back_to_the_scalar_code(monkeypatch):
     # Trials whose spare uniform (slot 15) is below 0.2 get q2 = 0 (a2 = 0
-    # for one qubit), or a q2 below ZERO_NORM_SQ but not zero, so their
-    # conformal image is INFINITY whichever block reads them.  The block
-    # marks them, the scalar code evaluates them, and the report is still
-    # the per-trial one.
+    # for one qubit), whose conformal image is INFINITY, or a q2 whose |q2|^2
+    # underflows (below 2**-1022) but is not zero, whose inverse the library
+    # rescales, whichever block reads them.  The block marks them, the
+    # scalar code evaluates them, and the report is still the per-trial one.
     sample = sampling.haar_rows
 
     def q2_at_zero(u, n):
@@ -785,12 +794,14 @@ def test_branch_trials_fall_back_to_the_scalar_code(monkeypatch):
         if u.shape[1] == sampling.K:  # a state's row, not the SU(2) pair's
             spare = u[:, 15]
             rows[spare < 0.1, n // 2 :] = 0.0
-            rows[(0.1 <= spare) & (spare < 0.2), n // 2 :] *= 2.0**-45
+            rows[(0.1 <= spare) & (spare < 0.2), n // 2 :] *= 2.0**-540
         return rows
 
     monkeypatch.setattr(sampling, "haar_rows", q2_at_zero)
     per_trial = _reference_trials(3, B + 1)
     calls = _record_scalar_evaluations(monkeypatch)
     assert run_suite(B + 1, 3).to_dict() == _reference_report(3, B + 1, per_trial)
-    # Every row that takes a quotient went through the fallback.
-    assert set(calls) == {0, 2, 3, 8, 9, 10}
+    # Every row that takes a quotient went through the fallback, on both strata.
+    assert {idx for idx, _ in calls} == {0, 2, 3, 8, 9, 10}
+    q2 = [abs(psi.a2) if isinstance(psi, OneQubitState) else abs(psi.gamma) for _, psi in calls]
+    assert 0.0 in q2 and any(0 < x < 2.0**-500 for x in q2)

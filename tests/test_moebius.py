@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qgeo.quaternion import I, INFINITY, J, K, ONE, ZERO_NORM_SQ, Quaternion, chordal_distance, left_quotient, right_quotient
+from qgeo.quaternion import I, INFINITY, J, K, ONE, Quaternion, chordal_distance, left_quotient, right_quotient
 from qgeo.states import OneQubitState, Quaterbit, TwoQubitState, haar_random_state, quaternionify
 from qgeo.conformal import (
     conformal_map,
@@ -65,8 +65,12 @@ def _random_moebius(rng) -> MoebiusQ:
 # action restricted to the complex line: complex entries, complex points.
 
 
+def _complex_matrix(a, b, c, d) -> QuatMat2:
+    return QuatMat2(*map(embed_complex, (a, b, c, d)))
+
+
 def _complex_moebius(a, b, c, d) -> MoebiusQ:
-    return MoebiusQ(QuatMat2(*map(embed_complex, (a, b, c, d))))
+    return MoebiusQ(_complex_matrix(a, b, c, d))
 
 
 def _apply_c(f: MoebiusQ, z):
@@ -301,12 +305,12 @@ def test_composition_through_poles():
     for seed in range(100):
         f = _random_induced_map(seed, 2)
         g = _random_induced_map(seed, 3)
-        if g.m.m21.norm_sq() < ZERO_NORM_SQ:
-            continue
         # The pole of g is sent to infinity, so the composite must land on
-        # f's value at infinity.
+        # f's value at infinity.  The pole is rounded: g's denominator there
+        # is a rounding residue, which has an inverse, so g's image is a
+        # point within rounding of INFINITY rather than INFINITY itself.
         pole = -g.m.m22 * g.m.m21.inverse()
-        assert apply_moebius_q(g, pole) is INFINITY
+        assert chordal_distance(apply_moebius_q(g, pole), INFINITY) <= 1e-15
         lhs = apply_moebius_q(compose(f, g), pole)
         rhs = apply_moebius_q(f, INFINITY)
         assert chordal_distance(lhs, rhs) <= 1e-10
@@ -410,14 +414,20 @@ def test_bell_point_is_fixed():
     assert chordal_distance(apply_moebius_q(f, -J), -J) <= 1e-14
 
 
+def _unchecked(m: QuatMat2) -> MoebiusQ:
+    """A MoebiusQ of m built without the DET_TOL check.  No map that passes it
+    divides two quaternions that both lack a finite inverse (0/0)."""
+    f = MoebiusQ.__new__(MoebiusQ)
+    object.__setattr__(f, "m", m)
+    return f
+
+
 def test_degenerate_evaluation_raises():
     swap = MoebiusQ(QuatMat2(ZERO, ONE, ONE, ZERO))
     with pytest.raises(DegenerateMapError):
         # Force numerator and denominator to vanish together by feeding an
         # inconsistent hand-built matrix through the variant evaluator.
-        bad = MoebiusQ.__new__(MoebiusQ)
-        object.__setattr__(bad, "m", QuatMat2(ONE, ZERO, ONE, ZERO))
-        apply_moebius_q(bad, ZERO)
+        apply_moebius_q(_unchecked(QuatMat2(ONE, ZERO, ONE, ZERO)), ZERO)
     # A legitimate map never triggers it.
     assert apply_moebius_q(swap, ZERO) is INFINITY
 
@@ -435,9 +445,9 @@ def _moebius_quotient(x, order):
 
     def quotient(num, den):
         if x is INFINITY:
-            f = MoebiusQ(QuatMat2(num, _BIG[0], den, _BIG[1]))
+            f = _unchecked(QuatMat2(num, _BIG[0], den, _BIG[1]))
         else:
-            f = MoebiusQ(QuatMat2(_BIG[0], num, _BIG[1], den))
+            f = _unchecked(QuatMat2(_BIG[0], num, _BIG[1], den))
         return apply_moebius_q(f, x) if order is None else apply_moebius_q_variant(f, x, order)
 
     return quotient
@@ -468,12 +478,12 @@ _QUOTIENT_PATHS = [
         id="conformal_map_one_qubit",
     ),
     pytest.param(
-        _on_plane(lambda b, d: _apply_c(_complex_moebius(1e6, b, 1e6j, d), ZERO)),
+        _on_plane(lambda b, d: _apply_c(_unchecked(_complex_matrix(1e6, b, 1e6j, d)), ZERO)),
         _right_on_plane,
         id="complex-at-zero",
     ),
     pytest.param(
-        _on_plane(lambda a, c: _apply_c(_complex_moebius(a, 1e6, c, 1e6j), INFINITY)),
+        _on_plane(lambda a, c: _apply_c(_unchecked(_complex_matrix(a, 1e6, c, 1e6j)), INFINITY)),
         _right_on_plane,
         id="complex-at-infinity",
     ),
@@ -494,11 +504,17 @@ _QUOTIENT_PATHS = [
 
 @pytest.mark.parametrize("quotient, formula", _QUOTIENT_PATHS)
 def test_every_quotient_path_shares_the_extended_line_convention(quotient, formula):
-    tiny = Quaternion(1e-13, 0)
+    # A quotient is INFINITY exactly where its denominator has no finite
+    # inverse: at 0, and at a nonzero quaternion below 1 / the largest float.
+    tiny = Quaternion(5e-324, 0)
     assert quotient(ONE, ZERO) is INFINITY
     assert quotient(J, tiny) is INFINITY
-    # 0/0 below the zero threshold, on maps that pass DET_TOL: at infinity
-    # the matrix is (1e-13, 1e6; -1e-13, 1e6*j) (1e6*i on the complex plane).
+    # Small denominators that have an inverse, also where |q|^2 underflows,
+    # give the written formula's finite value.
+    for small in (Quaternion(1e-13, 0), Quaternion(1e-160, 0), Quaternion(2e-308, 0)):
+        assert quotient(J, small) == formula(J, small)
+    # 0/0: the numerator has no finite inverse either.  At infinity the
+    # matrix is (5e-324, 1e6; -5e-324, 1e6*j) (1e6*i on the complex plane).
     with pytest.raises(DegenerateMapError) as exc:
         quotient(tiny, -tiny)
     assert isinstance(exc.value, ZeroDivisionError)
@@ -537,10 +553,12 @@ def test_every_quotient_path_shares_the_extended_line_convention(quotient, formu
 def test_moebius_orderings_equal_their_written_formulas(apply, at_point, at_infinity, composed):
     rng = np.random.default_rng(52)
     cases = [(_random_moebius(rng), _random_quaternion(rng)) for _ in range(1000)]
-    # Denominators with |q|^2 one ulp below ZERO_NORM_SQ, at it and one ulp
-    # above, at 0 and at INFINITY; then points of norm about 1e150.
-    tiny = [Quaternion(9.999999999999998e-13 + 1e-20j, 0), Quaternion(1e-12, 0), Quaternion(1e-12 + 1e-20j, 0)]
-    assert [t.norm_sq() for t in tiny] == [math.nextafter(1e-24, 0), 1e-24, math.nextafter(1e-24, 1)]
+    # Denominators with |q|^2 one ulp below the least normal float 2**-1022
+    # (where the inverse rescales q), at it and one ulp above, at 0 and at
+    # INFINITY; then points of norm about 1e150.
+    tiny = [Quaternion(math.nextafter(2**-511, 0), 0), Quaternion(2**-511, 0), Quaternion(2**-511 + 2**-537 * 1j, 0)]
+    least = 2.0**-1022
+    assert [t.norm_sq() for t in tiny] == [math.nextafter(least, 0), least, math.nextafter(least, 1)]
     for t in tiny:
         a, b, c = (_random_quaternion(rng) for _ in range(3))
         cases += [(MoebiusQ(QuatMat2(a, b, c, t)), ZERO), (MoebiusQ(QuatMat2(a, b, t, c)), ZERO)]
@@ -550,17 +568,18 @@ def test_moebius_orderings_equal_their_written_formulas(apply, at_point, at_infi
         assert apply(f, INFINITY) == _on_extended_line(at_infinity, f.m)
     # The whole outcome (a value, INFINITY or the error raised) is that of
     # the composed operators and the extended line's quotient, at points
-    # other than 0: denominators one ulp below ZERO_NORM_SQ, at it and one ulp
-    # above, then 0/0 on maps that pass DET_TOL (entries 1e6 and 1e-13).
+    # other than 0: a denominator with no finite inverse, the three around
+    # 2**-1022 (where the fused action meets the composed one), then 0/0
+    # (entries 1e6 and 5e-324, see _unchecked).
     outcomes = []
-    for t in tiny:
+    for t in [Quaternion(5e-324, 0), *tiny]:
         a, b = _random_quaternion(rng), _random_quaternion(rng)
         f = MoebiusQ(QuatMat2(a, b, ONE, ZERO))
         outcomes.append(_outcome(apply, composed, f, t))
     assert outcomes[0] is INFINITY
-    assert all(type(p) is Quaternion and p.norm_sq() > 1e20 for p in outcomes[1:])
-    degenerate = MoebiusQ(QuatMat2(_BIG[0], Quaternion(1e-13, 0), _BIG[1], Quaternion(-1e-13, 0)))
-    for x in (ZERO, Quaternion(2e-20 + 3e-20j, 0), Quaternion(1e-20, -2e-20j)):
+    assert all(type(p) is Quaternion and p.norm_sq() > 1e300 for p in outcomes[1:])
+    degenerate = _unchecked(QuatMat2(_BIG[0], Quaternion(5e-324, 0), _BIG[1], Quaternion(-5e-324, 0)))
+    for x in (ZERO, Quaternion(5e-324, 0), Quaternion(1e-320, -2e-320j)):
         assert _outcome(apply, composed, degenerate, x) is DegenerateMapError
 
 

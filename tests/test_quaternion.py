@@ -123,8 +123,8 @@ def test_overflowing_operations_raise_the_constructors_error(op):
 
 
 def test_inverse_cannot_overflow():
-    # |z|^2 <= n and n >= ZERO_NORM_SQ bound each component of conj(q) / n by
-    # n ** -0.5 <= 1e12, so inverse has no overflow to raise on.  Where n
+    # |z|^2 <= n and n >= 2**-1022 bound each component of conj(q) / n by
+    # n ** -0.5 < 2**511, so inverse has no overflow to raise on.  Where n
     # overflows, q is scaled by 2**-600 first: the inverse is still 1 / q.
     for q in (_BIG, Quaternion(1e308 + 1e308j, -1e308 - 1e308j), Quaternion(1e-12, 0)):
         inv = q.inverse()
@@ -223,10 +223,31 @@ def test_inverse_examples():
 
 
 def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        Quaternion(0j, 0j).inverse()
-    with pytest.raises(ZeroDivisionError):
-        Quaternion(1e-13 + 0j, 0j).inverse()
+    # A quaternion is zero exactly where it has no finite inverse: at 0, and
+    # where |q| is below 1 / the largest float (about 5.6e-309).
+    for q in (Quaternion(0j, 0j), Quaternion(5e-324, 0), Quaternion(5e-309, 0), Quaternion(0, -5e-309j)):
+        with pytest.raises(ZeroDivisionError):
+            q.inverse()
+    assert Quaternion(1e-13, 0).inverse() == Quaternion(1e13, 0)
+    assert Quaternion(2.0**-1023, 0).inverse() == Quaternion(2.0**1023, 0)
+
+
+def test_inverse_rescales_where_the_squared_norm_underflows():
+    # |q|^2 below 2**-1022 has lost bits (to 0 below about 1.5e-162): q is
+    # scaled by 2**600 first, so the inverse is still 1 / q.
+    assert Quaternion(1e-160, 0).inverse() == Quaternion(1e160, 0)
+    assert Quaternion(0, 2.0**-1000).inverse() == Quaternion(0, -(2.0**1000))
+    for x in (1e-155, 1e-160, 1e-200, 1e-300, 5.6e-309, 5e-324 * 2**52):
+        for q in (Quaternion(x, 0), Quaternion(0, x), Quaternion(x + x * 1j, -x - x * 1j)):
+            assert abs(q * q.inverse() - ONE) <= 2e-15 and abs(q.inverse() * q - ONE) <= 2e-15
+    # Part by part, as where n overflows: the signed zeros do not depend on
+    # whether n underflows.
+    def signs(parts):
+        return [math.copysign(1.0, v) for v in Quaternion.from_reals(*parts).inverse().as_reals()]
+
+    for k, s in itertools.product(range(4), itertools.product((1.0, -1.0), repeat=4)):
+        small, tiny = ([c * (x if i == k else 0.0) for i, c in enumerate(s)] for x in (1e-150, 1e-160))
+        assert signs(tiny) == signs(small)
 
 
 def test_non_commutativity_witness():
@@ -290,6 +311,13 @@ def test_right_quotient_conventions():
     assert left_quotient(J, Quaternion(0j, 0j)) is INFINITY
     with pytest.raises(DegenerateMapError):
         left_quotient(Quaternion(0j, 0j), Quaternion(0j, 0j))
+    # The convention at the float format's limit: 5e-324 has no finite inverse.
+    tiny = Quaternion(5e-324, 0)
+    for quotient in (right_quotient, left_quotient):
+        assert quotient(ONE, tiny) is INFINITY
+        with pytest.raises(DegenerateMapError):
+            quotient(tiny, tiny)
+        assert quotient(tiny, ONE) == tiny
 
 
 @pytest.mark.parametrize("quotient", [right_quotient, left_quotient])
