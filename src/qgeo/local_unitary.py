@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import sampling
-from .quaternion import Quaternion, _quaternion, divided, squared_norm
+from .quaternion import _NORMAL, Quaternion, _quaternion, divided, squared_norm
 from .states import (
     NORMALIZATION_TOL, OneQubitState, Quaterbit, TwoQubitState, decode_number, decode_pair, encode_pair,
 )
@@ -62,10 +62,10 @@ class SU2Element:
     @classmethod
     def normalized(cls, a: complex, b: complex) -> SU2Element:
         a, b = complex(a), complex(b)
-        n = math.sqrt(squared_norm((a, b)))
-        if n < 1e-12:
+        n = squared_norm((a, b))
+        if n < _NORMAL:
             raise ZeroDivisionError("cannot normalize zero SU(2) parameters")
-        return cls(*divided((a, b), n))
+        return cls(*divided((a, b), math.sqrt(n)))
 
     @property
     def matrix(self) -> np.ndarray:

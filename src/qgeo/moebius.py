@@ -30,14 +30,13 @@ from .quaternion import (
     INFINITY,
     DegenerateMapError,  # re-exported: raised by the actions below on 0/0
     ExtendedQuaternion,
-    _abs2,
     left_quotient,
     right_quotient,
 )
 from .conformal import embed_complex, inverse_stereographic
 from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require_variant, quat_matrix
 
-# MoebiusQ's invertibility threshold on |study_determinant(m)|, the determinant of m in C^4x4.
+# MoebiusQ's invertibility threshold on study_determinant(m), the determinant of m in C^4x4.
 DET_TOL = 1e-18
 
 # Rows per block of orbit_s4_chunks; bounds the memory of a streamed orbit.
@@ -58,20 +57,17 @@ class VariantOrder(Enum):
 def study_determinant(m: QuatMat2) -> float:
     """det of m = (a b; c d) as a 4x4 complex matrix: |a|^2|d|^2 + |b|^2|c|^2 - 2 Re(conj(a) b conj(d) c).
 
-    Evaluated as |w|^2 / |a|^2 with w = |a|^2 d - c conj(a) b, after a row swap if |c| > |a|:
-    a singular matrix cancels in w, so its value is rounding squared (Aslaksen, "Quaternionic
-    determinants", Math. Intelligencer 18 (1996) 57-65).
+    Evaluated as |w|^2 / |a|^2 with w = |a|^2 d - c conj(a) b by Quaternion's operators, after a
+    row swap if |c| > |a|: a singular matrix cancels in w, so its value is rounding squared
+    (Aslaksen, "Quaternionic determinants", Math. Intelligencer 18 (1996) 57-65).  An
+    intermediate that overflows raises the operators' ValueError.
     """
     a, b, c, d = m.m11, m.m12, m.m21, m.m22
     na, nc = a.norm_sq(), c.norm_sq()
     if na < nc:
         a, b, c, d, na = c, d, a, b, nc
-    a1, a2, b1, b2, c1, c2 = a.z1, a.z2, b.z1, b.z2, c.z1, c.z2
-    # conj(a) b, then w, as complex pairs by the product rule of Quaternion.
-    x1, x2 = a1.conjugate() * b1 + a2 * b2.conjugate(), a1.conjugate() * b2 - a2 * b1.conjugate()
-    w1 = na * d.z1 - (c1 * x1 - c2 * x2.conjugate())
-    w2 = na * d.z2 - (c1 * x2 + c2 * x1.conjugate())
-    return (_abs2(w1) + _abs2(w2)) / na if na else 0.0
+    w = na * d - c * (a.conjugate() * b)
+    return w.norm_sq() / na if na else 0.0
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -82,7 +78,7 @@ class MoebiusQ:
 
     def __init__(self, m: QuatMat2):
         det = study_determinant(m)
-        if not abs(det) >= DET_TOL:  # also NaN, which overflowing entries give
+        if det < DET_TOL:
             raise ValueError(f"matrix is not invertible: Study determinant {det!r}")
         _set_m(self, m)
 
@@ -142,8 +138,11 @@ def compose(f: MoebiusQ, g: MoebiusQ) -> MoebiusQ:
     involves a value-dependent conjugation and is no longer of the same
     form; composing q -> q*i with q -> q*j yields q -> q*(i*j) while any
     matrix product can only produce q -> q*(j*i) or q -> q*(i*j) uniformly.
+    A product of invertible matrices is invertible: no determinant is checked.
     """
-    return MoebiusQ(f.m @ g.m)
+    h = _new(MoebiusQ)
+    _set_m(h, f.m @ g.m)
+    return h
 
 
 def moebius_from_local_unitary(u: LocalUnitary) -> MoebiusQ:
@@ -202,13 +201,6 @@ def orbit_angles(theta: float, ks: Sequence[int]) -> list[float]:
     return [k * step % modulus / scale for k in ks]
 
 
-def _orbit_offsets(theta: float, n: int) -> list[float]:
-    """``orbit_angles(theta, range(n))``, by the exact integer steps r_j = (r_(j-1) + s) mod d."""
-    step, modulus, scale = _angle_steps(*float(theta).as_integer_ratio(), n - 1)
-    r = -step  # so that the first angle is 0
-    return [(r := (r + step) % modulus) / scale for _ in range(n)]
-
-
 def _angle_steps(num: int, den: int, k_max: int) -> tuple[int, int, int]:
     """(s, d, scale): 2*k*theta mod 2*pi is (k s mod d) / scale for theta = num / den, 0 <= k <= k_max."""
     # 2*k*theta < 2**(bits of k + bits of num - bits of den + 2); the guard
@@ -221,18 +213,16 @@ def _angle_steps(num: int, den: int, k_max: int) -> tuple[int, int, int]:
 def orbit_s4_chunks(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int) -> Iterator[np.ndarray]:
     """The 4-sphere rows of :func:`orbit_s4`, in consecutive blocks of at most ORBIT_CHUNK rows.
 
-    A generator: memory stays flat however many steps are requested, and
-    nothing is computed (and no argument checked) until the first block is
-    drawn.
+    Step k0 + c + j is a rotation by phi_c + phi_j of :func:`orbit_angles`: one angle per block
+    start c, one table of in-block offsets j for the whole run.  A generator: memory stays flat,
+    and nothing is computed (and no argument checked) until the first block is drawn.
     """
     _require_variant(u, Variant.SO2_X_SU2, "orbit_s4")
     if k0 < 0 or n < 0:
         raise ValueError(f"orbit steps must be non-negative, got k0={k0}, n={n}")
     theta = u.theta
     u0, u1, u2, u3, u4 = inverse_stereographic(point).tolist()
-    # Step k0 + c + j is a rotation by phi_c + phi_j: one exact angle per
-    # block start c, one table of in-block offsets j for the whole run.
-    offsets = np.array(_orbit_offsets(theta, min(n, ORBIT_CHUNK)))
+    offsets = np.array(orbit_angles(theta, range(min(n, ORBIT_CHUNK))))
     cos_j, sin_j = np.cos(offsets), np.sin(offsets)
     for start in range(k0, k0 + n, ORBIT_CHUNK):
         m = min(ORBIT_CHUNK, k0 + n - start)

@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 
 from . import sampling
-from .quaternion import Quaternion, _abs2, _isfinite, _quaternion, divided, squared_norm
+from .quaternion import _NORMAL, Quaternion, _abs2, _isfinite, _quaternion, divided, squared_norm
 
 # Norm deviation accepted at the construction boundary.
 NORMALIZATION_TOL = 1e-9
@@ -89,12 +89,12 @@ class TwoQubitState:
             raise ValueError(f"expected 4 amplitudes, got shape {v.shape}")
         values = v.tolist()
         if renormalize:
-            n = math.sqrt(squared_norm(values))
-            if n < 1e-12:
+            n = squared_norm(values)
+            if n < _NORMAL:
                 raise ZeroDivisionError("cannot normalize a zero state vector")
             if n == math.inf:
                 raise ValueError("cannot normalize: the squared norm overflows")
-            values = divided(values, n)
+            values = divided(values, math.sqrt(n))
         return cls(*values)
 
     @property

@@ -34,7 +34,6 @@ from qgeo.moebius import (
     VariantOrder,
     apply_moebius_q,
     apply_moebius_q_variant,
-    _orbit_offsets,
     compose,
     moebius_from_local_unitary,
     orbit_angles,
@@ -118,13 +117,15 @@ def test_moebius_q_rejects_non_invertible():
         MoebiusQ(QuatMat2(ONE, ZERO, ZERO, math.sqrt(0.99e-18) * ONE))
 
 
-def test_moebius_q_rejects_a_nan_study_determinant():
+def test_moebius_q_raises_the_operators_error_where_the_determinant_overflows():
     # s * identity: the determinant s**4 overflows to inf at s = 1e100; from
-    # s = 1e155 on, |s|**2 overflows inside the closed form, which gives NaN.
+    # s = 1e155 on, |s|**2 overflows, and so does the operator product |s|**2 * s.
     for s in (1e155, 1e200):
-        assert math.isnan(study_determinant(QuatMat2(s * ONE, ZERO, ZERO, s * ONE)))
-        with pytest.raises(ValueError, match="matrix is not invertible: Study determinant nan"):
-            MoebiusQ(QuatMat2(s * ONE, ZERO, ZERO, s * ONE))
+        m = QuatMat2(s * ONE, ZERO, ZERO, s * ONE)
+        with pytest.raises(ValueError, match="quaternion components must be finite"):
+            study_determinant(m)
+        with pytest.raises(ValueError, match="quaternion components must be finite"):
+            MoebiusQ(m)
     f = MoebiusQ(QuatMat2(1e100 * ONE, ZERO, ZERO, 1e100 * ONE))
     assert study_determinant(f.m) == math.inf
     assert apply_moebius_q(f, J) == J
@@ -187,9 +188,15 @@ def test_numerically_singular_matrices_are_rejected():
     within rounding of DET_TOL itself; no test pins a matrix there.
     """
     rng = np.random.default_rng(7)
+    matrices = []
     for _ in range(2000):
         a, b, lam = (_random_quaternion(rng) for _ in range(3))
-        m = QuatMat2(a, b, lam * a, lam * b)
+        matrices.append(QuatMat2(a, b, lam * a, lam * b))
+    # Exactly singular: the second row is the first times a power of two.
+    for _ in range(50):
+        a, b = _random_quaternion(rng), _random_quaternion(rng)
+        matrices += [QuatMat2(a, b, 2.0**k * a, 2.0**k * b) for k in range(-3, 4)]
+    for m in matrices:
         assert abs(np.linalg.det(complexify(m))) < DET_TOL
         with pytest.raises(ValueError):
             MoebiusQ(m)
@@ -263,6 +270,14 @@ def test_variant_identity_matrix_acts_trivially():
     for which in VariantOrder:
         assert apply_moebius_q_variant(ident, q, which) == q
         assert apply_moebius_q_variant(ident, INFINITY, which) is INFINITY
+
+
+def test_compose_returns_a_map_for_every_pair_of_maps():
+    # det diag(1, 1e-5) = 1e-10 passes DET_TOL; the composite's 1e-20 would not.
+    f = MoebiusQ(QuatMat2(ONE, ZERO, ZERO, 1e-5 * ONE))
+    h = compose(f, f)
+    for q in (_q(0.3, -1, 0.5, 2), _q(1e-11, 0, 2e-11, 0), J):
+        assert chordal_distance(apply_moebius_q(h, q), apply_moebius_q(f, apply_moebius_q(f, q))) <= 1e-15
 
 
 def test_compose_with_identity():
@@ -680,12 +695,13 @@ def _decimal_pi() -> Decimal:
 @pytest.mark.parametrize(
     "theta",
     [math.pi / 2, 2 * math.pi, 1e-300, 1e10, 1e30, -2.5]
-    + list(np.random.default_rng(3).uniform(0.0, 2 * math.pi, size=4)),
+    + list(np.random.default_rng(3).uniform(0.0, 2 * math.pi, size=4))
+    + [0.0, -0.0, 5e-324, -5e-324, -math.pi / 2, 2.345678, -2.345678, 1e300, -1e300],
 )
 def test_orbit_angles_are_exact(theta):
     ks = [0, 1, 2, 3, 7, ORBIT_CHUNK - 1, ORBIT_CHUNK, 12345, 10**5, 2**31 + 11, 2**52 + 1, 2**53 - 1, 2**53]
     with localcontext() as ctx:
-        ctx.prec = 160
+        ctx.prec = 400  # 2*k*theta keeps its fraction up to theta = 1e300, k = 2**53
         two_pi = 2 * _decimal_pi()
         for k, phi in zip(ks, orbit_angles(theta, ks)):
             x = 2 * k * Decimal(theta)
@@ -695,10 +711,3 @@ def test_orbit_angles_are_exact(theta):
     assert orbit_angles(theta, []) == []
     with pytest.raises(ValueError):
         orbit_angles(theta, [-1])
-
-
-@pytest.mark.parametrize("theta", [t * sign for t in (0.0, 5e-324, math.pi / 2, 2.345678, 1e300) for sign in (1, -1)])
-def test_orbit_offsets_are_orbit_angles_bit_for_bit(theta):
-    # The in-block offsets of orbit_s4_chunks, by exact integer steps.
-    offsets = np.array(_orbit_offsets(theta, ORBIT_CHUNK))
-    np.testing.assert_array_equal(offsets.view(np.int64), np.array(orbit_angles(theta, range(ORBIT_CHUNK))).view(np.int64))

@@ -200,8 +200,10 @@ def test_from_vector_checks_the_shape():
 
 
 def test_from_vector_rejects_vectors_it_cannot_normalize():
-    with pytest.raises(ZeroDivisionError, match="cannot normalize a zero state vector"):
-        TwoQubitState.from_vector(np.zeros(4), renormalize=True)
+    # Zero is a squared norm below 2**-1022, the boundary of Quaternion.inverse.
+    for v in (np.zeros(4), [1e-160, 0, 0, 1e-160j]):
+        with pytest.raises(ZeroDivisionError, match="cannot normalize a zero state vector"):
+            TwoQubitState.from_vector(v, renormalize=True)
     with pytest.raises(ValueError, match="the squared norm overflows"):
         TwoQubitState.from_vector([1e200, 0, 0, 0], renormalize=True)
     assert TwoQubitState.from_vector(np.zeros(4)) == TwoQubitState(0, 0, 0, 0)
@@ -211,7 +213,7 @@ def test_from_vector_renormalizes_by_the_one_rule():
     # The squares of the real parts, then of the imaginary parts, added left
     # to right; each part divided by the root on its own.
     rng = np.random.default_rng(8)
-    for scale in (1e-6, 1.0, 1e6, 1e100):
+    for scale in (1e-6, 1.0, 1e6, 1e100, 1e-13, 1e-150):
         for _ in range(100):
             g = rng.standard_normal(8) * scale
             g[rng.random(8) < 0.25] = 0.0
@@ -226,3 +228,4 @@ def test_from_vector_renormalizes_by_the_one_rule():
             psi = TwoQubitState.from_vector(values, renormalize=True)
             got = [psi.alpha, psi.beta, psi.gamma, psi.delta]
             assert _parts_bits(got) == _parts_bits(expected)
+    assert TwoQubitState.from_vector([1e-13, 0, 0, 1e-13j], renormalize=True) == TwoQubitState(S, 0, 0, S * 1j)
