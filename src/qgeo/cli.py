@@ -7,9 +7,9 @@ amplitudes ordered |00>, |01>, |10>, |11>; a transform file is
 ``{"variant": "so2xsu2" | "su2xso2", "theta": number, "a": [re, im],
 "b": [re, im]}``.  The codec of :mod:`qgeo.states` and
 :mod:`qgeo.local_unitary` reads and writes both, as it does a report's worst
-cases; this module adds the file I/O, the norm repair (by the rule of
-:func:`qgeo.quaternion.squared_norm`: an error beyond 1e-6 of 1, renormalized
-with a warning beyond 1e-12) and the exit codes.
+cases; this module adds the file I/O, the norm repair (an error beyond 1e-6 of
+1, renormalized by :func:`qgeo.quaternion.unit` with a warning beyond 1e-12)
+and the exit codes.
 
 Report file (JSON): the dictionary form of a DiagramReport.  Orbit output is
 CSV with header ``step,u0,u1,u2,u3,u4``: row k is the 4-sphere image of the
@@ -22,7 +22,8 @@ for the processes).  ``sample`` reads stream (seed, 0) of :mod:`qgeo.sampling`
 in blocks; file k is ``haar_random_state(seed, 0, k)``.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
-or input error, 3 mathematical domain error.  ``--tol`` alone sets
+or input error, 3 mathematical domain error, e.g. a state file whose squared
+norm is below 2**-1022, the zero of ``unit``.  ``--tol`` alone sets
 ``verify``'s tolerance; ``analyze`` uses :func:`qgeo.states.is_separable`'s.
 """
 
@@ -37,7 +38,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from . import batch, sampling
-from .quaternion import INFINITY, divided, squared_norm
+from .quaternion import _NORMAL, INFINITY, squared_norm, unit
 from .states import (
     TwoQubitState,
     concurrence_term,
@@ -100,14 +101,15 @@ def _load_json(path: str, decode: Callable):
 
 def load_state(path: str) -> TwoQubitState:
     values = _load_json(path, lambda doc: decode_amplitudes(*_fields(doc, ("amplitudes",)), 4))
-    norm = math.sqrt(squared_norm(values))
-    if norm < 1e-9:
+    norm_sq = squared_norm(values)
+    if norm_sq < _NORMAL:  # the zero of quaternion.unit
         raise CliError(EXIT_DOMAIN, f"{path}: state vector is zero")
+    norm = math.sqrt(norm_sq)
     if abs(norm - 1.0) > FILE_NORM_TOL:
         raise CliError(EXIT_USAGE, f"{path}: amplitudes norm {norm!r} is not within 1e-06 of 1")
     if abs(norm - 1.0) > _SILENT_NORM_TOL:
         _warn(f"{path}: renormalizing amplitudes (norm deviation {abs(norm - 1.0):.3e})")
-        values = divided(values, norm)
+        values = unit(values)
     return TwoQubitState(*values)
 
 
@@ -118,7 +120,7 @@ def load_transform(path: str) -> LocalUnitary:
         raise CliError(EXIT_USAGE, f"{path}: |a|^2 + |b|^2 = {norm_sq!r} is not within 1e-06 of 1")
     if abs(norm_sq - 1.0) > _SILENT_NORM_TOL:
         _warn(f"{path}: renormalizing SU(2) parameters (deviation {abs(norm_sq - 1.0):.3e})")
-        return LocalUnitary(variant, SO2Element(theta), SU2Element.normalized(a, b))
+        a, b = unit((a, b))
     return LocalUnitary(variant, SO2Element(theta), SU2Element(a, b))
 
 

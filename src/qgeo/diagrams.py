@@ -38,6 +38,7 @@ from .quaternion import _abs2, chordal_distance, right_quotient
 from .states import (
     OneQubitState,
     TwoQubitState,
+    _positive,
     concurrence_term,
     decode_amplitudes,
     encode_amplitudes,
@@ -609,9 +610,7 @@ def run_suite(trials: int, seed: int, tol: float = DEFAULT_SUITE_TOL) -> Diagram
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    scale = tol / DEFAULT_SUITE_TOL
+    scale = _positive(tol) / DEFAULT_SUITE_TOL
 
     rows = [(group, trials if group.section == "checks" else min(trials, 100)) for group in _GROUPS]
     sections = {"checks": [], "witnesses": [], "exploratory": []}

@@ -21,9 +21,9 @@ from enum import Enum
 import numpy as np
 
 from . import sampling
-from .quaternion import _NORMAL, Quaternion, _quaternion, divided, squared_norm
+from .quaternion import Quaternion, _quaternion, squared_norm
 from .states import (
-    NORMALIZATION_TOL, OneQubitState, Quaterbit, TwoQubitState, decode_number, decode_pair, encode_pair,
+    NORMALIZATION_TOL, OneQubitState, Quaterbit, TwoQubitState, _positive, decode_number, decode_pair, encode_pair,
 )
 
 
@@ -58,14 +58,6 @@ class SU2Element:
             raise ValueError(f"|a|^2 + |b|^2 must be 1, got {norm_sq!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @classmethod
-    def normalized(cls, a: complex, b: complex) -> SU2Element:
-        a, b = complex(a), complex(b)
-        n = squared_norm((a, b))
-        if n < _NORMAL:
-            raise ZeroDivisionError("cannot normalize zero SU(2) parameters")
-        return cls(*divided((a, b), math.sqrt(n)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -293,8 +285,7 @@ J_METRIC = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
 
 def sp2_check_quaternionic(m: QuatMat2, tol: float) -> bool:
     """Membership test M^dagger M = I, entry-wise within tol."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _positive(tol)
     d = m.dagger() @ m
     ident = QuatMat2.identity()
     return all(abs(x - y) < tol for x, y in zip(d.entries(), ident.entries()))
@@ -302,8 +293,7 @@ def sp2_check_quaternionic(m: QuatMat2, tol: float) -> bool:
 
 def sp2_check_complex(u: np.ndarray, tol: float) -> bool:
     """Membership test in the 4x4 picture: unitarity plus U J U^T = J."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _positive(tol)
     u = np.asarray(u, dtype=complex)
     unitary = np.max(np.abs(u.conjugate().T @ u - np.eye(4))) < tol
     preserves = np.max(np.abs(u @ J_METRIC @ u.T - J_METRIC)) < tol
@@ -330,8 +320,7 @@ def complexify(m: QuatMat2) -> np.ndarray:
 
 def is_quaternionic_complex_matrix(u: np.ndarray, tol: float) -> bool:
     """True when J U J^-1 = conj(U) within tol, i.e. U complexifies a quaternion matrix."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _positive(tol)
     u = np.asarray(u, dtype=complex)
     # J^2 = -I, so J^-1 = -J.
     return bool(np.max(np.abs(J_METRIC @ u @ (-J_METRIC) - u.conjugate())) < tol)

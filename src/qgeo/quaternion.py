@@ -263,3 +263,13 @@ def squared_norm(values):
 def divided(values, n: float) -> list[complex]:
     """Each value divided by n, part by part: before Python 3.14, ``z / n`` turns -0.0 into 0.0."""
     return [complex(z.real / n, z.imag / n) for z in values]
+
+
+def unit(values) -> list[complex]:
+    """``values`` over their norm; ZeroDivisionError where |v|^2 < 2**-1022 (as in ``inverse``), ValueError at inf."""
+    n = squared_norm(values)
+    if n < _NORMAL:
+        raise ZeroDivisionError("cannot normalize a zero vector")
+    if n == math.inf:
+        raise ValueError("cannot normalize: the squared norm overflows")
+    return divided(values, math.sqrt(n))

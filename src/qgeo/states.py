@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 
 from . import sampling
-from .quaternion import _NORMAL, Quaternion, _abs2, _isfinite, _quaternion, divided, squared_norm
+from .quaternion import Quaternion, _abs2, _isfinite, _quaternion, unit
 
 # Norm deviation accepted at the construction boundary.
 NORMALIZATION_TOL = 1e-9
@@ -87,15 +87,7 @@ class TwoQubitState:
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.shape != (4,):
             raise ValueError(f"expected 4 amplitudes, got shape {v.shape}")
-        values = v.tolist()
-        if renormalize:
-            n = squared_norm(values)
-            if n < _NORMAL:
-                raise ZeroDivisionError("cannot normalize a zero state vector")
-            if n == math.inf:
-                raise ValueError("cannot normalize: the squared norm overflows")
-            values = divided(values, math.sqrt(n))
-        return cls(*values)
+        return cls(*unit(v.tolist())) if renormalize else cls(*v.tolist())
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -174,11 +166,16 @@ def wootters_preconcurrence(psi: TwoQubitState) -> complex:
     return reduce(operator.add, (vbar[j] * (s * vbar[k]) for j, k, s in _SIGMA_YY_ENTRIES))
 
 
-def is_separable(psi: TwoQubitState, tol: float = 1e-10) -> bool:
-    """True when the concurrence term vanishes within tol (product state)."""
+def _positive(tol: float) -> float:
+    """``tol``, checked as every ``tol`` argument is: ValueError unless it is positive and finite."""
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    return abs(concurrence_term(psi)) < tol
+    return tol
+
+
+def is_separable(psi: TwoQubitState, tol: float = 1e-10) -> bool:
+    """True when the concurrence term vanishes within tol (product state)."""
+    return abs(concurrence_term(psi)) < _positive(tol)
 
 
 def haar_random_state(seed: int, idx: int = 0, trial: int = 0) -> TwoQubitState:

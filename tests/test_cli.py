@@ -179,6 +179,25 @@ def test_analyze_zero_vector_is_domain_error(capsys, tmp_path):
     path = write_state(tmp_path / "null.json", [0j, 0j, 0j, 0j])
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 3
+    assert err == f"error: {path}: state vector is zero\n"
+
+
+@pytest.mark.parametrize("amplitude, code, message", [
+    (1e-10, 2, "amplitudes norm 1e-10 is not within 1e-06 of 1"),
+    (1e-160, 3, "state vector is zero"),
+])
+def test_a_state_file_is_zero_by_the_rule_of_unit(capsys, tmp_path, amplitude, code, message):
+    # Zero is a squared norm below 2**-1022, as for quaternion.unit: 1e-10 is
+    # a nonzero vector far from norm 1, an input error; 1e-160 squares to zero.
+    path = write_state(tmp_path / "tiny.json", [complex(amplitude), 0j, 0j, 0j])
+    assert run_cli(capsys, "analyze", path) == (code, "", f"error: {path}: {message}\n")
+
+
+def test_main_returns_the_argparse_exit_code(capsys):
+    assert main(["verify", "--trials", "x"]) == 2
+    assert "argument --trials: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: qgeo")
 
 
 def test_analyze_renormalizes_with_warning(capsys, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qgeo import batch, sampling
-from qgeo.quaternion import J, ONE, Quaternion, divided, squared_norm
+from qgeo.quaternion import J, ONE, Quaternion, divided, squared_norm, unit
 from qgeo.states import (
     TwoQubitState,
     concurrence_term,
@@ -65,18 +65,22 @@ def _random_b(seed, variant=Variant.SO2_X_SU2):
 def test_su2_element_validates_normalization():
     with pytest.raises(ValueError):
         SU2Element(1.0, 1.0)
-    u = SU2Element.normalized(1.0, 1.0)
+    u = SU2Element(*unit((1.0, 1.0)))
     assert abs(abs(u.a) ** 2 + abs(u.b) ** 2 - 1.0) <= 1e-15
     with pytest.raises(ZeroDivisionError):
-        SU2Element.normalized(0, 0)
+        SU2Element(*unit((0, 0)))
     # Zero is a squared norm below 2**-1022, the boundary of Quaternion.inverse.
     for scale in (1e-13, 1e-150):
         a, b = scale * (0.6 - 0.0j), scale * 0.8j
-        u = SU2Element.normalized(a, b)
+        u = SU2Element(*unit((a, b)))
         expected = divided((a, b), math.sqrt(squared_norm((a, b))))
         assert repr([u.a, u.b]) == repr(expected)
-    with pytest.raises(ZeroDivisionError, match="cannot normalize zero SU"):
-        SU2Element.normalized(1e-160, 1e-160j)
+    with pytest.raises(ZeroDivisionError, match="cannot normalize a zero vector"):
+        SU2Element(*unit((1e-160, 1e-160j)))
+    # Divided by its overflowing norm, (1e200, 0) would become (0, 0) and be
+    # refused as not of norm 1; the one normalizer names the overflow.
+    with pytest.raises(ValueError, match="cannot normalize: the squared norm overflows"):
+        SU2Element(*unit((1e200, 0)))
 
 
 def test_local_unitary_takes_only_unitary_factors():

@@ -238,6 +238,13 @@ def _imports_qgeo(source: str) -> bool:
     return False
 
 
+def _divides(source: str) -> bool:
+    """Whether ``source`` imports ``divided`` or calls a name or attribute of that name."""
+    calls = {getattr(node.func, "id", getattr(node.func, "attr", None))
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+    return "divided" in calls | _imported_names(source)
+
+
 def test_the_guards_see_every_form():
     for source in ("np.random.default_rng(0)", "rng.standard_normal(4)", "from numpy.random import SeedSequence",
                    "import numpy.random.SeedSequence", "SeedSequence([1, 2])"):
@@ -245,6 +252,10 @@ def test_the_guards_see_every_form():
     for source in ("from . import batch", "from .quaternion import J", "import qgeo.batch", "from qgeo import batch"):
         assert _imports_qgeo(source), source
     assert not _imports_qgeo("import numpy as np\nfrom math import pi")
+    for source in ("divided(v, n)", "quaternion.divided(v, n)", "from .quaternion import divided as d",
+                   "from qgeo.quaternion import divided"):
+        assert _divides(source), source
+    assert not _divides("unit(v)\nz.real / n")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -254,6 +265,22 @@ def test_no_module_but_sampling_draws_random_inputs(module):
         assert not _imports_qgeo(source)
     else:
         assert not _drawing_names(source)
+
+
+# ---------------------------------------------------------------------------
+# One normalizer and one tolerance check: quaternion.unit divides a vector by
+# its norm, and states._positive checks every tol argument
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_but_quaternion_divides_a_vector_by_its_norm(module):
+    source = (Path(qgeo.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert _divides(source) == (module == "quaternion")
+
+
+def test_the_tol_check_is_written_once():
+    sources = [path.read_text(encoding="utf-8") for path in Path(qgeo.__file__).parent.glob("*.py")]
+    assert sum(source.count("tol must be positive and finite") for source in sources) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgeo import sampling
-from qgeo.quaternion import J, ONE, Quaternion
+from qgeo.local_unitary import SU2Element
+from qgeo.quaternion import J, ONE, Quaternion, unit
 from qgeo.states import (
     OneQubitState,
     Quaterbit,
@@ -202,7 +203,7 @@ def test_from_vector_checks_the_shape():
 def test_from_vector_rejects_vectors_it_cannot_normalize():
     # Zero is a squared norm below 2**-1022, the boundary of Quaternion.inverse.
     for v in (np.zeros(4), [1e-160, 0, 0, 1e-160j]):
-        with pytest.raises(ZeroDivisionError, match="cannot normalize a zero state vector"):
+        with pytest.raises(ZeroDivisionError, match="cannot normalize a zero vector"):
             TwoQubitState.from_vector(v, renormalize=True)
     with pytest.raises(ValueError, match="the squared norm overflows"):
         TwoQubitState.from_vector([1e200, 0, 0, 0], renormalize=True)
@@ -229,3 +230,38 @@ def test_from_vector_renormalizes_by_the_one_rule():
             got = [psi.alpha, psi.beta, psi.gamma, psi.delta]
             assert _parts_bits(got) == _parts_bits(expected)
     assert TwoQubitState.from_vector([1e-13, 0, 0, 1e-13j], renormalize=True) == TwoQubitState(S, 0, 0, S * 1j)
+
+
+_UNIT_VECTOR = (complex(0.5, -0.0), complex(-0.0, 0.25), complex(0.3, 0.1), complex(0.0, -0.7))
+
+
+def _outcome(normalize, values):
+    """The parts' reprs of ``normalize(values)``, or the class of what it raises."""
+    try:
+        return _parts_bits(normalize(values))
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+
+
+def _unit_reference(values):
+    """The outcome of the one rule, written out: zero below 2**-1022, overflow at inf."""
+    norm_sq = 0.0
+    for x in [z.real for z in values] + [z.imag for z in values]:
+        norm_sq = norm_sq + x * x
+    if norm_sq < 2.0**-1022:
+        return ZeroDivisionError
+    if norm_sq == math.inf:
+        return ValueError
+    n = math.sqrt(norm_sq)
+    return _parts_bits([complex(z.real / n, z.imag / n) for z in values])
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-160, 1e-13, 1.0, 1e150, 1e200])
+def test_every_normalizer_is_quaternion_unit(scale):
+    """from_vector and an SU(2) pair normalize by the one rule: the same bits or the same error."""
+    v = [complex(scale * z.real, scale * z.imag) for z in _UNIT_VECTOR]
+    from_vector = TwoQubitState.from_vector
+    assert _outcome(unit, v) == _unit_reference(v)
+    assert _outcome(lambda w: dataclasses.astuple(from_vector(w, renormalize=True)), v) == _unit_reference(v)
+    assert _outcome(lambda w: dataclasses.astuple(SU2Element(*unit(w))), v[:2]) == _unit_reference(v[:2])
+    assert isinstance(_unit_reference(v), type) == (scale in (0.0, 1e-160, 1e200))
