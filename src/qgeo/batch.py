@@ -29,9 +29,10 @@ can be proven, and fixed text.  ``qgeo orbit`` writes its CSV with it.
 
 Processes.  Blocks read disjoint counter ranges, so they need no shared
 state and can be evaluated anywhere.  :func:`_forked` runs shares of such
-work on forked workers; ``qgeo verify``'s blocks and ``qgeo orbit``'s CSV
-runs go through it, on up to one process per available CPU
-(:func:`_available_cpus`).
+work on forked workers, on up to one process per available CPU
+(:func:`_available_cpus`).  ``qgeo verify``'s blocks are dealt round-robin
+to them.  So are ``qgeo orbit``'s CSV blocks, which each process writes into
+the one output in turn, a turn passed round a ring of pipes (:func:`_in_turn`).
 """
 
 from __future__ import annotations
@@ -439,6 +440,74 @@ def _forked(work: Callable, shares: Sequence, worker: str, carry: bool = True) -
             for pid, _ in workers:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+class _TurnLost(Exception):
+    """A process of :func:`_in_turn` found its neighbour in the ring ended before passing the turn."""
+
+
+class _Turn:
+    """The output of process r of :func:`_in_turn`: its j-th write is block r + j p of the whole.
+
+    A write waits for the turn, a byte from the process before in the ring (none
+    before block 0), writes the block to the shared file, and passes the turn to
+    the process after, if a block follows.
+    """
+
+    def __init__(self, fh, ring: list[tuple[int, int]], r: int, blocks: int):
+        self.fh, self.blocks, self.order = fh, blocks, iter(range(r, blocks, len(ring)))
+        self.inbound, self.outbound = ring[r - 1][0], ring[r][1]
+
+    def write(self, data) -> None:
+        i = next(self.order)
+        if i and not os.read(self.inbound, 1):
+            raise _TurnLost
+        self.fh.write(data)
+        self.fh.flush()
+        if i + 1 < self.blocks:
+            try:
+                os.write(self.outbound, b"\0")
+            except BrokenPipeError:
+                raise _TurnLost from None
+
+
+def _in_turn(fh, blocks: int, work: Callable, worker: str) -> None:
+    """``work(r, p, out)`` on process r of p, p up to one per CPU and at most ``blocks``: ``out``
+    writes blocks r, r + p, r + 2p, ... of the output into the binary file ``fh``, in order.
+
+    Each process makes its next block while the others write theirs, and writes it
+    when its turn comes: a byte passed round a ring of pipes, pipe r from process r
+    to process r + 1 mod p (:class:`_Turn`).  So the blocks land in order in the
+    open file of ``fh``, a file or a pipe, shared by the forked workers of
+    :func:`_forked`.  Each process keeps only its own two ends of the ring, so one
+    that ends early leaves its neighbours an end of file where the turn was, or a
+    broken pipe; they stop writing, and their neighbours in turn.  Only the
+    failure that began it is raised: a worker's as a ChildProcessError naming its
+    cause, this process's as itself.
+    """
+    fh.flush()  # nothing buffered here is copied into the workers
+    p = min(_available_cpus(), blocks)
+    ring = [os.pipe() for _ in range(p)]
+    ends = {fd for pipe in ring for fd in pipe}
+
+    def take_turns(r: int) -> None:
+        out = _Turn(fh, ring, r, blocks)
+        for fd in ends - {out.inbound, out.outbound}:
+            os.close(fd)
+        ends.intersection_update((out.inbound, out.outbound))
+        try:
+            work(r, p, out)
+        except _TurnLost:
+            pass
+        finally:
+            while ends:
+                os.close(ends.pop())
+
+    try:
+        _forked(take_turns, range(p), worker, carry=False)
+    finally:
+        while ends:
+            os.close(ends.pop())
 
 
 def _reply(work: Callable, share, out, carry: bool) -> int:

@@ -17,8 +17,9 @@ k-th iterate of the induced Moebius map, i.e. the initial image rotated by
 2*k*theta in the (u0, u4) plane with u1..u3 fixed.  The rows are computed in
 closed form and streamed in blocks, so neither the error nor the memory
 grows with ``--steps``; each block's lines, in ``csv.writer``'s text, are
-one binary write of :func:`qgeo.batch.csv_rows` (see :func:`_write_orbit`
-for the processes).  ``sample`` reads stream (seed, 0) of :mod:`qgeo.sampling`
+one binary write of :func:`qgeo.batch.csv_rows`, made by one of up to one
+process per CPU and written into ``--out`` in turn (see :func:`_write_orbit`).
+``sample`` reads stream (seed, 0) of :mod:`qgeo.sampling`
 in blocks; file k is ``haar_random_state(seed, 0, k)``.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
@@ -52,7 +53,7 @@ from .states import (
 )
 from .conformal import conformal_map, inverse_stereographic
 from .local_unitary import LocalUnitary, SO2Element, SU2Element, Variant, _fields, apply_cb, decode_transform
-from .moebius import ORBIT_CHUNK, orbit_s4_chunks
+from .moebius import ORBIT_CHUNK, _orbit_plane
 from .diagrams import DEFAULT_SUITE_TOL, run_suite
 
 EXIT_OK = 0
@@ -216,42 +217,35 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
-def _write_orbit_blocks(fh, u: LocalUnitary, point, k0: int, n: int) -> None:
-    """Write the CSV rows of steps k0 .. k0 + n - 1 to the binary file ``fh``, a write per block, u1..u3 once."""
-    fixed = None
-    for rows in orbit_s4_chunks(u, point, k0, n):
-        fixed = fixed or ",".join(map(repr, rows[0, 1:4].tolist())).encode()
-        fh.write(batch.csv_rows(k0, [rows[:, 0], fixed, rows[:, 4]]))
-        k0 += len(rows)
+def _write_orbit_blocks(fh, u: LocalUnitary, point, k0: int, n: int, deal: tuple[int, int] = (0, 1)) -> None:
+    """Write the CSV rows of steps k0 .. k0 + n - 1 to the binary file ``fh``, a write per block, u1..u3 once.
+
+    With ``deal`` = (r, p), only the ORBIT_CHUNK blocks r, r + p, r + 2p, ... of
+    the rows.  A block's text is kept until the next one is made, so that the
+    memory of one block is reused by the next rather than given back and faulted
+    in again.
+    """
+    fixed, columns = _orbit_plane(u, point, min(n, ORBIT_CHUNK))
+    fixed = ",".join(map(repr, fixed)).encode()
+    r, p = deal
+    for start in range(k0 + r * ORBIT_CHUNK, k0 + n, p * ORBIT_CHUNK):
+        u0, u4 = columns(start, min(ORBIT_CHUNK, k0 + n - start))
+        text = batch.csv_rows(start, [u0, fixed, u4])  # the previous block's text is freed here
+        fh.write(text)
 
 
 def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
     """Write the CSV rows of steps 0 .. n - 1 to ``fh``, on up to one process per CPU.
 
-    The rows are split into P contiguous runs of whole ORBIT_CHUNK blocks;
-    each block starts from its own exact angle, so the bytes do not depend
-    on P.  This process writes run 0 straight into ``fh`` (a file, pipe or
-    device); a worker of :func:`qgeo.batch._forked` writes each other run
-    into an unnamed temporary file, appended in order once every run is in.
-    A worker's error is its text, raised here as OSError.
+    The ORBIT_CHUNK blocks are dealt round-robin to the processes of
+    :func:`qgeo.batch._in_turn`, this one and forked workers; each block starts
+    from its own exact angle, so the bytes do not depend on their number.  Each
+    process formats its next block while the others write, then writes it
+    straight into ``fh`` (a file, pipe or device) when its turn comes.  A
+    worker's error is its text, raised here as OSError.
     """
-    import shutil
-    import tempfile
-
     blocks = -(-n // ORBIT_CHUNK)
-    p = min(batch._available_cpus(), blocks)
-    bounds = [min(n, r * blocks // p * ORBIT_CHUNK) for r in range(p + 1)]
-    with contextlib.ExitStack() as files:
-        runs = [fh] + [files.enter_context(tempfile.TemporaryFile()) for _ in range(1, p)]
-
-        def write_run(r: int) -> None:
-            _write_orbit_blocks(runs[r], u, point, bounds[r], bounds[r + 1] - bounds[r])
-            runs[r].flush()
-
-        batch._forked(write_run, range(p), "an orbit worker", carry=False)
-        for tmp in runs[1:]:
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh)
+    batch._in_turn(fh, blocks, lambda r, p, out: _write_orbit_blocks(out, u, point, 0, n, (r, p)), "an orbit worker")
 
 
 def cmd_sample(args) -> int:

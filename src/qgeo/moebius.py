@@ -20,7 +20,7 @@ ordering (:meth:`MoebiusQ.from_su2`).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -210,6 +210,31 @@ def _angle_steps(num: int, den: int, k_max: int) -> tuple[int, int, int]:
     return (num << bits + 1) % modulus, modulus, den << bits
 
 
+def _orbit_plane(
+    u: LocalUnitary, point: ExtendedQuaternion, m: int
+) -> tuple[list[float], Callable[[int, int], tuple[np.ndarray, np.ndarray]]]:
+    """The fixed (u1, u2, u3) of the orbit of ``point`` under ``u``, and ``columns(start, n)``: the
+    u0 and u4 of steps start .. start + n - 1, n <= m, as two arrays.
+
+    The one formula of the orbit's rows: step start + j is a rotation by phi_start + phi_j of
+    :func:`orbit_angles`, one angle per call and one table of in-block offsets j < m, made here.
+    """
+    _require_variant(u, Variant.SO2_X_SU2, "orbit_s4")
+    theta = u.theta
+    u0, u1, u2, u3, u4 = inverse_stereographic(point).tolist()
+    offsets = np.array(orbit_angles(theta, range(m)))
+    cos_j, sin_j = np.cos(offsets), np.sin(offsets)
+
+    def columns(start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        (phi,) = orbit_angles(theta, [start])
+        c, s = math.cos(phi), math.sin(phi)
+        cos_k = c * cos_j[:n] - s * sin_j[:n]
+        sin_k = s * cos_j[:n] + c * sin_j[:n]
+        return cos_k * u0 - sin_k * u4, sin_k * u0 + cos_k * u4
+
+    return [u1, u2, u3], columns
+
+
 def orbit_s4_chunks(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int) -> Iterator[np.ndarray]:
     """The 4-sphere rows of :func:`orbit_s4`, in consecutive blocks of at most ORBIT_CHUNK rows.
 
@@ -217,23 +242,13 @@ def orbit_s4_chunks(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int)
     start c, one table of in-block offsets j for the whole run.  A generator: memory stays flat,
     and nothing is computed (and no argument checked) until the first block is drawn.
     """
-    _require_variant(u, Variant.SO2_X_SU2, "orbit_s4")
     if k0 < 0 or n < 0:
         raise ValueError(f"orbit steps must be non-negative, got k0={k0}, n={n}")
-    theta = u.theta
-    u0, u1, u2, u3, u4 = inverse_stereographic(point).tolist()
-    offsets = np.array(orbit_angles(theta, range(min(n, ORBIT_CHUNK))))
-    cos_j, sin_j = np.cos(offsets), np.sin(offsets)
+    fixed, columns = _orbit_plane(u, point, min(n, ORBIT_CHUNK))
     for start in range(k0, k0 + n, ORBIT_CHUNK):
-        m = min(ORBIT_CHUNK, k0 + n - start)
-        (phi,) = orbit_angles(theta, [start])
-        c, s = math.cos(phi), math.sin(phi)
-        cos_k = c * cos_j[:m] - s * sin_j[:m]
-        sin_k = s * cos_j[:m] + c * sin_j[:m]
-        rows = np.empty((m, 5))
-        rows[:, 0] = cos_k * u0 - sin_k * u4
-        rows[:, 1:4] = (u1, u2, u3)
-        rows[:, 4] = sin_k * u0 + cos_k * u4
+        u0, u4 = columns(start, min(ORBIT_CHUNK, k0 + n - start))
+        rows = np.empty((len(u0), 5))
+        rows[:, 0], rows[:, 1:4], rows[:, 4] = u0, fixed, u4
         yield rows
 
 

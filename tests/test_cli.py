@@ -13,6 +13,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -572,6 +573,31 @@ def test_verify_worker_that_ends_without_a_result_names_the_cause(capsys, monkey
     _assert_no_child_left()
 
 
+def test_verify_evaluates_each_unit_once_across_the_processes(capsys, monkeypatch, tmp_path):
+    # The (row, block) units are dealt round-robin to 3 processes; the record
+    # of who evaluated what goes to a file that every process appends to.
+    log, evaluate_unit = tmp_path / "units.txt", diagrams._evaluate_unit
+
+    def logged(group, seed, start, stop):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {group.idx} {start} {stop}\n")
+        return evaluate_unit(group, seed, start, stop)
+
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(diagrams, "_evaluate_unit", logged)
+    trials = 4 * batch.BLOCK + 1
+    assert run_cli(capsys, "verify", "--trials", str(trials))[0] == 0
+    _assert_no_child_left()
+    taken = sorted(tuple(map(int, line.split()[1:])) for line in log.read_text().splitlines())
+    expected = sorted(
+        (group.idx, start, min(start + batch.BLOCK, n))
+        for group in diagrams._GROUPS
+        for n in [trials if group.section == "checks" else 100]
+        for start in range(0, n, batch.BLOCK)
+    )
+    assert taken == expected
+
+
 @pytest.mark.parametrize(
     "failure", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()], ids=repr
 )
@@ -651,7 +677,7 @@ def test_orbit_unwritable_out_fails_before_computing(capsys, monkeypatch, tmp_pa
     def no_steps(*args):
         raise AssertionError("orbit steps computed before the output was opened")
 
-    monkeypatch.setattr(qgeo.cli, "orbit_s4_chunks", no_steps)
+    monkeypatch.setattr(qgeo.cli, "_orbit_plane", no_steps)
     tr = write_transform(tmp_path / "t.json", "so2xsu2", 0.3, 1 + 0j, 0j)
     out = tmp_path / "missing" / "orbit.csv"
     code, _, err = run_cli(capsys, "orbit", bell_state, tr, "--steps", "100000", "--out", str(out))
@@ -771,28 +797,95 @@ def test_orbit_worker_failure_is_a_write_error(capsys, monkeypatch, tmp_path):
 
 
 def test_orbit_writes_to_a_pipe(capsys, monkeypatch, tmp_path):
-    # /dev/fd/N has no directory to hold the workers' temporary files.
+    # Every process writes its blocks in turn into the one pipe /dev/fd/N.
     state, tr = _orbit_inputs(tmp_path)
-    steps = str(ORBIT_CHUNK + 5)
+    steps = str(3 * ORBIT_CHUNK + 5)
     monkeypatch.setattr(batch, "_available_cpus", lambda: 1)
     one = tmp_path / "one.csv"
     assert run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", str(one))[0] == 0
 
-    monkeypatch.setattr(batch, "_available_cpus", lambda: 2)
-    piped = tmp_path / "piped.csv"
-    read_end, write_end = os.pipe()
-    copy = "import shutil, sys; shutil.copyfileobj(sys.stdin.buffer, open(sys.argv[1], 'wb'))"
-    with open(read_end, "rb") as reader:
-        drain = subprocess.Popen([sys.executable, "-c", copy, str(piped)], stdin=reader)
-    try:
-        code, _, err = run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", f"/dev/fd/{write_end}")
-    finally:
-        os.close(write_end)
-        drain.wait(timeout=60)
-    assert (code, err) == (0, "")
+    for cpus in (2, 3):
+        monkeypatch.setattr(batch, "_available_cpus", lambda: cpus)
+        piped = tmp_path / f"piped{cpus}.csv"
+        read_end, write_end = os.pipe()
+        copy = "import shutil, sys; shutil.copyfileobj(sys.stdin.buffer, open(sys.argv[1], 'wb'))"
+        with open(read_end, "rb") as reader:
+            drain = subprocess.Popen([sys.executable, "-c", copy, str(piped)], stdin=reader)
+        try:
+            code, _, err = run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+            drain.wait(timeout=60)
+        assert (code, err) == (0, ""), cpus
+        _assert_no_child_left()
+        assert drain.returncode == 0
+        assert piped.read_bytes() == one.read_bytes(), cpus
+
+
+def _temporary_dir_unusable(monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", "/nonexistent-dir")
+
+
+def _temporary_file_fails(monkeypatch):
+    def fails(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", fails)
+
+
+@pytest.mark.parametrize("break_temporary_files", [_temporary_dir_unusable, _temporary_file_fails])
+def test_orbit_needs_no_temporary_file(capsys, monkeypatch, tmp_path, break_temporary_files):
+    state, tr = _orbit_inputs(tmp_path)
+    steps = str(3 * ORBIT_CHUNK + 5)
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 1)
+    one = tmp_path / "one.csv"
+    assert run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", str(one))[0] == 0
+
+    break_temporary_files(monkeypatch)
+    for cpus in (2, 3):
+        monkeypatch.setattr(batch, "_available_cpus", lambda: cpus)
+        out = tmp_path / f"orbit{cpus}.csv"
+        assert run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", str(out)) == (0, "", ""), cpus
+        _assert_no_child_left()
+        assert out.read_bytes() == one.read_bytes(), cpus
+
+
+# At 3 CPUs the 9 blocks of an orbit go to this process (blocks 0, 3, 6) and
+# two workers (1, 4, 7 and 2, 5, 8).  A failure at a process's second block
+# comes while the others have made their next block and wait for their turn.
+_RING_FAILURES = {
+    "a worker killed": (4, "sigkill", f"{signal.strsignal(signal.SIGKILL)} (an orbit worker exited with status -9)"),
+    "a worker raises": (5, RuntimeError("failed in turn"), "failed in turn (an orbit worker exited with status 1)"),
+    "this process fails": (3, OSError(errno.ENOSPC, "No space left on device"), "No space left on device"),
+    "this process is interrupted": (3, KeyboardInterrupt(), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_RING_FAILURES))
+def test_orbit_failure_in_the_ring_names_its_cause(capsys, monkeypatch, tmp_path, case):
+    block, failure, cause = _RING_FAILURES[case]
+    csv_rows = batch.csv_rows
+
+    def fails_at_block(k0, fields):
+        if k0 == block * ORBIT_CHUNK:
+            if failure == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise failure
+        return csv_rows(k0, fields)
+
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(batch, "csv_rows", fails_at_block)
+    state, tr = _orbit_inputs(tmp_path)
+    out = tmp_path / "orbit.csv"
+    argv = ["orbit", state, tr, "--steps", str(9 * ORBIT_CHUNK - 1), "--out", str(out)]
+    t0 = time.monotonic()
+    if cause is None:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {out}: cannot write: {cause}\n")
+    assert time.monotonic() - t0 < 30
     _assert_no_child_left()
-    assert drain.returncode == 0
-    assert piped.read_bytes() == one.read_bytes()
 
 
 @pytest.mark.parametrize(
