@@ -28,11 +28,13 @@ step numbers, float64 columns in ``repr``'s digits, made in numpy where they
 can be proven, and fixed text.  ``qgeo orbit`` writes its CSV with it.
 
 Processes.  Blocks read disjoint counter ranges, so they need no shared
-state and can be evaluated anywhere.  :func:`_forked` runs shares of such
-work on forked workers, on up to one process per available CPU
-(:func:`_available_cpus`).  ``qgeo verify``'s blocks are dealt round-robin
-to them.  So are ``qgeo orbit``'s CSV blocks, which each process writes into
-the one output in turn, a turn passed round a ring of pipes (:func:`_in_turn`).
+state and can be evaluated anywhere.  :func:`_forked` is the one place that
+decides how many processes run and which takes what: it deals a list of
+such items round-robin to up to one process per available CPU
+(:func:`_processes`), this one first and then forked workers.
+``qgeo verify`` deals its (row, block) units through it, and ``qgeo orbit``
+its CSV blocks, which each process writes into the one output in turn, a
+turn passed round a ring of pipes (:func:`_in_turn`).
 """
 
 from __future__ import annotations
@@ -390,11 +392,17 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _forked(work: Callable, shares: Sequence, worker: str, carry: bool = True) -> list:
-    """``[work(share) for share in shares]``, each share after the first on a forked worker.
+def _processes(n: int) -> int:
+    """How many processes share n items: one per available CPU, at most n."""
+    return min(_available_cpus(), n)
+
+
+def _forked(work: Callable, items: Sequence, worker: str, carry: bool = True) -> list:
+    """``[work(items[k::p]) for k in range(p)]``, p = ``_processes(len(items))``: share 0 in this
+    process, each other share on a forked worker.
 
     This process forks a worker for every other share, then runs
-    ``work(shares[0])``.  A worker runs only ``work`` and leaves through
+    ``work(items[0::p])``.  A worker runs only ``work`` and leaves through
     ``os._exit``, flushing nothing it inherited.  Its reply comes back
     through a pipe: the result pickled, or, when ``carry`` is set, the
     exception ``work`` raised, which is raised here as itself.  A worker
@@ -406,23 +414,24 @@ def _forked(work: Callable, shares: Sequence, worker: str, carry: bool = True) -
     """
     import signal
 
+    p = _processes(len(items))
     workers = []  # (pid, reply pipe) of shares 1 .. p-1, in order, not yet reaped
     with contextlib.ExitStack() as pipes:
         try:
-            for share in shares[1:]:
+            for k in range(1, p):
                 reply, out = (pipes.enter_context(open(fd, mode)) for fd, mode in zip(os.pipe(), ("rb", "wb")))
                 pid = os.fork()
                 if pid == 0:  # a worker: it leaves only through os._exit
                     status = 1
                     try:
-                        code = _reply(work, share, out, carry)
+                        code = _reply(work, items[k::p], out, carry)
                         out.flush()
                         status = code
                     finally:
                         os._exit(status)
                 workers.append((pid, reply))
                 out.close()  # so that reading the reply ends when the worker does
-            results = [work(shares[0])]
+            results = [work(items[0::p])]
             while workers:
                 pid, reply = workers[0]
                 data = reply.read()
@@ -442,69 +451,48 @@ def _forked(work: Callable, shares: Sequence, worker: str, carry: bool = True) -
                 os.waitpid(pid, 0)
 
 
-class _TurnLost(Exception):
-    """A process of :func:`_in_turn` found its neighbour in the ring ended before passing the turn."""
-
-
-class _Turn:
-    """The output of process r of :func:`_in_turn`: its j-th write is block r + j p of the whole.
-
-    A write waits for the turn, a byte from the process before in the ring (none
-    before block 0), writes the block to the shared file, and passes the turn to
-    the process after, if a block follows.
-    """
-
-    def __init__(self, fh, ring: list[tuple[int, int]], r: int, blocks: int):
-        self.fh, self.blocks, self.order = fh, blocks, iter(range(r, blocks, len(ring)))
-        self.inbound, self.outbound = ring[r - 1][0], ring[r][1]
-
-    def write(self, data) -> None:
-        i = next(self.order)
-        if i and not os.read(self.inbound, 1):
-            raise _TurnLost
-        self.fh.write(data)
-        self.fh.flush()
-        if i + 1 < self.blocks:
-            try:
-                os.write(self.outbound, b"\0")
-            except BrokenPipeError:
-                raise _TurnLost from None
-
-
-def _in_turn(fh, blocks: int, work: Callable, worker: str) -> None:
-    """``work(r, p, out)`` on process r of p, p up to one per CPU and at most ``blocks``: ``out``
-    writes blocks r, r + p, r + 2p, ... of the output into the binary file ``fh``, in order.
+def _in_turn(fh, blocks: int, block: Callable[[int], bytes], worker: str) -> None:
+    """Write ``block(0)``, ``block(1)``, ..., ``block(blocks - 1)`` into the binary file ``fh``, in
+    order, each made and written by the process of :func:`_forked` whose share holds it.
 
     Each process makes its next block while the others write theirs, and writes it
     when its turn comes: a byte passed round a ring of pipes, pipe r from process r
-    to process r + 1 mod p (:class:`_Turn`).  So the blocks land in order in the
-    open file of ``fh``, a file or a pipe, shared by the forked workers of
-    :func:`_forked`.  Each process keeps only its own two ends of the ring, so one
-    that ends early leaves its neighbours an end of file where the turn was, or a
-    broken pipe; they stop writing, and their neighbours in turn.  Only the
-    failure that began it is raised: a worker's as a ChildProcessError naming its
-    cause, this process's as itself.
+    to process r + 1 mod p.  So the blocks land in order in the open file of
+    ``fh``, a file or a pipe, shared by the forked workers.  A block's text is kept
+    until the next one is made, so that its memory is reused rather than given
+    back and faulted in again.  Each process keeps only its own two ends of the
+    ring, so one that ends early leaves its neighbours an end of file where the
+    turn was, or a broken pipe; they stop writing, and their neighbours in turn.
+    Only the failure that began it is raised: a worker's as a ChildProcessError
+    naming its cause, this process's as itself.
     """
     fh.flush()  # nothing buffered here is copied into the workers
-    p = min(_available_cpus(), blocks)
-    ring = [os.pipe() for _ in range(p)]
+    ring = [os.pipe() for _ in range(_processes(blocks))]
     ends = {fd for pipe in ring for fd in pipe}
 
-    def take_turns(r: int) -> None:
-        out = _Turn(fh, ring, r, blocks)
-        for fd in ends - {out.inbound, out.outbound}:
+    def take_turns(share: range) -> None:
+        inbound, outbound = ring[share.start - 1][0], ring[share.start][1]
+        for fd in ends - {inbound, outbound}:
             os.close(fd)
-        ends.intersection_update((out.inbound, out.outbound))
+        ends.intersection_update((inbound, outbound))
         try:
-            work(r, p, out)
-        except _TurnLost:
-            pass
+            for i in share:
+                text = block(i)  # the previous block's text is freed here
+                if i and not os.read(inbound, 1):
+                    return  # the process before ended without passing the turn
+                fh.write(text)
+                fh.flush()
+                if i + 1 < blocks:
+                    try:
+                        os.write(outbound, b"\0")
+                    except BrokenPipeError:
+                        return  # the process after ended before its turn
         finally:
             while ends:
                 os.close(ends.pop())
 
     try:
-        _forked(take_turns, range(p), worker, carry=False)
+        _forked(take_turns, range(blocks), worker, carry=False)
     finally:
         while ends:
             os.close(ends.pop())

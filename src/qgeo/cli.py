@@ -217,35 +217,34 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
-def _write_orbit_blocks(fh, u: LocalUnitary, point, k0: int, n: int, deal: tuple[int, int] = (0, 1)) -> None:
-    """Write the CSV rows of steps k0 .. k0 + n - 1 to the binary file ``fh``, a write per block, u1..u3 once.
+def _orbit_block(u: LocalUnitary, point, n: int) -> Callable[[int], bytearray]:
+    """``block(start)``: the CSV rows of steps start .. min(start + ORBIT_CHUNK, n) - 1, u1..u3 once.
 
-    With ``deal`` = (r, p), only the ORBIT_CHUNK blocks r, r + p, r + 2p, ... of
-    the rows.  A block's text is kept until the next one is made, so that the
-    memory of one block is reused by the next rather than given back and faulted
-    in again.
+    The offset table of :func:`qgeo.moebius._orbit_plane` is made here, once for
+    all the blocks of a run.
     """
     fixed, columns = _orbit_plane(u, point, min(n, ORBIT_CHUNK))
     fixed = ",".join(map(repr, fixed)).encode()
-    r, p = deal
-    for start in range(k0 + r * ORBIT_CHUNK, k0 + n, p * ORBIT_CHUNK):
-        u0, u4 = columns(start, min(ORBIT_CHUNK, k0 + n - start))
-        text = batch.csv_rows(start, [u0, fixed, u4])  # the previous block's text is freed here
-        fh.write(text)
+
+    def block(start: int) -> bytearray:
+        u0, u4 = columns(start, min(ORBIT_CHUNK, n - start))
+        return batch.csv_rows(start, [u0, fixed, u4])
+
+    return block
 
 
 def _write_orbit(fh, u: LocalUnitary, point, n: int) -> None:
     """Write the CSV rows of steps 0 .. n - 1 to ``fh``, on up to one process per CPU.
 
-    The ORBIT_CHUNK blocks are dealt round-robin to the processes of
-    :func:`qgeo.batch._in_turn`, this one and forked workers; each block starts
-    from its own exact angle, so the bytes do not depend on their number.  Each
-    process formats its next block while the others write, then writes it
-    straight into ``fh`` (a file, pipe or device) when its turn comes.  A
-    worker's error is its text, raised here as OSError.
+    The ORBIT_CHUNK blocks are dealt to the processes of :func:`qgeo.batch._in_turn`,
+    this one and forked workers, which inherit the offset table made here; each
+    block starts from its own exact angle, so the bytes do not depend on their
+    number.  Each process formats its next block while the others write, then
+    writes it straight into ``fh`` (a file, pipe or device) when its turn comes.
+    A worker's error is its text, raised here as OSError.
     """
-    blocks = -(-n // ORBIT_CHUNK)
-    batch._in_turn(fh, blocks, lambda r, p, out: _write_orbit_blocks(out, u, point, 0, n, (r, p)), "an orbit worker")
+    block = _orbit_block(u, point, n)
+    batch._in_turn(fh, -(-n // ORBIT_CHUNK), lambda i: block(i * ORBIT_CHUNK), "an orbit worker")
 
 
 def cmd_sample(args) -> int:

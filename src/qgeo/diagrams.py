@@ -559,15 +559,13 @@ def _rank(case: tuple[float, int, tuple]) -> tuple:
 def _evaluate_rows(rows: list[tuple[_Group, int]], seed: int) -> list[list[tuple[float, tuple]]]:
     """Per (row, trials) of ``rows``, the (max deviation, worst-case inputs) of each check.
 
-    The (row, block) units are dealt round-robin to up to one process per
-    available CPU (:func:`qgeo.batch._forked`), this process taking the
-    last of each round; each process reduces its share by :func:`_rank`
-    and so does this one with the shares, so the result does not depend on
-    the number of processes.
+    :func:`qgeo.batch._forked` deals the (row, block) units round-robin to
+    up to one process per available CPU; each process reduces its share by
+    :func:`_rank` and so does this one with the shares, so the result does
+    not depend on the number of processes.
     """
     units = [(r, start, min(start + batch.BLOCK, n))
              for r, (_, n) in enumerate(rows) for start in range(0, n, batch.BLOCK)]
-    p = min(batch._available_cpus(), len(units))
 
     def fold(worst: dict, r: int, cases: list) -> None:
         worst[r] = [max(pair, key=_rank) for pair in zip(worst.get(r, cases), cases)]
@@ -581,7 +579,7 @@ def _evaluate_rows(rows: list[tuple[_Group, int]], seed: int) -> list[list[tuple
     import numpy.random  # noqa: F401  numpy imports it on first use; here once, not in each worker
 
     merged: dict = {}
-    for worst in batch._forked(evaluate, [units[p - 1 - k::p] for k in range(p)], "a verify worker"):
+    for worst in batch._forked(evaluate, units, "a verify worker"):
         for r, cases in worst.items():
             fold(merged, r, cases)
     return [[(dev, inputs) for dev, _, inputs in merged[r]] for r in range(len(rows))]

@@ -20,7 +20,7 @@ ordering (:meth:`MoebiusQ.from_su2`).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,7 +39,7 @@ from .local_unitary import LocalUnitary, QuatMat2, SU2Element, Variant, _require
 # MoebiusQ's invertibility threshold on study_determinant(m), the determinant of m in C^4x4.
 DET_TOL = 1e-18
 
-# Rows per block of orbit_s4_chunks; bounds the memory of a streamed orbit.
+# Rows per block of an orbit (orbit_s4, qgeo orbit's CSV); bounds the memory of a streamed orbit.
 ORBIT_CHUNK = 4096
 
 # Bits of 2*pi kept beyond the integer part of the largest 2*k*theta / (2*pi),
@@ -235,23 +235,6 @@ def _orbit_plane(
     return [u1, u2, u3], columns
 
 
-def orbit_s4_chunks(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int) -> Iterator[np.ndarray]:
-    """The 4-sphere rows of :func:`orbit_s4`, in consecutive blocks of at most ORBIT_CHUNK rows.
-
-    Step k0 + c + j is a rotation by phi_c + phi_j of :func:`orbit_angles`: one angle per block
-    start c, one table of in-block offsets j for the whole run.  A generator: memory stays flat,
-    and nothing is computed (and no argument checked) until the first block is drawn.
-    """
-    if k0 < 0 or n < 0:
-        raise ValueError(f"orbit steps must be non-negative, got k0={k0}, n={n}")
-    fixed, columns = _orbit_plane(u, point, min(n, ORBIT_CHUNK))
-    for start in range(k0, k0 + n, ORBIT_CHUNK):
-        u0, u4 = columns(start, min(ORBIT_CHUNK, k0 + n - start))
-        rows = np.empty((len(u0), 5))
-        rows[:, 0], rows[:, 1:4], rows[:, 4] = u0, fixed, u4
-        yield rows
-
-
 def orbit_s4(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int) -> np.ndarray:
     """4-sphere images of the iterates k0, ..., k0 + n - 1 of the map induced by ``u``.
 
@@ -267,4 +250,11 @@ def orbit_s4(u: LocalUnitary, point: ExtendedQuaternion, k0: int, n: int) -> np.
     with k (see :func:`orbit_angles`).  Returns an (n, 5) array; raises
     ValueError for a su2xso2 transform, as moebius_from_local_unitary does.
     """
-    return np.concatenate([np.empty((0, 5)), *orbit_s4_chunks(u, point, k0, n)])
+    if k0 < 0 or n < 0:
+        raise ValueError(f"orbit steps must be non-negative, got k0={k0}, n={n}")
+    fixed, columns = _orbit_plane(u, point, min(n, ORBIT_CHUNK))
+    rows = np.empty((n, 5))
+    rows[:, 1:4] = fixed
+    for j in range(0, n, ORBIT_CHUNK):
+        rows[j:j + ORBIT_CHUNK, 0], rows[j:j + ORBIT_CHUNK, 4] = columns(k0 + j, min(ORBIT_CHUNK, n - j))
+    return rows

@@ -27,3 +27,11 @@ def child_env(**settings: str) -> dict[str, str]:
 
     src = str(Path(qgeo.__file__).resolve().parent.parent)
     return {**os.environ, **settings, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def assert_no_child_left() -> None:
+    """Every child process of this one has been reaped."""
+    import pytest
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_left
 from qgeo import batch, sampling
 from qgeo.batch import BLOCK, Split
 from qgeo.cli import main
@@ -461,3 +463,46 @@ def test_csv_rows_writes_columns_and_fixed_text_as_csv_writer():
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows([10**8 - 20 + j, a, "x", "y", b, 7] for j, (a, b) in enumerate(zip(u.tolist(), v.tolist())))
     assert batch.csv_rows(10**8 - 20, [u, b"x,y", v, b"7"]) == expected.getvalue().encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# Processes: batch._forked deals the work
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("cpus", [1, 3, 5])
+def test_forked_gives_process_k_the_items_k_p_apart(monkeypatch, cpus, n):
+    monkeypatch.setattr(batch, "_available_cpus", lambda: cpus)
+    items = [f"item {i}" for i in range(n)]
+    replies = batch._forked(lambda share: (os.getpid(), share), items, "a test worker")
+    p = min(cpus, n)
+    assert [share for _, share in replies] == [items[k::p] for k in range(p)]
+    pids = [pid for pid, _ in replies]
+    assert pids[0] == os.getpid() and len(set(pids)) == p
+    assert sorted(item for _, share in replies for item in share) == sorted(items)
+    assert_no_child_left()
+
+
+def test_in_turn_writes_the_blocks_in_order_each_from_its_process(monkeypatch, tmp_path):
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 3)
+    out = tmp_path / "blocks.txt"
+    with open(out, "wb") as fh:
+        batch._in_turn(fh, 7, lambda i: b"%d %d\n" % (i, os.getpid()), "a test worker")
+    assert_no_child_left()
+    lines = [tuple(map(int, line.split())) for line in out.read_bytes().splitlines()]
+    assert [i for i, _ in lines] == list(range(7))
+    pids = [pid for _, pid in lines]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    assert all(pids[i] == pids[i % 3] for i in range(7))
+
+
+def test_in_turn_with_one_block_forks_nothing(monkeypatch):
+    def fork():
+        raise AssertionError("forked for one block")
+
+    monkeypatch.setattr(batch, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", fork)
+    out = io.BytesIO()
+    batch._in_turn(out, 1, lambda i: b"block %d\n" % i, "a test worker")
+    assert out.getvalue() == b"block 0\n"

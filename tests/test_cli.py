@@ -27,7 +27,7 @@ except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__
 
 import qgeo.cli
-from conftest import child_env
+from conftest import assert_no_child_left, child_env
 from qgeo import batch, diagrams
 from qgeo.cli import load_state, load_transform, main
 from qgeo.conformal import conformal_map, inverse_stereographic, schmidt_concurrence_form
@@ -426,7 +426,7 @@ def test_verify_report_bytes_are_pinned(capsys, monkeypatch, tmp_path, trials, s
         assert code == 0
         assert out == report.read_text()
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, cpus
-        _assert_no_child_left()
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("trials", [batch.BLOCK + 1, 2 * batch.BLOCK + 1])
@@ -439,7 +439,7 @@ def test_verify_report_bytes_do_not_depend_on_the_cpu_count(capsys, monkeypatch,
         code, _, _ = run_cli(capsys, "verify", "--trials", str(trials), "--seed", "11", "--report", str(report))
         assert code == 0
         reports.append(report.read_bytes())
-        _assert_no_child_left()
+        assert_no_child_left()
     assert reports == [reports[0]] * len(CPU_COUNTS)
 
 
@@ -536,7 +536,7 @@ def test_verify_worker_error_is_raised_as_itself(capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--report", str(report))
         assert code == 3 and out == "" and err.startswith("error: "), cpus
         assert report.read_text() == '{"old": true}\n'
-        _assert_no_child_left()
+        assert_no_child_left()
 
     monkeypatch.setattr(diagrams, "_sample_trials", fails_in_a_worker)
     with pytest.raises(ValueError) as got:
@@ -545,7 +545,7 @@ def test_verify_worker_error_is_raised_as_itself(capsys, monkeypatch, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--trials", "3", "--report", str(report))
     assert (code, out, err) == (3, "", "error: a worker's own error\n")
     assert report.read_text() == '{"old": true}\n'
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("death", ["signal", "unpicklable"])
@@ -568,9 +568,9 @@ def test_verify_worker_that_ends_without_a_result_names_the_cause(capsys, monkey
     with pytest.raises(ChildProcessError) as got:
         diagrams.run_suite(3, 0)
     assert str(got.value) == cause
-    _assert_no_child_left()
+    assert_no_child_left()
     assert run_cli(capsys, "verify", "--trials", "3") == (2, "", f"error: {cause}\n")
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_verify_evaluates_each_unit_once_across_the_processes(capsys, monkeypatch, tmp_path):
@@ -587,7 +587,7 @@ def test_verify_evaluates_each_unit_once_across_the_processes(capsys, monkeypatc
     monkeypatch.setattr(diagrams, "_evaluate_unit", logged)
     trials = 4 * batch.BLOCK + 1
     assert run_cli(capsys, "verify", "--trials", str(trials))[0] == 0
-    _assert_no_child_left()
+    assert_no_child_left()
     taken = sorted(tuple(map(int, line.split()[1:])) for line in log.read_text().splitlines())
     expected = sorted(
         (group.idx, start, min(start + batch.BLOCK, n))
@@ -619,7 +619,7 @@ def test_verify_failure_in_the_parent_kills_the_workers(capsys, monkeypatch, fai
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "--trials", "3"])
     assert time.monotonic() - t0 < 30
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_orbit_bell_is_fixed_point(capsys, tmp_path, bell_state):
@@ -699,11 +699,6 @@ def _orbit_inputs(tmp_path):
     return state, tr
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _pole_orbit_inputs(tmp_path):
     """|00>, whose image is the pole (0, 0, 0, 0, 1), turned by 2 pi / 3 a step.
 
@@ -744,7 +739,7 @@ def test_orbit_csv_bytes_match_csv_writer(capsys, monkeypatch, tmp_path, steps, 
         assert code == 0
         data = out.read_bytes()
         assert data == expected.getvalue().encode("utf-8"), cpus
-        _assert_no_child_left()
+        assert_no_child_left()
 
     lines = data.decode("utf-8").split("\r\n")
     assert lines[-1] == ""
@@ -765,14 +760,12 @@ def test_orbit_block_writer_matches_csv_writer_at_any_step(tmp_path, k0):
     u, point = load_transform(tr), conformal_map(quaternionify(load_state(state)))
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows([k0 + j] + row.tolist() for j, row in enumerate(orbit_s4(u, point, k0, 20)))
-    out = io.BytesIO()
-    qgeo.cli._write_orbit_blocks(out, u, point, k0, 20)
-    assert out.getvalue() == expected.getvalue().encode("ascii")
+    assert qgeo.cli._orbit_block(u, point, k0 + 20)(k0) == expected.getvalue().encode("ascii")
 
 
 def test_orbit_worker_failure_is_a_write_error(capsys, monkeypatch, tmp_path):
     # The worker's own error text reaches the message, as the parent's does.
-    parent, write_blocks = os.getpid(), qgeo.cli._write_orbit_blocks
+    parent, csv_rows = os.getpid(), batch.csv_rows
     failures = {
         "worker failed": RuntimeError("worker failed"),
         "No space left on device": OSError(errno.ENOSPC, "No space left on device"),
@@ -783,17 +776,17 @@ def test_orbit_worker_failure_is_a_write_error(capsys, monkeypatch, tmp_path):
     out = tmp_path / "orbit.csv"
     for cause, failure in failures.items():
 
-        def fails_in_a_worker(*args):
+        def fails_in_a_worker(k0, fields):
             if os.getpid() != parent:
                 raise failure
-            write_blocks(*args)
+            return csv_rows(k0, fields)
 
-        monkeypatch.setattr(qgeo.cli, "_write_orbit_blocks", fails_in_a_worker)
+        monkeypatch.setattr(batch, "csv_rows", fails_in_a_worker)
         code, _, err = run_cli(capsys, "orbit", state, tr, "--steps", str(3 * ORBIT_CHUNK), "--out", str(out))
         assert code == 2
         assert f"{out}: cannot write: {cause} (an orbit worker exited with status 1)" in err, err
         assert "Traceback" not in err
-        _assert_no_child_left()
+        assert_no_child_left()
 
 
 def test_orbit_writes_to_a_pipe(capsys, monkeypatch, tmp_path):
@@ -817,7 +810,7 @@ def test_orbit_writes_to_a_pipe(capsys, monkeypatch, tmp_path):
             os.close(write_end)
             drain.wait(timeout=60)
         assert (code, err) == (0, ""), cpus
-        _assert_no_child_left()
+        assert_no_child_left()
         assert drain.returncode == 0
         assert piped.read_bytes() == one.read_bytes(), cpus
 
@@ -846,7 +839,7 @@ def test_orbit_needs_no_temporary_file(capsys, monkeypatch, tmp_path, break_temp
         monkeypatch.setattr(batch, "_available_cpus", lambda: cpus)
         out = tmp_path / f"orbit{cpus}.csv"
         assert run_cli(capsys, "orbit", state, tr, "--steps", steps, "--out", str(out)) == (0, "", ""), cpus
-        _assert_no_child_left()
+        assert_no_child_left()
         assert out.read_bytes() == one.read_bytes(), cpus
 
 
@@ -885,7 +878,7 @@ def test_orbit_failure_in_the_ring_names_its_cause(capsys, monkeypatch, tmp_path
     else:
         assert run_cli(capsys, *argv) == (2, "", f"error: {out}: cannot write: {cause}\n")
     assert time.monotonic() - t0 < 30
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -901,7 +894,7 @@ def test_orbit_failure_in_the_parent_kills_the_workers(capsys, monkeypatch, tmp_
         time.sleep(60)
 
     monkeypatch.setattr(batch, "_available_cpus", lambda: 3)
-    monkeypatch.setattr(qgeo.cli, "_write_orbit_blocks", fails_in_the_parent)
+    monkeypatch.setattr(batch, "csv_rows", fails_in_the_parent)
     state, tr = _orbit_inputs(tmp_path)
     out = tmp_path / "orbit.csv"
     t0 = time.monotonic()
@@ -912,7 +905,7 @@ def test_orbit_failure_in_the_parent_kills_the_workers(capsys, monkeypatch, tmp_
         with pytest.raises(KeyboardInterrupt):
             main(["orbit", state, tr, "--steps", str(3 * ORBIT_CHUNK), "--out", str(out)])
     assert time.monotonic() - t0 < 30
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_orbit_in_a_fresh_process_matches_one_process(capsys, monkeypatch, tmp_path):

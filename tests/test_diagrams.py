@@ -715,18 +715,18 @@ def _marked(deviation, parent: int, marks):
 
 
 # At 2 CPUs with blocks of B trials, a run of 4 * B trials deals the blocks
-# of rows 1 and 4 (units 4-7 and 16-19 of the suite) to the worker, this
-# process, the worker and this process, in trial order: trials 0-63 and
-# 128-191 go to the worker, 64-127 and 192-255 stay here.
+# of rows 1 and 4 (units 4-7 and 16-19 of the suite) to this process, the
+# worker, this process and the worker, in trial order: trials 0-63 and
+# 128-191 stay here, 64-127 and 192-255 go to the worker.
 
 
 @pytest.mark.usefixtures("small_block")
 def test_the_first_nan_trial_is_the_worst_case_whichever_process_reads_it(monkeypatch):
-    # NaN in the worker's trial 10 and in this process's trial 70, and a
-    # deviation of 1.0, far above any other, in this process's trial 200.
+    # NaN in this process's trial 10 and in the worker's trial 70, and a
+    # deviation of 1.0, far above any other, in the worker's trial 200.
     monkeypatch.setattr(batch, "_available_cpus", lambda: 2)
     state = [haar_random_state(0, 1, t) for t in range(4 * B)]
-    marks = [(state[10], math.nan, False), (state[70], math.nan, True), (state[200], 1.0, True)]
+    marks = [(state[10], math.nan, True), (state[70], math.nan, False), (state[200], 1.0, False)]
     monkeypatch.setattr(diagrams, "check_quadrangle", _marked(check_quadrangle, os.getpid(), marks))
     check = next(c for c in run_suite(4 * B, 0).checks if c.name == "quaterbit_transport_so2xsu2")
     assert math.isnan(check.max_deviation) and not check.passed
@@ -735,11 +735,11 @@ def test_the_first_nan_trial_is_the_worst_case_whichever_process_reads_it(monkey
 
 @pytest.mark.usefixtures("small_block")
 def test_a_tied_maximum_goes_to_the_later_trial_whichever_process_reads_it(monkeypatch):
-    # Row 1 ties the worker's trial 10 with this process's trial 70; row 4
-    # ties this process's trial 70 with the worker's trial 130.
+    # Row 1 ties this process's trial 10 with the worker's trial 70; row 4
+    # ties the worker's trial 70 with this process's trial 130.
     monkeypatch.setattr(batch, "_available_cpus", lambda: 2)
     row1, row4 = ([haar_random_state(0, idx, t) for t in range(4 * B)] for idx in (1, 4))
-    marks = [(row1[10], 0.5, False), (row1[70], 0.5, True), (row4[70], 0.5, True), (row4[130], 0.5, False)]
+    marks = [(row1[10], 0.5, True), (row1[70], 0.5, False), (row4[70], 0.5, False), (row4[130], 0.5, True)]
     monkeypatch.setattr(diagrams, "check_quadrangle", _marked(check_quadrangle, os.getpid(), marks))
     checks = {c.name: c for c in run_suite(4 * B, 0).checks}
     for name, variant, idx, later in (

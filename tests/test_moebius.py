@@ -38,7 +38,6 @@ from qgeo.moebius import (
     moebius_from_local_unitary,
     orbit_angles,
     orbit_s4,
-    orbit_s4_chunks,
     study_determinant,
 )
 
@@ -716,8 +715,9 @@ def test_orbit_angles_are_exact(theta):
 
 @pytest.mark.parametrize("theta", [t * sign for t in (0.0, 5e-324, math.pi / 2, 2.345678, 1e300) for sign in (1, -1)])
 def test_orbit_offsets_are_orbit_angles_bit_for_bit(theta):
-    # The first block of orbit_s4_chunks starts at angle 0, so its rows are the
-    # rotations by the in-block offsets alone: orbit_angles, bit for bit.
+    # The first block of orbit_s4, its first ORBIT_CHUNK rows, starts at angle 0,
+    # so its rows are the rotations by the in-block offsets alone: orbit_angles,
+    # bit for bit.
     su2 = random_local_unitary(Variant.SO2_X_SU2, seed=7).su2
     u = LocalUnitary(Variant.SO2_X_SU2, SO2Element(theta), su2)
     point = conformal_map(quaternionify(haar_random_state(5)))
@@ -727,5 +727,5 @@ def test_orbit_offsets_are_orbit_angles_bit_for_bit(theta):
     expected[:, 0] = np.cos(phi) * u0 - np.sin(phi) * u4
     expected[:, 1:4] = (u1, u2, u3)
     expected[:, 4] = np.sin(phi) * u0 + np.cos(phi) * u4
-    rows = next(orbit_s4_chunks(u, point, 0, ORBIT_CHUNK + 1))
+    rows = orbit_s4(u, point, 0, ORBIT_CHUNK + 1)[:ORBIT_CHUNK]
     np.testing.assert_array_equal(rows.view(np.int64), expected.view(np.int64))

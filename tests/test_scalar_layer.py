@@ -216,8 +216,8 @@ MODULES = sorted(path.stem for path in Path(qgeo.__file__).parent.glob("*.py"))
 _DRAWING_NAMES = {"default_rng", "standard_normal", "SeedSequence"}
 
 
-def _drawing_names(source: str) -> set[str]:
-    """The names of ``_DRAWING_NAMES`` that ``source`` uses, reads as an attribute or imports."""
+def _names(source: str) -> set[str]:
+    """Every name that ``source`` uses, reads as an attribute or imports."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -226,7 +226,12 @@ def _drawing_names(source: str) -> set[str]:
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
-    return names & _DRAWING_NAMES
+    return names
+
+
+def _drawing_names(source: str) -> set[str]:
+    """The names of ``_DRAWING_NAMES`` that ``source`` uses, reads as an attribute or imports."""
+    return _names(source) & _DRAWING_NAMES
 
 
 def _imports_qgeo(source: str) -> bool:
@@ -256,6 +261,10 @@ def test_the_guards_see_every_form():
                    "from qgeo.quaternion import divided"):
         assert _divides(source), source
     assert not _divides("unit(v)\nz.real / n")
+    for source in ("os.fork()", "from os import fork", "batch._available_cpus()", "os.sched_getaffinity(0)",
+                   "from os import cpu_count as cpus"):
+        assert _names(source) & _PROCESS_NAMES, source
+    assert not _names("batch._forked(work, items, 'a worker')") & _PROCESS_NAMES
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -265,6 +274,20 @@ def test_no_module_but_sampling_draws_random_inputs(module):
         assert not _imports_qgeo(source)
     else:
         assert not _drawing_names(source)
+
+
+# ---------------------------------------------------------------------------
+# One dealer: qgeo.batch alone counts the CPUs and forks, so it alone decides
+# how many processes run and which takes what
+# ---------------------------------------------------------------------------
+
+_PROCESS_NAMES = {"_available_cpus", "fork", "sched_getaffinity", "cpu_count"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_but_batch_counts_cpus_or_forks(module):
+    source = (Path(qgeo.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert bool(_names(source) & _PROCESS_NAMES) == (module == "batch")
 
 
 # ---------------------------------------------------------------------------
