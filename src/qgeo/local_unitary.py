@@ -42,44 +42,57 @@ class Variant(str, Enum):
         return (rot, su2) if self is Variant.SO2_X_SU2 else (su2, rot)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SU2Element:
-    """SU(2) element with matrix rows (a, b) and (-conj(b), conj(a))."""
+    """SU(2) element with matrix rows (a, b) and (-conj(b), conj(a)).
+
+    ``a`` and ``b`` are coerced to ``complex``, must be finite and have
+    ``squared_norm`` within ``NORMALIZATION_TOL`` of 1; each is checked and
+    stored once, in ``__init__``.
+    """
 
     a: complex
     b: complex
 
-    def __post_init__(self):
-        a, b = complex(self.a), complex(self.b)
+    def __init__(self, a: complex, b: complex):
+        a, b = complex(a), complex(b)
         if not (cmath.isfinite(a) and cmath.isfinite(b)):
             raise ValueError("SU(2) parameters must be finite")
         norm_sq = squared_norm((a, b))
         if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"|a|^2 + |b|^2 must be 1, got {norm_sq!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_su2_a(self, a)
+        _set_su2_b(self, b)
 
     @property
     def matrix(self) -> np.ndarray:
         return _factor_matrix(self.a, self.b)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SO2Element:
-    """Plane rotation by theta, matrix ((cos, sin), (-sin, cos))."""
+    """Plane rotation by theta, matrix ((cos, sin), (-sin, cos)).
+
+    ``theta`` is coerced to ``float`` and must be finite; it is checked and
+    stored once, in ``__init__``.
+    """
 
     theta: float
 
-    def __post_init__(self):
-        t = float(self.theta)
-        if not math.isfinite(t):
+    def __init__(self, theta: float):
+        theta = float(theta)
+        if not math.isfinite(theta):
             raise ValueError("rotation angle must be finite")
-        object.__setattr__(self, "theta", t)
+        _set_so2_theta(self, theta)
 
     @property
     def matrix(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c, s], [-s, c]])
+
+
+_set_su2_a, _set_su2_b = SU2Element.a.__set__, SU2Element.b.__set__
+_set_so2_theta = SO2Element.theta.__set__
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -99,15 +112,20 @@ class LocalUnitary:
     b2: complex
 
     def __init__(self, variant: Variant, rot: SO2Element, su2: SU2Element):
-        variant = Variant(variant)
+        if not isinstance(variant, Variant):
+            variant = Variant(variant)
         if not isinstance(rot, SO2Element):
             raise TypeError(f"rot must be an SO2Element, got {type(rot).__name__}")
         if not isinstance(su2, SU2Element):
             raise TypeError(f"su2 must be an SU2Element, got {type(su2).__name__}")
         theta = rot.theta
         (a1, b1), (a2, b2) = variant.order((complex(math.cos(theta)), complex(math.sin(theta))), (su2.a, su2.b))
-        for set_field, value in zip(_SET_FIELDS, (variant, theta, a1, b1, a2, b2)):
-            set_field(self, value)
+        _set_variant(self, variant)
+        _set_theta(self, theta)
+        _set_a1(self, a1)
+        _set_b1(self, b1)
+        _set_a2(self, a2)
+        _set_b2(self, b2)
 
     @property
     def rot(self) -> SO2Element:
@@ -120,7 +138,9 @@ class LocalUnitary:
         return SU2Element(*self.variant.order((self.a1, self.b1), (self.a2, self.b2))[1])
 
 
-_SET_FIELDS = [getattr(LocalUnitary, name).__set__ for name in ("variant", "theta", "a1", "b1", "a2", "b2")]
+_set_variant, _set_theta = LocalUnitary.variant.__set__, LocalUnitary.theta.__set__
+_set_a1, _set_b1 = LocalUnitary.a1.__set__, LocalUnitary.b1.__set__
+_set_a2, _set_b2 = LocalUnitary.a2.__set__, LocalUnitary.b2.__set__
 
 
 def _fields(doc, names: tuple[str, ...]) -> list:

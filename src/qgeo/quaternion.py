@@ -255,8 +255,10 @@ def squared_norm(values):
     real parts, then of the imaginary parts, left to right.
     """
     total = 0.0
-    for x in [z.real for z in values] + [z.imag for z in values]:
-        total = total + x * x
+    for z in values:
+        total = total + z.real * z.real
+    for z in values:
+        total = total + z.imag * z.imag
     return total
 
 

@@ -29,16 +29,16 @@ def _finite_complex(value, name: str) -> complex:
     return z
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OneQubitState:
-    """Amplitudes (a1, a2) of |0> and |1>."""
+    """Amplitudes (a1, a2) of |0> and |1>, each coerced to ``complex``, checked finite and stored once."""
 
     a1: complex
     a2: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "a1", _finite_complex(self.a1, "a1"))
-        object.__setattr__(self, "a2", _finite_complex(self.a2, "a2"))
+    def __init__(self, a1: complex, a2: complex):
+        _set_a1(self, _finite_complex(a1, "a1"))
+        _set_a2(self, _finite_complex(a2, "a2"))
 
     def norm_sq(self) -> float:
         return _abs2(self.a1) + _abs2(self.a2)
@@ -87,7 +87,7 @@ class TwoQubitState:
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.shape != (4,):
             raise ValueError(f"expected 4 amplitudes, got shape {v.shape}")
-        return cls(*unit(v.tolist())) if renormalize else cls(*v.tolist())
+        return cls._make(unit(v.tolist()) if renormalize else v.tolist())
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -114,6 +114,7 @@ class Quaterbit:
 
 
 _new = object.__new__
+_set_a1, _set_a2 = OneQubitState.a1.__set__, OneQubitState.a2.__set__
 _set_alpha, _set_beta = TwoQubitState.alpha.__set__, TwoQubitState.beta.__set__
 _set_gamma, _set_delta = TwoQubitState.gamma.__set__, TwoQubitState.delta.__set__
 _set_q1, _set_q2 = Quaterbit.q1.__set__, Quaterbit.q2.__set__

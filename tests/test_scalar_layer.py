@@ -5,15 +5,19 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import qgeo
 from qgeo.conformal import conformal_map
 from qgeo.local_unitary import LocalUnitary, QuatMat2, SO2Element, SU2Element, Variant, apply_cb
 from qgeo.moebius import MoebiusQ, apply_moebius_q, moebius_from_local_unitary
-from qgeo.quaternion import INFINITY, Quaternion, chordal_distance
+from qgeo.quaternion import INFINITY, Quaternion, chordal_distance, squared_norm
 from qgeo.states import OneQubitState, Quaterbit, TwoQubitState, concurrence_term, quaternionify
 
 _Q = Quaternion(0.6, 0.8j)
@@ -88,6 +92,91 @@ def test_constructors_reject_non_finite_input(case):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+# A value built from ints, floats or numpy scalars, and the exact fields it must store.
+_COERCED = {
+    "SU2Element_ints": (lambda: SU2Element(1, 0), {"a": 1 + 0j, "b": 0j}),
+    "SU2Element_floats": (lambda: SU2Element(0.6, 0.8), {"a": 0.6 + 0j, "b": 0.8 + 0j}),
+    "SU2Element_numpy": (lambda: SU2Element(np.complex128(0.6), np.float64(-0.8)), {"a": 0.6 + 0j, "b": -0.8 + 0j}),
+    "SO2Element_int": (lambda: SO2Element(1), {"theta": 1.0}),
+    "SO2Element_numpy": (lambda: SO2Element(np.float64(0.25)), {"theta": 0.25}),
+    "OneQubitState_ints": (lambda: OneQubitState(1, 0), {"a1": 1 + 0j, "a2": 0j}),
+    "OneQubitState_floats": (lambda: OneQubitState(0.6, -0.8), {"a1": 0.6 + 0j, "a2": -0.8 + 0j}),
+    "TwoQubitState_from_vector": (
+        lambda: TwoQubitState.from_vector(np.array([0, 1, 0, 0])),
+        {"alpha": 0j, "beta": 1 + 0j, "gamma": 0j, "delta": 0j},
+    ),
+    "TwoQubitState_from_vector_renormalized": (
+        lambda: TwoQubitState.from_vector(np.array([0, 2, 0, 0]), renormalize=True),
+        {"alpha": 0j, "beta": 1 + 0j, "gamma": 0j, "delta": 0j},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_COERCED))
+def test_scalar_constructors_store_exact_complex_and_float_fields(case):
+    build, expected = _COERCED[case]
+    value = build()
+    for name, want in expected.items():
+        got = getattr(value, name)
+        assert type(got) is type(want) and got == want, name
+
+
+def test_keyword_construction_and_replace_run_the_checks():
+    assert SU2Element(a=0.6 + 0.48j, b=0.64j) == _SU2
+    assert SO2Element(theta=0.25) == SO2Element(0.25)
+    assert OneQubitState(a1=0.6, a2=0.8j) == OneQubitState(0.6, 0.8j)
+    assert type(dataclasses.replace(SO2Element(0.25), theta=1).theta) is float
+    assert type(dataclasses.replace(OneQubitState(0.6, 0.8j), a1=1).a1) is complex
+    with pytest.raises(ValueError, match=re.escape(f"|a|^2 + |b|^2 must be 1, got {squared_norm((2, 0.64j))!r}")):
+        dataclasses.replace(_SU2, a=2)
+    with pytest.raises(ValueError, match="SU\\(2\\) parameters must be finite"):
+        dataclasses.replace(_SU2, b=complex(0, _INF))
+    with pytest.raises(ValueError, match="rotation angle must be finite"):
+        dataclasses.replace(SO2Element(0.25), theta=_NAN)
+    with pytest.raises(ValueError, match=re.escape("a2 must be finite, got (inf+0j)")):
+        dataclasses.replace(OneQubitState(0.6, 0.8j), a2=_INF)
+
+
+def test_from_vector_rejects_non_finite_amplitudes_with_the_constructors_error():
+    with pytest.raises(ValueError, match=re.escape("beta must be finite, got (nan+0j)")):
+        TwoQubitState.from_vector([1, _NAN, 0, 0])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_local_unitary_coerces_the_variant_string(variant):
+    u = LocalUnitary(variant.value, SO2Element(0.25), _SU2)
+    assert u.variant is variant
+    assert u == LocalUnitary(variant, SO2Element(0.25), _SU2)
+
+
+def _squared_norm_by_lists(values) -> float:
+    """The rule of ``squared_norm`` spelled with two lists of parts: the reference it matches bit for bit."""
+    total = 0.0
+    for x in [z.real for z in values] + [z.imag for z in values]:
+        total = total + x * x
+    return total
+
+
+# Signed zeros, subnormals, parts near 1e154, where a square approaches the
+# largest float, and parts of one scale, whose sum rounds by its order, besides
+# any finite float.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e154, -1.34e154, 1.35e154]),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0**-1022, 2.0**-1022),
+    st.floats(1e153, 1.4e154),
+    st.floats(-1.4e154, -1e153),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(st.builds(complex, _PARTS, _PARTS), max_size=6)
+       | st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2, max_size=6))
+@example([0.1 + 0.1j, 0.3 + 0.1j])  # 0.12000000000000002; added pair by pair, 0.12
+def test_squared_norm_matches_the_list_sum_bit_for_bit(values):
+    assert float.hex(squared_norm(values)) == float.hex(_squared_norm_by_lists(values))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +354,10 @@ def test_the_guards_see_every_form():
                    "from os import cpu_count as cpus"):
         assert _names(source) & _PROCESS_NAMES, source
     assert not _names("batch._forked(work, items, 'a worker')") & _PROCESS_NAMES
+    assert _second_stores("class A:\n    def __post_init__(self):\n        pass\n") == {"__post_init__"}
+    for source in ("object.__setattr__(self, 'a', 1)", "_set = object.__setattr__"):
+        assert _second_stores(source) == {"object.__setattr__"}, source
+    assert not _second_stores("_set_a = A.a.__set__\nobject.__new__(A)\nself.__setattr__('a', 1)")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -304,6 +397,29 @@ def test_no_module_but_quaternion_divides_a_vector_by_its_norm(module):
 def test_the_tol_check_is_written_once():
     sources = [path.read_text(encoding="utf-8") for path in Path(qgeo.__file__).parent.glob("*.py")]
     assert sum(source.count("tol must be positive and finite") for source in sources) == 1
+
+
+# ---------------------------------------------------------------------------
+# One construction idiom: each value type's __init__ checks and stores each
+# field once through its slot descriptor; nothing stores a field a second time
+# ---------------------------------------------------------------------------
+
+def _second_stores(source: str) -> set[str]:
+    """``__post_init__`` where ``source`` defines it, ``object.__setattr__`` where it reads it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__post_init__":
+            found.add("__post_init__")
+        elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+              and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            found.add("object.__setattr__")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_stores_a_field_twice(module):
+    source = (Path(qgeo.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert not _second_stores(source)
 
 
 # ---------------------------------------------------------------------------
